@@ -16,10 +16,7 @@ from .quadratics import (
     cf_tail_equivalent,
     cf_value,
     compare_to_rational,
-    format_cf,
     format_quad,
-    gl2z_apply,
-    normalize,
     parse_cf,
     parse_quad,
 )

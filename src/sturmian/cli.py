@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .quadratics import QuadraticIrrational, cf_expand, format_cf, format_quad, parse_quad
+from .quadratics import QuadraticIrrational, cf_expand, format_quad, parse_quad
 from .words import OrbitPoint, branch_point, code_word, language, past_set
 from .cover import (
     IncompleteEnumerationError,
@@ -201,7 +201,7 @@ def _run_report(cfg: RunConfig) -> int:
     cf = cf_expand(cfg.alpha)
     payload = {
         "alpha": format_quad(cfg.alpha),
-        "cf": format_cf(cf),
+        "cf": str(cf),
         "k0": "Z+alphaZ",
         "k1": "0",
         "order_unit": "1",
@@ -209,7 +209,7 @@ def _run_report(cfg: RunConfig) -> int:
     }
     lines = [
         f"alpha = {format_quad(cfg.alpha)} = {cfg.alpha}",
-        f"continued fraction: {format_cf(cf)}",
+        f"continued fraction: {cf}",
         f"K0 = Z + alpha*Z (ordered, unit 1); K1 = 0",
         f"flow-equivalence class: period {list(cf.period)} up to rotation",
     ]
@@ -300,8 +300,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_numeric(args) -> None:
+    """Reject out-of-range numeric options before any computation runs."""
+    for field in ("n", "l", "L"):
+        if getattr(args, field, 0) < 0:
+            raise UsageError(field, "must be nonnegative")
+    if hasattr(args, "k") and not 0 <= args.k <= args.l:
+        raise UsageError("k", f"must lie in 0..l = {args.l}")
+    if hasattr(args, "K") and not 0 <= args.K <= args.L:
+        raise UsageError("K", f"must lie in 0..L = {args.L}")
+    if getattr(args, "max_depth", None) is not None and args.max_depth < max(args.L, 1):
+        raise UsageError("max-depth", f"must be at least max(L, 1) = {max(args.L, 1)}")
+
+
 def _config_from_args(args) -> RunConfig:
     alpha = _parse_alpha(args.alpha)
+    _check_numeric(args)
     options = {}
     for key in ("t", "variant", "n", "l", "k", "budget", "seed", "point", "K", "L", "window"):
         if hasattr(args, key):

@@ -63,12 +63,12 @@ def index_leq(a, b) -> bool:
 
 @dataclass(frozen=True)
 class EqClass:
-    """A prefix/past equivalence class, with one witnessing point."""
+    """A prefix/past equivalence class, optionally with one witnessing point."""
 
     index: IndexPair
     prefix: Word
     past: frozenset[Word]
-    representative: OrbitPoint = field(compare=False)
+    representative: Optional[OrbitPoint] = field(default=None, compare=False)
 
     def __post_init__(self):
         if len(self.prefix) != self.index.k:
@@ -145,12 +145,21 @@ def quotient(
 
 
 def q_map(c: EqClass, idx1) -> EqClass:
-    """Connecting surjection: the class of the same representative lower down."""
+    """Connecting surjection (k2,l2) -> (k1,l1), computed on the class data.
+
+    Past words cover positions [k2-l2, k2) and the prefix covers [0, k2).
+    The lower past is the slice over [k1-l1, k1) of the past words that
+    agree with the prefix on [k1, k2): exactly the preimage chains that
+    pass through the k1-th shift (chains split only at the branch point,
+    into distinct letters).
+    """
     idx1 = _check_index(idx1)
     if not index_leq(idx1, c.index):
         raise ValueError(f"{idx1} is not below {c.index} in the projective order")
-    x = c.representative
-    return eq_class(x.alpha, x, idx1)
+    (k1, l1), (k2, l2) = idx1, c.index
+    end = k1 - k2 + l2
+    past = frozenset(w[end - l1 : end] for w in c.past if w[end:] == c.prefix[k1:])
+    return EqClass(idx1, c.prefix[:k1], past)
 
 
 def shift_map(c: EqClass) -> EqClass:
@@ -158,8 +167,7 @@ def shift_map(c: EqClass) -> EqClass:
     k, l = c.index
     if k < 1:
         raise ValueError("shift map needs k >= 1")
-    x = c.representative
-    return eq_class(x.alpha, x.shift(), IndexPair(k - 1, l))
+    return EqClass(IndexPair(k - 1, l), c.prefix[1:], c.past)
 
 
 # -- threads ----------------------------------------------------------------
@@ -168,76 +176,83 @@ def shift_map(c: EqClass) -> EqClass:
 class Thread:
     """A compatible family of classes over the truncated grid k<=K, l<=L.
 
-    Identity is the family itself; the base point records which subshift
+    The family is stored as one class `top` whose index dominates the grid;
+    every level is its projection under the connecting map.  Identity is
+    the projected family itself, so tops that differ only beyond the
+    truncation give equal threads; the base point records which subshift
     element the thread sits over but does not enter equality.
     """
 
-    __slots__ = ("base", "K", "L", "_levels")
+    __slots__ = ("base", "K", "L", "top")
 
-    def __init__(self, base: OrbitPoint, K: int, L: int, levels: dict[IndexPair, EqClass]):
+    def __init__(self, base: OrbitPoint, K: int, L: int, top: EqClass):
         if not 0 <= K <= L:
             raise ValueError("need 0 <= K <= L")
-        for l in range(L + 1):
-            for k in range(min(K, l) + 1):
-                if IndexPair(k, l) not in levels:
-                    raise ValueError(f"thread is missing level {(k, l)}")
+        k, l = top.index
+        if k < K or l - k < L:
+            raise ValueError(f"class at {top.index} does not dominate the grid K={K}, L={L}")
         self.base = base
         self.K = K
         self.L = L
-        self._levels = dict(levels)
+        self.top = top
 
     def class_at(self, k: int, l: int) -> EqClass:
-        return self._levels[IndexPair(k, l)]
+        if not (0 <= k <= min(self.K, l) and l <= self.L):
+            raise KeyError(f"level {(k, l)} lies outside the truncation")
+        return q_map(self.top, IndexPair(k, l))
 
     def levels(self) -> Iterator[tuple[IndexPair, EqClass]]:
-        return iter(sorted(self._levels.items()))
+        for k in range(self.K + 1):
+            for l in range(k, self.L + 1):
+                yield IndexPair(k, l), self.class_at(k, l)
+
+    def _family(self):
+        return self.K, self.L, tuple(self.levels())
 
     def __eq__(self, other):
         if not isinstance(other, Thread):
             return NotImplemented
-        return (self.K, self.L) == (other.K, other.L) and self._levels == other._levels
+        return self._family() == other._family()
 
     def __hash__(self):
-        return hash((self.K, self.L, frozenset(self._levels.items())))
+        return hash(self._family())
 
     def __repr__(self):
-        top = self._levels[IndexPair(min(self.K, self.L), self.L)]
-        return f"Thread(K={self.K}, L={self.L}, top prefix={top.prefix!r}, past={sorted(top.past)})"
+        c = self.class_at(self.K, self.L)
+        return f"Thread(K={self.K}, L={self.L}, top prefix={c.prefix!r}, past={sorted(c.past)})"
 
     def table(self) -> str:
         """Render the thread as a level -> (prefix, past) table."""
         lines = []
-        for (k, l), c in sorted(self._levels.items()):
+        for (k, l), c in self.levels():
             past = ",".join(w or "-" for w in sorted(c.past))
             lines.append(f"({k},{l}): prefix={c.prefix or '-'} past={{{past}}}")
         return "\n".join(lines)
 
 
-def _grid(K: int, L: int) -> Iterator[IndexPair]:
-    for l in range(L + 1):
-        for k in range(min(K, l) + 1):
-            yield IndexPair(k, l)
+def _chain_class(alpha, x: OrbitPoint, n: int, chain_variant: Optional[str]) -> EqClass:
+    """Class at level (n, 2n) of iota(x) or of a constructed element.
+
+    A constructed element's past is the coding of its backward chain, the
+    point n steps behind x on the side chain_variant.
+    """
+    idx = IndexPair(n, 2 * n)
+    if chain_variant is None:
+        return eq_class(alpha, x, idx)
+    chain = OrbitPoint(alpha, x.t - alpha * n, chain_variant)
+    return EqClass(idx, code_word(x, n), frozenset({code_word(chain, 2 * n)}))
 
 
 def thread_of(alpha: QuadraticIrrational, x: OrbitPoint, K: int, L: int) -> Thread:
     """The canonical thread through x (the section of the factor map)."""
-    levels = {idx: eq_class(alpha, x, idx) for idx in _grid(K, L)}
-    return Thread(x, K, L, levels)
+    return Thread(x, K, L, _chain_class(alpha, x, max(L, 1), None))
 
 
 def shift_thread(th: Thread) -> Thread:
     """Image of a thread under the induced shift; truncation drops to K-1."""
     if th.K < 1:
         raise ValueError("shift needs K >= 1")
-    levels = {}
-    for l in range(th.L + 1):
-        for k in range(min(th.K - 1, l) + 1):
-            if k + 1 <= l:
-                levels[IndexPair(k, l)] = shift_map(th.class_at(k + 1, l))
-            else:  # k = l = the diagonal: shift the (k+1, l+1) class and project
-                c = shift_map(th.class_at(k + 1, l + 1))
-                levels[IndexPair(k, l)] = q_map(c, IndexPair(k, l))
-    return Thread(th.base.shift(), th.K - 1, th.L, levels)
+    return Thread(th.base.shift(), th.K - 1, th.L, shift_map(th.top))
 
 
 def property_star_witness(alpha: QuadraticIrrational, mu: Word) -> OrbitPoint:
@@ -274,15 +289,7 @@ def construct_fibre_element(
     else:
         chain_variant = "L" if past_letter == "0" else "R"
 
-    levels = {}
-    for idx in _grid(K, L):
-        k, l = idx
-        prefix = code_word(x, k)
-        chain = OrbitPoint(alpha, x.t + x.alpha * (k - l), chain_variant)
-        w = code_word(chain, l)
-        rep = property_star_witness(alpha, w).shift(-k)
-        levels[idx] = EqClass(idx, prefix, frozenset({w}), rep)
-    return Thread(x, K, L, levels)
+    return Thread(x, K, L, _chain_class(alpha, x, max(L, 1), chain_variant))
 
 
 ClassData = tuple[Word, frozenset[Word]]
@@ -316,48 +323,13 @@ def _chain_candidates(
     return out
 
 
-def _chain_parent(data: ClassData) -> ClassData:
-    """Connecting map along the chain (n, 2n) -> (n-1, 2n-2), symbolically.
-
-    Past windows cover positions [-n, n); dropping one letter at each end
-    gives the window at the level below.  The prefix loses its last letter.
-    """
-    prefix, past = data
-    return prefix[:-1], frozenset(w[1 : len(w) - 1] for w in past)
-
-
-def _known_fibre_threads(
-    alpha: QuadraticIrrational, x: OrbitPoint, K: int, L: int
-) -> list[Thread]:
-    pos = x.orbit_position()
-    out = [thread_of(alpha, x, K, L)]
-    if pos is None:
-        return out
-    if pos[0] == "forward":
-        out.append(construct_fibre_element(alpha, x, "0", K, L))
-        out.append(construct_fibre_element(alpha, x, "1", K, L))
-    else:
-        forced = "0" if x.variant == "L" else "1"
-        out.append(construct_fibre_element(alpha, x, forced, K, L))
-    return out
-
-
-def _thread_chain_data(alpha, x: OrbitPoint, n: int, chain_variant: Optional[str]) -> ClassData:
-    """Class data at level (n, 2n) of iota(x) or of a constructed element."""
-    prefix = code_word(x, n)
-    if chain_variant is None:
-        return prefix, past_set(x.shift(n), 2 * n)
-    chain = OrbitPoint(alpha, x.t - alpha * n, chain_variant)
-    return prefix, frozenset({code_word(chain, 2 * n)})
-
-
 def fibre(
     alpha: QuadraticIrrational, x: OrbitPoint, K: int, L: int, max_depth: Optional[int] = None
 ) -> set[Thread]:
     """All threads over x at truncation (K, L), by exhaustive chain search.
 
     Every compatible family over the truncated grid is the projection of a
-    single class at the chain level (n0, 2n0) with n0 = max(K, L), and the
+    single class at the chain level (n0, 2n0) with n0 = max(L, 1), and the
     families extending to arbitrarily deep levels are exactly the fibre of
     the projective limit.  The search enumerates every class at (n0, 2n0)
     whose prefix matches x and certifies each non-fibre candidate dead by
@@ -382,7 +354,8 @@ def fibre(
         variants = [None, "L", "R"]
     else:
         variants = [None, x.variant]
-    target = {_thread_chain_data(alpha, x, n0, v) for v in variants}
+    tops = {_chain_class(alpha, x, n0, v) for v in variants}
+    target = {(c.prefix, c.past) for c in tops}
 
     xw = code_word(x, max_depth)
     candidates = _chain_candidates(alpha, xw[:n0], n0)
@@ -410,7 +383,7 @@ def fibre(
         raise UnresolvedTruncationError(
             f"{len(stubborn)} candidate classes still alive at depth {max_depth}"
         )
-    return set(_known_fibre_threads(alpha, x, K, L))
+    return {Thread(x, K, L, c) for c in tops}
 
 
 def expected_fibre_size(x: OrbitPoint) -> int:

@@ -32,11 +32,6 @@ def conjugate(alpha: QuadraticIrrational, beta: QuadraticIrrational) -> bool:
     return alpha == beta or alpha == 1 - beta
 
 
-# the listed relations are all equivalent to conjugacy for these systems
-orbit_equivalent = conjugate
-unital_order_isomorphic = conjugate
-
-
 def flow_equivalent(alpha: QuadraticIrrational, beta: QuadraticIrrational) -> bool:
     """Flow equivalence of the suspensions: equivalence of the irrationals.
 
@@ -45,10 +40,6 @@ def flow_equivalent(alpha: QuadraticIrrational, beta: QuadraticIrrational) -> bo
     isomorphism of Z + alpha*Z without the unit.
     """
     return cf_tail_equivalent(cf_expand(alpha), cf_expand(beta))
-
-
-morita_equivalent = flow_equivalent
-order_isomorphic = flow_equivalent
 
 
 @dataclass(frozen=True)
@@ -101,5 +92,6 @@ class InvariantReport:
 def compare_parameters(alpha: QuadraticIrrational, beta: QuadraticIrrational) -> InvariantReport:
     c = conjugate(alpha, beta)
     f = flow_equivalent(alpha, beta)
-    assert f or not c  # conjugacy refines flow equivalence
+    if c and not f:
+        raise RuntimeError("conjugate parameters must be flow equivalent; decider bug")
     return InvariantReport(alpha, beta, c, f)

@@ -144,7 +144,8 @@ class QuadraticIrrational:
     def inverse(self) -> "QuadraticIrrational":
         norm = self.p * self.p - self.q * self.q * self.d
         out = _build(self.r * self.p, -self.r * self.q, self.d, norm)
-        assert isinstance(out, QuadraticIrrational)
+        if not isinstance(out, QuadraticIrrational):
+            raise RuntimeError("inverse of an irrational came out rational; arithmetic bug")
         return out
 
     def __truediv__(self, other):
@@ -227,11 +228,6 @@ def _build(p: int, q: int, d: int, r: int) -> Union[Fraction, QuadraticIrrationa
     if f == 1:
         return Fraction(p + q, r)
     return QuadraticIrrational(p, q, f, r)
-
-
-def normalize(p: int, q: int, d: int, r: int) -> QuadraticIrrational:
-    """Canonical quadratic irrational (p + q*sqrt(d))/r."""
-    return QuadraticIrrational(p, q, d, r)
 
 
 def compare_to_rational(x: QuadraticIrrational, num: int, den: int) -> str:
@@ -361,16 +357,12 @@ class Moebius:
         num = x * self.a + self.b if self.a else Fraction(self.b)
         den = x * self.c + self.d if self.c else Fraction(self.d)
         out = num / den
-        assert isinstance(out, QuadraticIrrational)
+        if not isinstance(out, QuadraticIrrational):
+            raise RuntimeError("image of an irrational came out rational; arithmetic bug")
         return out
 
 
 IDENTITY = Moebius(1, 0, 0, 1)
-
-
-def gl2z_apply(m: Moebius, x: QuadraticIrrational) -> QuadraticIrrational:
-    """Image of x under the linear fractional action of m."""
-    return m(x)
 
 
 # -- parse / print ---------------------------------------------------------
@@ -389,10 +381,6 @@ def parse_quad(text: str) -> QuadraticIrrational:
         raise ValueError(f"malformed quadratic literal: {text!r}")
     p, q, d, r = map(int, m.groups())
     return QuadraticIrrational(p, q, d, r)
-
-
-def format_cf(cf: ContinuedFraction) -> str:
-    return str(cf)
 
 
 def parse_cf(text: str) -> ContinuedFraction:

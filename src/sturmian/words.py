@@ -222,7 +222,8 @@ class Arc:
         else:
             s = Fraction(1, abs(du.numerator) * 2 // du.denominator + 1)
         t = _mod1(self.lo + self.span() * s)
-        assert OrbitPoint(alpha, t).orbit_position() is None
+        if OrbitPoint(alpha, t).orbit_position() is not None:
+            raise RuntimeError("interior point landed on the orbit of 0; arithmetic bug")
         return t
 
 

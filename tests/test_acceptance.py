@@ -14,7 +14,6 @@ from sturmian.quadratics import (
     ContinuedFraction,
     QuadraticIrrational,
     cf_expand,
-    normalize,
 )
 from sturmian.words import (
     OrbitPoint,
@@ -186,7 +185,7 @@ def test_criterion_10_deciders():
         assert flow_equivalent(FIB, SQRT2M1) is False
         corpus = [FIB, GOLDEN_CONJ, SQRT2M1]
         for d in (2, 3, 5, 6, 7, 10, 11, 13, 17):
-            r = normalize(0, 1, d, 1)
+            r = QuadraticIrrational(0, 1, d, 1)
             corpus.append(r - math.floor(r))
             s = (1 + r) * Fraction(1, 3)
             corpus.append(s - math.floor(s))

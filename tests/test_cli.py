@@ -159,3 +159,21 @@ class TestUsageErrors:
         monkeypatch.setenv("STURMIAN_OUTPUT", "json")
         code, out, _ = run_cli(capsys, "omega", "--alpha", FIB, "--n", "4")
         assert json.loads(out)["word"] == "0100"
+
+
+class TestNumericUsageErrors:
+    @pytest.mark.parametrize(
+        "field,argv",
+        [
+            ("n", ("omega", "--n", "-1")),
+            ("l", ("past", "--t", "omega", "--l", "-1")),
+            ("k", ("cover", "--k", "3", "--l", "1")),
+            ("K", ("fibre", "--point", "omega", "--K", "5", "--L", "2")),
+            ("L", ("fibre", "--point", "omega", "--K", "0", "--L", "-1")),
+            ("max-depth", ("fibre", "--point", "omega", "--K", "1", "--L", "4", "--max-depth", "3")),
+        ],
+    )
+    def test_out_of_range_exits_2(self, capsys, field, argv):
+        code, out, err = run_cli(capsys, *argv, "--alpha", FIB)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {field}: ")

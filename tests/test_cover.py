@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from sturmian.quadratics import QuadraticIrrational
+from sturmian.quadratics import QuadraticIrrational, cf_value, parse_cf
 from sturmian.words import (
     OrbitPoint,
     TwoSidedPoint,
@@ -14,6 +16,7 @@ from sturmian.words import (
     recurrence_bound,
 )
 from sturmian.cover import (
+    EqClass,
     IndexPair,
     Thread,
     UnresolvedTruncationError,
@@ -259,11 +262,13 @@ class TestThreads:
         assert th == thread_of(FIB, HALF.shift(), 2, 5)
 
     def test_missing_level_rejected(self):
+        # a top class below the grid would leave levels undetermined: its
+        # prefix is too short (k < K) or its past window too narrow (l-k < L)
         th = thread_of(FIB, HALF, 2, 3)
-        levels = dict(th.levels())
-        levels.pop(IndexPair(1, 2))
-        with pytest.raises(ValueError):
-            Thread(HALF, 2, 3, levels)
+        Thread(HALF, 2, 3, q_map(th.top, (2, 5)))
+        for low in [(1, 4), (2, 4)]:
+            with pytest.raises(ValueError):
+                Thread(HALF, 2, 3, q_map(th.top, low))
 
 
 class TestPropertyStarWitness:
@@ -305,7 +310,9 @@ class TestConstruction:
     def test_levels_are_real_classes(self):
         th = construct_fibre_element(FIB, OM, "0", 3, 6)
         for idx, c in th.levels():
-            assert eq_class(FIB, c.representative, idx) == c
+            (w,) = c.past
+            witness = property_star_witness(FIB, w).shift(-idx.k)
+            assert eq_class(FIB, witness, idx) == c
             assert c.prefix == code_word(OM, idx.k)
 
     def test_q_map_compatibility_grid(self):
@@ -427,20 +434,22 @@ class TestTwoSidedEmbed:
 
 class TestChainConnectingMap:
     def test_symbolic_slice_matches_representative_q_map(self):
-        # the fibre search trims past windows by one letter at each end to
-        # descend the chain (n,2n) -> (n-1,2n-2); that must agree with the
-        # connecting map computed through representatives
-        from sturmian.cover import _chain_candidates, _chain_parent
-
+        # q_map works on the class data alone: past words trimmed to the
+        # lower window and filtered by agreement with the prefix.  It must
+        # agree with the class of a representative at every lower index;
+        # the points n steps behind the branch point have a past word that
+        # disagrees with their prefix, which only the filter removes
         rng = random.Random(40)
         for n in (2, 3, 4):
             pts = [random_point(rng) for _ in range(6)]
             pts += [OM.shift(j) for j in range(3)]
             pts += [OrbitPoint(FIB, 0, "L"), OrbitPoint(FIB, 0, "R")]
+            pts += [OrbitPoint(FIB, FIB * (1 - n), var) for var in "LR"]
             for x in pts:
                 c = eq_class(FIB, x, (n, 2 * n))
-                down = q_map(c, (n - 1, 2 * n - 2))
-                assert _chain_parent((c.prefix, c.past)) == (down.prefix, down.past)
+                for lo in grid_pairs(n, 2 * n):
+                    if index_leq(lo, c.index):
+                        assert q_map(c, lo) == eq_class(FIB, c.representative, lo)
 
     def test_candidate_enumeration_matches_quotient(self):
         # classes with a given prefix enumerated symbolically must be the
@@ -489,3 +498,61 @@ class TestBcLemma:
                             sb = shift_thread(sb)
                         if sa.K == sb.K:
                             assert sa != sb
+
+
+def reference_levels(alpha, x, K, L, chain_variant=None):
+    """Grid levels built one by one: eq_class for the section, and the
+    chain word with a property-star witness for a constructed element."""
+    levels = {}
+    for idx in grid_pairs(K, L):
+        k, l = idx
+        if chain_variant is None:
+            levels[idx] = eq_class(alpha, x, idx)
+            continue
+        chain = OrbitPoint(alpha, x.t + alpha * (k - l), chain_variant)
+        w = code_word(chain, l)
+        rep = property_star_witness(alpha, w).shift(-k)
+        levels[idx] = EqClass(idx, code_word(x, k), frozenset({w}), rep)
+    return levels
+
+
+CF_0_2_3 = cf_value(parse_cf("cf:[0;2,(3)]"))
+
+
+@st.composite
+def points_and_grids(draw):
+    alpha = draw(st.sampled_from([FIB, CF_0_2_3]))
+    kind = draw(st.sampled_from(["forward", "backward", "generic"]))
+    if kind == "forward":
+        x = branch_point(alpha).shift(draw(st.integers(0, 4)))
+    elif kind == "backward":
+        m = draw(st.integers(1, 4))
+        x = OrbitPoint(alpha, alpha * (1 - m), draw(st.sampled_from("LR")))
+    else:
+        den = draw(st.integers(2, 40))
+        x = OrbitPoint(alpha, Fraction(draw(st.integers(1, den - 1)), den), "L")
+    L = draw(st.integers(0, 6))
+    K = draw(st.integers(0, L))
+    return alpha, x, K, L
+
+
+class TestProjectedLevels:
+    @settings(max_examples=60, deadline=None)
+    @given(points_and_grids())
+    def test_section_matches_per_level_classes(self, case):
+        alpha, x, K, L = case
+        assert dict(thread_of(alpha, x, K, L).levels()) == reference_levels(alpha, x, K, L)
+
+    @settings(max_examples=60, deadline=None)
+    @given(points_and_grids(), st.sampled_from("01"))
+    def test_constructed_matches_per_level_classes(self, case, letter):
+        alpha, x, K, L = case
+        pos = x.orbit_position()
+        assume(pos is not None)
+        if pos[0] == "backward":
+            letter = "0" if x.variant == "L" else "1"
+            variant = x.variant
+        else:
+            variant = "L" if letter == "0" else "R"
+        th = construct_fibre_element(alpha, x, letter, K, L)
+        assert dict(th.levels()) == reference_levels(alpha, x, K, L, variant)

@@ -8,16 +8,12 @@ from hypothesis import strategies as st
 from sturmian.quadratics import (
     Moebius,
     QuadraticIrrational,
-    gl2z_apply,
-    normalize,
 )
 from sturmian.invariants import (
     compare_parameters,
     conjugate,
     flow_equivalent,
     k_theory_report,
-    morita_equivalent,
-    orbit_equivalent,
 )
 
 FIB = QuadraticIrrational(3, -1, 5, 2)
@@ -31,7 +27,7 @@ def unit_interval_corpus():
 
     out = [FIB, GOLDEN_CONJ, SQRT2M1]
     for d in (2, 3, 5, 6, 7, 10, 11, 13, 17):
-        r = normalize(0, 1, d, 1)
+        r = QuadraticIrrational(0, 1, d, 1)
         out.append(r - math.floor(r))
         s = (1 + r) * Fraction(1, 3)
         out.append(s - math.floor(s))
@@ -56,10 +52,7 @@ class TestConjugate:
 
     def test_requires_unit_interval(self):
         with pytest.raises(ValueError):
-            conjugate(FIB, normalize(0, 1, 5, 1))
-
-    def test_aliases(self):
-        assert orbit_equivalent is conjugate
+            conjugate(FIB, QuadraticIrrational(0, 1, 5, 1))
 
     def test_corpus_size(self):
         assert len(CORPUS) == 20
@@ -83,9 +76,6 @@ class TestFlowEquivalent:
 
     def test_distinct_tails(self):
         assert not flow_equivalent(FIB, SQRT2M1)
-
-    def test_alias(self):
-        assert morita_equivalent is flow_equivalent
 
     def test_conjugate_implies_flow_equivalent(self):
         for a in CORPUS:
@@ -113,7 +103,7 @@ class TestFlowEquivalent:
                 m = Moebius(1, 0, 0, 1)
                 for _ in range(5):
                     m = m @ rng.choice(gens)
-                image = gl2z_apply(m, b)
+                image = m(b)
                 assert flow_equivalent(a, image) == flow_equivalent(a, b)
 
 
