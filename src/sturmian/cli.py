@@ -302,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _check_numeric(args) -> None:
     """Reject out-of-range numeric options before any computation runs."""
-    for field in ("n", "l", "L"):
+    for field in ("n", "l", "L", "budget"):
         if getattr(args, field, 0) < 0:
             raise UsageError(field, "must be nonnegative")
     if hasattr(args, "k") and not 0 <= args.k <= args.l:

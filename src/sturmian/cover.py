@@ -345,6 +345,8 @@ def fibre(
     n0 = max(L, 1)
     if max_depth is None:
         max_depth = 16 * n0 + 2000
+    if max_depth < n0:
+        raise ValueError(f"max_depth: must be at least max(L, 1) = {n0}")
 
     pos = x.orbit_position()
     variants: list[Optional[str]]

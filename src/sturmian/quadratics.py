@@ -26,11 +26,16 @@ class BudgetExceededError(RuntimeError):
 
 
 def _squarefree_split(d: int) -> tuple[int, int]:
-    """Return (s, f) with d = s*s*f and f squarefree."""
+    """Return (s, f) with d = s*s*f and f squarefree, for d >= 1.
+
+    Trial division stops once p**3 exceeds the unfactored cofactor m.  Every
+    prime factor of m is then at least p > m**(1/3), so m has at most two
+    prime factors: it is a square or squarefree.  Cost O(d**(1/3)).
+    """
     s, f = 1, 1
     n = d
     p = 2
-    while p * p <= n:
+    while p * p * p <= n:
         if n % p == 0:
             e = 0
             while n % p == 0:
@@ -40,7 +45,18 @@ def _squarefree_split(d: int) -> tuple[int, int]:
             if e % 2:
                 f *= p
         p += 1 if p == 2 else 2
+    root = math.isqrt(n)
+    if root * root == n:
+        return s * root, f
     return s, f * n
+
+
+def _surd_floor(P: int, s: int, Q: int) -> int:
+    """floor((P + sqrt(D))/Q) for a nonsquare D with s = isqrt(D).
+
+    Exact: sqrt(D) lies strictly between s and s + 1.
+    """
+    return (P + s) // Q if Q > 0 else (P + s + 1) // Q
 
 
 def _as_fraction(x: Rational) -> Fraction:
@@ -205,15 +221,14 @@ class QuadraticIrrational:
             return self._cmp(other) > 0 or self == other
         return NotImplemented
 
+    def _surd(self) -> tuple[int, int, int]:
+        """(P, D, Q) with self = (P + sqrt(D))/Q."""
+        sign = 1 if self.q > 0 else -1
+        return sign * self.p, self.q * self.q * self.d, sign * self.r
+
     def __floor__(self) -> int:
-        q2d = self.q * self.q * self.d
-        fs = math.isqrt(q2d) if self.q > 0 else -math.isqrt(q2d) - 1
-        n = (self.p + fs) // self.r
-        while self._cmp(n + 1) > 0:
-            n += 1
-        while self._cmp(n) < 0:
-            n -= 1
-        return n
+        P, D, Q = self._surd()
+        return _surd_floor(P, math.isqrt(D), Q)
 
     def __str__(self):
         return f"({self.p}{self.q:+d}*sqrt({self.d}))/{self.r}"
@@ -286,20 +301,28 @@ class ContinuedFraction:
         return f"cf:[{self.preperiod[0]};{rest}]"
 
 
-def cf_expand(x: QuadraticIrrational, max_steps: int = 256) -> ContinuedFraction:
-    """Continued fraction of x, detected periodic via complete-quotient repeats."""
+def cf_expand(x: QuadraticIrrational) -> ContinuedFraction:
+    """Continued fraction of x by the integer (P + sqrt(D))/Q recurrence.
+
+    x is written as (P + sqrt(D))/Q with Q dividing D - P*P; the recurrence
+    P <- a*Q - P, Q <- (D - P*P)/Q keeps that so.  For the fixed D the pair
+    (P, Q) determines the complete quotient, so the first repeated pair
+    closes the period, and Lagrange's theorem makes the loop terminate.
+    """
+    P, D, Q = x._surd()
+    if (D - P * P) % Q:
+        P, D, Q = P * abs(Q), D * Q * Q, Q * abs(Q)
+    s = math.isqrt(D)
     digits: list[int] = []
-    seen: dict[QuadraticIrrational, int] = {}
-    y = x
-    for step in range(max_steps):
-        if y in seen:
-            f = seen[y]
-            return ContinuedFraction(tuple(digits[:f]), tuple(digits[f:]))
-        seen[y] = step
-        a = math.floor(y)
+    seen: dict[tuple[int, int], int] = {}
+    while (P, Q) not in seen:
+        seen[P, Q] = len(digits)
+        a = _surd_floor(P, s, Q)
         digits.append(a)
-        y = (y - a).inverse()
-    raise BudgetExceededError(f"no period within {max_steps} steps")
+        P = a * Q - P
+        Q = (D - P * P) // Q
+    f = seen[P, Q]
+    return ContinuedFraction(tuple(digits[:f]), tuple(digits[f:]))
 
 
 def cf_value(cf: ContinuedFraction) -> QuadraticIrrational:
@@ -307,9 +330,12 @@ def cf_value(cf: ContinuedFraction) -> QuadraticIrrational:
     a, b, c, d = 1, 0, 0, 1
     for digit in cf.period:
         a, b, c, d = a * digit + b, a, c * digit + d, c
-    # periodic tail y solves c*y^2 + (d - a)*y - b = 0, take the positive root
-    disc = (a - d) * (a - d) + 4 * b * c
-    y = _build(a - d, 1, disc, 2 * c)
+    # periodic tail y solves c*y^2 + (d - a)*y - b = 0, take the positive root;
+    # dividing by the content leaves y's minimal polynomial, whose discriminant
+    # is small however long the period is
+    g = math.gcd(a - d, b, c)
+    a_d, b, c = (a - d) // g, b // g, c // g
+    y = _build(a_d, 1, a_d * a_d + 4 * b * c, 2 * c)
     if not isinstance(y, QuadraticIrrational):
         raise RationalValueError("period does not define an irrational")
     for digit in reversed(cf.preperiod):
@@ -317,16 +343,18 @@ def cf_value(cf: ContinuedFraction) -> QuadraticIrrational:
     return y
 
 
+def _delimited(digits: tuple[int, ...]) -> str:
+    return "," + ",".join(map(str, digits)) + ","
+
+
 def cf_tail_equivalent(a: ContinuedFraction, b: ContinuedFraction) -> bool:
     """True iff the two digit streams agree from some point on.
 
     For canonical (minimal-period) inputs this holds exactly when the
-    periods are rotations of one another.
+    periods are rotations of one another, that is when b's period occurs
+    in a's period written twice.
     """
-    if len(a.period) != len(b.period):
-        return False
-    p = a.period
-    return any(p[i:] + p[:i] == b.period for i in range(len(p)))
+    return len(a.period) == len(b.period) and _delimited(b.period) in _delimited(a.period * 2)
 
 
 # -- the GL(2,Z) action ----------------------------------------------------
@@ -360,9 +388,6 @@ class Moebius:
         if not isinstance(out, QuadraticIrrational):
             raise RuntimeError("image of an irrational came out rational; arithmetic bug")
         return out
-
-
-IDENTITY = Moebius(1, 0, 0, 1)
 
 
 # -- parse / print ---------------------------------------------------------

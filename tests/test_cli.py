@@ -5,6 +5,7 @@ import pytest
 from sturmian.cli import main
 
 FIB = "quad:3,-1,5,2"
+LONG_PERIOD = "quad:-316,1,99991,1"  # sqrt(99991) - 316
 
 
 def run_cli(capsys, *argv):
@@ -116,6 +117,20 @@ class TestCompare:
             "k1": "0",
         }
 
+    def test_long_period_pair(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "compare", "--alpha", LONG_PERIOD, "--beta", "quad:317,-1,99991,1", "-o", "json"
+        )
+        assert code == 0
+        assert json.loads(out)["conjugate"] and json.loads(out)["flow_equivalent"]
+
+
+class TestReport:
+    def test_long_period(self, capsys):
+        code, out, _ = run_cli(capsys, "report", "--alpha", LONG_PERIOD, "-o", "json")
+        assert code == 0
+        assert len(json.loads(out)["flow_class_period"]) == 436
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
@@ -171,6 +186,7 @@ class TestNumericUsageErrors:
             ("K", ("fibre", "--point", "omega", "--K", "5", "--L", "2")),
             ("L", ("fibre", "--point", "omega", "--K", "0", "--L", "-1")),
             ("max-depth", ("fibre", "--point", "omega", "--K", "1", "--L", "4", "--max-depth", "3")),
+            ("budget", ("cover", "--k", "1", "--l", "2", "--budget", "-5")),
         ],
     )
     def test_out_of_range_exits_2(self, capsys, field, argv):

@@ -367,6 +367,11 @@ class TestFibre:
         with pytest.raises(UnresolvedTruncationError):
             fibre(FIB, HALF, 2, 6, max_depth=8)
 
+    @pytest.mark.parametrize("max_depth", [3, -1])
+    def test_max_depth_below_chain_level_rejected(self, max_depth):
+        with pytest.raises(ValueError, match=r"^max_depth: must be at least max\(L, 1\) = 4$"):
+            fibre(FIB, branch_point(FIB), 1, 4, max_depth=max_depth)
+
 
 class TestIsolation:
     def test_section_of_branch_orbit_is_isolated(self):

@@ -1,16 +1,18 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sturmian import quadratics
 from sturmian.quadratics import (
-    BudgetExceededError,
     ContinuedFraction,
     Moebius,
     QuadraticIrrational,
     RationalValueError,
+    _squarefree_split,
     cf_expand,
     cf_tail_equivalent,
     cf_value,
@@ -23,6 +25,7 @@ from sturmian.quadratics import (
 FIB = QuadraticIrrational(3, -1, 5, 2)  # (3 - sqrt 5)/2
 GOLDEN_CONJ = QuadraticIrrational(-1, 1, 5, 2)  # (sqrt 5 - 1)/2
 SQRT2 = QuadraticIrrational(0, 1, 2, 1)
+LONG_PERIOD = QuadraticIrrational(-316, 1, 99991, 1)  # sqrt(99991) - 316, period 436
 
 
 def interval_sign(p, q, d, r, num, den):
@@ -122,6 +125,29 @@ class TestFloor:
         assert n == expected
 
 
+@pytest.fixture
+def splits(monkeypatch):
+    """Every argument _squarefree_split receives while the test runs.
+
+    For LONG_PERIOD only its tail's minimal-polynomial discriminant, at most
+    4 r^2 q^2 d, may be factored; a larger argument fails at once rather than
+    stalling in trial division.
+    """
+    x = LONG_PERIOD
+    bound = 4 * x.r * x.r * x.q * x.q * x.d
+    seen: list[int] = []
+    real = quadratics._squarefree_split
+
+    def counted(n):
+        if n > bound:
+            raise AssertionError(f"asked to factor a {n.bit_length()}-bit number")
+        seen.append(n)
+        return real(n)
+
+    monkeypatch.setattr(quadratics, "_squarefree_split", counted)
+    return seen
+
+
 class TestContinuedFractions:
     def test_fibonacci_expansion(self):
         assert cf_expand(FIB) == ContinuedFraction((0, 2), (1,))
@@ -133,9 +159,10 @@ class TestContinuedFractions:
     def test_sqrt2_expansion(self):
         assert cf_expand(SQRT2) == ContinuedFraction((1,), (2,))
 
-    def test_budget(self):
-        with pytest.raises(BudgetExceededError):
-            cf_expand(SQRT2, max_steps=1)
+    def test_total_on_long_period(self, splits):
+        cf = cf_expand(LONG_PERIOD)
+        assert (len(cf.preperiod), len(cf.period)) == (1, 436)
+        assert cf_value(cf) == LONG_PERIOD
 
     def test_canonicalisation_shrinks_preperiod_and_period(self):
         assert ContinuedFraction((0, 1), (1,)) == ContinuedFraction((0,), (1,))
@@ -285,3 +312,145 @@ def test_compare_matches_interval_oracle(p, q, d, r, num, den):
     x = QuadraticIrrational(p, q, d, r)
     want = interval_sign(x.p, x.q, x.d, x.r, num, den)
     assert compare_to_rational(x, num, den) == ("GT" if want > 0 else "LT")
+
+
+def reference_floor(y: QuadraticIrrational) -> int:
+    """floor(y) from an isqrt estimate corrected by exact comparisons."""
+    q2d = y.q * y.q * y.d
+    fs = math.isqrt(q2d) if y.q > 0 else -math.isqrt(q2d) - 1
+    n = (y.p + fs) // y.r
+    while y > n + 1:
+        n += 1
+    while y < n:
+        n -= 1
+    return n
+
+
+def reference_cf_expand(x: QuadraticIrrational, max_steps: int = 5000) -> ContinuedFraction:
+    """Continued fraction by iterating complete quotients as field elements."""
+    digits: list[int] = []
+    seen: dict[QuadraticIrrational, int] = {}
+    y = x
+    for step in range(max_steps):
+        if y in seen:
+            f = seen[y]
+            return ContinuedFraction(tuple(digits[:f]), tuple(digits[f:]))
+        seen[y] = step
+        a = reference_floor(y)
+        digits.append(a)
+        y = (y - a).inverse()
+    raise AssertionError(f"no period within {max_steps} steps")
+
+
+def reference_tail_equivalent(a: ContinuedFraction, b: ContinuedFraction) -> bool:
+    """Periods of equal length compared under every rotation."""
+    if len(a.period) != len(b.period):
+        return False
+    p = a.period
+    return any(p[i:] + p[:i] == b.period for i in range(len(p)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.integers(-10**6, 10**6),
+    q=st.integers(-1000, 1000).filter(bool),
+    d=st.integers(2, 10**7),
+    r=st.integers(-1000, 1000).filter(bool),
+)
+def test_floor_within_isqrt_bounds(p, q, d, r):
+    assume(math.isqrt(d) ** 2 != d)
+    x = QuadraticIrrational(p, q, d, r)
+    # bracket sqrt(d) between scaled integer square roots until x's bracket
+    # lies inside one unit interval
+    for bits in (16, 64, 256, 1024):
+        scale = 1 << bits
+        lo = math.isqrt(x.d * scale * scale)
+        ends = sorted(Fraction(x.p * scale + x.q * s, x.r * scale) for s in (lo, lo + 1))
+        if math.floor(ends[0]) == math.floor(ends[1]):
+            assert math.floor(x) == math.floor(ends[0])
+            return
+    raise AssertionError("isqrt bounds failed to separate")
+
+
+def factorint_split(n: int) -> tuple[int, int]:
+    """(s, f) with n = s*s*f and f squarefree, read off sympy's factorisation."""
+    s, f = 1, 1
+    for prime, e in pytest.importorskip("sympy").factorint(n).items():
+        s *= prime ** (e // 2)
+        f *= prime ** (e % 2)
+    return s, f
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 10**15))
+def test_squarefree_split_matches_factorint(n):
+    assert _squarefree_split(n) == factorint_split(n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    small=st.integers(1, 100),
+    p0=st.integers(10**3, 10**9),
+    gap=st.integers(1, 10**3),
+    kind=st.sampled_from(["p*p", "p*q", "2*p*p"]),
+)
+def test_squarefree_split_of_large_cofactors(small, p0, gap, kind):
+    """Cofactors whose primes all exceed the cube root, where trial division stops."""
+    sympy = pytest.importorskip("sympy")
+    p = sympy.nextprime(p0)
+    q = sympy.nextprime(p + gap)
+    n = small * {"p*p": p * p, "p*q": p * q, "2*p*p": 2 * p * p}[kind]
+    assert _squarefree_split(n) == factorint_split(n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.integers(-60, 60),
+    q=st.integers(-3, 3).filter(bool),
+    d=st.integers(2, 2000),
+    r=st.integers(-12, 12).filter(bool),
+)
+def test_cf_expand_matches_object_iteration(p, q, d, r):
+    assume(math.isqrt(d) ** 2 != d)
+    x = QuadraticIrrational(p, q, d, r)
+    cf = cf_expand(x)
+    assert cf == reference_cf_expand(x)
+    assert cf_value(cf) == x
+
+
+periods = st.lists(st.integers(1, 12), min_size=1, max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pre=st.lists(st.integers(1, 4), max_size=3),
+    per_a=periods,
+    per_b=periods,
+    shift=st.integers(0, 7),
+    rotate=st.booleans(),
+)
+def test_tail_equivalence_matches_rotation_loop(pre, per_a, per_b, shift, rotate):
+    if rotate:
+        k = shift % len(per_a)
+        per_b = per_a[k:] + per_a[:k]
+    a = ContinuedFraction((0,), tuple(per_a))
+    b = ContinuedFraction((1, *pre), tuple(per_b))
+    assert cf_tail_equivalent(a, b) == reference_tail_equivalent(a, b)
+    if rotate:
+        assert cf_tail_equivalent(a, b)
+
+
+class TestKernelCallCounts:
+    """The kernel's work counted in squarefree splits, which tracks whether
+    field elements are built per continued-fraction step."""
+
+    def test_cf_expand_builds_no_field_elements(self, splits):
+        cf_expand(LONG_PERIOD)
+        assert splits == []
+
+    def test_cf_value_splits_per_preperiod_digit(self, splits):
+        cf = cf_expand(LONG_PERIOD)
+        assert cf_value(cf) == LONG_PERIOD
+        # _build and the constructor it calls split once each: two for the
+        # periodic tail, four per preperiod digit (an inverse and a sum)
+        assert len(splits) <= 2 + 4 * len(cf.preperiod)
