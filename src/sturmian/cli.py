@@ -12,12 +12,7 @@ from typing import Optional
 
 from .quadratics import QuadraticIrrational, cf_expand, format_quad, parse_quad
 from .words import OrbitPoint, branch_point, code_word, language, past_set
-from .cover import (
-    IncompleteEnumerationError,
-    UnresolvedTruncationError,
-    fibre_report,
-    quotient,
-)
+from .cover import UnresolvedTruncationError, fibre_report, quotient
 from .groupoid import check_witness, dad_witness, degenerate_cover_chain
 from .invariants import compare_parameters, k_theory_report
 
@@ -54,11 +49,16 @@ def _parse_point(alpha: QuadraticIrrational, spec: str, variant: str) -> OrbitPo
         if spec == "omega":
             return branch_point(alpha)
         if spec.startswith("fwd:"):
-            return branch_point(alpha).shift(int(spec[4:]))
+            j = int(spec[4:])
+            if j < 0:
+                raise ValueError("fwd:J needs J >= 0")
+            return branch_point(alpha).shift(j)
         if spec.startswith("back:"):
             m, _, var = spec[5:].partition(":")
-            var = var or variant
-            return OrbitPoint(alpha, alpha * (1 - int(m)), var)
+            m = int(m)
+            if m < 1:
+                raise ValueError("back:M needs M >= 1")
+            return OrbitPoint(alpha, alpha * (1 - m), var or variant)
         if spec.startswith("quad:"):
             return OrbitPoint(alpha, parse_quad(spec), variant)
         num, _, den = spec.partition("/")
@@ -106,17 +106,13 @@ def _run_past(cfg: RunConfig) -> int:
 
 def _run_cover(cfg: RunConfig) -> int:
     o = cfg.options
-    try:
-        q = quotient(cfg.alpha, (o["k"], o["l"]), o["budget"], o["seed"])
-    except IncompleteEnumerationError as e:
-        print(f"verification failure: {e}", file=sys.stderr)
-        return 1
+    q = quotient(cfg.alpha, (o["k"], o["l"]))
     classes = sorted(
         ({"prefix": c.prefix, "past": sorted(c.past)} for c in q.classes),
         key=lambda d: (d["prefix"], d["past"]),
     )
-    payload = {"index": [o["k"], o["l"]], "classes": classes, "seed": o["seed"]}
-    lines = [f"index=({o['k']},{o['l']}) classes={len(classes)} seed={o['seed']}"]
+    payload = {"index": [o["k"], o["l"]], "classes": classes}
+    lines = [f"index=({o['k']},{o['l']}) classes={len(classes)}"]
     for c in classes:
         lines.append(f"  prefix={c['prefix'] or '-'} past={{{','.join(c['past'])}}}")
     _emit(cfg, payload, lines)
@@ -274,8 +270,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
-    p.add_argument("--budget", type=int, default=32, help="random cross-check samples")
-    p.add_argument("--seed", type=int, default=974831)
 
     p = sub.add_parser("fibre", help="fibre of the cover over a point")
     common(p)
@@ -302,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _check_numeric(args) -> None:
     """Reject out-of-range numeric options before any computation runs."""
-    for field in ("n", "l", "L", "budget"):
+    for field in ("n", "l", "L"):
         if getattr(args, field, 0) < 0:
             raise UsageError(field, "must be nonnegative")
     if hasattr(args, "k") and not 0 <= args.k <= args.l:
@@ -317,7 +311,7 @@ def _config_from_args(args) -> RunConfig:
     alpha = _parse_alpha(args.alpha)
     _check_numeric(args)
     options = {}
-    for key in ("t", "variant", "n", "l", "k", "budget", "seed", "point", "K", "L", "window"):
+    for key in ("t", "variant", "n", "l", "k", "point", "K", "L", "window"):
         if hasattr(args, key):
             options[key] = getattr(args, key)
     if hasattr(args, "max_depth"):

@@ -9,10 +9,8 @@ truncated index grid and approximate elements of the projective limit.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator, NamedTuple, Optional
 
 from .quadratics import QuadraticIrrational
@@ -23,16 +21,14 @@ from .words import (
     branch_point,
     code_letter,
     code_word,
+    coding,
     cylinder_arc,
     intersect_arcs,
-    is_admissible,
+    language,
     letter_arc,
-    partition_by_rotates,
     past_set,
     word_arc,
 )
-
-DEFAULT_SEED = 974831
 
 
 class IndexPair(NamedTuple):
@@ -45,7 +41,7 @@ class UnresolvedTruncationError(RuntimeError):
 
 
 class IncompleteEnumerationError(RuntimeError):
-    """Random cross-checking found a class missing from an enumeration."""
+    """A class that must be enumerated is missing from an exact enumeration."""
 
 
 def _check_index(idx) -> IndexPair:
@@ -105,43 +101,33 @@ class FiniteQuotient:
         return len(self.classes)
 
 
-def _quotient_representatives(alpha: QuadraticIrrational, idx: IndexPair) -> list[OrbitPoint]:
-    k, l = idx
-    reps: list[OrbitPoint] = []
-    for arc in partition_by_rotates(alpha, range(k + l + 1)):
-        reps.append(OrbitPoint(alpha, arc.midpoint(), "L"))
-        reps.append(OrbitPoint(alpha, arc.lo, "L"))
-        reps.append(OrbitPoint(alpha, arc.lo, "R"))
-    # interior points of the partition actually cutting the past window
-    # [k-l, k); guarantees every unique-past class gets a representative
-    for arc in partition_by_rotates(alpha, range(k - l, k + 1)):
-        reps.append(OrbitPoint(alpha, arc.interior_point_off_orbit(alpha), "L"))
-    om = branch_point(alpha)
-    for j in range(k + l + 1):
-        reps.append(om.shift(j))
-    return reps
+def _classes(alpha: QuadraticIrrational, k: int, l: int) -> set[EqClass]:
+    """Every class at level (k, l), exactly.
 
-
-@lru_cache(maxsize=None)
-def _quotient_cached(alpha, k, l, depth_budget, seed) -> FiniteQuotient:
+    The k-th shift of x has one length-l past unless it is sigma^j(omega)
+    with j < l.  A unique past is one admissible length-l word w, whose
+    last k letters are then the prefix; every such word occurs.  The other
+    classes belong to the points x whose k-th shift is sigma^j(omega):
+    x = sigma^(j-k)(omega) when j >= k, else the two codings of the point
+    (1-k+j)*alpha, which meet omega after k-j shifts.  Those classes carry
+    x as their representative; the singleton classes carry none.
+    """
     idx = IndexPair(k, l)
-    classes: set[EqClass] = set()
-    for x in _quotient_representatives(alpha, idx):
-        classes.add(eq_class(alpha, x, idx))
-    rng = random.Random(seed)
-    for _ in range(depth_budget):
-        t = Fraction(rng.randint(1, 10**12 - 1), 10**12)
-        if eq_class(alpha, OrbitPoint(alpha, t, "L"), idx) not in classes:
-            raise IncompleteEnumerationError(f"sampled point escapes enumeration at {idx}")
-    return FiniteQuotient(idx, frozenset(classes))
+    out = {EqClass(idx, w[l - k :], frozenset({w})) for w in language(alpha, l)}
+    om = branch_point(alpha)
+    for j in range(l):
+        if j >= k:
+            reps = [om.shift(j - k)]
+        else:
+            reps = [OrbitPoint(alpha, alpha * (1 - k + j), v) for v in "LR"]
+        out.update(eq_class(alpha, x, idx) for x in reps)
+    return out
 
 
-def quotient(
-    alpha: QuadraticIrrational, idx, depth_budget: int = 32, seed: int = DEFAULT_SEED
-) -> FiniteQuotient:
-    """All equivalence classes at idx, cross-checked by random sampling."""
+def quotient(alpha: QuadraticIrrational, idx) -> FiniteQuotient:
+    """All equivalence classes at idx, by exact enumeration."""
     idx = _check_index(idx)
-    return _quotient_cached(alpha, idx.k, idx.l, depth_budget, seed)
+    return FiniteQuotient(idx, frozenset(_classes(alpha, idx.k, idx.l)))
 
 
 def q_map(c: EqClass, idx1) -> EqClass:
@@ -292,37 +278,6 @@ def construct_fibre_element(
     return Thread(x, K, L, _chain_class(alpha, x, max(L, 1), chain_variant))
 
 
-ClassData = tuple[Word, frozenset[Word]]
-
-
-def _chain_candidates(
-    alpha: QuadraticIrrational, prefix: Word, n: int
-) -> dict[ClassData, Optional[OrbitPoint]]:
-    """All classes at level (n, 2n) whose prefix is the given word.
-
-    Singleton-past classes are exactly the admissible length-2n words ending
-    in the prefix (the past window covers positions [-n, n)) and map to
-    None; the two-past classes each belong to a unique branch-orbit point,
-    which is returned alongside.
-    """
-    singles = {prefix}
-    for _ in range(n):
-        singles = {a + w for w in singles for a in "01" if is_admissible(alpha, a + w)}
-    out: dict[ClassData, Optional[OrbitPoint]] = {(prefix, frozenset({w})): None for w in singles}
-    om = branch_point(alpha)
-    window = code_word(om, 2 * n)
-    for j in range(n):
-        if window[j : j + n] == prefix:
-            y = om.shift(j)
-            out[(prefix, past_set(y.shift(n), 2 * n))] = y
-    for m in range(1, n + 1):
-        for var in ("L", "R"):
-            y = OrbitPoint(alpha, alpha * (1 - m), var)
-            if code_word(y, n) == prefix:
-                out[(prefix, past_set(y.shift(n), 2 * n))] = y
-    return out
-
-
 def fibre(
     alpha: QuadraticIrrational, x: OrbitPoint, K: int, L: int, max_depth: Optional[int] = None
 ) -> set[Thread]:
@@ -360,7 +315,12 @@ def fibre(
     target = {(c.prefix, c.past) for c in tops}
 
     xw = code_word(x, max_depth)
-    candidates = _chain_candidates(alpha, xw[:n0], n0)
+    prefix = xw[:n0]
+    candidates = {
+        (c.prefix, c.past): c.representative
+        for c in _classes(alpha, n0, 2 * n0)
+        if c.prefix == prefix
+    }
     if not target <= set(candidates):
         raise IncompleteEnumerationError("constructed elements missing from candidates")
 
@@ -378,7 +338,7 @@ def fibre(
                     dead = True
                     break
         else:
-            dead = code_word(orbit_pt, max_depth) != xw
+            dead = any(a != b for a, b in zip(coding(orbit_pt), xw))
         if not dead:
             stubborn.append(data)
     if stubborn:

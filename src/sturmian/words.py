@@ -11,10 +11,11 @@ which is where the subshift closure adds points.
 from __future__ import annotations
 
 import math
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Literal, Optional, Union
+from itertools import islice
+from typing import Iterator, Literal, Optional, Union
 
 from .quadratics import BudgetExceededError, QuadraticIrrational
 
@@ -141,21 +142,24 @@ def code_letter(x: Union[OrbitPoint, TwoSidedPoint], i: int) -> str:
     return _letter(x.alpha, _mod1(x.t + x.alpha * i), x.variant)
 
 
-def code_word(x: OrbitPoint, n: int) -> Word:
-    """First n letters of the coding of x."""
-    if n < 0:
-        raise ValueError("length must be nonnegative")
+def coding(x: OrbitPoint) -> Iterator[str]:
+    """The letters of the coding of x, produced one at a time."""
     alpha = x.alpha
     u = x.t
-    out = []
-    for _ in range(n):
-        out.append(_letter(alpha, u, x.variant))
+    while True:
+        yield _letter(alpha, u, x.variant)
         u = u + alpha
         if u >= 1:
             u = u - 1
             if isinstance(u, int):
                 u = Fraction(u)
-    return "".join(out)
+
+
+def code_word(x: OrbitPoint, n: int) -> Word:
+    """First n letters of the coding of x."""
+    if n < 0:
+        raise ValueError("length must be nonnegative")
+    return "".join(islice(coding(x), n))
 
 
 def two_sided_word(x: TwoSidedPoint, m: int, n: int) -> Word:
@@ -201,11 +205,6 @@ class Arc:
         if self.is_full_circle():
             return Fraction(1)
         return _mod1(self.hi - self.lo)
-
-    def midpoint(self) -> CirclePoint:
-        if self.is_full_circle():
-            return _mod1(self.lo + Fraction(1, 2))
-        return _mod1(self.lo + self.span() * Fraction(1, 2))
 
     def interior_point_off_orbit(self, alpha: QuadraticIrrational) -> CirclePoint:
         """An interior point whose rotation orbit avoids the orbit of 0."""
@@ -276,30 +275,35 @@ def word_arc(alpha: QuadraticIrrational, mu: Word) -> Optional[Arc]:
     return arc
 
 
-def partition_by_rotates(alpha: QuadraticIrrational, tags: Iterable[int]) -> tuple[Arc, ...]:
-    """Half-open arcs cut by the points -i*alpha (mod 1) for i in tags."""
-    pts = {}
-    for i in tags:
-        pts[_mod1(alpha * (-i)) if i else Fraction(0)] = i
-    order = sorted(pts)
-    arcs = []
-    for j, lo in enumerate(order):
-        hi = order[(j + 1) % len(order)]
-        arcs.append(Arc(lo, hi, pts[lo], pts[hi]))
-    return tuple(arcs)
+def _cells(alpha: QuadraticIrrational, n: int) -> dict[Word, Arc]:
+    """The n+1 cells cut out by the points -i*alpha (mod 1), 0 <= i <= n.
 
-
-@lru_cache(maxsize=None)
-def _cylinders(alpha: QuadraticIrrational, n: int) -> dict[Word, Arc]:
-    """The length-n cylinder arcs, keyed by coded word."""
-    arcs = partition_by_rotates(alpha, range(n + 1))
-    table: dict[Word, Arc] = {}
-    for arc in arcs:
-        w = code_word(OrbitPoint(alpha, arc.midpoint()), n)
-        if w in table:
-            raise RuntimeError("partition arcs must code distinct words")
-        table[w] = arc
-    return table
+    Each cell is the cylinder arc of one length-n word, keyed by that word,
+    in circular order from 0.  The cut points are kept sorted with their
+    tags i; inserting each -i*alpha splits exactly one cell.  Letter 1 at
+    index j is the arc [-(j+1)*alpha, -j*alpha), so the cells reading 1
+    there are the run from the cell starting at tag j+1 up to the cell
+    ending at tag j: every letter comes from the tags.
+    """
+    pts: list[CirclePoint] = [Fraction(0)]
+    tags = [0]
+    for i in range(1, n + 1):
+        t = _mod1(alpha * (-i))
+        at = bisect(pts, t)
+        pts.insert(at, t)
+        tags.insert(at, i)
+    m = n + 1
+    pos = {tag: p for p, tag in enumerate(tags)}
+    letters = [["0"] * n for _ in range(m)]
+    for j in range(n):
+        p = pos[j + 1]
+        while p != pos[j]:
+            letters[p][j] = "1"
+            p = (p + 1) % m
+    return {
+        "".join(w): Arc(pts[p], pts[(p + 1) % m], tags[p], tags[(p + 1) % m])
+        for p, w in enumerate(letters)
+    }
 
 
 def cylinder_arc(alpha: QuadraticIrrational, mu: Word) -> Optional[Arc]:
@@ -317,7 +321,7 @@ def language(alpha: QuadraticIrrational, n: int) -> frozenset[Word]:
     if n < 0:
         raise ValueError("length must be nonnegative")
     _validate_alpha(alpha)
-    words = frozenset(_cylinders(alpha, n))
+    words = frozenset(_cells(alpha, n))
     if len(words) != (n + 1 if n >= 1 else 1):
         raise RuntimeError("factor complexity violated; arithmetic bug")
     return words

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sturmian
 from sturmian.cli import main
 
 FIB = "quad:3,-1,5,2"
@@ -56,7 +61,7 @@ class TestCover:
         data = json.loads(out)
         assert data["index"] == [0, 1]
         assert len(data["classes"]) == 3
-        assert "seed" in data
+        assert "seed" not in data
 
 
 class TestFibre:
@@ -186,10 +191,36 @@ class TestNumericUsageErrors:
             ("K", ("fibre", "--point", "omega", "--K", "5", "--L", "2")),
             ("L", ("fibre", "--point", "omega", "--K", "0", "--L", "-1")),
             ("max-depth", ("fibre", "--point", "omega", "--K", "1", "--L", "4", "--max-depth", "3")),
-            ("budget", ("cover", "--k", "1", "--l", "2", "--budget", "-5")),
+            ("point", ("fibre", "--point", "back:0:L", "--K", "1", "--L", "3")),
+            ("point", ("fibre", "--point", "fwd:-1", "--K", "1", "--L", "3")),
+            ("point", ("past", "--t", "back:-2", "--l", "2")),
+            ("point", ("word", "--t", "back:0", "--n", "2")),
         ],
     )
     def test_out_of_range_exits_2(self, capsys, field, argv):
         code, out, err = run_cli(capsys, *argv, "--alpha", FIB)
         assert code == 2 and out == ""
         assert err.startswith(f"error: {field}: ")
+
+
+class TestOptimizedInterpreter:
+    def test_same_output_under_O(self):
+        # invariants are explicit exceptions, so stripping asserts changes nothing
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(sturmian.__file__).parent.parent), env.get("PYTHONPATH", "")]
+        )
+        script = "import sys\nfrom sturmian.cli import main\nsys.exit(main())"
+        for argv in (
+            ("cover", "--alpha", FIB, "--k", "2", "--l", "4", "-o", "json"),
+            ("fibre", "--alpha", FIB, "--point", "back:2:L", "--K", "3", "--L", "6", "--show-threads"),
+        ):
+            runs = [
+                subprocess.run(
+                    [sys.executable, *flags, "-c", script, *argv],
+                    env=env, capture_output=True, text=True, timeout=120,
+                )
+                for flags in ((), ("-O",))
+            ]
+            assert runs[0].returncode == 0 and runs[0].stdout
+            assert (runs[1].returncode, runs[1].stdout) == (runs[0].returncode, runs[0].stdout)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sturmian import words
 from sturmian.quadratics import QuadraticIrrational, cf_value, parse_cf
 from sturmian.words import (
     OrbitPoint,
@@ -36,9 +37,13 @@ from sturmian.cover import (
     thread_of,
     two_sided_embed,
 )
+from sturmian.cover import _classes
+
+from reference import chain_candidates, sampled_quotient
 
 FIB = QuadraticIrrational(3, -1, 5, 2)
 SQRT2M1 = QuadraticIrrational(-1, 1, 2, 1)
+CF_2_3 = QuadraticIrrational(-1, 1, 13, 6)  # [0; 2, (3)]
 OM = branch_point(FIB)
 HALF = OrbitPoint(FIB, Fraction(1, 2), "L")
 
@@ -143,6 +148,12 @@ class TestQuotient:
             for x in pts:
                 seen.add(eq_class(FIB, x, idx))
             assert seen == q.classes
+
+    @pytest.mark.parametrize("alpha", [FIB, SQRT2M1, CF_2_3])
+    def test_matches_sampled_representatives(self, alpha):
+        for l in range(7):
+            for k in range(l + 1):
+                assert quotient(alpha, (k, l)).classes == sampled_quotient(alpha, (k, l))
 
     def test_monotone_sizes_along_order(self):
         sizes = {idx: len(quotient(FIB, idx)) for idx in grid_pairs(4, 4)}
@@ -373,6 +384,30 @@ class TestFibre:
             fibre(FIB, branch_point(FIB), 1, 4, max_depth=max_depth)
 
 
+class TestFibreLetterCounts:
+    """The fibre's coding work counted in letters: a two-past candidate is
+    coded only up to its first letter that differs from the base point."""
+
+    def test_only_the_base_coding_grows_with_max_depth(self, monkeypatch):
+        counts = []
+        real = words._letter
+
+        def counting(*args):
+            counts[-1] += 1
+            return real(*args)
+
+        monkeypatch.setattr(words, "_letter", counting)
+        x = OM.shift(2)
+        threads = []
+        for max_depth in (100, 2100):
+            counts.append(0)
+            threads.append(fibre(FIB, x, 3, 6, max_depth=max_depth))
+        assert threads[0] == threads[1] and len(threads[0]) == 3
+        # the two non-target two-past candidates diverge at letters 9 and
+        # 17; coding them to max_depth would add 2 * 2000 more letters
+        assert counts[1] - counts[0] == 2000
+
+
 class TestIsolation:
     def test_section_of_branch_orbit_is_isolated(self):
         assert is_isolated(FIB, thread_of(FIB, OM, 2, 6))
@@ -457,16 +492,15 @@ class TestChainConnectingMap:
                         assert q_map(c, lo) == eq_class(FIB, c.representative, lo)
 
     def test_candidate_enumeration_matches_quotient(self):
-        # classes with a given prefix enumerated symbolically must be the
-        # prefix-filtered classes of the full quotient
-        from sturmian.cover import _chain_candidates
-
-        for n in (2, 3):
-            quot = quotient(FIB, (n, 2 * n))
-            for prefix in sorted({c.prefix for c in quot.classes}):
-                sym = set(_chain_candidates(FIB, prefix, n))
-                filtered = {(c.prefix, c.past) for c in quot.classes if c.prefix == prefix}
-                assert sym == filtered
+        # the fibre's candidates are the prefix-filtered classes at (n, 2n);
+        # they must be the left extensions of the prefix plus the
+        # branch-orbit classes, each with the same orbit point
+        for alpha in (FIB, SQRT2M1):
+            for n in range(1, 7):
+                classes = _classes(alpha, n, 2 * n)
+                for prefix in sorted(language(alpha, n)):
+                    got = {(c.prefix, c.past): c.representative for c in classes if c.prefix == prefix}
+                    assert got == chain_candidates(alpha, prefix, n)
 
 
 class TestUniquePastLifts:

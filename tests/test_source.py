@@ -15,3 +15,29 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert SOURCES and not found, found
+
+
+def _is_unbounded_cache(node) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "functools" and any(a.name == "cache" for a in node.names)
+    if isinstance(node, ast.Attribute):
+        return node.attr == "cache" and isinstance(node.value, ast.Name) and node.value.id == "functools"
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name != "lru_cache":
+        return False
+    sizes = [kw.value for kw in node.keywords if kw.arg == "maxsize"] + node.args[:1]
+    return any(isinstance(v, ast.Constant) and v.value is None for v in sizes)
+
+
+def test_no_unbounded_caches():
+    # lru_cache(maxsize=None) and functools.cache grow for the life of the process
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if _is_unbounded_cache(node)
+    ]
+    assert SOURCES and not found, found

@@ -13,12 +13,14 @@ from sturmian.words import (
     cylinder_arc,
     language,
     left_extensions,
-    partition_by_rotates,
     past_set,
     preimages,
     recurrence_bound,
     two_sided_word,
 )
+from sturmian.words import _cells, word_arc
+
+from reference import partition_table
 
 FIB = QuadraticIrrational(3, -1, 5, 2)
 SQRT2M1 = QuadraticIrrational(-1, 1, 2, 1)
@@ -310,13 +312,13 @@ class TestVariantAgreement:
 class TestArcImplementationsAgree:
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_incremental_cylinder_matches_partition_table(self, alpha):
-        # the fibre machinery uses incremental intersections while language
-        # enumeration uses the partition table; they must define the same
-        # arcs, endpoint tags included
-        from sturmian.words import _cylinders, word_arc
-
-        for n in range(0, 9):
-            table = _cylinders(alpha, n)
+        # language reads the ordered refinement, the fibre certificates the
+        # incremental intersection; both must give the arcs of the midpoint
+        # coded partition table, in circular order, endpoint tags included
+        for n in [*range(0, 9), 100]:
+            table = partition_table(alpha, n)
+            cells = _cells(alpha, n)
+            assert list(cells.items()) == list(table.items())
             for w, arc in table.items():
                 direct = word_arc(alpha, w)
                 assert (direct.lo, direct.hi) == (arc.lo, arc.hi)
@@ -343,14 +345,14 @@ class TestOrbitPosition:
         assert OrbitPoint(FIB, FIB * Fraction(1, 2)).orbit_position() is None
 
     def test_partition_arcs_cover_circle(self):
-        arcs = partition_by_rotates(FIB, range(6))
+        arcs = _cells(FIB, 5).values()
         rng = random.Random(4)
         for _ in range(50):
             t = Fraction(rng.randint(0, 10**6 - 1), 10**6)
             assert sum(a.contains(t) for a in arcs) == 1
 
     def test_interior_points_off_orbit(self):
-        for arc in partition_by_rotates(FIB, range(8)):
+        for arc in _cells(FIB, 7).values():
             t = arc.interior_point_off_orbit(FIB)
             assert arc.contains(t)
             assert OrbitPoint(FIB, t).orbit_position() is None
