@@ -17,6 +17,7 @@ from .groupoid import check_witness, dad_witness, degenerate_cover_chain
 from .invariants import compare_parameters, k_theory_report
 
 COMMANDS = ("word", "language", "omega", "past", "cover", "fibre", "dad", "compare", "report")
+OUTPUTS = ("text", "json")
 
 
 @dataclass(frozen=True)
@@ -158,7 +159,9 @@ def _run_dad(cfg: RunConfig) -> int:
         w = dad_witness(cfg.alpha, o["F"])
     except ValueError as e:
         raise UsageError("F", str(e))
-    window = o["window"] or 2 * w.lbar * max(w.beta_mu, w.beta_nu)
+    window = o["window"]
+    if window is None:
+        window = 2 * w.lbar * max(w.beta_mu, w.beta_nu)
     try:
         chk = check_witness(cfg.alpha, w, window)
     except ValueError as e:
@@ -244,7 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--alpha", required=True, help="parameter, e.g. quad:3,-1,5,2")
-        p.add_argument("--output", "-o", choices=("text", "json"), default=default_output)
+        p.add_argument("--output", "-o", choices=OUTPUTS, default=default_output)
 
     p = sub.add_parser("word", help="coded word of a circle point")
     common(p)
@@ -308,6 +311,8 @@ def _check_numeric(args) -> None:
 
 
 def _config_from_args(args) -> RunConfig:
+    if args.output not in OUTPUTS:  # a STURMIAN_OUTPUT default skips argparse's check
+        raise UsageError("output", f"must be one of {', '.join(OUTPUTS)}, not {args.output!r}")
     alpha = _parse_alpha(args.alpha)
     _check_numeric(args)
     options = {}

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Iterator, NamedTuple, Optional
 
 from .quadratics import QuadraticIrrational
@@ -18,16 +19,17 @@ from .words import (
     OrbitPoint,
     TwoSidedPoint,
     Word,
+    _letter_tags,
+    _meet,
+    _order,
+    _word_tags,
     branch_point,
     code_letter,
     code_word,
     coding,
     cylinder_arc,
-    intersect_arcs,
     language,
-    letter_arc,
     past_set,
-    word_arc,
 )
 
 
@@ -314,8 +316,7 @@ def fibre(
     tops = {_chain_class(alpha, x, n0, v) for v in variants}
     target = {(c.prefix, c.past) for c in tops}
 
-    xw = code_word(x, max_depth)
-    prefix = xw[:n0]
+    prefix = code_word(x, n0)
     candidates = {
         (c.prefix, c.past): c.representative
         for c in _classes(alpha, n0, 2 * n0)
@@ -324,26 +325,35 @@ def fibre(
     if not target <= set(candidates):
         raise IncompleteEnumerationError("constructed elements missing from candidates")
 
-    stubborn = []
+    # every certificate reads x's letters in order, so one pass over them
+    # serves all candidates and stops at the deepest death
+    before = _order(alpha)
+    arcs = {}  # singleton past: tags of the arc of w + x[n0:i]
+    codings = {}  # two pasts: the coding of the candidate's branch-orbit point
     for data, orbit_pt in candidates.items():
         if data in target:
             continue
         if orbit_pt is None:
             (w,) = data[1]
-            arc = word_arc(alpha, w)
-            dead = False
-            for i in range(n0, max_depth):
-                arc = intersect_arcs(arc, letter_arc(alpha, xw[i], n0 + i))
-                if arc is None:
-                    dead = True
-                    break
+            arcs[data] = _word_tags(before, w)
         else:
-            dead = any(a != b for a, b in zip(coding(orbit_pt), xw))
-        if not dead:
-            stubborn.append(data)
-    if stubborn:
+            codings[data] = coding(orbit_pt)
+    for i, letter in enumerate(islice(coding(x), max_depth)):
+        for data, other in list(codings.items()):
+            if next(other) != letter:
+                del codings[data]
+        if i >= n0:
+            for data, arc in list(arcs.items()):
+                arc = _meet(before, arc, _letter_tags(letter, n0 + i))
+                if arc is None:
+                    del arcs[data]
+                else:
+                    arcs[data] = arc
+        if not (arcs or codings):
+            break
+    if arcs or codings:
         raise UnresolvedTruncationError(
-            f"{len(stubborn)} candidate classes still alive at depth {max_depth}"
+            f"{len(arcs) + len(codings)} candidate classes still alive at depth {max_depth}"
         )
     return {Thread(x, K, L, c) for c in tops}
 

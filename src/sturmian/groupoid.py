@@ -199,21 +199,26 @@ class WitnessCheck:
         }
 
 
-def _u_positions(w: DadWitness, word: Word, limit: int) -> set[int]:
-    return {
-        s
-        for s in range(limit + 1)
-        if any(word.startswith(shift, s) for shift in w.mu_shifts)
-    }
+def _u_positions(w: DadWitness, word: Word, limit: int) -> list[bool]:
+    """Flags of the starts s <= limit at which word reads some mu shift."""
+    flags = [False] * (limit + 1)
+    for shift in w.mu_shifts:
+        end = limit + len(shift)
+        s = word.find(shift, 0, end)
+        while s != -1:
+            flags[s] = True
+            s = word.find(shift, s + 1, end)
+    return flags
 
 
-def _longest_chain(allowed: set[int], jumps) -> int:
-    best: dict[int, int] = {}
-    for s in sorted(allowed, reverse=True):
-        best[s] = max(
-            (1 + best[s + f] for f in jumps if s + f in best), default=0
-        )
-    return max(best.values(), default=0)
+def _longest_chain(allowed: list[bool], jumps: list[int]) -> int:
+    """Most steps in a chain of allowed positions, each step one of the jumps."""
+    # best[s]: the longest chain from s; -1 where s is not allowed or past the end
+    best = [-1] * (len(allowed) + max(jumps))
+    for s in range(len(allowed) - 1, -1, -1):
+        if allowed[s]:
+            best[s] = 1 + max([best[s + f] for f in jumps])
+    return max(max(best), 0)
 
 
 def check_witness(alpha: QuadraticIrrational, w: DadWitness, window: int) -> WitnessCheck:
@@ -234,11 +239,10 @@ def check_witness(alpha: QuadraticIrrational, w: DadWitness, window: int) -> Wit
     max_v = max_u = 0
     for word in language(alpha, window):
         upos = _u_positions(w, word, limit)
-        first = min(upos, default=limit + 1)
+        first = upos.index(True) if True in upos else limit + 1
         covered = covered and first <= w.beta_mu
         max_first = max(max_first, first)
-        vpos = set(range(limit + 1)) - upos
-        max_v = max(max_v, _longest_chain(vpos, jumps))
+        max_v = max(max_v, _longest_chain([not u for u in upos], jumps))
         max_u = max(max_u, _longest_chain(upos, jumps))
     bound = w.lbar * max(max_v, max_u)
     return WitnessCheck(w, window, covered, max_first, max_v, max_u, bound)
@@ -251,4 +255,4 @@ def degenerate_cover_chain(alpha: QuadraticIrrational, values, window: int) -> i
     if not jumps:
         raise ValueError("need a positive cocycle value")
     limit = window - 2 * values[-1]
-    return _longest_chain(set(range(limit + 1)), jumps)
+    return _longest_chain([True] * (limit + 1), jumps)

@@ -11,13 +11,13 @@ which is where the subshift closure adds points.
 from __future__ import annotations
 
 import math
-from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import islice
-from typing import Iterator, Literal, Optional, Union
+from typing import Callable, Iterator, Literal, Optional, Union
 
-from .quadratics import BudgetExceededError, QuadraticIrrational
+from .quadratics import BudgetExceededError, QuadraticIrrational, _surd_floor
 
 CirclePoint = Union[Fraction, QuadraticIrrational]
 Variant = Literal["L", "R"]
@@ -27,6 +27,13 @@ Word = str
 def _mod1(t) -> CirclePoint:
     t = t - math.floor(t)
     return Fraction(t) if isinstance(t, int) else t
+
+
+def _coords(alpha: QuadraticIrrational, t: CirclePoint) -> tuple[Fraction, Fraction]:
+    if isinstance(t, Fraction):
+        return t, Fraction(0)
+    v = Fraction(t.q * alpha.r, t.r * alpha.q)
+    return Fraction(t.p, t.r) - v * Fraction(alpha.p, alpha.r), v
 
 
 def check_word(mu: Word) -> Word:
@@ -67,13 +74,7 @@ class OrbitPoint:
 
     def coords(self) -> tuple[Fraction, Fraction]:
         """(u, v) with t = u + v*alpha; both rational."""
-        t = self.t
-        if isinstance(t, Fraction):
-            return t, Fraction(0)
-        a = self.alpha
-        v = Fraction(t.q * a.r, t.r * a.q)
-        u = Fraction(t.p, t.r) - v * Fraction(a.p, a.r)
-        return u, v
+        return _coords(self.alpha, self.t)
 
     def hits_coding_boundary(self) -> bool:
         """True iff the forward rotation orbit of t meets {0, 1-alpha}.
@@ -126,33 +127,53 @@ class TwoSidedPoint:
         return OrbitPoint(self.alpha, self.t, self.variant)
 
 
-def _letter(alpha: QuadraticIrrational, u: CirclePoint, variant: Variant) -> str:
-    split = 1 - alpha
-    if u == 0:
-        return "0" if variant == "L" else "1"
-    if u == split:
-        return "1" if variant == "L" else "0"
-    return "0" if u < split else "1"
+def _floor(alpha: QuadraticIrrational, a: int, k: int, c: int = 1) -> int:
+    """floor((a + k*alpha)/c) for integers a, k and c > 0, by one isqrt.
+
+    The value is (a*r + k*p + k*q*sqrt(d))/(c*r) for alpha = (p + q*sqrt(d))/r.
+    """
+    if k == 0:
+        return a // c
+    num, coef, den = a * alpha.r + k * alpha.p, k * alpha.q, c * alpha.r
+    if coef < 0:
+        num, coef, den = -num, -coef, -den
+    return _surd_floor(num, math.isqrt(coef * coef * alpha.d), den)
+
+
+def _lattice(x: Union[OrbitPoint, TwoSidedPoint]) -> tuple[int, int, int]:
+    """Integers (a, b, c) with x.t = (a + b*alpha)/c and c > 0."""
+    u, v = _coords(x.alpha, x.t)
+    c = math.lcm(u.denominator, v.denominator)
+    return u.numerator * (c // u.denominator), v.numerator * (c // v.denominator), c
+
+
+def _letters(alpha: QuadraticIrrational, variant: Variant, a: int, k: int, c: int) -> Iterator[str]:
+    """Letters of the points (a + k*alpha)/c, (a + (k+c)*alpha)/c, ...
+
+    Letter i is F(y_i + alpha) - F(y_i) for the i-th point y_i, with F = floor
+    for variant L (the lower mechanical word) and F = ceil for variant R (the
+    upper one); consecutive letters share a floor, so each costs one.
+    """
+    s = 1 if variant == "L" else -1  # ceil(y) = -floor(-y)
+    edge = s * _floor(alpha, s * a, s * k, c)
+    while True:
+        k += c
+        nxt = s * _floor(alpha, s * a, s * k, c)
+        yield "1" if nxt > edge else "0"
+        edge = nxt
 
 
 def code_letter(x: Union[OrbitPoint, TwoSidedPoint], i: int) -> str:
     """Letter of the coding at index i (i >= 0 for one-sided points)."""
     if isinstance(x, OrbitPoint) and i < 0:
         raise ValueError("one-sided codings have nonnegative indices")
-    return _letter(x.alpha, _mod1(x.t + x.alpha * i), x.variant)
+    return next(coding(x, i))
 
 
-def coding(x: OrbitPoint) -> Iterator[str]:
-    """The letters of the coding of x, produced one at a time."""
-    alpha = x.alpha
-    u = x.t
-    while True:
-        yield _letter(alpha, u, x.variant)
-        u = u + alpha
-        if u >= 1:
-            u = u - 1
-            if isinstance(u, int):
-                u = Fraction(u)
+def coding(x: Union[OrbitPoint, TwoSidedPoint], i: int = 0) -> Iterator[str]:
+    """The letters of the coding of x from index i on, one floor each."""
+    a, b, c = _lattice(x)
+    return _letters(x.alpha, x.variant, a, b + i * c, c)
 
 
 def code_word(x: OrbitPoint, n: int) -> Word:
@@ -166,8 +187,7 @@ def two_sided_word(x: TwoSidedPoint, m: int, n: int) -> Word:
     """Letters of the bi-infinite coding at indices m..n-1."""
     if m > n:
         raise ValueError("need m <= n")
-    start = OrbitPoint(x.alpha, _mod1(x.t + x.alpha * m), x.variant)
-    return code_word(start, n - m)
+    return "".join(islice(coding(x, m), n - m))
 
 
 # -- arcs and the cylinder structure ---------------------------------------
@@ -226,72 +246,114 @@ class Arc:
         return t
 
 
-def letter_arc(alpha: QuadraticIrrational, letter: str, j: int) -> Arc:
-    """The circle points whose coding carries `letter` at index j."""
-    if letter == "0":
-        lo, hi = _mod1(alpha * (-j)), _mod1(alpha * (-j - 1))
-        return Arc(lo, hi, j, j + 1)
-    lo, hi = _mod1(alpha * (-j - 1)), _mod1(alpha * (-j))
-    return Arc(lo, hi, j + 1, j)
+Tags = tuple[int, int]  # endpoint tags (lo, hi) of an arc; lo == hi is the full circle
 
 
-def intersect_arcs(a: Arc, b: Arc) -> Optional[Arc]:
-    """Intersection of two arcs when it is again a single arc.
+def _order(alpha: QuadraticIrrational) -> Callable[[int, int], bool]:
+    """before(i, j): the cut point -i*alpha (mod 1) precedes -j*alpha in [0, 1).
 
-    Cylinder arcs of a Sturmian coding always intersect in one arc; a
-    two-piece intersection means the inputs were not cylinders and raises.
+    The cut point is c_i - i*alpha with c_i = ceil(i*alpha), so the order is
+    the sign of (c_i - c_j) + (j - i)*alpha: one floor once c_i is known.
     """
-    if a.is_full_circle():
+    ceil: dict[int, int] = {}
+
+    def before(i: int, j: int) -> bool:
+        for t in (i, j):
+            if t not in ceil:
+                ceil[t] = -_floor(alpha, 0, -t)
+        return _floor(alpha, ceil[i] - ceil[j], j - i) < 0
+
+    return before
+
+
+def _inside(before, x: int, lo: int, hi: int) -> bool:
+    """Whether the cut point x lies on the half-open arc [lo, hi), lo != hi."""
+    if x == lo:
+        return True
+    if before(lo, hi):
+        return before(lo, x) and before(x, hi)
+    return before(lo, x) or before(x, hi)
+
+
+def _meet(before, a: Tags, b: Tags) -> Optional[Tags]:
+    """Tags of the intersection of two arcs when it is again a single arc.
+
+    The intersection starts at whichever start point lies on the other arc
+    and ends at the first end point after it.  Cylinder arcs of a Sturmian
+    coding always meet in one arc; when both start points lie on the other
+    arc the intersection has two pieces, the inputs were not cylinders, and
+    this raises.
+    """
+    (a0, a1), (b0, b1) = a, b
+    if a0 == a1:
         return b
-    if b.is_full_circle():
+    if b0 == b1:
         return a
-    span_a = a.span()
-    s2 = _mod1(b.lo - a.lo)
-    e2 = s2 + b.span()
-    pieces = []
-    if s2 < span_a:
-        end = min(e2, span_a)
-        if s2 < end:
-            pieces.append((s2, end, b.lo_tag, b.hi_tag if end == e2 else a.hi_tag))
-    if e2 > 1:
-        end = min(e2 - 1, span_a)
-        if end > 0:
-            pieces.append((Fraction(0), end, a.lo_tag, b.hi_tag if end == e2 - 1 else a.hi_tag))
-    if not pieces:
-        return None
-    if len(pieces) > 1:
+    from_b = _inside(before, b0, a0, a1)
+    from_a = a0 != b0 and _inside(before, a0, b0, b1)
+    if from_a and from_b:
         raise RuntimeError("arc intersection is not a single arc")
-    s, e, lo_tag, hi_tag = pieces[0]
-    return Arc(_mod1(a.lo + s), _mod1(a.lo + e), lo_tag, hi_tag)
+    if not (from_a or from_b):
+        return None
+    start = b0 if from_b else a0
+    return start, b1 if _inside(before, b1, start, a1) else a1
 
 
-def word_arc(alpha: QuadraticIrrational, mu: Word) -> Optional[Arc]:
-    """Exact cylinder arc of mu by incremental letter-arc intersection."""
-    arc: Optional[Arc] = Arc(Fraction(0), Fraction(0), 0, 0)
+def _letter_tags(letter: str, j: int) -> Tags:
+    """Letter 0 at index j is the arc [-j*alpha, -(j+1)*alpha), letter 1 the rest."""
+    return (j, j + 1) if letter == "0" else (j + 1, j)
+
+
+def _word_tags(before, mu: Word) -> Optional[Tags]:
+    """Tags of the cylinder arc of mu, one letter arc at a time; None if empty."""
+    arc: Optional[Tags] = (0, 0)
     for j, letter in enumerate(mu):
-        arc = intersect_arcs(arc, letter_arc(alpha, letter, j))
+        arc = _meet(before, arc, _letter_tags(letter, j))
         if arc is None:
             return None
     return arc
 
 
-def _cells(alpha: QuadraticIrrational, n: int) -> dict[Word, Arc]:
+def _arc(alpha: QuadraticIrrational, tags: Tags) -> Arc:
+    """The arc with these endpoint tags, its endpoints built exactly."""
+    lo, hi = (_mod1(alpha * (-i)) for i in tags)
+    return Arc(lo, hi, *tags)
+
+
+def letter_arc(alpha: QuadraticIrrational, letter: str, j: int) -> Arc:
+    """The circle points whose coding carries `letter` at index j."""
+    return _arc(alpha, _letter_tags(letter, j))
+
+
+def intersect_arcs(a: Arc, b: Arc) -> Optional[Arc]:
+    """Intersection of two arcs of one parameter when it is again a single arc.
+
+    Same routine as the cylinder arcs, ordering the given endpoints; raises
+    on a two-piece intersection.
+    """
+    at = {a.lo_tag: a.lo, a.hi_tag: a.hi, b.lo_tag: b.lo, b.hi_tag: b.hi}
+    tags = _meet(lambda i, j: at[i] < at[j], (a.lo_tag, a.hi_tag), (b.lo_tag, b.hi_tag))
+    return None if tags is None else Arc(at[tags[0]], at[tags[1]], *tags)
+
+
+def word_arc(alpha: QuadraticIrrational, mu: Word) -> Optional[Arc]:
+    """Exact cylinder arc of mu; endpoints are ordered by their tags."""
+    tags = _word_tags(_order(alpha), mu)
+    return None if tags is None else _arc(alpha, tags)
+
+
+def _cells(alpha: QuadraticIrrational, n: int) -> dict[Word, Tags]:
     """The n+1 cells cut out by the points -i*alpha (mod 1), 0 <= i <= n.
 
-    Each cell is the cylinder arc of one length-n word, keyed by that word,
-    in circular order from 0.  The cut points are kept sorted with their
-    tags i; inserting each -i*alpha splits exactly one cell.  Letter 1 at
+    Each cell is the cylinder arc of one length-n word: keyed by that word,
+    valued by its endpoint tags, in circular order from 0.  The tags are
+    sorted by their cut points with one floor per comparison.  Letter 1 at
     index j is the arc [-(j+1)*alpha, -j*alpha), so the cells reading 1
     there are the run from the cell starting at tag j+1 up to the cell
     ending at tag j: every letter comes from the tags.
     """
-    pts: list[CirclePoint] = [Fraction(0)]
-    tags = [0]
-    for i in range(1, n + 1):
-        t = _mod1(alpha * (-i))
-        at = bisect(pts, t)
-        pts.insert(at, t)
-        tags.insert(at, i)
+    before = _order(alpha)
+    tags = sorted(range(n + 1), key=cmp_to_key(lambda i, j: -1 if before(i, j) else int(i != j)))
     m = n + 1
     pos = {tag: p for p, tag in enumerate(tags)}
     letters = [["0"] * n for _ in range(m)]
@@ -300,10 +362,7 @@ def _cells(alpha: QuadraticIrrational, n: int) -> dict[Word, Arc]:
         while p != pos[j]:
             letters[p][j] = "1"
             p = (p + 1) % m
-    return {
-        "".join(w): Arc(pts[p], pts[(p + 1) % m], tags[p], tags[(p + 1) % m])
-        for p, w in enumerate(letters)
-    }
+    return {"".join(w): (tags[p], tags[(p + 1) % m]) for p, w in enumerate(letters)}
 
 
 def cylinder_arc(alpha: QuadraticIrrational, mu: Word) -> Optional[Arc]:
@@ -351,13 +410,20 @@ def preimages(x: OrbitPoint) -> frozenset[OrbitPoint]:
 
 
 def past_set(x: OrbitPoint, l: int) -> frozenset[Word]:
-    """Length-l words mu with mu+x admissible, walked back along preimages."""
+    """Length-l words mu with mu+x admissible: letters -l..-1 of x's coding.
+
+    Walking back from x meets the branch point, whose preimages are the two
+    codings of 0, exactly when x = sigma^j(omega) with j < l; then both
+    variants of the point l steps back give a past, else x's own variant.
+    """
     if l < 0:
         raise ValueError("past depth must be nonnegative")
-    pts = {x}
-    for _ in range(l):
-        pts = {y for p in pts for y in preimages(p)}
-    return frozenset(code_word(y, l) for y in pts)
+    pos = x.orbit_position()
+    variants = "LR" if pos is not None and pos[0] == "forward" and pos[1] < l else x.variant
+    a, b, c = _lattice(x)
+    return frozenset(
+        "".join(islice(_letters(x.alpha, v, a, b - l * c, c), l)) for v in variants
+    )
 
 
 def recurrence_bound(alpha: QuadraticIrrational, mu: Word, max_window: int = 2048) -> int:

@@ -1,28 +1,154 @@
-"""Earlier enumeration paths of the package, kept as test oracles.
+"""Earlier paths of the package, kept as test oracles.
 
-`words._cells` and `cover._classes` replaced three enumerations of the same
-object; the tests compare the exact routines against them:
+The package now codes, orders and intersects with integer floors
+(`words._floor`); the tests compare it against the object arithmetic it
+replaced, and against three enumerations of the same object:
 
+- coding by adding alpha to a circle point and comparing with 1 - alpha,
+  and past sets by walking back along shift preimages;
+- cylinder arcs by intersecting arcs with object endpoints, and the cells
+  by inserting each cut point -i*alpha into a sorted list by bisection;
 - the partition table, which sorts the cut points -i*alpha and codes the
   midpoint of every cell;
 - the quotient built from representatives of that partition plus the
   branch orbit, cross-checked by seeded random samples;
-- the fibre candidates built by left extension of the prefix.
+- the fibre candidates built by left extension of the prefix;
+- the witness window scan testing every start position of every shift and
+  taking the longest chain over a dict.
 """
 
 import random
+from bisect import bisect
 from fractions import Fraction
+from itertools import islice
 
 from sturmian.cover import IndexPair, eq_class
+from sturmian.groupoid import WitnessCheck
 from sturmian.words import (
     Arc,
     OrbitPoint,
     _mod1,
     branch_point,
-    code_word,
     is_admissible,
-    past_set,
+    language,
+    preimages,
 )
+
+
+# -- coding by object arithmetic -----------------------------------------------
+
+
+def letter(alpha, u, variant):
+    split = 1 - alpha
+    if u == 0:
+        return "0" if variant == "L" else "1"
+    if u == split:
+        return "1" if variant == "L" else "0"
+    return "0" if u < split else "1"
+
+
+def coding(x):
+    alpha = x.alpha
+    u = x.t
+    while True:
+        yield letter(alpha, u, x.variant)
+        u = u + alpha
+        if u >= 1:
+            u = u - 1
+            if isinstance(u, int):
+                u = Fraction(u)
+
+
+def code_word(x, n):
+    return "".join(islice(coding(x), n))
+
+
+def code_letter(x, i):
+    return letter(x.alpha, _mod1(x.t + x.alpha * i), x.variant)
+
+
+def two_sided_word(x, m, n):
+    start = OrbitPoint(x.alpha, _mod1(x.t + x.alpha * m), x.variant)
+    return code_word(start, n - m)
+
+
+def past_set(x, l):
+    """Walk back along shift preimages, then code every point reached."""
+    pts = {x}
+    for _ in range(l):
+        pts = {y for p in pts for y in preimages(p)}
+    return frozenset(code_word(y, l) for y in pts)
+
+
+# -- arcs with object endpoints ------------------------------------------------
+
+
+def letter_arc(alpha, letter, j):
+    if letter == "0":
+        lo, hi = _mod1(alpha * (-j)), _mod1(alpha * (-j - 1))
+        return Arc(lo, hi, j, j + 1)
+    lo, hi = _mod1(alpha * (-j - 1)), _mod1(alpha * (-j))
+    return Arc(lo, hi, j + 1, j)
+
+
+def intersect_arcs(a, b):
+    if a.is_full_circle():
+        return b
+    if b.is_full_circle():
+        return a
+    span_a = a.span()
+    s2 = _mod1(b.lo - a.lo)
+    e2 = s2 + b.span()
+    pieces = []
+    if s2 < span_a:
+        end = min(e2, span_a)
+        if s2 < end:
+            pieces.append((s2, end, b.lo_tag, b.hi_tag if end == e2 else a.hi_tag))
+    if e2 > 1:
+        end = min(e2 - 1, span_a)
+        if end > 0:
+            pieces.append((Fraction(0), end, a.lo_tag, b.hi_tag if end == e2 - 1 else a.hi_tag))
+    if not pieces:
+        return None
+    if len(pieces) > 1:
+        raise RuntimeError("arc intersection is not a single arc")
+    s, e, lo_tag, hi_tag = pieces[0]
+    return Arc(_mod1(a.lo + s), _mod1(a.lo + e), lo_tag, hi_tag)
+
+
+def word_arc(alpha, mu):
+    arc = Arc(Fraction(0), Fraction(0), 0, 0)
+    for j, letter in enumerate(mu):
+        arc = intersect_arcs(arc, letter_arc(alpha, letter, j))
+        if arc is None:
+            return None
+    return arc
+
+
+def cells(alpha, n):
+    """Length-n cylinder arcs in circular order, cut points inserted by bisection."""
+    pts = [Fraction(0)]
+    tags = [0]
+    for i in range(1, n + 1):
+        t = _mod1(alpha * (-i))
+        at = bisect(pts, t)
+        pts.insert(at, t)
+        tags.insert(at, i)
+    m = n + 1
+    pos = {tag: p for p, tag in enumerate(tags)}
+    letters = [["0"] * n for _ in range(m)]
+    for j in range(n):
+        p = pos[j + 1]
+        while p != pos[j]:
+            letters[p][j] = "1"
+            p = (p + 1) % m
+    return {
+        "".join(w): Arc(pts[p], pts[(p + 1) % m], tags[p], tags[(p + 1) % m])
+        for p, w in enumerate(letters)
+    }
+
+
+# -- enumerations ---------------------------------------------------------------
 
 
 def midpoint(arc):
@@ -99,3 +225,37 @@ def chain_candidates(alpha, prefix, n):
             if code_word(y, n) == prefix:
                 out[(prefix, past_set(y.shift(n), 2 * n))] = y
     return out
+
+
+# -- the witness window scan ------------------------------------------------------
+
+
+def u_positions(w, word, limit):
+    return {
+        s
+        for s in range(limit + 1)
+        if any(word.startswith(shift, s) for shift in w.mu_shifts)
+    }
+
+
+def longest_chain(allowed, jumps):
+    best = {}
+    for s in sorted(allowed, reverse=True):
+        best[s] = max((1 + best[s + f] for f in jumps if s + f in best), default=0)
+    return max(best.values(), default=0)
+
+
+def check_witness(alpha, w, window):
+    """The window scan with the position set and chain dict above."""
+    limit = window - 2 * w.lbar
+    jumps = [v for v in w.cocycle_values if v >= 1]
+    covered = True
+    max_first = max_v = max_u = 0
+    for word in language(alpha, window):
+        upos = u_positions(w, word, limit)
+        first = min(upos, default=limit + 1)
+        covered = covered and first <= w.beta_mu
+        max_first = max(max_first, first)
+        max_v = max(max_v, longest_chain(set(range(limit + 1)) - upos, jumps))
+        max_u = max(max_u, longest_chain(upos, jumps))
+    return WitnessCheck(w, window, covered, max_first, max_v, max_u, w.lbar * max(max_v, max_u))

@@ -180,6 +180,13 @@ class TestUsageErrors:
         code, out, _ = run_cli(capsys, "omega", "--alpha", FIB, "--n", "4")
         assert json.loads(out)["word"] == "0100"
 
+    def test_env_default_output_outside_choices(self, capsys, monkeypatch):
+        # argparse checks choices on the command line only, not on defaults
+        monkeypatch.setenv("STURMIAN_OUTPUT", "xml")
+        code, out, err = run_cli(capsys, "omega", "--alpha", FIB, "--n", "4")
+        assert code == 2 and out == ""
+        assert err.startswith("error: output: ")
+
 
 class TestNumericUsageErrors:
     @pytest.mark.parametrize(
@@ -195,6 +202,7 @@ class TestNumericUsageErrors:
             ("point", ("fibre", "--point", "fwd:-1", "--K", "1", "--L", "3")),
             ("point", ("past", "--t", "back:-2", "--l", "2")),
             ("point", ("word", "--t", "back:0", "--n", "2")),
+            ("window", ("dad", "--F", "1", "--window", "0")),
         ],
     )
     def test_out_of_range_exits_2(self, capsys, field, argv):

@@ -385,27 +385,28 @@ class TestFibre:
 
 
 class TestFibreLetterCounts:
-    """The fibre's coding work counted in letters: a two-past candidate is
-    coded only up to its first letter that differs from the base point."""
+    """The fibre's coding work counted in calls of the kernel floor, which
+    every letter and every arc comparison goes through: the base point is
+    read letter by letter only as far as the deepest certificate."""
 
-    def test_only_the_base_coding_grows_with_max_depth(self, monkeypatch):
+    def test_letters_read_do_not_grow_with_max_depth(self, monkeypatch):
         counts = []
-        real = words._letter
+        real = words._floor
 
         def counting(*args):
             counts[-1] += 1
             return real(*args)
 
-        monkeypatch.setattr(words, "_letter", counting)
+        monkeypatch.setattr(words, "_floor", counting)
         x = OM.shift(2)
         threads = []
         for max_depth in (100, 2100):
             counts.append(0)
             threads.append(fibre(FIB, x, 3, 6, max_depth=max_depth))
         assert threads[0] == threads[1] and len(threads[0]) == 3
-        # the two non-target two-past candidates diverge at letters 9 and
-        # 17; coding them to max_depth would add 2 * 2000 more letters
-        assert counts[1] - counts[0] == 2000
+        # every candidate dies within 17 letters; coding the base point to
+        # max_depth would add 2000 floors
+        assert counts[0] == counts[1]
 
 
 class TestIsolation:

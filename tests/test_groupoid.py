@@ -22,8 +22,11 @@ from sturmian.groupoid import (
     unit,
 )
 
+import reference
+
 FIB = QuadraticIrrational(3, -1, 5, 2)
 SQRT2M1 = QuadraticIrrational(-1, 1, 2, 1)
+GOLDEN_CONJ = QuadraticIrrational(-1, 1, 5, 2)
 OM = branch_point(FIB)
 
 
@@ -158,6 +161,26 @@ class TestCheckWitness:
         d = check_witness(FIB, w, 16).to_dict()
         assert set(d) >= {"F", "mu", "nu", "beta_mu", "max_chain_V", "cocycle_bound", "pass"}
         assert d["F"] == [1] and d["pass"] is True
+
+
+class TestWindowScanMatchesReference:
+    """The find-based scan and list DP against the start-by-start scan and
+    dict DP they replaced."""
+
+    # [0; 3, (1)] reads 000, so the witness word 00 occurs at overlapping starts
+    @pytest.mark.parametrize("alpha", [FIB, SQRT2M1, GOLDEN_CONJ, QuadraticIrrational(5, -1, 5, 10)])
+    @pytest.mark.parametrize(
+        "values", [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]
+    )
+    def test_same_witness_check(self, alpha, values):
+        w = dad_witness(alpha, values)
+        need = 2 * w.lbar * max(w.beta_mu, w.beta_nu)
+        for window in (need, need + 5):
+            assert check_witness(alpha, w, window) == reference.check_witness(alpha, w, window)
+            jumps = [v for v in values if v >= 1]
+            assert degenerate_cover_chain(alpha, values, window) == reference.longest_chain(
+                set(range(window - 2 * w.lbar + 1)), jumps
+            )
 
 
 class TestChainModelSpotCheck:

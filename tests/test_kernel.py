@@ -1,0 +1,149 @@
+"""The integer mechanical-word kernel against the object arithmetic it replaced.
+
+`tests/reference.py` keeps the object path: coding by adding alpha and
+comparing with 1 - alpha, pasts by walking back along preimages, arcs with
+object endpoints and cells inserted by bisection.  The kernel must agree
+with it letter for letter, past for past and arc for arc, and must build a
+bounded number of field elements however long the word.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sturmian.quadratics import QuadraticIrrational
+from sturmian.words import (
+    OrbitPoint,
+    TwoSidedPoint,
+    branch_point,
+    code_letter,
+    code_word,
+    past_set,
+    two_sided_word,
+    word_arc,
+)
+from sturmian.words import _arc, _cells
+
+import reference
+
+# five parameters in four quadratic fields
+ALPHAS = [
+    QuadraticIrrational(3, -1, 5, 2),  # [0; 2, (1)]
+    QuadraticIrrational(-1, 1, 5, 2),  # [0; (1)]
+    QuadraticIrrational(-1, 1, 2, 1),  # [0; (2)]
+    QuadraticIrrational(-1, 1, 13, 6),  # [0; 2, (3)]
+    QuadraticIrrational(-1, 1, 3, 1),  # [0; (1, 2)]
+]
+
+fractions = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+
+
+@st.composite
+def points(draw, cls=OrbitPoint):
+    """A point of one of four kinds with either coding variant."""
+    alpha = draw(st.sampled_from(ALPHAS))
+    kind = draw(st.sampled_from(["rational", "quadratic", "backward", "forward"]))
+    if kind == "rational":
+        t = draw(fractions)
+    elif kind == "quadratic":
+        t = draw(fractions) + alpha * draw(fractions.filter(lambda v: v != 0))
+    elif kind == "backward":  # -m*alpha: the two codings differ
+        t = alpha * -draw(st.integers(0, 300))
+    else:  # sigma^j(omega)
+        t = alpha * draw(st.integers(1, 300))
+    return cls(alpha, t, draw(st.sampled_from("LR")))
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=points(), n=st.integers(0, 300))
+def test_code_word(x, n):
+    assert code_word(x, n) == reference.code_word(x, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=points(), i=st.integers(0, 300))
+def test_code_letter(x, i):
+    assert code_letter(x, i) == reference.code_letter(x, i)
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=points(TwoSidedPoint), m=st.integers(-300, 0), length=st.integers(0, 300))
+def test_two_sided_word(x, m, length):
+    n = m + length
+    assert two_sided_word(x, m, n) == reference.two_sided_word(x, m, n)
+    if m < 0:
+        assert code_letter(x, m) == reference.code_letter(x, m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=points(), l=st.integers(0, 60))
+def test_past_set(x, l):
+    assert past_set(x, l) == reference.past_set(x, l)
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=points(), n=st.integers(0, 120), flip=st.integers(0, 119))
+def test_word_arc(x, n, flip):
+    # the coding of x is admissible; flipping one letter often is not
+    w = code_word(x, n)
+    words = [w]
+    if flip < n:
+        words.append(w[:flip] + "10"[int(w[flip])] + w[flip + 1 :])
+    for mu in words:
+        assert word_arc(x.alpha, mu) == reference.word_arc(x.alpha, mu)
+
+
+@settings(max_examples=40, deadline=None)
+@given(alpha=st.sampled_from(ALPHAS), n=st.integers(0, 60))
+def test_cells(alpha, n):
+    cells = _cells(alpha, n)
+    ref = reference.cells(alpha, n)
+    assert list(cells) == list(ref)  # the same words in the same circular order
+    for w, tags in cells.items():
+        assert tags == (ref[w].lo_tag, ref[w].hi_tag)
+        assert _arc(alpha, tags) == ref[w]
+
+
+@pytest.fixture
+def constructions(monkeypatch):
+    """A list that grows by one per QuadraticIrrational constructed."""
+    seen = []
+    real = QuadraticIrrational.__post_init__
+
+    def counted(self):
+        seen.append(1)
+        real(self)
+
+    monkeypatch.setattr(QuadraticIrrational, "__post_init__", counted)
+    return seen
+
+
+class TestKernelObjectCounts:
+    """Coding, pasts and arcs build O(1) field elements, not O(length)."""
+
+    FIB = ALPHAS[0]
+
+    def _count(self, constructions, f, *args):
+        del constructions[:]
+        f(*args)
+        return len(constructions)
+
+    def test_code_word(self, constructions):
+        om = branch_point(self.FIB)
+        short = self._count(constructions, code_word, om, 20)
+        assert short <= 2
+        assert self._count(constructions, code_word, om, 2000) == short
+
+    def test_past_set(self, constructions):
+        for x in (branch_point(self.FIB).shift(3), OrbitPoint(self.FIB, Fraction(1, 7), "R")):
+            short = self._count(constructions, past_set, x, 2)
+            assert short <= 2
+            assert self._count(constructions, past_set, x, 12) == short
+
+    def test_word_arc(self, constructions):
+        w = code_word(OrbitPoint(self.FIB, Fraction(2, 9)), 200)
+        short = self._count(constructions, word_arc, self.FIB, w[:20])
+        assert short <= 8
+        assert self._count(constructions, word_arc, self.FIB, w) == short

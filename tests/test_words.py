@@ -18,7 +18,7 @@ from sturmian.words import (
     recurrence_bound,
     two_sided_word,
 )
-from sturmian.words import _cells, word_arc
+from sturmian.words import _arc, _cells, word_arc
 
 from reference import partition_table
 
@@ -318,7 +318,7 @@ class TestArcImplementationsAgree:
         for n in [*range(0, 9), 100]:
             table = partition_table(alpha, n)
             cells = _cells(alpha, n)
-            assert list(cells.items()) == list(table.items())
+            assert [(w, _arc(alpha, tags)) for w, tags in cells.items()] == list(table.items())
             for w, arc in table.items():
                 direct = word_arc(alpha, w)
                 assert (direct.lo, direct.hi) == (arc.lo, arc.hi)
@@ -345,14 +345,15 @@ class TestOrbitPosition:
         assert OrbitPoint(FIB, FIB * Fraction(1, 2)).orbit_position() is None
 
     def test_partition_arcs_cover_circle(self):
-        arcs = _cells(FIB, 5).values()
+        arcs = [_arc(FIB, tags) for tags in _cells(FIB, 5).values()]
         rng = random.Random(4)
         for _ in range(50):
             t = Fraction(rng.randint(0, 10**6 - 1), 10**6)
             assert sum(a.contains(t) for a in arcs) == 1
 
     def test_interior_points_off_orbit(self):
-        for arc in _cells(FIB, 7).values():
+        for tags in _cells(FIB, 7).values():
+            arc = _arc(FIB, tags)
             t = arc.interior_point_off_orbit(FIB)
             assert arc.contains(t)
             assert OrbitPoint(FIB, t).orbit_position() is None
