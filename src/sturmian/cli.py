@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .quadratics import QuadraticIrrational, cf_expand, format_quad, parse_quad
+from .quadratics import QuadraticIrrational, cf_expand, check_unit_interval, format_quad, parse_quad
 from .words import OrbitPoint, branch_point, code_word, language, past_set
 from .cover import UnresolvedTruncationError, fibre_report, quotient
 from .groupoid import check_witness, dad_witness, degenerate_cover_chain
@@ -36,12 +36,9 @@ class UsageError(ValueError):
 
 def _parse_alpha(text: str) -> QuadraticIrrational:
     try:
-        x = parse_quad(text)
+        return check_unit_interval(parse_quad(text))
     except ValueError as e:
         raise UsageError("alpha", str(e))
-    if not (x > 0 and x < 1):
-        raise UsageError("alpha", "parameter must lie in (0,1)")
-    return x
 
 
 def _parse_point(alpha: QuadraticIrrational, spec: str, variant: str) -> OrbitPoint:
@@ -181,10 +178,7 @@ def _run_dad(cfg: RunConfig) -> int:
 
 
 def _run_compare(cfg: RunConfig) -> int:
-    beta = cfg.options["beta"]
-    if not (beta > 0 and beta < 1):
-        raise UsageError("beta", "parameter must lie in (0,1)")
-    rep = compare_parameters(cfg.alpha, beta)
+    rep = compare_parameters(cfg.alpha, cfg.options["beta"])
     lines = [
         f"conjugate={str(rep.conjugate).lower()}",
         f"flow_equivalent={str(rep.flow_equivalent).lower()}",
@@ -330,7 +324,7 @@ def _config_from_args(args) -> RunConfig:
             raise UsageError("F", f"cannot parse {args.F!r}")
     if args.command == "compare":
         try:
-            options["beta"] = parse_quad(args.beta)
+            options["beta"] = check_unit_interval(parse_quad(args.beta))
         except ValueError as e:
             raise UsageError("beta", str(e))
     return RunConfig(args.command, alpha, args.output, options)

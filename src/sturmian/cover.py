@@ -121,7 +121,7 @@ def _classes(alpha: QuadraticIrrational, k: int, l: int) -> set[EqClass]:
         if j >= k:
             reps = [om.shift(j - k)]
         else:
-            reps = [OrbitPoint(alpha, alpha * (1 - k + j), v) for v in "LR"]
+            reps = [OrbitPoint._at(alpha, 0, 1 - k + j, 1, v) for v in "LR"]
         out.update(eq_class(alpha, x, idx) for x in reps)
     return out
 
@@ -227,7 +227,7 @@ def _chain_class(alpha, x: OrbitPoint, n: int, chain_variant: Optional[str]) -> 
     idx = IndexPair(n, 2 * n)
     if chain_variant is None:
         return eq_class(alpha, x, idx)
-    chain = OrbitPoint(alpha, x.t - alpha * n, chain_variant)
+    chain = OrbitPoint._at(alpha, x.a, x.b - n * x.c, x.c, chain_variant)
     return EqClass(idx, code_word(x, n), frozenset({code_word(chain, 2 * n)}))
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .quadratics import QuadraticIrrational
+from .quadratics import QuadraticIrrational, check_unit_interval
 from .words import OrbitPoint, Word, language, recurrence_bound
 from .cover import Thread, thread_of
 
@@ -81,10 +81,11 @@ def bisection_arrows(
     alpha: QuadraticIrrational, K: int, L: int, nu_len_max: int
 ) -> BisectionReport:
     """Truncated arrow family of the bisection, with its range report."""
+    check_unit_interval(alpha)
     if nu_len_max < 1:
         raise ValueError("need nu_len_max >= 1")
     arrows = []
-    chain = [thread_of(alpha, OrbitPoint(alpha, alpha * (-j), "R"), K, L) for j in range(nu_len_max + 1)]
+    chain = [thread_of(alpha, OrbitPoint._at(alpha, 0, -j, 1, "R"), K, L) for j in range(nu_len_max + 1)]
     for j in range(1, nu_len_max + 1):
         arrows.append(Arrow(chain[j], 1, chain[j - 1], (1, 0)))
     sources = [a.source for a in arrows]

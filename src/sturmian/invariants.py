@@ -12,12 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .quadratics import QuadraticIrrational, cf_expand, cf_tail_equivalent
-
-
-def _check_unit_interval(x: QuadraticIrrational):
-    if not (x > 0 and x < 1):
-        raise ValueError("parameters must lie in (0,1)")
+from .quadratics import QuadraticIrrational, cf_expand, cf_tail_equivalent, check_unit_interval
 
 
 def conjugate(alpha: QuadraticIrrational, beta: QuadraticIrrational) -> bool:
@@ -27,8 +22,8 @@ def conjugate(alpha: QuadraticIrrational, beta: QuadraticIrrational) -> bool:
     isomorphism of Z + alpha*Z, and star-isomorphism of the associated
     algebras; all of these coincide for this family.
     """
-    _check_unit_interval(alpha)
-    _check_unit_interval(beta)
+    check_unit_interval(alpha)
+    check_unit_interval(beta)
     return alpha == beta or alpha == 1 - beta
 
 
@@ -67,7 +62,7 @@ class OrderedGroupDescriptor:
 
 def k_theory_report(alpha: QuadraticIrrational) -> OrderedGroupDescriptor:
     """The ordered invariant attached to the parameter: K0 data, K1 = 0."""
-    _check_unit_interval(alpha)
+    check_unit_interval(alpha)
     return OrderedGroupDescriptor(alpha)
 
 

@@ -245,6 +245,13 @@ def _build(p: int, q: int, d: int, r: int) -> Union[Fraction, QuadraticIrrationa
     return QuadraticIrrational(p, q, f, r)
 
 
+def check_unit_interval(x: QuadraticIrrational) -> QuadraticIrrational:
+    """x itself when 0 < x < 1; exact as floor(x) == 0, since x is irrational."""
+    if math.floor(x) != 0:
+        raise ValueError("parameter must lie in (0,1)")
+    return x
+
+
 def compare_to_rational(x: QuadraticIrrational, num: int, den: int) -> str:
     """Exact ordering of x against num/den: "LT" or "GT" (never equal)."""
     if den <= 0:

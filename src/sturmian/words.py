@@ -2,8 +2,10 @@
 
 Points of the one-sided subshift are represented intensionally as a pair
 (t, variant): the itinerary of the circle point t under rotation by alpha,
-coded against the two-interval partition at 1-alpha.  Variant "L" uses the
-left-closed intervals [0,1-a), [1-a,1); variant "R" the right-closed ones.
+coded against the two-interval partition at 1-alpha.  The point t is kept
+as integers (a, b, c) with t = (a + b*alpha)/c, so shifting adds to b and
+every letter is one integer floor.  Variant "L" uses the left-closed
+intervals [0,1-a), [1-a,1); variant "R" the right-closed ones.
 The two variants disagree exactly on the backward rotation orbit of 0,
 which is where the subshift closure adds points.
 """
@@ -17,7 +19,12 @@ from functools import cmp_to_key
 from itertools import islice
 from typing import Callable, Iterator, Literal, Optional, Union
 
-from .quadratics import BudgetExceededError, QuadraticIrrational, _surd_floor
+from .quadratics import (
+    BudgetExceededError,
+    QuadraticIrrational,
+    _surd_floor,
+    check_unit_interval,
+)
 
 CirclePoint = Union[Fraction, QuadraticIrrational]
 Variant = Literal["L", "R"]
@@ -29,52 +36,73 @@ def _mod1(t) -> CirclePoint:
     return Fraction(t) if isinstance(t, int) else t
 
 
-def _coords(alpha: QuadraticIrrational, t: CirclePoint) -> tuple[Fraction, Fraction]:
-    if isinstance(t, Fraction):
-        return t, Fraction(0)
-    v = Fraction(t.q * alpha.r, t.r * alpha.q)
-    return Fraction(t.p, t.r) - v * Fraction(alpha.p, alpha.r), v
-
-
 def check_word(mu: Word) -> Word:
     if not set(mu) <= {"0", "1"}:
         raise ValueError(f"word must be over alphabet 0/1: {mu!r}")
     return mu
 
 
-def _validate_alpha(alpha: QuadraticIrrational):
-    if not (alpha > 0 and alpha < 1):
-        raise ValueError("the rotation parameter must lie in (0,1)")
+@dataclass(frozen=True, init=False)
+class _Point:
+    """A circle point (a + b*alpha)/c in [0, 1) with its coding variant.
 
-
-@dataclass(frozen=True)
-class OrbitPoint:
-    """An element of the one-sided subshift: circle point plus coding variant."""
+    The triple is canonical: c > 0, gcd(a, b, c) = 1 and 0 <= a + b*alpha < c,
+    so equal points have equal fields.  The constructor takes the circle
+    point t as an int, a Fraction or a QuadraticIrrational of alpha's field.
+    """
 
     alpha: QuadraticIrrational
-    t: CirclePoint
-    variant: Variant = "L"
+    a: int
+    b: int
+    c: int
+    variant: Variant
 
-    def __post_init__(self):
-        _validate_alpha(self.alpha)
-        t = self.t
-        if isinstance(t, int):
-            t = Fraction(t)
-        if isinstance(t, QuadraticIrrational) and t.d != self.alpha.d:
-            raise ValueError("circle point lies outside the parameter's field")
-        if self.variant not in ("L", "R"):
+    def __init__(self, alpha: QuadraticIrrational, t: CirclePoint, variant: Variant = "L"):
+        check_unit_interval(alpha)
+        if variant not in ("L", "R"):
             raise ValueError("variant must be 'L' or 'R'")
-        object.__setattr__(self, "t", _mod1(t))
+        if isinstance(t, QuadraticIrrational):
+            if t.d != alpha.d:
+                raise ValueError("circle point lies outside the parameter's field")
+            # (p + q*sqrt(d))/r = (p*Q - q*P + q*R*alpha)/(r*Q) for alpha = (P + Q*sqrt(d))/R
+            a, b, c = t.p * alpha.q - t.q * alpha.p, t.q * alpha.r, t.r * alpha.q
+        elif isinstance(t, (int, Fraction)):
+            t = Fraction(t)
+            a, b, c = t.numerator, 0, t.denominator
+        else:
+            raise TypeError(f"circle point must be exact, not {type(t).__name__}")
+        self._set(alpha, a, b, c, variant)
 
-    def point_at(self, i: int) -> CirclePoint:
-        return _mod1(self.t + self.alpha * i)
+    @classmethod
+    def _at(cls, alpha: QuadraticIrrational, a: int, b: int, c: int, variant: Variant):
+        """The point (a + b*alpha)/c mod 1 for c != 0; alpha and variant are trusted."""
+        x = object.__new__(cls)
+        x._set(alpha, a, b, c, variant)
+        return x
 
-    def shift(self, k: int = 1) -> "OrbitPoint":
-        return OrbitPoint(self.alpha, self.point_at(k), self.variant)
+    def _set(self, alpha, a: int, b: int, c: int, variant: Variant) -> None:
+        if c < 0:
+            a, b, c = -a, -b, -c
+        g = math.gcd(a, b, c)
+        a, b, c = a // g, b // g, c // g
+        a -= _floor(alpha, a, b, c) * c
+        for name, value in zip(("alpha", "a", "b", "c", "variant"), (alpha, a, b, c, variant)):
+            object.__setattr__(self, name, value)
 
-    def coords(self) -> tuple[Fraction, Fraction]:
-        """(u, v) with t = u + v*alpha; both rational."""
-        return _coords(self.alpha, self.t)
+    @property
+    def t(self) -> CirclePoint:
+        """The circle point as a field element, built on demand; a Fraction when rational."""
+        if self.b == 0:
+            return Fraction(self.a, self.c)
+        al = self.alpha
+        return QuadraticIrrational(self.a * al.r + self.b * al.p, self.b * al.q, al.d, self.c * al.r)
+
+    def shift(self, k: int = 1):
+        return self._at(self.alpha, self.a, self.b + k * self.c, self.c, self.variant)
+
+
+class OrbitPoint(_Point):
+    """An element of the one-sided subshift: circle point plus coding variant."""
 
     def hits_coding_boundary(self) -> bool:
         """True iff the forward rotation orbit of t meets {0, 1-alpha}.
@@ -82,12 +110,11 @@ class OrbitPoint:
         Equivalent: t = -i*alpha (mod 1) for some i >= 0, so the L and R
         codings of this point differ.
         """
-        u, v = self.coords()
-        return u.denominator == 1 and v.denominator == 1 and v <= 0
+        return self.c == 1 and self.b <= 0
 
     def denotes_same(self, other: "OrbitPoint") -> bool:
         """Whether the two codings are the same subshift element."""
-        if self.alpha != other.alpha or self.t != other.t:
+        if (self.alpha, self.a, self.b, self.c) != (other.alpha, other.a, other.b, other.c):
             return False
         return self.variant == other.variant or not self.hits_coding_boundary()
 
@@ -98,33 +125,19 @@ class OrbitPoint:
         point, ("backward", m) when it is m shifts behind it (a point
         mu.omega with |mu| = m >= 1), and None off the orbit.
         """
-        u, v = self.coords()
-        if u.denominator != 1 or v.denominator != 1:
+        if self.c != 1:
             return None
-        if v >= 1:
-            return "forward", int(v) - 1
-        return "backward", 1 - int(v)
+        if self.b >= 1:
+            return "forward", self.b - 1
+        return "backward", 1 - self.b
 
 
-@dataclass(frozen=True)
-class TwoSidedPoint:
+class TwoSidedPoint(_Point):
     """A bi-infinite coding; same data as OrbitPoint, indices range over Z."""
-
-    alpha: QuadraticIrrational
-    t: CirclePoint
-    variant: Variant = "L"
-
-    def __post_init__(self):
-        OrbitPoint(self.alpha, self.t, self.variant)  # validation
-        t = Fraction(self.t) if isinstance(self.t, int) else self.t
-        object.__setattr__(self, "t", _mod1(t))
-
-    def shift(self, k: int = 1) -> "TwoSidedPoint":
-        return TwoSidedPoint(self.alpha, _mod1(self.t + self.alpha * k), self.variant)
 
     def restrict(self) -> OrbitPoint:
         """The nonnegative-index part."""
-        return OrbitPoint(self.alpha, self.t, self.variant)
+        return OrbitPoint._at(self.alpha, self.a, self.b, self.c, self.variant)
 
 
 def _floor(alpha: QuadraticIrrational, a: int, k: int, c: int = 1) -> int:
@@ -138,13 +151,6 @@ def _floor(alpha: QuadraticIrrational, a: int, k: int, c: int = 1) -> int:
     if coef < 0:
         num, coef, den = -num, -coef, -den
     return _surd_floor(num, math.isqrt(coef * coef * alpha.d), den)
-
-
-def _lattice(x: Union[OrbitPoint, TwoSidedPoint]) -> tuple[int, int, int]:
-    """Integers (a, b, c) with x.t = (a + b*alpha)/c and c > 0."""
-    u, v = _coords(x.alpha, x.t)
-    c = math.lcm(u.denominator, v.denominator)
-    return u.numerator * (c // u.denominator), v.numerator * (c // v.denominator), c
 
 
 def _letters(alpha: QuadraticIrrational, variant: Variant, a: int, k: int, c: int) -> Iterator[str]:
@@ -163,17 +169,16 @@ def _letters(alpha: QuadraticIrrational, variant: Variant, a: int, k: int, c: in
         edge = nxt
 
 
-def code_letter(x: Union[OrbitPoint, TwoSidedPoint], i: int) -> str:
+def code_letter(x: _Point, i: int) -> str:
     """Letter of the coding at index i (i >= 0 for one-sided points)."""
     if isinstance(x, OrbitPoint) and i < 0:
         raise ValueError("one-sided codings have nonnegative indices")
     return next(coding(x, i))
 
 
-def coding(x: Union[OrbitPoint, TwoSidedPoint], i: int = 0) -> Iterator[str]:
+def coding(x: _Point, i: int = 0) -> Iterator[str]:
     """The letters of the coding of x from index i on, one floor each."""
-    a, b, c = _lattice(x)
-    return _letters(x.alpha, x.variant, a, b + i * c, c)
+    return _letters(x.alpha, x.variant, x.a, x.b + i * x.c, x.c)
 
 
 def code_word(x: OrbitPoint, n: int) -> Word:
@@ -230,16 +235,10 @@ class Arc:
         """An interior point whose rotation orbit avoids the orbit of 0."""
         if self.is_full_circle():
             return Fraction(1, 2)
-        lo_pt = OrbitPoint(alpha, self.lo)
-        hi_pt = OrbitPoint(alpha, self.hi)
-        du = hi_pt.coords()[0] - lo_pt.coords()[0]
-        dv = hi_pt.coords()[1] - lo_pt.coords()[1]
-        # endpoints have integer coordinates; a fractional mix of the
-        # nonzero coordinate difference cannot land back on the orbit
-        if dv != 0:
-            s = Fraction(1, abs(dv.numerator) * 2 // dv.denominator + 1)
-        else:
-            s = Fraction(1, abs(du.numerator) * 2 // du.denominator + 1)
+        # the endpoints differ by (lo_tag - hi_tag)*alpha mod 1; a fraction s
+        # of that nonzero alpha-coordinate that is not an integer cannot land
+        # back on the orbit
+        s = Fraction(1, 2 * abs(self.lo_tag - self.hi_tag) + 1)
         t = _mod1(self.lo + self.span() * s)
         if OrbitPoint(alpha, t).orbit_position() is not None:
             raise RuntimeError("interior point landed on the orbit of 0; arithmetic bug")
@@ -367,19 +366,20 @@ def _cells(alpha: QuadraticIrrational, n: int) -> dict[Word, Tags]:
 
 def cylinder_arc(alpha: QuadraticIrrational, mu: Word) -> Optional[Arc]:
     """The set of circle points whose coding begins with mu; None if empty."""
-    _validate_alpha(alpha)
+    check_unit_interval(alpha)
     return word_arc(alpha, check_word(mu))
 
 
 def is_admissible(alpha: QuadraticIrrational, mu: Word) -> bool:
-    return cylinder_arc(alpha, mu) is not None
+    check_unit_interval(alpha)
+    return _word_tags(_order(alpha), check_word(mu)) is not None
 
 
 def language(alpha: QuadraticIrrational, n: int) -> frozenset[Word]:
     """All admissible words of length n; always n+1 of them for n >= 1."""
     if n < 0:
         raise ValueError("length must be nonnegative")
-    _validate_alpha(alpha)
+    check_unit_interval(alpha)
     words = frozenset(_cells(alpha, n))
     if len(words) != (n + 1 if n >= 1 else 1):
         raise RuntimeError("factor complexity violated; arithmetic bug")
@@ -395,18 +395,15 @@ def left_extensions(alpha: QuadraticIrrational, w: Word) -> frozenset[str]:
 
 def branch_point(alpha: QuadraticIrrational) -> OrbitPoint:
     """The unique point with two shift preimages; its circle point is alpha."""
-    _validate_alpha(alpha)
-    return OrbitPoint(alpha, alpha, "L")
+    check_unit_interval(alpha)
+    return OrbitPoint._at(alpha, 0, 1, 1, "L")
 
 
 def preimages(x: OrbitPoint) -> frozenset[OrbitPoint]:
     """All shift preimages of x; two exactly at the branch point."""
-    back = _mod1(x.t - x.alpha)
-    if x.t == x.alpha:
-        return frozenset(
-            {OrbitPoint(x.alpha, Fraction(0), "L"), OrbitPoint(x.alpha, Fraction(0), "R")}
-        )
-    return frozenset({OrbitPoint(x.alpha, back, x.variant)})
+    if (x.a, x.b, x.c) == (0, 1, 1):
+        return frozenset(OrbitPoint._at(x.alpha, 0, 0, 1, v) for v in "LR")
+    return frozenset({x.shift(-1)})
 
 
 def past_set(x: OrbitPoint, l: int) -> frozenset[Word]:
@@ -420,9 +417,8 @@ def past_set(x: OrbitPoint, l: int) -> frozenset[Word]:
         raise ValueError("past depth must be nonnegative")
     pos = x.orbit_position()
     variants = "LR" if pos is not None and pos[0] == "forward" and pos[1] < l else x.variant
-    a, b, c = _lattice(x)
     return frozenset(
-        "".join(islice(_letters(x.alpha, v, a, b - l * c, c), l)) for v in variants
+        "".join(islice(_letters(x.alpha, v, x.a, x.b - l * x.c, x.c), l)) for v in variants
     )
 
 

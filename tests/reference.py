@@ -1,9 +1,12 @@
 """Earlier paths of the package, kept as test oracles.
 
-The package now codes, orders and intersects with integer floors
-(`words._floor`); the tests compare it against the object arithmetic it
-replaced, and against three enumerations of the same object:
+The package now stores circle points as integer triples (a + b*alpha)/c
+and codes, orders and intersects with integer floors (`words._floor`); the
+tests compare it against the object arithmetic it replaced, and against
+three enumerations of the same object:
 
+- circle points as field elements: shifts by adding k*alpha mod 1, orbit
+  positions read off the rational coordinates, and shift preimages;
 - coding by adding alpha to a circle point and comparing with 1 - alpha,
   and past sets by walking back along shift preimages;
 - cylinder arcs by intersecting arcs with object endpoints, and the cells
@@ -31,8 +34,50 @@ from sturmian.words import (
     branch_point,
     is_admissible,
     language,
-    preimages,
 )
+
+
+# -- circle points as field elements ----------------------------------------------
+
+
+def coords(alpha, t):
+    """(u, v) with t = u + v*alpha; both rational."""
+    if isinstance(t, Fraction):
+        return t, Fraction(0)
+    v = Fraction(t.q * alpha.r, t.r * alpha.q)
+    return Fraction(t.p, t.r) - v * Fraction(alpha.p, alpha.r), v
+
+
+def shift(x, k):
+    """The circle point of the k-th shift of x."""
+    return _mod1(x.t + x.alpha * k)
+
+
+def hits_coding_boundary(alpha, t):
+    u, v = coords(alpha, t)
+    return u.denominator == 1 and v.denominator == 1 and v <= 0
+
+
+def orbit_position(alpha, t):
+    u, v = coords(alpha, t)
+    if u.denominator != 1 or v.denominator != 1:
+        return None
+    if v >= 1:
+        return "forward", int(v) - 1
+    return "backward", 1 - int(v)
+
+
+def denotes_same(alpha, t, variant, other_alpha, other_t, other_variant):
+    if alpha != other_alpha or t != other_t:
+        return False
+    return variant == other_variant or not hits_coding_boundary(alpha, t)
+
+
+def preimages(alpha, t, variant):
+    """(t, variant) of every shift preimage of the point."""
+    if t == alpha:
+        return {(Fraction(0), "L"), (Fraction(0), "R")}
+    return {(_mod1(t - alpha), variant)}
 
 
 # -- coding by object arithmetic -----------------------------------------------
@@ -64,20 +109,19 @@ def code_word(x, n):
 
 
 def code_letter(x, i):
-    return letter(x.alpha, _mod1(x.t + x.alpha * i), x.variant)
+    return letter(x.alpha, shift(x, i), x.variant)
 
 
 def two_sided_word(x, m, n):
-    start = OrbitPoint(x.alpha, _mod1(x.t + x.alpha * m), x.variant)
-    return code_word(start, n - m)
+    return code_word(OrbitPoint(x.alpha, shift(x, m), x.variant), n - m)
 
 
 def past_set(x, l):
     """Walk back along shift preimages, then code every point reached."""
-    pts = {x}
+    pts = {(x.t, x.variant)}
     for _ in range(l):
-        pts = {y for p in pts for y in preimages(p)}
-    return frozenset(code_word(y, l) for y in pts)
+        pts = {y for t, v in pts for y in preimages(x.alpha, t, v)}
+    return frozenset(code_word(OrbitPoint(x.alpha, t, v), l) for t, v in pts)
 
 
 # -- arcs with object endpoints ------------------------------------------------

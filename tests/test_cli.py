@@ -165,6 +165,13 @@ class TestUsageErrors:
     def test_alpha_outside_interval(self, capsys):
         code, _, err = run_cli(capsys, "omega", "--alpha", "quad:0,1,5,1", "--n", "3")
         assert code == 2 and "alpha" in err
+        code, _, err = run_cli(capsys, "omega", "--alpha", "quad:1,-1,5,2", "--n", "3")
+        assert code == 2 and "alpha" in err
+
+    def test_beta_outside_interval(self, capsys):
+        for beta in ("quad:0,1,5,1", "quad:1,-1,5,2"):
+            code, out, err = run_cli(capsys, "compare", "--alpha", FIB, "--beta", beta)
+            assert (code, out) == (2, "") and err == "error: beta: parameter must lie in (0,1)\n"
 
     def test_bad_point(self, capsys):
         code, _, err = run_cli(capsys, "word", "--alpha", FIB, "--t", "x/y", "--n", "3")

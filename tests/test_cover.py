@@ -397,8 +397,8 @@ class TestFibreLetterCounts:
             counts[-1] += 1
             return real(*args)
 
-        monkeypatch.setattr(words, "_floor", counting)
         x = OM.shift(2)
+        monkeypatch.setattr(words, "_floor", counting)
         threads = []
         for max_depth in (100, 2100):
             counts.append(0)

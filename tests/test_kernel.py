@@ -1,18 +1,20 @@
 """The integer mechanical-word kernel against the object arithmetic it replaced.
 
-`tests/reference.py` keeps the object path: coding by adding alpha and
-comparing with 1 - alpha, pasts by walking back along preimages, arcs with
-object endpoints and cells inserted by bisection.  The kernel must agree
-with it letter for letter, past for past and arc for arc, and must build a
-bounded number of field elements however long the word.
+`tests/reference.py` keeps the object path: circle points as field elements,
+coding by adding alpha and comparing with 1 - alpha, pasts by walking back
+along preimages, arcs with object endpoints and cells inserted by bisection.
+The kernel must agree with it point for point, letter for letter, past for
+past and arc for arc, and must build a bounded number of field elements
+however long the word; the cover builds none at all.
 """
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sturmian.cover import eq_class, fibre, quotient, thread_of
 from sturmian.quadratics import QuadraticIrrational
 from sturmian.words import (
     OrbitPoint,
@@ -21,6 +23,7 @@ from sturmian.words import (
     code_letter,
     code_word,
     past_set,
+    preimages,
     two_sided_word,
     word_arc,
 )
@@ -54,6 +57,35 @@ def points(draw, cls=OrbitPoint):
     else:  # sigma^j(omega)
         t = alpha * draw(st.integers(1, 300))
     return cls(alpha, t, draw(st.sampled_from("LR")))
+
+
+any_points = st.one_of(points(), points(TwoSidedPoint))
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=any_points, k=st.integers(-300, 300), other=any_points)
+# (1 + alpha)/2 shares b = 1 with the branch point but has one preimage
+@example(x=OrbitPoint(ALPHAS[0], (1 + ALPHAS[0]) / 2), k=0, other=branch_point(ALPHAS[0]))
+def test_point_arithmetic(x, k, other):
+    y = x.shift(k)
+    t = reference.shift(x, k)
+    assert y.t == t and type(y.t) is type(t)
+    # equal exactly when (t, variant) are equal, built from the triple or from t
+    flip = "R" if x.variant == "L" else "L"
+    pts = [y, type(x)(x.alpha, t, x.variant), type(x)(x.alpha, t, flip), x.shift(k + 1), other]
+    for p in pts:
+        for q in pts:
+            assert (p == q) == ((type(p), p.alpha, p.t, p.variant) == (type(q), q.alpha, q.t, q.variant))
+            if p == q:
+                assert hash(p) == hash(q)
+    z = y if isinstance(y, OrbitPoint) else y.restrict()
+    assert z.orbit_position() == reference.orbit_position(z.alpha, t)
+    assert z.hits_coding_boundary() == reference.hits_coding_boundary(z.alpha, t)
+    assert {(p.t, p.variant) for p in preimages(z)} == reference.preimages(z.alpha, t, z.variant)
+    for w in pts:
+        w = w if isinstance(w, OrbitPoint) else w.restrict()
+        expected = reference.denotes_same(z.alpha, t, z.variant, w.alpha, w.t, w.variant)
+        assert z.denotes_same(w) == expected
 
 
 @settings(max_examples=150, deadline=None)
@@ -147,3 +179,25 @@ class TestKernelObjectCounts:
         short = self._count(constructions, word_arc, self.FIB, w[:20])
         assert short <= 8
         assert self._count(constructions, word_arc, self.FIB, w) == short
+
+    COVER_CALLS = {
+        "quotient": lambda a: quotient(a, (20, 40)),
+        "thread_of": lambda a: thread_of(a, branch_point(a).shift(2), 4, 10),
+        "eq_class": lambda a: eq_class(a, branch_point(a).shift(2), (3, 6)),
+        "fibre-omega": lambda a: fibre(a, branch_point(a), 4, 10),
+        "fibre-fwd2": lambda a: fibre(a, branch_point(a).shift(2), 3, 6),
+    }
+    # radicands 5, about 10^6 and about 10^10; fibre is left out on the last,
+    # where it does not resolve within its default depth
+    COVER_CASES = {
+        "d5": (FIB, list(COVER_CALLS)),
+        "d1e6": (QuadraticIrrational(-999, 1, 1000003, 2), list(COVER_CALLS)),
+        "d1e10": (QuadraticIrrational(-99999, 1, 9999999967, 2), ["quotient", "thread_of", "eq_class"]),
+    }
+
+    @pytest.mark.parametrize(
+        "d, call", [(d, call) for d, (_, calls) in COVER_CASES.items() for call in calls]
+    )
+    def test_cover_builds_no_field_elements(self, constructions, d, call):
+        alpha = self.COVER_CASES[d][0]
+        assert self._count(constructions, self.COVER_CALLS[call], alpha) == 0

@@ -16,6 +16,7 @@ from sturmian.quadratics import (
     cf_expand,
     cf_tail_equivalent,
     cf_value,
+    check_unit_interval,
     compare_to_rational,
     format_quad,
     parse_cf,
@@ -146,6 +147,14 @@ def splits(monkeypatch):
 
     monkeypatch.setattr(quadratics, "_squarefree_split", counted)
     return seen
+
+
+def test_unit_interval_check():
+    for x in (FIB, GOLDEN_CONJ, SQRT2 - 1):
+        assert check_unit_interval(x) is x
+    for x in (-FIB, 1 + FIB, SQRT2, -LONG_PERIOD):
+        with pytest.raises(ValueError):
+            check_unit_interval(x)
 
 
 class TestContinuedFractions:

@@ -41,3 +41,24 @@ def test_no_unbounded_caches():
         if _is_unbounded_cache(node)
     ]
     assert SOURCES and not found, found
+
+
+def _names_a_point(node) -> bool:
+    if isinstance(node, ast.Name):
+        return node.id == "alpha"
+    return isinstance(node, ast.Attribute) and node.attr in ("alpha", "t")
+
+
+def test_no_point_arithmetic_outside_words():
+    # circle points are integer triples built in sturmian.words; the cover and
+    # the groupoid must not redo that arithmetic on field elements
+    found = sorted(
+        {
+            f"{path.name}:{node.lineno}"
+            for path in SOURCES
+            if path.name in ("cover.py", "groupoid.py")
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.BinOp) and (_names_a_point(node.left) or _names_a_point(node.right))
+        }
+    )
+    assert found == [], found

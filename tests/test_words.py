@@ -277,6 +277,14 @@ class TestTwoSided:
         assert two_sided_word(TwoSidedPoint(FIB, Fraction(1, 3)), 4, 4) == ""
 
 
+class TestPointConstruction:
+    @pytest.mark.parametrize("cls", [OrbitPoint, TwoSidedPoint])
+    @pytest.mark.parametrize("t", [0.5, 0.25])
+    def test_inexact_point_rejected(self, cls, t):
+        with pytest.raises(TypeError):
+            cls(FIB, t)
+
+
 class TestCodingArcConsistency:
     def test_500_random_points(self):
         rng = random.Random(515)
