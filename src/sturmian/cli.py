@@ -12,7 +12,7 @@ from typing import Optional
 
 from .quadratics import QuadraticIrrational, cf_expand, check_unit_interval, format_quad, parse_quad
 from .words import OrbitPoint, branch_point, code_word, language, past_set
-from .cover import UnresolvedTruncationError, fibre_report, quotient
+from .cover import fibre_report, quotient
 from .groupoid import check_witness, dad_witness, degenerate_cover_chain
 from .invariants import compare_parameters, k_theory_report
 
@@ -53,10 +53,10 @@ def _parse_point(alpha: QuadraticIrrational, spec: str, variant: str) -> OrbitPo
             return branch_point(alpha).shift(j)
         if spec.startswith("back:"):
             m, _, var = spec[5:].partition(":")
-            m = int(m)
-            if m < 1:
-                raise ValueError("back:M needs M >= 1")
-            return OrbitPoint(alpha, alpha * (1 - m), var or variant)
+            m, var = int(m), var or variant
+            if m < 1 or var not in ("L", "R"):
+                raise ValueError("back:M:V needs M >= 1 and V in L, R")
+            return OrbitPoint._at(alpha, 0, 1 - m, 1, var)
         if spec.startswith("quad:"):
             return OrbitPoint(alpha, parse_quad(spec), variant)
         num, _, den = spec.partition("/")
@@ -120,11 +120,7 @@ def _run_cover(cfg: RunConfig) -> int:
 def _run_fibre(cfg: RunConfig) -> int:
     o = cfg.options
     x = _parse_point(cfg.alpha, o["point"], o["variant"])
-    try:
-        rep = fibre_report(cfg.alpha, x, o["K"], o["L"], max_depth=o["max_depth"])
-    except UnresolvedTruncationError as e:
-        print(f"unresolved: {e}", file=sys.stderr)
-        return 1
+    rep = fibre_report(cfg.alpha, x, o["K"], o["L"])
     threads = sorted(rep.threads, key=lambda th: th.table())
     payload = {
         "alpha": format_quad(cfg.alpha),
@@ -274,7 +270,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=("L", "R"), default="L")
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--L", type=int, required=True)
-    p.add_argument("--max-depth", type=int, default=None)
     p.add_argument("--show-threads", action="store_true", help="print level tables per thread")
 
     p = sub.add_parser("dad", help="two-set chain-bound witness and its verification")
@@ -300,8 +295,6 @@ def _check_numeric(args) -> None:
         raise UsageError("k", f"must lie in 0..l = {args.l}")
     if hasattr(args, "K") and not 0 <= args.K <= args.L:
         raise UsageError("K", f"must lie in 0..L = {args.L}")
-    if getattr(args, "max_depth", None) is not None and args.max_depth < max(args.L, 1):
-        raise UsageError("max-depth", f"must be at least max(L, 1) = {max(args.L, 1)}")
 
 
 def _config_from_args(args) -> RunConfig:
@@ -310,13 +303,9 @@ def _config_from_args(args) -> RunConfig:
     alpha = _parse_alpha(args.alpha)
     _check_numeric(args)
     options = {}
-    for key in ("t", "variant", "n", "l", "k", "point", "K", "L", "window"):
+    for key in ("t", "variant", "n", "l", "k", "point", "K", "L", "window", "show_threads"):
         if hasattr(args, key):
             options[key] = getattr(args, key)
-    if hasattr(args, "max_depth"):
-        options["max_depth"] = args.max_depth
-    if hasattr(args, "show_threads"):
-        options["show_threads"] = args.show_threads
     if args.command == "dad":
         try:
             options["F"] = tuple(int(v) for v in args.F.split(","))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
 from typing import Iterator, NamedTuple, Optional
 
 from .quadratics import QuadraticIrrational
@@ -19,14 +18,12 @@ from .words import (
     OrbitPoint,
     TwoSidedPoint,
     Word,
-    _letter_tags,
-    _meet,
+    _first_entry,
     _order,
     _word_tags,
     branch_point,
     code_letter,
     code_word,
-    coding,
     cylinder_arc,
     language,
     past_set,
@@ -280,30 +277,41 @@ def construct_fibre_element(
     return Thread(x, K, L, _chain_class(alpha, x, max(L, 1), chain_variant))
 
 
-def fibre(
-    alpha: QuadraticIrrational, x: OrbitPoint, K: int, L: int, max_depth: Optional[int] = None
-) -> set[Thread]:
+def _death_depths(alpha: QuadraticIrrational, x: OrbitPoint, n0: int, candidates: dict) -> dict:
+    """For each candidate, the length of the shortest prefix of x it cannot carry.
+
+    The cells of x's prefixes are cut by the points -j*alpha (mod 1); a
+    candidate dies once cut points have landed on both arcs between x and
+    its branch-orbit point, or B = arc(w[:n0]) + n0*alpha for a past {w}.
+    """
+    before = _order(alpha)
+    depths = {}
+    for data, y in candidates.items():
+        start = end = y
+        if y is None:  # B runs from (n0 - i)*alpha to (n0 - j)*alpha
+            i, j = _word_tags(before, min(data[1])[:n0])
+            start, end = (OrbitPoint._at(alpha, 0, n0 - t, 1, v) for t, v in ((j, "R"), (i, "L")))
+        depths[data] = max(_first_entry(start, x), _first_entry(x, end))
+    return depths
+
+
+def fibre(alpha: QuadraticIrrational, x: OrbitPoint, K: int, L: int) -> set[Thread]:
     """All threads over x at truncation (K, L), by exhaustive chain search.
 
     Every compatible family over the truncated grid is the projection of a
     single class at the chain level (n0, 2n0) with n0 = max(L, 1), and the
     families extending to arbitrarily deep levels are exactly the fibre of
     the projective limit.  The search enumerates every class at (n0, 2n0)
-    whose prefix matches x and certifies each non-fibre candidate dead by
-    walking its unique chain forward until it breaks: a singleton-past
-    class survives to depth n exactly while its past window glued to x's
-    prefix stays admissible, and a two-past class belongs to one concrete
-    branch-orbit point and survives only while that point's coding agrees
-    with x.  Both certificates terminate; exceeding max_depth first raises
-    an unresolved-truncation diagnostic.
+    whose prefix matches x and certifies each non-fibre candidate dead at a
+    first landing of the cut points: a singleton-past class survives exactly
+    while its past window glued to x's prefix stays admissible, and a
+    two-past class belongs to one concrete branch-orbit point and survives
+    only while that point's coding agrees with x.  Every depth is finite, so
+    the search is total.
     """
     if not 0 <= K <= L:
         raise ValueError("need 0 <= K <= L")
     n0 = max(L, 1)
-    if max_depth is None:
-        max_depth = 16 * n0 + 2000
-    if max_depth < n0:
-        raise ValueError(f"max_depth: must be at least max(L, 1) = {n0}")
 
     pos = x.orbit_position()
     variants: list[Optional[str]]
@@ -324,37 +332,9 @@ def fibre(
     }
     if not target <= set(candidates):
         raise IncompleteEnumerationError("constructed elements missing from candidates")
-
-    # every certificate reads x's letters in order, so one pass over them
-    # serves all candidates and stops at the deepest death
-    before = _order(alpha)
-    arcs = {}  # singleton past: tags of the arc of w + x[n0:i]
-    codings = {}  # two pasts: the coding of the candidate's branch-orbit point
-    for data, orbit_pt in candidates.items():
-        if data in target:
-            continue
-        if orbit_pt is None:
-            (w,) = data[1]
-            arcs[data] = _word_tags(before, w)
-        else:
-            codings[data] = coding(orbit_pt)
-    for i, letter in enumerate(islice(coding(x), max_depth)):
-        for data, other in list(codings.items()):
-            if next(other) != letter:
-                del codings[data]
-        if i >= n0:
-            for data, arc in list(arcs.items()):
-                arc = _meet(before, arc, _letter_tags(letter, n0 + i))
-                if arc is None:
-                    del arcs[data]
-                else:
-                    arcs[data] = arc
-        if not (arcs or codings):
-            break
-    if arcs or codings:
-        raise UnresolvedTruncationError(
-            f"{len(arcs) + len(codings)} candidate classes still alive at depth {max_depth}"
-        )
+    rejected = {data: y for data, y in candidates.items() if data not in target}
+    if any(depth <= n0 for depth in _death_depths(alpha, x, n0, rejected).values()):
+        raise RuntimeError("a candidate died inside the chain level; arithmetic bug")
     return {Thread(x, K, L, c) for c in tops}
 
 
@@ -387,11 +367,11 @@ class FibreReport:
         return self.count == self.expected
 
 
-def fibre_report(alpha: QuadraticIrrational, x: OrbitPoint, K: int, L: int, **kw) -> FibreReport:
+def fibre_report(alpha: QuadraticIrrational, x: OrbitPoint, K: int, L: int) -> FibreReport:
     pos = x.orbit_position()
     dist = 0 if pos is None else pos[1]
     min_K, min_L = dist + 1, dist + 3
-    threads = fibre(alpha, x, K, L, **kw)
+    threads = fibre(alpha, x, K, L)
     return FibreReport(x, K, L, frozenset(threads), expected_fibre_size(x), min_K, min_L)
 
 

@@ -20,7 +20,6 @@ from itertools import islice
 from typing import Callable, Iterator, Literal, Optional, Union
 
 from .quadratics import (
-    BudgetExceededError,
     QuadraticIrrational,
     _surd_floor,
     check_unit_interval,
@@ -140,14 +139,20 @@ class TwoSidedPoint(_Point):
         return OrbitPoint._at(self.alpha, self.a, self.b, self.c, self.variant)
 
 
-def _floor(alpha: QuadraticIrrational, a: int, k: int, c: int = 1) -> int:
-    """floor((a + k*alpha)/c) for integers a, k and c > 0, by one isqrt.
+def _floor(alpha: QuadraticIrrational, a: int, k: int, c: int = 1, e: int = 0) -> int:
+    """floor((a + k*alpha)/(c + e*alpha)) for integers with c + e*alpha != 0, by one isqrt.
 
-    The value is (a*r + k*p + k*q*sqrt(d))/(c*r) for alpha = (p + q*sqrt(d))/r.
+    The value is (a*r + k*p + k*q*sqrt(d))/(c*r) for alpha = (p + q*sqrt(d))/r
+    and e = 0; a divisor with e != 0 is first cleared by its conjugate.
     """
-    if k == 0:
+    if k == 0 and e == 0:
         return a // c
     num, coef, den = a * alpha.r + k * alpha.p, k * alpha.q, c * alpha.r
+    if e:
+        den, f = den + e * alpha.p, e * alpha.q
+        num, coef, den = num * den - coef * f * alpha.d, coef * den - num * f, den * den - f * f * alpha.d
+        if coef == 0:
+            return num // den
     if coef < 0:
         num, coef, den = -num, -coef, -den
     return _surd_floor(num, math.isqrt(coef * coef * alpha.d), den)
@@ -422,14 +427,64 @@ def past_set(x: OrbitPoint, l: int) -> frozenset[Word]:
     )
 
 
-def recurrence_bound(alpha: QuadraticIrrational, mu: Word, max_window: int = 2048) -> int:
-    """Least window length whose every admissible word contains mu."""
-    check_word(mu)
-    if not mu:
+def _first_entry(p: _Point, q: _Point) -> int:
+    """Least j >= 0 whose cut point -j*alpha (mod 1) lies on the arc from p to q.
+
+    The arc runs counterclockwise; an L end stands just after its point and an
+    R end just before it, so the R point 0 sits at 1 and a wrapping arc
+    answers 0.  Euclid on (1, 1 - alpha): on a circle of length m the cut
+    points are the multiples of a step s, reflected to m - s past m/2.  If
+    none lands on the arc in the first lap, lap k does exactly when
+    k*(-m mod s) lands on the arc mod s, the same question on a circle of
+    length s; each level costs a few floors.
+    """
+    lone = p.variant == "R" and not (p.c == 1 and p.b <= 0)  # {p} holds no cut point
+    if (p.a, p.b, p.c) == (q.a, q.b, q.c) and (p.variant == q.variant or lone):
+        raise ValueError("no cut point lies on this arc")
+    alpha, n = p.alpha, p.c * q.c // math.gcd(p.c, q.c)
+
+    # x + y*alpha, scaled by n, is the pair (x, y); an end adds its side, +1 for L
+    def rem(x, y, side, m):  # the end on the circle of length m, with 0 at m on side -1
+        f = _floor(alpha, x, y, *m)
+        x, y = x - f * m[0], y - f * m[1]
+        return (*m, side) if (x, y) == (0, 0) and side < 0 else (x, y, side)
+
+    def first(m, s, lo, hi):
+        if _floor(alpha, hi[0] - lo[0], hi[1] - lo[1]) < 0 or hi[:2] == lo[:2] and hi[2] < lo[2]:
+            return 0
+        if _floor(alpha, m[0] - 2 * s[0], m[1] - 2 * s[1]) < 0:
+            flip = lambda e: (m[0] - e[0], m[1] - e[1], -e[2])
+            s, lo, hi = flip((*s, 0))[:2], flip(hi), flip(lo)
+
+        def past(x, y, side):  # the least j with j*s beyond the end
+            return _floor(alpha, x, y, *s) + 1 if side > 0 else -_floor(alpha, -x, -y, *s)
+
+        j = past(*lo)
+        if j < past(*hi):
+            return j
+        lap = first(s, rem(-m[0], -m[1], 1, s)[:2], rem(*lo, s), rem(*hi, s))
+        return past(lo[0] + lap * m[0], lo[1] + lap * m[1], lo[2])
+
+    sides = {"L": 1, "R": -1}
+    ends = (rem(pt.a * n // pt.c, pt.b * n // pt.c, sides[pt.variant], (n, 0)) for pt in (p, q))
+    return first((n, 0), (n, -n), *ends)
+
+
+def recurrence_bound(alpha: QuadraticIrrational, mu: Word) -> int:
+    """Least window length whose every admissible word contains mu.
+
+    That is |mu| - 1 plus the longest return time to the cylinder arc of mu,
+    of length s.  By Slater's theorem the return times are j1, j2 and j1 + j2:
+    j1 is the first step that moves a point forward by less than s, and j2
+    the first that moves one back by less than s.  A Sturmian factor has just
+    two return words (Vuillon), so on its arc the longest is max(j1, j2).
+    """
+    if not check_word(mu):
         return 0
     if not is_admissible(alpha, mu):
         raise ValueError(f"word is not admissible: {mu!r}")
-    for m in range(len(mu), max_window + 1):
-        if all(mu in w for w in language(alpha, m)):
-            return m
-    raise BudgetExceededError(f"no recurrence bound within window {max_window}")
+    lo, hi = _word_tags(_order(alpha), mu)  # s = (lo - hi)*alpha (mod 1)
+    at = lambda b, v: OrbitPoint._at(alpha, 0, b, 1, v)
+    # moving forward by less than s is landing on (1 - s, 1), back by less than s on (0, s)
+    j1, j2 = _first_entry(at(hi - lo, "L"), at(0, "R")), _first_entry(at(0, "L"), at(lo - hi, "R"))
+    return len(mu) - 1 + max(j1, j2)

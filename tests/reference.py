@@ -15,7 +15,10 @@ three enumerations of the same object:
   midpoint of every cell;
 - the quotient built from representatives of that partition plus the
   branch orbit, cross-checked by seeded random samples;
-- the fibre candidates built by left extension of the prefix;
+- the fibre candidates built by left extension of the prefix, and their
+  death depths found by reading the base point's letters one at a time;
+- first entries of the cut points -j*alpha into an arc by scanning j, and
+  recurrence bounds by scanning window lengths over the whole language;
 - the witness window scan testing every start position of every shift and
   taking the longest chain over a dict.
 """
@@ -30,11 +33,16 @@ from sturmian.groupoid import WitnessCheck
 from sturmian.words import (
     Arc,
     OrbitPoint,
+    _letter_tags,
+    _meet,
     _mod1,
+    _order,
+    _word_tags,
     branch_point,
     is_admissible,
     language,
 )
+from sturmian.words import coding as letters
 
 
 # -- circle points as field elements ----------------------------------------------
@@ -269,6 +277,68 @@ def chain_candidates(alpha, prefix, n):
             if code_word(y, n) == prefix:
                 out[(prefix, past_set(y.shift(n), 2 * n))] = y
     return out
+
+
+def death_depths_by_walk(alpha, x, n0, candidates, max_depth):
+    """The number of x's letters read when each candidate dies, one letter at a time.
+
+    A singleton past {w} dies at the letter x[i] (i >= n0) whose letter arc at
+    index n0 + i empties the arc of w glued to x[n0:i]; a candidate with a
+    branch-orbit point dies at the first letter where that point's coding
+    parts from x's.  Candidates alive after max_depth letters are left out.
+    """
+    before = _order(alpha)
+    arcs, codings, depths = {}, {}, {}
+    for data, y in candidates.items():
+        if y is None:
+            (w,) = data[1]
+            arcs[data] = _word_tags(before, w)
+        else:
+            codings[data] = letters(y)
+    for i, letter in enumerate(islice(letters(x), max_depth)):
+        for data, other in list(codings.items()):
+            if next(other) != letter:
+                del codings[data]
+                depths[data] = i + 1
+        if i >= n0:
+            for data, arc in list(arcs.items()):
+                arcs[data] = _meet(before, arc, _letter_tags(letter, n0 + i))
+                if arcs[data] is None:
+                    del arcs[data]
+                    depths[data] = i + 1
+        if not (arcs or codings):
+            break
+    return depths
+
+
+# -- first entries and recurrence by scanning -----------------------------------------
+
+
+def first_entry_by_scan(p, q, limit):
+    """The least j < limit whose cut point -j*alpha (mod 1) lies on the arc from p to q.
+
+    An L end stands just after its circle point and an R end just before it,
+    with the R point 0 at 1; None when no j below the limit lands.
+    """
+
+    def end(pt):
+        side = 1 if pt.variant == "L" else -1
+        return (Fraction(1) if pt.t == 0 and side < 0 else pt.t), side
+
+    lo, hi = end(p), end(q)
+    for j in range(limit):
+        cut = (_mod1(p.alpha * -j), 0)
+        if (lo < cut < hi) if lo < hi else (cut > lo or cut < hi):
+            return j
+    return None
+
+
+def recurrence_bound(alpha, mu, max_window=2048):
+    """The least window length m whose every admissible word contains mu, by trying each m."""
+    for m in range(len(mu), max_window + 1):
+        if all(mu in w for w in language(alpha, m)):
+            return m
+    raise AssertionError(f"no recurrence bound within window {max_window}")
 
 
 # -- the witness window scan ------------------------------------------------------

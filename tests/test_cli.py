@@ -82,12 +82,26 @@ class TestFibre:
         assert code == 0
         assert json.loads(out)["count"] == 2
 
-    def test_unresolved_exit_code(self, capsys):
-        code, _, err = run_cli(
-            capsys, "fibre", "--alpha", FIB, "--point", "1/2", "--K", "2", "--L", "4",
-            "--max-depth", "6",
-        )
-        assert code == 1 and "unresolved" in err
+    @pytest.mark.parametrize(
+        "alpha", ["quad:-99999,1,9999999967,2", "quad:-9999999,1,99999999999999,2"]
+    )
+    def test_large_partial_quotients(self, capsys, alpha):
+        # [0; 2, 3029, 1, 4, ...] and [0; 2, 9999999, ...]: candidates die
+        # thousands to millions of letters deep
+        counts = []
+        for point in ("omega", "fwd:2", "back:3:R", "1/2"):
+            code, out, _ = run_cli(
+                capsys, "fibre", "--alpha", alpha, "--point", point, "--K", "10", "--L", "30",
+                "-o", "json",
+            )
+            assert code == 0
+            counts.append(json.loads(out)["count"])
+        assert counts == [3, 3, 2, 1]
+
+    def test_no_depth_budget(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["fibre", "--alpha", FIB, "--point", "1/2", "--K", "2", "--L", "4", "--max-depth", "6"])
+        assert e.value.code == 2
 
 
 class TestDad:
@@ -204,7 +218,7 @@ class TestNumericUsageErrors:
             ("k", ("cover", "--k", "3", "--l", "1")),
             ("K", ("fibre", "--point", "omega", "--K", "5", "--L", "2")),
             ("L", ("fibre", "--point", "omega", "--K", "0", "--L", "-1")),
-            ("max-depth", ("fibre", "--point", "omega", "--K", "1", "--L", "4", "--max-depth", "3")),
+            ("point", ("word", "--t", "back:2:X", "--n", "2")),
             ("point", ("fibre", "--point", "back:0:L", "--K", "1", "--L", "3")),
             ("point", ("fibre", "--point", "fwd:-1", "--K", "1", "--L", "3")),
             ("point", ("past", "--t", "back:-2", "--l", "2")),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sturmian import words
+from sturmian import cover, words
 from sturmian.quadratics import QuadraticIrrational, cf_value, parse_cf
 from sturmian.words import (
     OrbitPoint,
@@ -37,13 +37,14 @@ from sturmian.cover import (
     thread_of,
     two_sided_embed,
 )
-from sturmian.cover import _classes
+from sturmian.cover import _classes, _death_depths
 
-from reference import chain_candidates, sampled_quotient
+from reference import chain_candidates, death_depths_by_walk, sampled_quotient
 
 FIB = QuadraticIrrational(3, -1, 5, 2)
 SQRT2M1 = QuadraticIrrational(-1, 1, 2, 1)
 CF_2_3 = QuadraticIrrational(-1, 1, 13, 6)  # [0; 2, (3)]
+BIG_DIGIT = QuadraticIrrational(-9999999, 1, 99999999999999, 2)  # [0; 2, 9999999, ...]
 OM = branch_point(FIB)
 HALF = OrbitPoint(FIB, Fraction(1, 2), "L")
 
@@ -374,39 +375,33 @@ class TestFibre:
         r = fibre_report(FIB, OM, 2, 6)
         assert r.resolved and r.count == 3
 
-    def test_unresolved_budget(self):
-        with pytest.raises(UnresolvedTruncationError):
-            fibre(FIB, HALF, 2, 6, max_depth=8)
 
-    @pytest.mark.parametrize("max_depth", [3, -1])
-    def test_max_depth_below_chain_level_rejected(self, max_depth):
-        with pytest.raises(ValueError, match=r"^max_depth: must be at least max\(L, 1\) = 4$"):
-            fibre(FIB, branch_point(FIB), 1, 4, max_depth=max_depth)
+class TestFibreFloorCounts:
+    """The fibre's work counted in calls of the kernel floor, which every
+    letter, arc comparison and first entry goes through: a death depth costs
+    a few floors per continued-fraction level, not one per letter."""
 
-
-class TestFibreLetterCounts:
-    """The fibre's coding work counted in calls of the kernel floor, which
-    every letter and every arc comparison goes through: the base point is
-    read letter by letter only as far as the deepest certificate."""
-
-    def test_letters_read_do_not_grow_with_max_depth(self, monkeypatch):
-        counts = []
-        real = words._floor
+    def test_floors_do_not_grow_with_the_death_depth(self, monkeypatch):
+        counts, deepest = [], []
+        real_floor, real_depths = words._floor, cover._death_depths
 
         def counting(*args):
             counts[-1] += 1
-            return real(*args)
+            return real_floor(*args)
 
-        x = OM.shift(2)
+        def recording(*args):
+            depths = real_depths(*args)
+            deepest[-1] = max(depths.values())
+            return depths
+
         monkeypatch.setattr(words, "_floor", counting)
-        threads = []
-        for max_depth in (100, 2100):
+        monkeypatch.setattr(cover, "_death_depths", recording)
+        for alpha in (FIB, BIG_DIGIT):
             counts.append(0)
-            threads.append(fibre(FIB, x, 3, 6, max_depth=max_depth))
-        assert threads[0] == threads[1] and len(threads[0]) == 3
-        # every candidate dies within 17 letters; coding the base point to
-        # max_depth would add 2000 floors
-        assert counts[0] == counts[1]
+            deepest.append(0)
+            assert len(fibre(alpha, branch_point(alpha).shift(2), 3, 6)) == 3
+        assert deepest[0] < 20 and deepest[1] > 10**7
+        assert counts[1] <= 2 * counts[0]
 
 
 class TestIsolation:
@@ -596,3 +591,31 @@ class TestProjectedLevels:
             variant = "L" if letter == "0" else "R"
         th = construct_fibre_element(alpha, x, letter, K, L)
         assert dict(th.levels()) == reference_levels(alpha, x, K, L, variant)
+
+
+@st.composite
+def fibre_points(draw):
+    """A base point of every kind on a small parameter, with a chain level n0."""
+    alpha = draw(st.sampled_from([FIB, SQRT2M1, CF_0_2_3]))
+    kind = draw(st.sampled_from(["forward", "backward", "rational", "quadratic"]))
+    if kind == "forward":
+        x = branch_point(alpha).shift(draw(st.integers(0, 9)))
+    elif kind == "backward":
+        x = OrbitPoint(alpha, alpha * (1 - draw(st.integers(1, 9))), draw(st.sampled_from("LR")))
+    else:
+        den = draw(st.integers(1, 40))
+        t = Fraction(draw(st.integers(0, den - 1)), den)
+        if kind == "quadratic":
+            t += alpha * draw(st.integers(-4, 4).filter(bool)) / draw(st.integers(1, 5))
+        x = OrbitPoint(alpha, t, draw(st.sampled_from("LR")))
+    return alpha, x, draw(st.integers(1, 7))
+
+
+class TestDeathDepths:
+    @settings(max_examples=120, deadline=None)
+    @given(fibre_points())
+    def test_match_the_letter_walk(self, case):
+        alpha, x, n0 = case
+        candidates = chain_candidates(alpha, code_word(x, n0), n0)
+        walked = death_depths_by_walk(alpha, x, n0, candidates, 400)
+        assert _death_depths(alpha, x, n0, {d: candidates[d] for d in walked}) == walked

@@ -5,9 +5,12 @@ coding by adding alpha and comparing with 1 - alpha, pasts by walking back
 along preimages, arcs with object endpoints and cells inserted by bisection.
 The kernel must agree with it point for point, letter for letter, past for
 past and arc for arc, and must build a bounded number of field elements
-however long the word; the cover builds none at all.
+however long the word; the cover builds none at all.  First entries of the
+cut points into an arc must agree with a scan over j, and floors of a ratio
+of two lattice elements with the field arithmetic.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -27,7 +30,7 @@ from sturmian.words import (
     two_sided_word,
     word_arc,
 )
-from sturmian.words import _arc, _cells
+from sturmian.words import _arc, _cells, _first_entry, _floor
 
 import reference
 
@@ -138,6 +141,43 @@ def test_cells(alpha, n):
         assert _arc(alpha, tags) == ref[w]
 
 
+lattice = st.tuples(st.integers(-40, 40), st.integers(-40, 40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(alpha=st.sampled_from(ALPHAS), u=lattice, v=lattice.filter(lambda v: v != (0, 0)))
+def test_floor_of_a_ratio(alpha, u, v):
+    ratio = (u[0] + u[1] * alpha) / (v[0] + v[1] * alpha)
+    assert _floor(alpha, *u, *v) == math.floor(ratio)
+
+
+@st.composite
+def lattice_ends(draw, alpha):
+    """A point (a + b*alpha)/c with either variant; a third of them are cut points."""
+    if draw(st.integers(0, 2)) == 0:
+        a, b, c = 0, -draw(st.integers(0, 60)), 1
+    else:
+        a, b, c = draw(st.integers(-9, 9)), draw(st.integers(-9, 9)), draw(st.integers(1, 6))
+    return OrbitPoint._at(alpha, a, b, c, draw(st.sampled_from("LR")))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), alpha=st.sampled_from(ALPHAS))
+def test_first_entry(data, alpha):
+    p, q = data.draw(lattice_ends(alpha)), data.draw(lattice_ends(alpha))
+    if (p.a, p.b, p.c) == (q.a, q.b, q.c) and p.variant == q.variant:
+        return  # the arc from a point to itself is not defined
+    limit = 400
+    found = reference.first_entry_by_scan(p, q, limit)
+    if found is not None:
+        assert _first_entry(p, q) == found
+    elif (p.a, p.b, p.c) == (q.a, q.b, q.c):  # a lone point off the cut points
+        with pytest.raises(ValueError):
+            _first_entry(p, q)
+    else:
+        assert _first_entry(p, q) >= limit
+
+
 @pytest.fixture
 def constructions(monkeypatch):
     """A list that grows by one per QuadraticIrrational constructed."""
@@ -187,12 +227,11 @@ class TestKernelObjectCounts:
         "fibre-omega": lambda a: fibre(a, branch_point(a), 4, 10),
         "fibre-fwd2": lambda a: fibre(a, branch_point(a).shift(2), 3, 6),
     }
-    # radicands 5, about 10^6 and about 10^10; fibre is left out on the last,
-    # where it does not resolve within its default depth
+    # radicands 5, about 10^6 and about 10^10
     COVER_CASES = {
         "d5": (FIB, list(COVER_CALLS)),
         "d1e6": (QuadraticIrrational(-999, 1, 1000003, 2), list(COVER_CALLS)),
-        "d1e10": (QuadraticIrrational(-99999, 1, 9999999967, 2), ["quotient", "thread_of", "eq_class"]),
+        "d1e10": (QuadraticIrrational(-99999, 1, 9999999967, 2), list(COVER_CALLS)),
     }
 
     @pytest.mark.parametrize(

@@ -50,13 +50,13 @@ def _names_a_point(node) -> bool:
 
 
 def test_no_point_arithmetic_outside_words():
-    # circle points are integer triples built in sturmian.words; the cover and
-    # the groupoid must not redo that arithmetic on field elements
+    # circle points are integer triples built in sturmian.words; the cover,
+    # the groupoid and the CLI must not redo that arithmetic on field elements
     found = sorted(
         {
             f"{path.name}:{node.lineno}"
             for path in SOURCES
-            if path.name in ("cover.py", "groupoid.py")
+            if path.name in ("cover.py", "groupoid.py", "cli.py")
             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
             if isinstance(node, ast.BinOp) and (_names_a_point(node.left) or _names_a_point(node.right))
         }

@@ -20,6 +20,7 @@ from sturmian.words import (
 )
 from sturmian.words import _arc, _cells, word_arc
 
+import reference
 from reference import partition_table
 
 FIB = QuadraticIrrational(3, -1, 5, 2)
@@ -249,6 +250,21 @@ class TestRecurrence:
                 occ = [i for i in range(len(s) - n + 1) if s[i : i + n] == mu]
                 gap = max(b - a for a, b in zip(occ, occ[1:]))
                 assert recurrence_bound(alpha, mu) == gap + n - 1
+
+    @pytest.mark.parametrize(
+        "alpha",
+        ALPHAS + [QuadraticIrrational(-1, 1, 13, 6), QuadraticIrrational(5, -1, 5, 10)],
+        ids=["fib", "sqrt2m1", "golden_conj", "cf_2_3", "quad_5_-1_5_10"],
+    )
+    def test_matches_the_language_loop(self, alpha):
+        for n in range(1, 9):
+            for mu in sorted(language(alpha, n)):
+                assert recurrence_bound(alpha, mu) == reference.recurrence_bound(alpha, mu)
+
+    def test_large_partial_quotient(self):
+        # [0; 2, 9999999, ...]: "00" first returns after about 2*10^7 steps
+        alpha = QuadraticIrrational(-9999999, 1, 99999999999999, 2)
+        assert recurrence_bound(alpha, "00") == 20_000_002
 
     def test_minimality_proxy(self):
         for n in range(1, 9):
