@@ -4,76 +4,54 @@ Coding of circle rotations by quadratic irrationals, the finite
 prefix/past quotients and their projective structure, fibres of the
 cover's factor map, groupoid chain bounds, and the conjugacy and
 flow-equivalence deciders.
+
+The exported names are bound on first use (PEP 562): ``import sturmian``
+loads no submodule, and looking up a name imports only its home module.
 """
 
-from .quadratics import (
-    BudgetExceededError,
-    ContinuedFraction,
-    Moebius,
-    QuadraticIrrational,
-    RationalValueError,
-    cf_expand,
-    cf_tail_equivalent,
-    cf_value,
-    compare_to_rational,
-    format_quad,
-    parse_cf,
-    parse_quad,
-)
-from .words import (
-    Arc,
-    OrbitPoint,
-    TwoSidedPoint,
-    branch_point,
-    code_letter,
-    code_word,
-    cylinder_arc,
-    is_admissible,
-    language,
-    left_extensions,
-    past_set,
-    preimages,
-    recurrence_bound,
-    two_sided_word,
-)
-from .cover import (
-    EqClass,
-    FiniteQuotient,
-    IndexPair,
-    Thread,
-    construct_fibre_element,
-    eq_class,
-    equivalent,
-    expected_fibre_size,
-    fibre,
-    fibre_report,
-    index_leq,
-    is_isolated,
-    property_star_witness,
-    q_map,
-    quotient,
-    shift_map,
-    shift_thread,
-    thread_of,
-    two_sided_embed,
-)
-from .groupoid import (
-    Arrow,
-    DadWitness,
-    bisection_arrows,
-    check_witness,
-    compose,
-    dad_witness,
-    degenerate_cover_chain,
-    unit,
-)
-from .invariants import (
-    InvariantReport,
-    OrderedGroupDescriptor,
-    compare_parameters,
-    conjugate,
-    flow_equivalent,
-    k_theory_report,
-)
+from importlib import import_module as _import_module
 
+_EXPORTS = {
+    "quadratics": (
+        "BudgetExceededError", "ContinuedFraction", "Moebius", "QuadraticIrrational",
+        "RationalValueError", "cf_expand", "cf_tail_equivalent", "cf_value", "compare_to_rational",
+        "format_quad", "parse_cf", "parse_quad",
+    ),
+    "words": (
+        "Arc", "OrbitPoint", "TwoSidedPoint", "branch_point", "code_letter", "code_word",
+        "cylinder_arc", "is_admissible", "language", "left_extensions", "past_set", "preimages",
+        "recurrence_bound", "two_sided_word",
+    ),
+    "cover": (
+        "EqClass", "FiniteQuotient", "IndexPair", "Thread", "construct_fibre_element", "eq_class",
+        "equivalent", "expected_fibre_size", "fibre", "fibre_report", "index_leq", "is_isolated",
+        "property_star_witness", "q_map", "quotient", "shift_map", "shift_thread", "thread_of",
+        "two_sided_embed",
+    ),
+    "groupoid": (
+        "Arrow", "DadWitness", "bisection_arrows", "check_witness", "compose", "dad_witness",
+        "degenerate_cover_chain", "unit",
+    ),
+    "invariants": (
+        "InvariantReport", "OrderedGroupDescriptor", "compare_parameters", "conjugate",
+        "flow_equivalent", "k_theory_report",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return _import_module(f".{name}", __name__)  # the import binds it here too
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

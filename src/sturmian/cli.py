@@ -8,13 +8,13 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
+# every command parses --alpha; each runner imports the layers it calls
 from .quadratics import QuadraticIrrational, cf_expand, check_unit_interval, format_quad, parse_quad
-from .words import OrbitPoint, branch_point, code_word, language, past_set
-from .cover import fibre_report, quotient
-from .groupoid import check_witness, dad_witness, degenerate_cover_chain
-from .invariants import compare_parameters, k_theory_report
+
+if TYPE_CHECKING:
+    from .words import OrbitPoint
 
 COMMANDS = ("word", "language", "omega", "past", "cover", "fibre", "dad", "compare", "report")
 OUTPUTS = ("text", "json")
@@ -37,12 +37,14 @@ class UsageError(ValueError):
 def _parse_alpha(text: str) -> QuadraticIrrational:
     try:
         return check_unit_interval(parse_quad(text))
-    except ValueError as e:
+    except (ValueError, ZeroDivisionError) as e:
         raise UsageError("alpha", str(e))
 
 
 def _parse_point(alpha: QuadraticIrrational, spec: str, variant: str) -> OrbitPoint:
     """Point specs: 'omega', 'fwd:J', 'back:M:L|R', 'quad:p,q,d,r' or 'p/q'."""
+    from .words import OrbitPoint, branch_point
+
     try:
         if spec == "omega":
             return branch_point(alpha)
@@ -74,6 +76,8 @@ def _emit(cfg: RunConfig, payload: dict, text_lines: list[str]) -> None:
 
 
 def _run_word(cfg: RunConfig) -> int:
+    from .words import code_word
+
     o = cfg.options
     x = _parse_point(cfg.alpha, o["t"], o["variant"])
     w = code_word(x, o["n"])
@@ -82,12 +86,16 @@ def _run_word(cfg: RunConfig) -> int:
 
 
 def _run_omega(cfg: RunConfig) -> int:
+    from .words import branch_point, code_word
+
     w = code_word(branch_point(cfg.alpha), cfg.options["n"])
     _emit(cfg, {"alpha": format_quad(cfg.alpha), "n": cfg.options["n"], "word": w}, [w])
     return 0
 
 
 def _run_language(cfg: RunConfig) -> int:
+    from .words import language
+
     n = cfg.options["n"]
     words = sorted(language(cfg.alpha, n))
     _emit(cfg, {"alpha": format_quad(cfg.alpha), "n": n, "words": words}, words)
@@ -95,6 +103,8 @@ def _run_language(cfg: RunConfig) -> int:
 
 
 def _run_past(cfg: RunConfig) -> int:
+    from .words import past_set
+
     o = cfg.options
     x = _parse_point(cfg.alpha, o["t"], o["variant"])
     words = sorted(past_set(x, o["l"]))
@@ -103,6 +113,8 @@ def _run_past(cfg: RunConfig) -> int:
 
 
 def _run_cover(cfg: RunConfig) -> int:
+    from .cover import quotient
+
     o = cfg.options
     q = quotient(cfg.alpha, (o["k"], o["l"]))
     classes = sorted(
@@ -118,6 +130,8 @@ def _run_cover(cfg: RunConfig) -> int:
 
 
 def _run_fibre(cfg: RunConfig) -> int:
+    from .cover import fibre_report
+
     o = cfg.options
     x = _parse_point(cfg.alpha, o["point"], o["variant"])
     rep = fibre_report(cfg.alpha, x, o["K"], o["L"])
@@ -147,6 +161,8 @@ def _run_fibre(cfg: RunConfig) -> int:
 
 
 def _run_dad(cfg: RunConfig) -> int:
+    from .groupoid import check_witness, dad_witness, degenerate_cover_chain
+
     o = cfg.options
     try:
         w = dad_witness(cfg.alpha, o["F"])
@@ -174,6 +190,8 @@ def _run_dad(cfg: RunConfig) -> int:
 
 
 def _run_compare(cfg: RunConfig) -> int:
+    from .invariants import compare_parameters
+
     rep = compare_parameters(cfg.alpha, cfg.options["beta"])
     lines = [
         f"conjugate={str(rep.conjugate).lower()}",
@@ -186,6 +204,8 @@ def _run_compare(cfg: RunConfig) -> int:
 
 
 def _run_report(cfg: RunConfig) -> int:
+    from .invariants import k_theory_report
+
     g = k_theory_report(cfg.alpha)
     cf = cf_expand(cfg.alpha)
     payload = {
@@ -314,7 +334,7 @@ def _config_from_args(args) -> RunConfig:
     if args.command == "compare":
         try:
             options["beta"] = check_unit_interval(parse_quad(args.beta))
-        except ValueError as e:
+        except (ValueError, ZeroDivisionError) as e:
             raise UsageError("beta", str(e))
     return RunConfig(args.command, alpha, args.output, options)
 

@@ -12,10 +12,13 @@ the orbit into it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .quadratics import QuadraticIrrational, check_unit_interval
 from .words import OrbitPoint, Word, language, recurrence_bound
-from .cover import Thread, thread_of
+
+if TYPE_CHECKING:  # the witness and its check never touch the cover
+    from .cover import Thread
 
 
 @dataclass(frozen=True)
@@ -81,6 +84,8 @@ def bisection_arrows(
     alpha: QuadraticIrrational, K: int, L: int, nu_len_max: int
 ) -> BisectionReport:
     """Truncated arrow family of the bisection, with its range report."""
+    from .cover import thread_of
+
     check_unit_interval(alpha)
     if nu_len_max < 1:
         raise ValueError("need nu_len_max >= 1")

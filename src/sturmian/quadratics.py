@@ -312,24 +312,31 @@ def cf_expand(x: QuadraticIrrational) -> ContinuedFraction:
     """Continued fraction of x by the integer (P + sqrt(D))/Q recurrence.
 
     x is written as (P + sqrt(D))/Q with Q dividing D - P*P; the recurrence
-    P <- a*Q - P, Q <- (D - P*P)/Q keeps that so.  For the fixed D the pair
-    (P, Q) determines the complete quotient, so the first repeated pair
-    closes the period, and Lagrange's theorem makes the loop terminate.
+    P <- a*Q - P, Q <- (D - P*P)/Q keeps that so.  By Galois' theorem a
+    complete quotient is purely periodic exactly when it is reduced, which
+    for s = isqrt(D) reads 0 < P <= s and s - P < Q <= s + P.  So the
+    preperiod ends at the first reduced quotient (Lagrange's theorem says
+    one comes), and the period closes when (P, Q), which for the fixed D
+    determines the complete quotient, first returns to it.
     """
     P, D, Q = x._surd()
     if (D - P * P) % Q:
         P, D, Q = P * abs(Q), D * Q * Q, Q * abs(Q)
     s = math.isqrt(D)
     digits: list[int] = []
-    seen: dict[tuple[int, int], int] = {}
-    while (P, Q) not in seen:
-        seen[P, Q] = len(digits)
+    while not (0 < P <= s and s - P < Q <= s + P):
         a = _surd_floor(P, s, Q)
         digits.append(a)
         P = a * Q - P
         Q = (D - P * P) // Q
-    f = seen[P, Q]
-    return ContinuedFraction(tuple(digits[:f]), tuple(digits[f:]))
+    f, P0, Q0 = len(digits), P, Q
+    while True:
+        a = (P + s) // Q  # Q > 0 on reduced quotients
+        digits.append(a)
+        P = a * Q - P
+        Q = (D - P * P) // Q
+        if P == P0 and Q == Q0:
+            return ContinuedFraction(tuple(digits[:f]), tuple(digits[f:]))
 
 
 def cf_value(cf: ContinuedFraction) -> QuadraticIrrational:

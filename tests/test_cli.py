@@ -187,6 +187,14 @@ class TestUsageErrors:
             code, out, err = run_cli(capsys, "compare", "--alpha", FIB, "--beta", beta)
             assert (code, out) == (2, "") and err == "error: beta: parameter must lie in (0,1)\n"
 
+    def test_zero_denominator_alpha(self, capsys):
+        code, out, err = run_cli(capsys, "omega", "--alpha", "quad:3,-1,5,0", "--n", "3")
+        assert (code, out) == (2, "") and err == "error: alpha: zero denominator\n"
+
+    def test_zero_denominator_beta(self, capsys):
+        code, out, err = run_cli(capsys, "compare", "--alpha", FIB, "--beta", "quad:1,1,5,0")
+        assert (code, out) == (2, "") and err == "error: beta: zero denominator\n"
+
     def test_bad_point(self, capsys):
         code, _, err = run_cli(capsys, "word", "--alpha", FIB, "--t", "x/y", "--n", "3")
         assert code == 2 and "point" in err

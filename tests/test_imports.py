@@ -1,0 +1,132 @@
+"""The package namespace binds its names lazily, and a command loads only its layers."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import sturmian
+
+FIB = "quad:3,-1,5,2"
+
+# the public names of the package by home module, kept apart from the
+# package's own table so that a name dropped from it or moved fails here
+EXPORTS = {
+    "quadratics": [
+        "BudgetExceededError", "ContinuedFraction", "Moebius", "QuadraticIrrational",
+        "RationalValueError", "cf_expand", "cf_tail_equivalent", "cf_value",
+        "compare_to_rational", "format_quad", "parse_cf", "parse_quad",
+    ],
+    "words": [
+        "Arc", "OrbitPoint", "TwoSidedPoint", "branch_point", "code_letter", "code_word",
+        "cylinder_arc", "is_admissible", "language", "left_extensions", "past_set",
+        "preimages", "recurrence_bound", "two_sided_word",
+    ],
+    "cover": [
+        "EqClass", "FiniteQuotient", "IndexPair", "Thread", "construct_fibre_element",
+        "eq_class", "equivalent", "expected_fibre_size", "fibre", "fibre_report", "index_leq",
+        "is_isolated", "property_star_witness", "q_map", "quotient", "shift_map",
+        "shift_thread", "thread_of", "two_sided_embed",
+    ],
+    "groupoid": [
+        "Arrow", "DadWitness", "bisection_arrows", "check_witness", "compose", "dad_witness",
+        "degenerate_cover_chain", "unit",
+    ],
+    "invariants": [
+        "InvariantReport", "OrderedGroupDescriptor", "compare_parameters", "conjugate",
+        "flow_equivalent", "k_theory_report",
+    ],
+}
+HOMES = [(module, name) for module, names in EXPORTS.items() for name in names]
+NAMES = [name for _, name in HOMES]
+
+# runs `code` in a fresh interpreter and prints the sturmian modules it loaded
+PROBE = """
+import contextlib, io, json, sys
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    exec(sys.argv[1])
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "sturmian")))
+"""
+
+
+def loaded_after(code: str) -> set[str]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(sturmian.__file__).parent.parent), env.get("PYTHONPATH", "")]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return {m.removeprefix("sturmian.") for m in json.loads(proc.stdout)} - {"sturmian"}
+
+
+def cli(*argv: str) -> str:
+    return f"from sturmian.cli import main\nmain({list(argv)!r})"
+
+
+CODING = {"quadratics", "words", "cli"}
+
+
+class TestModulesLoaded:
+    @pytest.mark.parametrize(
+        "code, expected",
+        [
+            ("import sturmian", set()),
+            ("import sturmian\nsturmian.words", {"quadratics", "words"}),
+            ("from sturmian import compare_parameters", {"quadratics", "invariants"}),
+            (cli("omega", "--alpha", FIB, "--n", "10"), CODING),
+            (cli("word", "--alpha", FIB, "--t", "1/2", "--n", "20"), CODING),
+            (cli("language", "--alpha", FIB, "--n", "3", "-o", "json"), CODING),
+            (cli("past", "--alpha", FIB, "--t", "fwd:2", "--l", "3"), CODING),
+            (cli("cover", "--alpha", FIB, "--k", "2", "--l", "4"), CODING | {"cover"}),
+            (cli("fibre", "--alpha", FIB, "--point", "omega", "--K", "4", "--L", "10"), CODING | {"cover"}),
+            (cli("dad", "--alpha", FIB, "--F", "1,2,3"), {"quadratics", "words", "groupoid", "cli"}),
+            (cli("compare", "--alpha", FIB, "--beta", "quad:-1,1,5,2"), {"quadratics", "invariants", "cli"}),
+            (cli("report", "--alpha", FIB), {"quadratics", "invariants", "cli"}),
+            (cli("omega", "--alpha", FIB, "--n", "-1"), {"quadratics", "cli"}),
+        ],
+        ids=["import", "words-attr", "from-import", "omega", "word", "language", "past", "cover",
+             "fibre", "dad", "compare", "report", "usage-error"],
+    )
+    def test_only_the_layers_used(self, code, expected):
+        assert loaded_after(code) == expected
+
+
+class TestNamespace:
+    def test_export_list(self):
+        assert len(NAMES) == len(set(NAMES)) == 59
+        assert sorted(sturmian.__all__) == sorted(NAMES)
+        assert sturmian.__version__ == "0.1.0"
+
+    @pytest.mark.parametrize("module, name", HOMES)
+    def test_resolves_to_home_object(self, module, name):
+        home = getattr(importlib.import_module(f"sturmian.{module}"), name)
+        assert getattr(sturmian, name) is home
+        assert vars(sturmian)[name] is home  # bound once resolved
+        scope = {}
+        exec(f"from sturmian import {name}", scope)
+        assert scope[name] is home
+
+    def test_submodules_are_attributes(self):
+        for module in EXPORTS:
+            assert getattr(sturmian, module) is importlib.import_module(f"sturmian.{module}")
+
+    def test_unknown_name(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            sturmian.no_such_name
+        with pytest.raises(ImportError):
+            exec("from sturmian import no_such_name", {})
+
+    def test_dir_lists_the_exports(self):
+        assert set(NAMES) | {"__version__"} <= set(dir(sturmian))
+
+    def test_star_import_binds_every_export(self):
+        scope = {}
+        exec("from sturmian import *", scope)
+        for module, name in HOMES:
+            assert scope[name] is getattr(importlib.import_module(f"sturmian.{module}"), name)

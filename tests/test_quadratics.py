@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sturmian import quadratics
@@ -419,6 +419,8 @@ def test_squarefree_split_of_large_cofactors(small, p0, gap, kind):
     d=st.integers(2, 2000),
     r=st.integers(-12, 12).filter(bool),
 )
+@example(p=1, q=1, d=5, r=2)  # purely periodic x > 1: cf:[(1)]
+@example(p=1, q=1, d=3, r=3)  # Q = 3 does not divide D - P*P = 2
 def test_cf_expand_matches_object_iteration(p, q, d, r):
     assume(math.isqrt(d) ** 2 != d)
     x = QuadraticIrrational(p, q, d, r)
