@@ -204,9 +204,6 @@ def _run_compare(cfg: RunConfig) -> int:
 
 
 def _run_report(cfg: RunConfig) -> int:
-    from .invariants import k_theory_report
-
-    g = k_theory_report(cfg.alpha)
     cf = cf_expand(cfg.alpha)
     payload = {
         "alpha": format_quad(cfg.alpha),

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .quadratics import QuadraticIrrational, cf_expand, cf_tail_equivalent, check_unit_interval
+from .quadratics import QuadraticIrrational, _period, _reduced, _surd_sign, check_unit_interval
 
 
 def conjugate(alpha: QuadraticIrrational, beta: QuadraticIrrational) -> bool:
@@ -24,17 +24,22 @@ def conjugate(alpha: QuadraticIrrational, beta: QuadraticIrrational) -> bool:
     """
     check_unit_interval(alpha)
     check_unit_interval(beta)
-    return alpha == beta or alpha == 1 - beta
+    # 1 - beta = (r - p - q*sqrt(d))/r is canonical, as alpha and beta are
+    return alpha == beta or (alpha.p, alpha.q, alpha.d, alpha.r) == (beta.r - beta.p, -beta.q, beta.d, beta.r)
 
 
 def flow_equivalent(alpha: QuadraticIrrational, beta: QuadraticIrrational) -> bool:
     """Flow equivalence of the suspensions: equivalence of the irrationals.
 
-    Decided via tail equivalence of the continued fractions; also decides
-    Morita equivalence of the associated algebras and ordered-group
-    isomorphism of Z + alpha*Z without the unit.
+    Decided via tail equivalence of the continued fractions (Serret); also
+    decides Morita equivalence of the associated algebras and ordered-group
+    isomorphism of Z + alpha*Z without the unit.  Equivalent irrationals
+    share the discriminant D of `quadratics._reduced`, and then their tails
+    agree exactly when beta's first reduced state (P, Q) is in alpha's period.
     """
-    return cf_tail_equivalent(cf_expand(alpha), cf_expand(beta))
+    D, _, P, Q = _reduced(alpha)
+    E, _, P2, Q2 = _reduced(beta)
+    return D == E and (P2, Q2) in _period(D, P, Q)
 
 
 @dataclass(frozen=True)
@@ -52,7 +57,9 @@ class OrderedGroupDescriptor:
     def value_positive(self, n: int, m: int) -> bool:
         if m == 0:
             return n > 0
-        return self.alpha * m + n > 0
+        # n + m*(p + q*sqrt(d))/r has the sign of (n*r + m*p) + m*q*sqrt(d), r > 0
+        al = self.alpha
+        return _surd_sign(n * al.r + m * al.p, m * al.q, al.d) > 0
 
     def compare(self, a: tuple[int, int], b: tuple[int, int]) -> int:
         if a == b:

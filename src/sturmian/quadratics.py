@@ -12,7 +12,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Iterator, Union
 
 Rational = Union[int, Fraction]
 
@@ -51,6 +51,19 @@ def _squarefree_split(d: int) -> tuple[int, int]:
     return s, f * n
 
 
+def _surd_sign(p: int, q: int, d: int) -> int:
+    """Sign of p + q*sqrt(d) for q != 0 and d not a square; never 0."""
+    if p >= 0 and q > 0:
+        return 1
+    if p <= 0 and q < 0:
+        return -1
+    # mixed signs: compare p^2 with q^2 d
+    lhs, rhs = p * p, q * q * d
+    if p > 0:  # q < 0
+        return 1 if lhs > rhs else -1
+    return 1 if rhs > lhs else -1
+
+
 def _surd_floor(P: int, s: int, Q: int) -> int:
     """floor((P + sqrt(D))/Q) for a nonsquare D with s = isqrt(D).
 
@@ -78,22 +91,28 @@ class QuadraticIrrational:
     r: int
 
     def __post_init__(self):
-        p, q, d, r = self.p, self.q, self.d, self.r
-        if r == 0:
+        if self.r == 0:
             raise ZeroDivisionError("zero denominator")
-        if d <= 0:
+        if self.d <= 0:
             raise ValueError("radicand must be positive")
-        s, f = _squarefree_split(d)
-        q *= s
-        if q == 0 or f == 1:
+        s, f = _squarefree_split(self.d)
+        if self.q == 0 or f == 1:
             raise RationalValueError("rational value, not a quadratic irrational")
+        self._set(self.p, self.q * s, f, self.r)
+
+    @classmethod
+    def _at(cls, p: int, q: int, d: int, r: int) -> "QuadraticIrrational":
+        """(p + q*sqrt(d))/r for q != 0 and r != 0; d is trusted to be squarefree, not 1."""
+        x = object.__new__(cls)
+        x._set(p, q, d, r)
+        return x
+
+    def _set(self, p: int, q: int, d: int, r: int) -> None:
         if r < 0:
             p, q, r = -p, -q, -r
-        g = math.gcd(math.gcd(p, q), r)
-        object.__setattr__(self, "p", p // g)
-        object.__setattr__(self, "q", q // g)
-        object.__setattr__(self, "d", f)
-        object.__setattr__(self, "r", r // g)
+        g = math.gcd(p, q, r)
+        for name, value in zip("pqdr", (p // g, q // g, d, r // g)):
+            object.__setattr__(self, name, value)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -123,7 +142,7 @@ class QuadraticIrrational:
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadraticIrrational(-self.p, -self.q, self.d, self.r)
+        return self._at(-self.p, -self.q, self.d, self.r)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -159,10 +178,7 @@ class QuadraticIrrational:
 
     def inverse(self) -> "QuadraticIrrational":
         norm = self.p * self.p - self.q * self.q * self.d
-        out = _build(self.r * self.p, -self.r * self.q, self.d, norm)
-        if not isinstance(out, QuadraticIrrational):
-            raise RuntimeError("inverse of an irrational came out rational; arithmetic bug")
-        return out
+        return self._at(self.r * self.p, -self.r * self.q, self.d, norm)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -183,16 +199,7 @@ class QuadraticIrrational:
 
     def sign(self) -> int:
         """Exact sign of the value; never 0 (the value is irrational)."""
-        p, q = self.p, self.q
-        if p >= 0 and q > 0:
-            return 1
-        if p <= 0 and q < 0:
-            return -1
-        # mixed signs: compare p^2 with q^2 d
-        lhs, rhs = p * p, q * q * self.d
-        if p > 0:  # q < 0
-            return 1 if lhs > rhs else -1
-        return 1 if rhs > lhs else -1
+        return _surd_sign(self.p, self.q, self.d)
 
     def _cmp(self, other) -> int:
         diff = self - other
@@ -221,28 +228,26 @@ class QuadraticIrrational:
             return self._cmp(other) > 0 or self == other
         return NotImplemented
 
-    def _surd(self) -> tuple[int, int, int]:
-        """(P, D, Q) with self = (P + sqrt(D))/Q."""
-        sign = 1 if self.q > 0 else -1
-        return sign * self.p, self.q * self.q * self.d, sign * self.r
-
     def __floor__(self) -> int:
-        P, D, Q = self._surd()
-        return _surd_floor(P, math.isqrt(D), Q)
+        # self = (P + sqrt(q*q*d))/Q with P, Q = p, r negated when q < 0
+        sign = 1 if self.q > 0 else -1
+        return _surd_floor(sign * self.p, math.isqrt(self.q * self.q * self.d), sign * self.r)
 
     def __str__(self):
         return f"({self.p}{self.q:+d}*sqrt({self.d}))/{self.r}"
 
 
 def _build(p: int, q: int, d: int, r: int) -> Union[Fraction, QuadraticIrrational]:
-    """Construct (p + q*sqrt(d))/r, degrading to Fraction when rational."""
-    s, f = _squarefree_split(d)
-    q *= s
+    """(p + q*sqrt(d))/r in the field of squarefree d, a Fraction when q = 0."""
     if q == 0:
         return Fraction(p, r)
-    if f == 1:
-        return Fraction(p + q, r)
-    return QuadraticIrrational(p, q, f, r)
+    return QuadraticIrrational._at(p, q, d, r)
+
+
+def _image(A: int, B: int, C: int, E: int, u: int, v: int, f: int, w: int) -> QuadraticIrrational:
+    """(A*y + B)/(C*y + E) for y = (u + v*sqrt(f))/w, AE != BC, rationalised at once."""
+    n0, n1, m0, m1 = A * u + B * w, A * v, C * u + E * w, C * v
+    return QuadraticIrrational._at(n0 * m0 - n1 * m1 * f, n1 * m0 - n0 * m1, f, m0 * m0 - m1 * m1 * f)
 
 
 def check_unit_interval(x: QuadraticIrrational) -> QuadraticIrrational:
@@ -263,11 +268,11 @@ def compare_to_rational(x: QuadraticIrrational, num: int, den: int) -> str:
 
 
 def _minimal_period(period: tuple[int, ...]) -> tuple[int, ...]:
+    """The shortest k-prefix whose repeats make up the period; k divides n."""
     n = len(period)
-    for p in range(1, n + 1):
-        if n % p == 0 and period == period[:p] * (n // p):
-            return period[:p]
-    return period
+    small = [k for k in range(1, math.isqrt(n) + 1) if n % k == 0]
+    divisors = small + [n // k for k in reversed(small)]  # ascending, ends at n
+    return next(period[:k] for k in divisors if period == period[:k] * (n // k))
 
 
 @dataclass(frozen=True)
@@ -286,7 +291,7 @@ class ContinuedFraction:
         per = tuple(self.period)
         if not per:
             raise ValueError("period must be nonempty")
-        if any(a < 1 for a in per) or any(a < 1 for a in pre[1:]):
+        if min(per) < 1 or min(pre[1:], default=1) < 1:
             raise ValueError("partial quotients after the first must be >= 1")
         per = _minimal_period(per)
         while pre and pre[-1] == per[-1]:
@@ -308,20 +313,23 @@ class ContinuedFraction:
         return f"cf:[{self.preperiod[0]};{rest}]"
 
 
-def cf_expand(x: QuadraticIrrational) -> ContinuedFraction:
-    """Continued fraction of x by the integer (P + sqrt(D))/Q recurrence.
+def _reduced(x: QuadraticIrrational) -> tuple[int, list[int], int, int]:
+    """(D, digits, P, Q): x's preperiod digits and first reduced state.
 
-    x is written as (P + sqrt(D))/Q with Q dividing D - P*P; the recurrence
-    P <- a*Q - P, Q <- (D - P*P)/Q keeps that so.  By Galois' theorem a
-    complete quotient is purely periodic exactly when it is reduced, which
-    for s = isqrt(D) reads 0 < P <= s and s - P < Q <= s + P.  So the
-    preperiod ends at the first reduced quotient (Lagrange's theorem says
-    one comes), and the period closes when (P, Q), which for the fixed D
-    determines the complete quotient, first returns to it.
+    x = (p + q*sqrt(d))/r is a root of (r^2 X^2 - 2pr X + p^2 - q^2 d)/g for
+    g = gcd(r^2, 2pr, p^2 - q^2 d), its primitive minimal polynomial, whose
+    discriminant D = 4 r^2 q^2 d / g^2 every GL(2,Z) image of x shares.  So
+    x = (P + sqrt(D))/Q for P = 2pr/g and Q = 2r^2/g, both negated when
+    q < 0, with Q dividing D - P*P; the recurrence P <- a*Q - P,
+    Q <- (D - P*P)/Q keeps that so, and for this D the state (P, Q) fixes the
+    complete quotient.  By Galois' theorem a complete quotient is purely
+    periodic exactly when it is reduced: 0 < P <= s and s - P < Q <= s + P
+    for s = isqrt(D).  Lagrange's theorem says one comes.
     """
-    P, D, Q = x._surd()
-    if (D - P * P) % Q:
-        P, D, Q = P * abs(Q), D * Q * Q, Q * abs(Q)
+    p, q, d, r = x.p, x.q, x.d, x.r
+    g = math.gcd(r * r, 2 * p * r, p * p - q * q * d)
+    sign = 1 if q > 0 else -1
+    P, D, Q = sign * 2 * p * r // g, 4 * r * r * q * q * d // (g * g), sign * 2 * r * r // g
     s = math.isqrt(D)
     digits: list[int] = []
     while not (0 < P <= s and s - P < Q <= s + P):
@@ -329,32 +337,58 @@ def cf_expand(x: QuadraticIrrational) -> ContinuedFraction:
         digits.append(a)
         P = a * Q - P
         Q = (D - P * P) // Q
-    f, P0, Q0 = len(digits), P, Q
+    return D, digits, P, Q
+
+
+def _period(D: int, P: int, Q: int) -> Iterator[tuple[int, int]]:
+    """The states (P, Q) of the period from the reduced state (P, Q)."""
+    s = math.isqrt(D)
+    P0, Q0 = P, Q
     while True:
-        a = (P + s) // Q  # Q > 0 on reduced quotients
-        digits.append(a)
-        P = a * Q - P
+        yield P, Q
+        P = (P + s) // Q * Q - P  # a*Q - P for the digit a; Q > 0 on reduced states
         Q = (D - P * P) // Q
         if P == P0 and Q == Q0:
-            return ContinuedFraction(tuple(digits[:f]), tuple(digits[f:]))
+            return
+
+
+def cf_expand(x: QuadraticIrrational) -> ContinuedFraction:
+    """Continued fraction of x by the integer (P + sqrt(D))/Q recurrence.
+
+    D is the discriminant of x's primitive minimal polynomial (`_reduced`).
+    The preperiod ends at the first reduced complete quotient, and the
+    period closes when the state (P, Q), which for this D determines the
+    complete quotient, first returns to it.
+    """
+    D, digits, P, Q = _reduced(x)
+    s = math.isqrt(D)
+    return ContinuedFraction(tuple(digits), tuple((P + s) // Q for P, Q in _period(D, P, Q)))
+
+
+def _matrix(digits: tuple[int, ...]) -> tuple[int, int, int, int]:
+    """(a, b, c, e) with [digits..., y] = (a*y + b)/(c*y + e)."""
+    a, b, c, e = 1, 0, 0, 1
+    for digit in digits:
+        a, b, c, e = a * digit + b, a, c * digit + e, c
+    return a, b, c, e
 
 
 def cf_value(cf: ContinuedFraction) -> QuadraticIrrational:
-    """Fold a continued fraction back into its exact value."""
-    a, b, c, d = 1, 0, 0, 1
-    for digit in cf.period:
-        a, b, c, d = a * digit + b, a, c * digit + d, c
-    # periodic tail y solves c*y^2 + (d - a)*y - b = 0, take the positive root;
-    # dividing by the content leaves y's minimal polynomial, whose discriminant
-    # is small however long the period is
-    g = math.gcd(a - d, b, c)
-    a_d, b, c = (a - d) // g, b // g, c // g
-    y = _build(a_d, 1, a_d * a_d + 4 * b * c, 2 * c)
-    if not isinstance(y, QuadraticIrrational):
+    """Fold a continued fraction back into its exact value.
+
+    The periodic tail y = (a*y + b)/(c*y + e) is a root of c*y^2 + (e - a)*y - b
+    divided by its content, whose discriminant is small however long the
+    period is; its squarefree part is the one radicand factored here.  The
+    preperiod folds into one matrix (A, B; C, E), and x = (A*y + B)/(C*y + E)
+    is rationalised at once.
+    """
+    a, b, c, e = _matrix(cf.period)
+    g = math.gcd(a - e, b, c)
+    u, b, c = (a - e) // g, b // g, c // g
+    s, f = _squarefree_split(u * u + 4 * b * c)
+    if f == 1:
         raise RationalValueError("period does not define an irrational")
-    for digit in reversed(cf.preperiod):
-        y = digit + y.inverse()
-    return y
+    return _image(*_matrix(cf.preperiod), u, s, f, 2 * c)  # y = (u + s*sqrt(f))/(2c)
 
 
 def _delimited(digits: tuple[int, ...]) -> str:
@@ -396,12 +430,7 @@ class Moebius:
         )
 
     def __call__(self, x: QuadraticIrrational) -> QuadraticIrrational:
-        num = x * self.a + self.b if self.a else Fraction(self.b)
-        den = x * self.c + self.d if self.c else Fraction(self.d)
-        out = num / den
-        if not isinstance(out, QuadraticIrrational):
-            raise RuntimeError("image of an irrational came out rational; arithmetic bug")
-        return out
+        return _image(self.a, self.b, self.c, self.d, x.p, x.q, x.d, x.r)
 
 
 # -- parse / print ---------------------------------------------------------

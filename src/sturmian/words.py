@@ -94,7 +94,7 @@ class _Point:
         if self.b == 0:
             return Fraction(self.a, self.c)
         al = self.alpha
-        return QuadraticIrrational(self.a * al.r + self.b * al.p, self.b * al.q, al.d, self.c * al.r)
+        return QuadraticIrrational._at(self.a * al.r + self.b * al.p, self.b * al.q, al.d, self.c * al.r)
 
     def shift(self, k: int = 1):
         return self._at(self.alpha, self.a, self.b + k * self.c, self.c, self.variant)

@@ -20,7 +20,8 @@ three enumerations of the same object:
 - first entries of the cut points -j*alpha into an arc by scanning j, and
   recurrence bounds by scanning window lengths over the whole language;
 - the witness window scan testing every start position of every shift and
-  taking the longest chain over a dict.
+  taking the longest chain over a dict;
+- the minimal period of a continued fraction by trying every length.
 """
 
 import random
@@ -373,3 +374,15 @@ def check_witness(alpha, w, window):
         max_v = max(max_v, longest_chain(set(range(limit + 1)) - upos, jumps))
         max_u = max(max_u, longest_chain(upos, jumps))
     return WitnessCheck(w, window, covered, max_first, max_v, max_u, w.lbar * max(max_v, max_u))
+
+
+# -- continued fractions ----------------------------------------------------------
+
+
+def minimal_period(period):
+    """The shortest prefix whose repeats make up the period, trying every length."""
+    n = len(period)
+    for p in range(1, n + 1):
+        if n % p == 0 and period == period[:p] * (n // p):
+            return period[:p]
+    return period

@@ -87,7 +87,7 @@ class TestModulesLoaded:
             (cli("fibre", "--alpha", FIB, "--point", "omega", "--K", "4", "--L", "10"), CODING | {"cover"}),
             (cli("dad", "--alpha", FIB, "--F", "1,2,3"), {"quadratics", "words", "groupoid", "cli"}),
             (cli("compare", "--alpha", FIB, "--beta", "quad:-1,1,5,2"), {"quadratics", "invariants", "cli"}),
-            (cli("report", "--alpha", FIB), {"quadratics", "invariants", "cli"}),
+            (cli("report", "--alpha", FIB), {"quadratics", "cli"}),
             (cli("omega", "--alpha", FIB, "--n", "-1"), {"quadratics", "cli"}),
         ],
         ids=["import", "words-attr", "from-import", "omega", "word", "language", "past", "cover",

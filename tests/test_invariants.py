@@ -1,13 +1,19 @@
+import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sturmian import quadratics
 from sturmian.quadratics import (
     Moebius,
     QuadraticIrrational,
+    cf_expand,
+    cf_tail_equivalent,
+    parse_quad,
 )
 from sturmian.invariants import (
     compare_parameters,
@@ -179,3 +185,103 @@ class TestReport:
 def test_positivity_is_translation_invariant(n, m, n2, m2):
     g = k_theory_report(FIB)
     assert g.compare((n, m), (n2, m2)) == g.compare((n + 1, m + 2), (n2 + 1, m2 + 2))
+
+
+RADICANDS = [2, 3, 5, 6, 7, 13, 19, 94, 1003]
+irrationals = st.builds(
+    QuadraticIrrational,
+    st.integers(-40, 40),
+    st.integers(-4, 4).filter(bool),
+    st.sampled_from(RADICANDS),
+    st.integers(1, 12),
+)
+unit_irrationals = irrationals.map(lambda x: x - math.floor(x))
+RELATIONS = ["det+1", "det-1", "one_minus", "double", "third", "same_field", "same_qr", "other_field"]
+
+
+@st.composite
+def flow_pairs(draw):
+    """(alpha, beta, relation): beta a GL(2,Z) image of alpha by a matrix of
+    determinant +1 or -1, 1 - alpha, 2*alpha or alpha/3 (the same field,
+    mostly another discriminant), any number of alpha's field, one that
+    shares alpha's q and r up to sign (often the same discriminant), or a
+    number of another field.  Images are built in field arithmetic."""
+    a = draw(irrationals)
+    relation = draw(st.sampled_from(RELATIONS))
+    if relation in ("det+1", "det-1"):
+        m, n, c, e = 1, draw(st.integers(-3, 3)), 0, 1
+        digits = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+        if (-1) ** len(digits) != (1 if relation == "det+1" else -1):
+            digits.append(draw(st.integers(1, 4)))
+        for t in digits:
+            m, n, c, e = m * t + n, m, c * t + e, c
+        b = (a * m + n) / (a * c + e)
+    elif relation == "one_minus":
+        b = 1 - a
+    elif relation == "double":
+        b = a * 2
+    elif relation == "third":
+        b = a / 3
+    elif relation == "same_field":
+        b = draw(irrationals.filter(lambda y: y.d == a.d))
+    elif relation == "same_qr":
+        b = QuadraticIrrational(draw(st.integers(-40, 40)), draw(st.sampled_from([a.q, -a.q])), a.d, a.r)
+    else:
+        b = draw(irrationals.filter(lambda y: y.d != a.d))
+    return a, b, relation
+
+
+PHI = parse_quad("quad:1,1,5,2")  # (1 + sqrt 5)/2 = [(1)], purely periodic and > 1
+X133 = parse_quad("quad:1,1,3,3")  # (1 + sqrt 3)/3: Q = 3 does not divide D - P*P = 2
+
+
+@settings(max_examples=400, deadline=None)
+@given(pair=flow_pairs())
+@example(pair=(FIB, parse_quad("quad:-1,1,5,2"), "one_minus"))
+@example(pair=(X133, 1 / X133 + 2, "det-1"))
+@example(pair=(X133, X133 * 2, "double"))
+# D = 128 and 32: beta's first reduced (P, Q) is also a state of alpha's period
+@example(pair=(parse_quad("quad:1,2,2,2"), parse_quad("quad:1,2,2,1"), "double"))
+# D = 1152 for both: beta's first reduced state (30, 14) shares Q, not P, with alpha's (26, 14)
+@example(pair=(parse_quad("quad:-23,-4,2,3"), parse_quad("quad:-17,4,2,3"), "same_qr"))
+# D = 192 for both: beta's first reduced state (12, 24) shares P, not Q, with alpha's (12, 8)
+@example(pair=(parse_quad("quad:16,-1,3,4"), parse_quad("quad:-30,1,3,4"), "same_qr"))
+@example(pair=(PHI, FIB, "det-1"))
+@example(pair=(PHI, SQRT2M1, "other_field"))
+def test_flow_equivalent_matches_tail_equivalence(pair):
+    a, b, relation = pair
+    want = cf_tail_equivalent(cf_expand(a), cf_expand(b))
+    assert flow_equivalent(a, b) == want
+    assert flow_equivalent(b, a) == want
+    if relation in ("det+1", "det-1", "one_minus"):
+        assert want
+    if relation == "other_field":
+        assert not want
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=unit_irrationals, relation=st.sampled_from(["same", "one_minus", "any"]), other=unit_irrationals)
+@example(a=FIB, relation="any", other=SQRT2M1)
+def test_conjugate_matches_field_arithmetic(a, relation, other):
+    b = {"same": a, "one_minus": 1 - a, "any": other}[relation]
+    assert conjugate(a, b) == (a == b or a == 1 - b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(alpha=unit_irrationals, n=st.integers(-60, 60), m=st.integers(-60, 60))
+def test_value_positive_matches_field_arithmetic(alpha, n, m):
+    g = k_theory_report(alpha)
+    assert g.value_positive(n, m) == (n > 0 if m == 0 else alpha * m + n > 0)
+
+
+def test_deciders_factor_nothing():
+    """On constructed inputs the deciders and the order test run on integers."""
+    pairs = [(FIB, GOLDEN_CONJ), (FIB, SQRT2M1), (parse_quad("quad:-316,1,99991,1"), FIB)]
+    pairs += [(a, b) for a in CORPUS[:6] for b in CORPUS[:6]]
+    g = k_theory_report(FIB)
+    with mock.patch.object(quadratics, "_squarefree_split") as split:
+        for a, b in pairs:
+            compare_parameters(a, b)
+        for x in [(3, -7), (-1, 3), (0, 0), (5, 0)]:
+            g.compare(x, (1, 1))
+    assert split.call_count == 0

@@ -180,15 +180,19 @@ def test_first_entry(data, alpha):
 
 @pytest.fixture
 def constructions(monkeypatch):
-    """A list that grows by one per QuadraticIrrational constructed."""
+    """A list that grows by one per QuadraticIrrational constructed.
+
+    Counted at `_set`, which public construction and the trusted `_at` of
+    field arithmetic both pass through.
+    """
     seen = []
-    real = QuadraticIrrational.__post_init__
+    real = QuadraticIrrational._set
 
-    def counted(self):
+    def counted(self, *args):
         seen.append(1)
-        real(self)
+        real(self, *args)
 
-    monkeypatch.setattr(QuadraticIrrational, "__post_init__", counted)
+    monkeypatch.setattr(QuadraticIrrational, "_set", counted)
     return seen
 
 

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -22,6 +23,8 @@ from sturmian.quadratics import (
     parse_cf,
     parse_quad,
 )
+
+import reference
 
 FIB = QuadraticIrrational(3, -1, 5, 2)  # (3 - sqrt 5)/2
 GOLDEN_CONJ = QuadraticIrrational(-1, 1, 5, 2)  # (sqrt 5 - 1)/2
@@ -278,6 +281,7 @@ class TestGL2Z:
             n = random_moebius(rng)
             x = rng.choice(xs)
             assert (m @ n)(x) == m(n(x))
+            assert m(x) == (x * m.a + m.b) / (x * m.c + m.d)
 
     def test_image_is_tail_equivalent(self):
         rng = random.Random(11)
@@ -462,6 +466,63 @@ class TestKernelCallCounts:
     def test_cf_value_splits_per_preperiod_digit(self, splits):
         cf = cf_expand(LONG_PERIOD)
         assert cf_value(cf) == LONG_PERIOD
-        # _build and the constructor it calls split once each: two for the
-        # periodic tail, four per preperiod digit (an inverse and a sum)
-        assert len(splits) <= 2 + 4 * len(cf.preperiod)
+        # the tail's discriminant once, and nothing per preperiod digit
+        assert len(splits) == 1
+
+
+def reference_cf_value(cf: ContinuedFraction) -> QuadraticIrrational:
+    """The tail from its content-free minimal polynomial, then x = a + 1/y
+    for each preperiod digit a, from the last, in field arithmetic."""
+    a, b, c, e = 1, 0, 0, 1
+    for digit in cf.period:
+        a, b, c, e = a * digit + b, a, c * digit + e, c
+    g = math.gcd(a - e, b, c)
+    u, b, c = (a - e) // g, b // g, c // g
+    y = QuadraticIrrational(u, 1, u * u + 4 * b * c, 2 * c)
+    for digit in reversed(cf.preperiod):
+        y = digit + y.inverse()
+    return y
+
+
+# sqrt(d) - floor(sqrt(d)), purely periodic after a0 = 0, with periods of
+# 1, 2, 5, 16, 334 and 392 digits
+TAILS = [QuadraticIrrational(0, 1, d, 1) for d in (2, 3, 13, 94, 30139, 60094)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    tail=st.sampled_from(TAILS),
+    rotate=st.integers(0, 400),
+    pre=st.one_of(
+        st.just(()),
+        st.tuples(st.integers(-5, 5), st.lists(st.integers(1, 30), max_size=5)).map(lambda t: (t[0], *t[1])),
+    ),
+)
+@example(tail=TAILS[0], rotate=0, pre=(0, 1, 1, 1, 1, 1))
+def test_cf_value_round_trip_with_one_split(tail, rotate, pre):
+    per = cf_expand(tail).period
+    k = rotate % len(per)
+    cf = ContinuedFraction(pre, per[k:] + per[:k])
+    with mock.patch.object(quadratics, "_squarefree_split", wraps=_squarefree_split) as split:
+        x = cf_value(cf)
+    assert split.call_count == 1
+    assert x == reference_cf_value(cf)
+    assert cf_expand(x) == cf
+    assert cf_value(cf_expand(x)) == x
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    base=st.lists(st.integers(-1, 4), min_size=1, max_size=6),
+    times=st.integers(1, 12),
+    pre=st.lists(st.integers(-1, 4), max_size=4),
+)
+@example(base=[1, 2], times=9, pre=[])  # n = 18: divisors 2 and 9 both repeat
+def test_canonicalisation_matches_reference(base, times, pre):
+    per = tuple(base) * times
+    assert quadratics._minimal_period(per) == reference.minimal_period(per)
+    if any(a < 1 for a in per) or any(a < 1 for a in pre[1:]):
+        with pytest.raises(ValueError):
+            ContinuedFraction(tuple(pre), per)
+    else:
+        assert ContinuedFraction((), per).period == reference.minimal_period(per)
