@@ -10,7 +10,6 @@ truncated index grid and approximate elements of the projective limit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional
 
 from .quadratics import QuadraticIrrational
@@ -165,7 +164,10 @@ class Thread:
     every level is its projection under the connecting map.  Identity is
     the projected family itself, so tops that differ only beyond the
     truncation give equal threads; the base point records which subshift
-    element the thread sits over but does not enter equality.
+    element the thread sits over but does not enter equality.  The family
+    is compared on its row of classes at (k, L), k <= K: every level (k, l)
+    lies below (k, L) and the connecting maps compose, so the row fixes the
+    rest.
     """
 
     __slots__ = ("base", "K", "L", "top")
@@ -192,7 +194,7 @@ class Thread:
                 yield IndexPair(k, l), self.class_at(k, l)
 
     def _family(self):
-        return self.K, self.L, tuple(self.levels())
+        return self.K, self.L, tuple(self.class_at(k, self.L) for k in range(self.K + 1))
 
     def __eq__(self, other):
         if not isinstance(other, Thread):
@@ -242,13 +244,10 @@ def shift_thread(th: Thread) -> Thread:
 
 def property_star_witness(alpha: QuadraticIrrational, mu: Word) -> OrbitPoint:
     """A point whose length-|mu| past is exactly {mu}, off the branch orbit."""
-    if mu == "":
-        return OrbitPoint(alpha, Fraction(1, 2), "L")
     arc = cylinder_arc(alpha, mu)
     if arc is None:
         raise ValueError(f"word is not admissible: {mu!r}")
-    t = arc.interior_point_off_orbit(alpha)
-    return OrbitPoint(alpha, t, "L").shift(len(mu))
+    return arc.interior_point_off_orbit().shift(len(mu))
 
 
 def construct_fibre_element(

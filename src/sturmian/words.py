@@ -30,11 +30,6 @@ Variant = Literal["L", "R"]
 Word = str
 
 
-def _mod1(t) -> CirclePoint:
-    t = t - math.floor(t)
-    return Fraction(t) if isinstance(t, int) else t
-
-
 def check_word(mu: Word) -> Word:
     if not set(mu) <= {"0", "1"}:
         raise ValueError(f"word must be over alphabet 0/1: {mu!r}")
@@ -203,51 +198,62 @@ def two_sided_word(x: TwoSidedPoint, m: int, n: int) -> Word:
 # -- arcs and the cylinder structure ---------------------------------------
 
 
+def _cut(alpha: QuadraticIrrational, i: int) -> _Point:
+    """The cut point -i*alpha (mod 1)."""
+    return _Point._at(alpha, 0, -i, 1, "L")
+
+
+def _precedes(x: _Point, y: _Point) -> bool:
+    """Whether x < y in [0, 1) for two points of one parameter: the sign of x - y, one floor."""
+    return _floor(x.alpha, x.a * y.c - y.a * x.c, x.b * y.c - y.b * x.c, x.c * y.c) < 0
+
+
 @dataclass(frozen=True)
 class Arc:
-    """Circular arc between two points of the backward rotation orbit of 0.
+    """The half-open arc [-lo_tag*alpha, -hi_tag*alpha) (mod 1) between two cut points.
 
-    Endpoints carry the integer tag i of their exact form -i*alpha (mod 1).
     The arc runs counterclockwise from lo to hi and wraps through 0 when
-    hi <= lo; lo == hi denotes the full circle.
+    hi <= lo; equal tags denote the full circle.  Only the tags are stored:
+    the endpoints lo and hi are built as field elements on demand.
     """
 
-    lo: CirclePoint
-    hi: CirclePoint
+    alpha: QuadraticIrrational
     lo_tag: int
     hi_tag: int
-    lo_closed: bool = True
-    hi_closed: bool = False
+
+    @property
+    def lo(self) -> CirclePoint:
+        return _cut(self.alpha, self.lo_tag).t
+
+    @property
+    def hi(self) -> CirclePoint:
+        return _cut(self.alpha, self.hi_tag).t
 
     def is_full_circle(self) -> bool:
-        return self.lo == self.hi
+        return self.lo_tag == self.hi_tag
 
     def contains(self, t: CirclePoint) -> bool:
+        """Whether the circle point t (read mod 1) lies on the arc."""
+        x = _Point(self.alpha, t)
         if self.is_full_circle():
             return True
-        above = t > self.lo or (self.lo_closed and t == self.lo)
-        below = t < self.hi or (self.hi_closed and t == self.hi)
-        if self.lo < self.hi:
-            return above and below
-        return above or below
+        return _inside(_precedes, x, _cut(self.alpha, self.lo_tag), _cut(self.alpha, self.hi_tag))
 
-    def span(self) -> CirclePoint:
-        if self.is_full_circle():
-            return Fraction(1)
-        return _mod1(self.hi - self.lo)
+    def interior_point_off_orbit(self) -> OrbitPoint:
+        """An interior point whose rotation orbit avoids the orbit of 0.
 
-    def interior_point_off_orbit(self, alpha: QuadraticIrrational) -> CirclePoint:
-        """An interior point whose rotation orbit avoids the orbit of 0."""
+        It is lo plus the fraction 1/m of the arc, m = 2*|lo_tag - hi_tag| + 1:
+        the ends differ by (lo_tag - hi_tag)*alpha mod 1, so its alpha-coordinate
+        is not an integer and the point cannot land back on the orbit.
+        """
         if self.is_full_circle():
-            return Fraction(1, 2)
-        # the endpoints differ by (lo_tag - hi_tag)*alpha mod 1; a fraction s
-        # of that nonzero alpha-coordinate that is not an integer cannot land
-        # back on the orbit
-        s = Fraction(1, 2 * abs(self.lo_tag - self.hi_tag) + 1)
-        t = _mod1(self.lo + self.span() * s)
-        if OrbitPoint(alpha, t).orbit_position() is not None:
+            return OrbitPoint._at(self.alpha, 1, 0, 2, "L")
+        lo, hi = _cut(self.alpha, self.lo_tag), _cut(self.alpha, self.hi_tag)
+        m, wrap = 2 * abs(self.lo_tag - self.hi_tag) + 1, int(_precedes(hi, lo))
+        x = OrbitPoint._at(self.alpha, (m - 1) * lo.a + hi.a + wrap, (m - 1) * lo.b + hi.b, m, "L")
+        if x.orbit_position() is not None:
             raise RuntimeError("interior point landed on the orbit of 0; arithmetic bug")
-        return t
+        return x
 
 
 Tags = tuple[int, int]  # endpoint tags (lo, hi) of an arc; lo == hi is the full circle
@@ -270,8 +276,12 @@ def _order(alpha: QuadraticIrrational) -> Callable[[int, int], bool]:
     return before
 
 
-def _inside(before, x: int, lo: int, hi: int) -> bool:
-    """Whether the cut point x lies on the half-open arc [lo, hi), lo != hi."""
+def _inside(before, x, lo, hi) -> bool:
+    """Whether x lies on the half-open arc [lo, hi), lo != hi, ordered by before.
+
+    The ends and x are cut point tags ordered by `_order`, or points ordered
+    by `_precedes`.
+    """
     if x == lo:
         return True
     if before(lo, hi):
@@ -318,34 +328,6 @@ def _word_tags(before, mu: Word) -> Optional[Tags]:
     return arc
 
 
-def _arc(alpha: QuadraticIrrational, tags: Tags) -> Arc:
-    """The arc with these endpoint tags, its endpoints built exactly."""
-    lo, hi = (_mod1(alpha * (-i)) for i in tags)
-    return Arc(lo, hi, *tags)
-
-
-def letter_arc(alpha: QuadraticIrrational, letter: str, j: int) -> Arc:
-    """The circle points whose coding carries `letter` at index j."""
-    return _arc(alpha, _letter_tags(letter, j))
-
-
-def intersect_arcs(a: Arc, b: Arc) -> Optional[Arc]:
-    """Intersection of two arcs of one parameter when it is again a single arc.
-
-    Same routine as the cylinder arcs, ordering the given endpoints; raises
-    on a two-piece intersection.
-    """
-    at = {a.lo_tag: a.lo, a.hi_tag: a.hi, b.lo_tag: b.lo, b.hi_tag: b.hi}
-    tags = _meet(lambda i, j: at[i] < at[j], (a.lo_tag, a.hi_tag), (b.lo_tag, b.hi_tag))
-    return None if tags is None else Arc(at[tags[0]], at[tags[1]], *tags)
-
-
-def word_arc(alpha: QuadraticIrrational, mu: Word) -> Optional[Arc]:
-    """Exact cylinder arc of mu; endpoints are ordered by their tags."""
-    tags = _word_tags(_order(alpha), mu)
-    return None if tags is None else _arc(alpha, tags)
-
-
 def _cells(alpha: QuadraticIrrational, n: int) -> dict[Word, Tags]:
     """The n+1 cells cut out by the points -i*alpha (mod 1), 0 <= i <= n.
 
@@ -372,7 +354,8 @@ def _cells(alpha: QuadraticIrrational, n: int) -> dict[Word, Tags]:
 def cylinder_arc(alpha: QuadraticIrrational, mu: Word) -> Optional[Arc]:
     """The set of circle points whose coding begins with mu; None if empty."""
     check_unit_interval(alpha)
-    return word_arc(alpha, check_word(mu))
+    tags = _word_tags(_order(alpha), check_word(mu))
+    return None if tags is None else Arc(alpha, *tags)
 
 
 def is_admissible(alpha: QuadraticIrrational, mu: Word) -> bool:

@@ -1,18 +1,23 @@
 """Earlier paths of the package, kept as test oracles.
 
 The package now stores circle points as integer triples (a + b*alpha)/c
-and codes, orders and intersects with integer floors (`words._floor`); the
-tests compare it against the object arithmetic it replaced, and against
-three enumerations of the same object:
+and arcs as the integer tags i of their end points -i*alpha (mod 1), and
+codes, orders, intersects and picks interior points with integer floors
+(`words._floor`); the tests compare it against the object arithmetic it
+replaced, and against three enumerations of the same object:
 
 - circle points as field elements: shifts by adding k*alpha mod 1, orbit
   positions read off the rational coordinates, and shift preimages;
 - coding by adding alpha to a circle point and comparing with 1 - alpha,
   and past sets by walking back along shift preimages;
-- cylinder arcs by intersecting arcs with object endpoints, and the cells
-  by inserting each cut point -i*alpha into a sorted list by bisection;
+- arcs with field-element end points (`FieldArc`): membership, span,
+  letter arcs, cylinder arcs by intersecting them, the interior point off
+  the orbit of 0 and the property-star witness built from it; and the
+  cells by inserting each cut point -i*alpha into a sorted list by
+  bisection;
 - the partition table, which sorts the cut points -i*alpha and codes the
   midpoint of every cell;
+- thread identity as the whole projected family over the truncated grid;
 - the quotient built from representatives of that partition plus the
   branch orbit, cross-checked by seeded random samples;
 - the fibre candidates built by left extension of the prefix, and their
@@ -24,19 +29,19 @@ three enumerations of the same object:
 - the minimal period of a continued fraction by trying every length.
 """
 
+import math
 import random
 from bisect import bisect
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
 from sturmian.cover import IndexPair, eq_class
 from sturmian.groupoid import WitnessCheck
 from sturmian.words import (
-    Arc,
     OrbitPoint,
     _letter_tags,
     _meet,
-    _mod1,
     _order,
     _word_tags,
     branch_point,
@@ -47,6 +52,11 @@ from sturmian.words import coding as letters
 
 
 # -- circle points as field elements ----------------------------------------------
+
+
+def _mod1(t):
+    t = t - math.floor(t)
+    return Fraction(t) if isinstance(t, int) else t
 
 
 def coords(alpha, t):
@@ -136,12 +146,49 @@ def past_set(x, l):
 # -- arcs with object endpoints ------------------------------------------------
 
 
+@dataclass(frozen=True)
+class FieldArc:
+    """The half-open arc [lo, hi) between cut points, its endpoints as field elements.
+
+    lo_tag and hi_tag are the integers i with endpoint -i*alpha (mod 1); the
+    arc wraps through 0 when hi <= lo, and lo == hi is the full circle.
+    """
+
+    lo: object
+    hi: object
+    lo_tag: int
+    hi_tag: int
+
+    def is_full_circle(self):
+        return self.lo == self.hi
+
+    def contains(self, t):
+        if self.is_full_circle():
+            return True
+        if self.lo < self.hi:
+            return self.lo <= t < self.hi
+        return t >= self.lo or t < self.hi
+
+    def span(self):
+        if self.is_full_circle():
+            return Fraction(1)
+        return _mod1(self.hi - self.lo)
+
+
+def ends(arc):
+    """(lo, hi, lo_tag, hi_tag) of a package arc or a field arc."""
+    return arc.lo, arc.hi, arc.lo_tag, arc.hi_tag
+
+
+def tag_arc(alpha, lo_tag, hi_tag):
+    """The field arc between the cut points of two tags."""
+    return FieldArc(_mod1(alpha * -lo_tag), _mod1(alpha * -hi_tag), lo_tag, hi_tag)
+
+
 def letter_arc(alpha, letter, j):
     if letter == "0":
-        lo, hi = _mod1(alpha * (-j)), _mod1(alpha * (-j - 1))
-        return Arc(lo, hi, j, j + 1)
-    lo, hi = _mod1(alpha * (-j - 1)), _mod1(alpha * (-j))
-    return Arc(lo, hi, j + 1, j)
+        return tag_arc(alpha, j, j + 1)
+    return tag_arc(alpha, j + 1, j)
 
 
 def intersect_arcs(a, b):
@@ -166,11 +213,24 @@ def intersect_arcs(a, b):
     if len(pieces) > 1:
         raise RuntimeError("arc intersection is not a single arc")
     s, e, lo_tag, hi_tag = pieces[0]
-    return Arc(_mod1(a.lo + s), _mod1(a.lo + e), lo_tag, hi_tag)
+    return FieldArc(_mod1(a.lo + s), _mod1(a.lo + e), lo_tag, hi_tag)
+
+
+def interior_point_off_orbit(arc):
+    """lo plus the fraction 1/(2*|lo_tag - hi_tag| + 1) of the arc; 1/2 on the full circle."""
+    if arc.is_full_circle():
+        return Fraction(1, 2)
+    return _mod1(arc.lo + arc.span() * Fraction(1, 2 * abs(arc.lo_tag - arc.hi_tag) + 1))
+
+
+def property_star_witness(alpha, mu):
+    """The point len(mu) shifts past the interior point of mu's field arc."""
+    t = interior_point_off_orbit(word_arc(alpha, mu))
+    return OrbitPoint(alpha, t, "L").shift(len(mu))
 
 
 def word_arc(alpha, mu):
-    arc = Arc(Fraction(0), Fraction(0), 0, 0)
+    arc = FieldArc(Fraction(0), Fraction(0), 0, 0)
     for j, letter in enumerate(mu):
         arc = intersect_arcs(arc, letter_arc(alpha, letter, j))
         if arc is None:
@@ -196,7 +256,7 @@ def cells(alpha, n):
             letters[p][j] = "1"
             p = (p + 1) % m
     return {
-        "".join(w): Arc(pts[p], pts[(p + 1) % m], tags[p], tags[(p + 1) % m])
+        "".join(w): FieldArc(pts[p], pts[(p + 1) % m], tags[p], tags[(p + 1) % m])
         for p, w in enumerate(letters)
     }
 
@@ -219,7 +279,7 @@ def partition_by_rotates(alpha, tags):
     arcs = []
     for j, lo in enumerate(order):
         hi = order[(j + 1) % len(order)]
-        arcs.append(Arc(lo, hi, pts[lo], pts[hi]))
+        arcs.append(FieldArc(lo, hi, pts[lo], pts[hi]))
     return arcs
 
 
@@ -232,6 +292,11 @@ def partition_table(alpha, n):
             raise AssertionError("partition arcs must code distinct words")
         table[w] = arc
     return table
+
+
+def thread_family(th):
+    """A thread's identity as every level of its grid, each projected from the top."""
+    return th.K, th.L, tuple(th.levels())
 
 
 def sampled_quotient(alpha, idx):
@@ -247,7 +312,7 @@ def sampled_quotient(alpha, idx):
         reps.append(OrbitPoint(alpha, arc.lo, "R"))
     # interior points of the partition cutting the past window [k-l, k)
     for arc in partition_by_rotates(alpha, range(k - l, k + 1)):
-        reps.append(OrbitPoint(alpha, arc.interior_point_off_orbit(alpha), "L"))
+        reps.append(OrbitPoint(alpha, interior_point_off_orbit(arc), "L"))
     om = branch_point(alpha)
     reps += [om.shift(j) for j in range(k + l + 1)]
     classes = {eq_class(alpha, x, idx) for x in reps}

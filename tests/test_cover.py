@@ -39,7 +39,7 @@ from sturmian.cover import (
 )
 from sturmian.cover import _classes, _death_depths
 
-from reference import chain_candidates, death_depths_by_walk, sampled_quotient
+from reference import chain_candidates, death_depths_by_walk, sampled_quotient, thread_family
 
 FIB = QuadraticIrrational(3, -1, 5, 2)
 SQRT2M1 = QuadraticIrrational(-1, 1, 2, 1)
@@ -569,6 +569,43 @@ def points_and_grids(draw):
     L = draw(st.integers(0, 6))
     K = draw(st.integers(0, L))
     return alpha, x, K, L
+
+
+@st.composite
+def composable_levels(draw):
+    """A parameter and levels a <= b <= top of the projective order."""
+    alpha = draw(st.sampled_from([FIB, SQRT2M1, CF_0_2_3]))
+    below = lambda idx: [p for p in grid_pairs(idx.k, idx.l) if index_leq(p, idx)]
+    top = draw(st.sampled_from(grid_pairs(5, 8)))
+    b = draw(st.sampled_from(below(top)))
+    return alpha, top, b, draw(st.sampled_from(below(b)))
+
+
+class TestThreadIdentity:
+    @settings(max_examples=80, deadline=None)
+    @given(composable_levels())
+    def test_q_map_composes(self, case):
+        # the row identity of Thread rests on this: (k, l) <= (k, L) <= top
+        alpha, top, b, a = case
+        for c in quotient(alpha, top).classes:
+            assert q_map(q_map(c, b), a) == q_map(c, a)
+
+    @settings(max_examples=40, deadline=None)
+    @given(points_and_grids(), points_and_grids())
+    def test_row_identity_matches_full_family(self, case, other):
+        alpha, x, K, L = case
+        pool = [*fibre(alpha, x, K, L), thread_of(alpha, x, K, L)]
+        pool.append(Thread(x, K, L, thread_of(alpha, x, K, L + 2).top))  # a deeper top
+        pool += [thread_of(alpha, y, K, L) for y in (x.shift(), other[1]) if y.alpha == alpha]
+        pos = x.orbit_position()
+        if pos is not None:
+            letters = "01" if pos[0] == "forward" else "0" if x.variant == "L" else "1"
+            pool += [construct_fibre_element(alpha, x, letter, K, L) for letter in letters]
+        for s in pool:
+            for t in pool:
+                assert (s == t) == (thread_family(s) == thread_family(t))
+                if s == t:
+                    assert hash(s) == hash(t)
 
 
 class TestProjectedLevels:

@@ -6,8 +6,6 @@ from sturmian.quadratics import QuadraticIrrational
 from sturmian.words import (
     OrbitPoint,
     branch_point,
-    cylinder_arc,
-    intersect_arcs,
     language,
     recurrence_bound,
 )
@@ -114,9 +112,9 @@ class TestDadWitness:
         w = dad_witness(alpha, values)
         for wm in w.mu_shifts:
             for wn in w.nu_shifts:
-                am = cylinder_arc(alpha, wm)
-                an = cylinder_arc(alpha, wn)
-                assert intersect_arcs(am, an) is None
+                am = reference.word_arc(alpha, wm)
+                an = reference.word_arc(alpha, wn)
+                assert reference.intersect_arcs(am, an) is None
 
     def test_words_admissible_with_distinct_suffixes(self):
         for values in [(1,), (2,), (1, 3)]:

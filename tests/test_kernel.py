@@ -5,9 +5,9 @@ coding by adding alpha and comparing with 1 - alpha, pasts by walking back
 along preimages, arcs with object endpoints and cells inserted by bisection.
 The kernel must agree with it point for point, letter for letter, past for
 past and arc for arc, and must build a bounded number of field elements
-however long the word; the cover builds none at all.  First entries of the
-cut points into an arc must agree with a scan over j, and floors of a ratio
-of two lattice elements with the field arithmetic.
+however long the word; arcs and the cover build none at all.  First entries
+of the cut points into an arc must agree with a scan over j, and floors of a
+ratio of two lattice elements with the field arithmetic.
 """
 
 import math
@@ -17,20 +17,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sturmian.cover import eq_class, fibre, quotient, thread_of
+from sturmian.cover import eq_class, fibre, property_star_witness, quotient, thread_of
 from sturmian.quadratics import QuadraticIrrational
 from sturmian.words import (
+    Arc,
     OrbitPoint,
     TwoSidedPoint,
     branch_point,
     code_letter,
     code_word,
+    cylinder_arc,
     past_set,
     preimages,
     two_sided_word,
-    word_arc,
 )
-from sturmian.words import _arc, _cells, _first_entry, _floor
+from sturmian.words import _cells, _first_entry, _floor
 
 import reference
 
@@ -127,7 +128,43 @@ def test_word_arc(x, n, flip):
     if flip < n:
         words.append(w[:flip] + "10"[int(w[flip])] + w[flip + 1 :])
     for mu in words:
-        assert word_arc(x.alpha, mu) == reference.word_arc(x.alpha, mu)
+        arc, ref = cylinder_arc(x.alpha, mu), reference.word_arc(x.alpha, mu)
+        assert (arc is None) == (ref is None)
+        if arc is not None:
+            assert reference.ends(arc) == reference.ends(ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=points(), n=st.integers(0, 120))
+def test_property_star_witness(x, n):
+    mu = code_word(x, n)
+    assert property_star_witness(x.alpha, mu) == reference.property_star_witness(x.alpha, mu)
+
+
+@st.composite
+def circle_points(draw, alpha):
+    """A rational, a quadratic point or a cut point -m*alpha, not reduced mod 1."""
+    kind = draw(st.sampled_from(["rational", "quadratic", "cut"]))
+    if kind == "rational":
+        return draw(fractions)
+    if kind == "quadratic":
+        return draw(fractions) + alpha * draw(fractions.filter(lambda v: v != 0))
+    return alpha * -draw(st.integers(-60, 60))
+
+
+tags = st.integers(-60, 60)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), alpha=st.sampled_from(ALPHAS), lo=tags, hi=tags)
+def test_arc_matches_field_arc(data, alpha, lo, hi):
+    # negative tags too: reference.sampled_quotient cuts the past window [k - l, k)
+    arc, ref = Arc(alpha, lo, hi), reference.tag_arc(alpha, lo, hi)
+    assert reference.ends(arc) == reference.ends(ref)
+    x = arc.interior_point_off_orbit()
+    assert x.t == reference.interior_point_off_orbit(ref)
+    for t in [ref.lo, ref.hi, x.t, *(data.draw(circle_points(alpha)) for _ in range(4))]:
+        assert arc.contains(t) == ref.contains(reference._mod1(t))
 
 
 @settings(max_examples=40, deadline=None)
@@ -137,8 +174,7 @@ def test_cells(alpha, n):
     ref = reference.cells(alpha, n)
     assert list(cells) == list(ref)  # the same words in the same circular order
     for w, tags in cells.items():
-        assert tags == (ref[w].lo_tag, ref[w].hi_tag)
-        assert _arc(alpha, tags) == ref[w]
+        assert reference.ends(Arc(alpha, *tags)) == reference.ends(ref[w])
 
 
 lattice = st.tuples(st.integers(-40, 40), st.integers(-40, 40))
@@ -197,9 +233,10 @@ def constructions(monkeypatch):
 
 
 class TestKernelObjectCounts:
-    """Coding, pasts and arcs build O(1) field elements, not O(length)."""
+    """Coding and pasts build O(1) field elements, not O(length); arcs build none."""
 
     FIB = ALPHAS[0]
+    WORD = code_word(OrbitPoint(FIB, Fraction(2, 9)), 200)
 
     def _count(self, constructions, f, *args):
         del constructions[:]
@@ -219,10 +256,19 @@ class TestKernelObjectCounts:
             assert self._count(constructions, past_set, x, 12) == short
 
     def test_word_arc(self, constructions):
-        w = code_word(OrbitPoint(self.FIB, Fraction(2, 9)), 200)
-        short = self._count(constructions, word_arc, self.FIB, w[:20])
-        assert short <= 8
-        assert self._count(constructions, word_arc, self.FIB, w) == short
+        for n in (0, 1, 20, 200):
+            assert self._count(constructions, cylinder_arc, self.FIB, self.WORD[:n]) == 0
+
+    def test_arc_contains(self, constructions):
+        ts = [Fraction(2, 9), Fraction(-7, 3), self.FIB * Fraction(1, 3), 1 - self.FIB, self.FIB * -40]
+        for tags in _cells(self.FIB, 8).values():
+            arc = Arc(self.FIB, *tags)
+            for t in ts:
+                assert self._count(constructions, arc.contains, t) == 0
+
+    def test_property_star_witness(self, constructions):
+        for n in (0, 1, 20, 200):
+            assert self._count(constructions, property_star_witness, self.FIB, self.WORD[:n]) == 0
 
     COVER_CALLS = {
         "quotient": lambda a: quotient(a, (20, 40)),

@@ -49,14 +49,15 @@ def _names_a_point(node) -> bool:
     return isinstance(node, ast.Attribute) and node.attr in ("alpha", "t")
 
 
-def test_no_point_arithmetic_outside_words():
-    # circle points are integer triples built in sturmian.words; the cover,
-    # the groupoid and the CLI must not redo that arithmetic on field elements
+def test_no_field_arithmetic_on_points():
+    # circle points are integer triples and arcs their cut point tags, both
+    # built in sturmian.words; neither words itself nor the cover, the
+    # groupoid or the CLI may redo that arithmetic on field elements
     found = sorted(
         {
             f"{path.name}:{node.lineno}"
             for path in SOURCES
-            if path.name in ("cover.py", "groupoid.py", "cli.py")
+            if path.name in ("words.py", "cover.py", "groupoid.py", "cli.py")
             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
             if isinstance(node, ast.BinOp) and (_names_a_point(node.left) or _names_a_point(node.right))
         }

@@ -5,6 +5,7 @@ import pytest
 
 from sturmian.quadratics import QuadraticIrrational
 from sturmian.words import (
+    Arc,
     OrbitPoint,
     TwoSidedPoint,
     branch_point,
@@ -18,7 +19,7 @@ from sturmian.words import (
     recurrence_bound,
     two_sided_word,
 )
-from sturmian.words import _arc, _cells, word_arc
+from sturmian.words import _cells, _meet, _order
 
 import reference
 from reference import partition_table
@@ -104,7 +105,16 @@ class TestCylinders:
         arc = cylinder_arc(FIB, "0")
         assert arc.lo == Fraction(0) and arc.lo_tag == 0
         assert arc.hi == 1 - FIB and arc.hi_tag == 1
-        assert arc.lo_closed and not arc.hi_closed
+        assert arc == Arc(FIB, 0, 1)
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_cells_are_half_open(self, alpha):
+        # every cylinder arc holds its start point and not its end point
+        assert list(_cells(alpha, 0).values()) == [(0, 0)]
+        for n in range(1, 9):
+            for tags in _cells(alpha, n).values():
+                arc = Arc(alpha, *tags)
+                assert arc.contains(arc.lo) and not arc.contains(arc.hi)
 
     def test_alphabet_validation(self):
         with pytest.raises(ValueError):
@@ -342,19 +352,18 @@ class TestArcImplementationsAgree:
         for n in [*range(0, 9), 100]:
             table = partition_table(alpha, n)
             cells = _cells(alpha, n)
-            assert [(w, _arc(alpha, tags)) for w, tags in cells.items()] == list(table.items())
+            got = [(w, reference.ends(Arc(alpha, *tags))) for w, tags in cells.items()]
+            assert got == [(w, reference.ends(arc)) for w, arc in table.items()]
             for w, arc in table.items():
-                direct = word_arc(alpha, w)
-                assert (direct.lo, direct.hi) == (arc.lo, arc.hi)
-                assert (direct.lo_tag, direct.hi_tag) == (arc.lo_tag, arc.hi_tag)
+                assert reference.ends(cylinder_arc(alpha, w)) == reference.ends(arc)
 
     def test_intersections_of_disjoint_cylinders_are_empty(self):
-        from sturmian.words import intersect_arcs
-
         lang = sorted(language(FIB, 4))
+        arcs = {w: cylinder_arc(FIB, w) for w in lang}
         for a in lang:
             for b in lang:
-                got = intersect_arcs(cylinder_arc(FIB, a), cylinder_arc(FIB, b))
+                tags = [(arcs[w].lo_tag, arcs[w].hi_tag) for w in (a, b)]
+                got = _meet(_order(FIB), *tags)
                 assert (got is not None) == (a == b)
 
 
@@ -369,7 +378,7 @@ class TestOrbitPosition:
         assert OrbitPoint(FIB, FIB * Fraction(1, 2)).orbit_position() is None
 
     def test_partition_arcs_cover_circle(self):
-        arcs = [_arc(FIB, tags) for tags in _cells(FIB, 5).values()]
+        arcs = [Arc(FIB, *tags) for tags in _cells(FIB, 5).values()]
         rng = random.Random(4)
         for _ in range(50):
             t = Fraction(rng.randint(0, 10**6 - 1), 10**6)
@@ -377,7 +386,7 @@ class TestOrbitPosition:
 
     def test_interior_points_off_orbit(self):
         for tags in _cells(FIB, 7).values():
-            arc = _arc(FIB, tags)
-            t = arc.interior_point_off_orbit(FIB)
-            assert arc.contains(t)
-            assert OrbitPoint(FIB, t).orbit_position() is None
+            arc = Arc(FIB, *tags)
+            x = arc.interior_point_off_orbit()
+            assert arc.contains(x.t)
+            assert x.orbit_position() is None
