@@ -6,7 +6,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
@@ -16,22 +15,12 @@ from .quadratics import QuadraticIrrational, cf_expand, check_unit_interval, for
 if TYPE_CHECKING:
     from .words import OrbitPoint
 
-COMMANDS = ("word", "language", "omega", "past", "cover", "fibre", "dad", "compare", "report")
 OUTPUTS = ("text", "json")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    alpha: QuadraticIrrational
-    output: str
-    options: dict
 
 
 class UsageError(ValueError):
     def __init__(self, field, message):
         super().__init__(f"{field}: {message}")
-        self.field = field
 
 
 def _parse_alpha(text: str) -> QuadraticIrrational:
@@ -61,86 +50,74 @@ def _parse_point(alpha: QuadraticIrrational, spec: str, variant: str) -> OrbitPo
             return OrbitPoint._at(alpha, 0, 1 - m, 1, var)
         if spec.startswith("quad:"):
             return OrbitPoint(alpha, parse_quad(spec), variant)
-        num, _, den = spec.partition("/")
-        return OrbitPoint(alpha, Fraction(int(num), int(den) if den else 1), variant)
+        num, slash, den = spec.partition("/")
+        return OrbitPoint(alpha, Fraction(int(num), int(den) if slash else 1), variant)
     except (ValueError, ZeroDivisionError) as e:
         raise UsageError("point", f"cannot parse {spec!r}: {e}")
 
 
-def _emit(cfg: RunConfig, payload: dict, text_lines: list[str]) -> None:
-    if cfg.output == "json":
+def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> None:
+    if args.output == "json":
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     else:
         for line in text_lines:
             print(line)
 
 
-def _run_word(cfg: RunConfig) -> int:
+def _run_word(args: argparse.Namespace) -> int:
     from .words import code_word
 
-    o = cfg.options
-    x = _parse_point(cfg.alpha, o["t"], o["variant"])
-    w = code_word(x, o["n"])
-    _emit(cfg, {"alpha": format_quad(cfg.alpha), "n": o["n"], "word": w}, [w])
+    w = code_word(_parse_point(args.alpha, args.t, args.variant), args.n)
+    _emit(args, {"alpha": format_quad(args.alpha), "n": args.n, "word": w}, [w])
     return 0
 
 
-def _run_omega(cfg: RunConfig) -> int:
-    from .words import branch_point, code_word
-
-    w = code_word(branch_point(cfg.alpha), cfg.options["n"])
-    _emit(cfg, {"alpha": format_quad(cfg.alpha), "n": cfg.options["n"], "word": w}, [w])
-    return 0
-
-
-def _run_language(cfg: RunConfig) -> int:
+def _run_language(args: argparse.Namespace) -> int:
     from .words import language
 
-    n = cfg.options["n"]
-    words = sorted(language(cfg.alpha, n))
-    _emit(cfg, {"alpha": format_quad(cfg.alpha), "n": n, "words": words}, words)
+    words = sorted(language(args.alpha, args.n))
+    _emit(args, {"alpha": format_quad(args.alpha), "n": args.n, "words": words}, words)
     return 0
 
 
-def _run_past(cfg: RunConfig) -> int:
+def _run_past(args: argparse.Namespace) -> int:
     from .words import past_set
 
-    o = cfg.options
-    x = _parse_point(cfg.alpha, o["t"], o["variant"])
-    words = sorted(past_set(x, o["l"]))
-    _emit(cfg, {"alpha": format_quad(cfg.alpha), "l": o["l"], "pasts": words}, words)
+    x = _parse_point(args.alpha, args.t, args.variant)
+    words = sorted(past_set(x, args.l))
+    _emit(args, {"alpha": format_quad(args.alpha), "l": args.l, "pasts": words}, words)
     return 0
 
 
-def _run_cover(cfg: RunConfig) -> int:
+def _run_cover(args: argparse.Namespace) -> int:
     from .cover import quotient
 
-    o = cfg.options
-    q = quotient(cfg.alpha, (o["k"], o["l"]))
+    k, l = args.k, args.l
+    q = quotient(args.alpha, (k, l))
     classes = sorted(
         ({"prefix": c.prefix, "past": sorted(c.past)} for c in q.classes),
         key=lambda d: (d["prefix"], d["past"]),
     )
-    payload = {"index": [o["k"], o["l"]], "classes": classes}
-    lines = [f"index=({o['k']},{o['l']}) classes={len(classes)}"]
+    payload = {"index": [k, l], "classes": classes}
+    lines = [f"index=({k},{l}) classes={len(classes)}"]
     for c in classes:
         lines.append(f"  prefix={c['prefix'] or '-'} past={{{','.join(c['past'])}}}")
-    _emit(cfg, payload, lines)
+    _emit(args, payload, lines)
     return 0
 
 
-def _run_fibre(cfg: RunConfig) -> int:
+def _run_fibre(args: argparse.Namespace) -> int:
     from .cover import fibre_report
 
-    o = cfg.options
-    x = _parse_point(cfg.alpha, o["point"], o["variant"])
-    rep = fibre_report(cfg.alpha, x, o["K"], o["L"])
+    K, L = args.K, args.L
+    x = _parse_point(args.alpha, args.point, args.variant)
+    rep = fibre_report(args.alpha, x, K, L)
     threads = sorted(rep.threads, key=lambda th: th.table())
     payload = {
-        "alpha": format_quad(cfg.alpha),
-        "point": o["point"],
-        "K": o["K"],
-        "L": o["L"],
+        "alpha": format_quad(args.alpha),
+        "point": args.point,
+        "K": K,
+        "L": L,
         "count": rep.count,
         "expected": rep.expected,
         "resolved": rep.resolved,
@@ -148,34 +125,31 @@ def _run_fibre(cfg: RunConfig) -> int:
         "min_L": rep.min_L,
     }
     lines = [
-        f"fibre over {o['point']} at (K,L)=({o['K']},{o['L']}): count={rep.count} "
+        f"fibre over {args.point} at (K,L)=({K},{L}): count={rep.count} "
         f"expected={rep.expected} resolved={rep.resolved} (bound used: K>={rep.min_K}, L>={rep.min_L})"
     ]
-    if o["show_threads"]:
+    if args.show_threads:
         payload["threads"] = [th.table().splitlines() for th in threads]
         for i, th in enumerate(threads):
             lines.append(f"thread {i}:")
             lines.extend("  " + row for row in th.table().splitlines())
-    _emit(cfg, payload, lines)
+    _emit(args, payload, lines)
     return 0 if rep.resolved else 1
 
 
-def _run_dad(cfg: RunConfig) -> int:
+def _run_dad(args: argparse.Namespace) -> int:
     from .groupoid import check_witness, dad_witness, degenerate_cover_chain
 
-    o = cfg.options
     try:
-        w = dad_witness(cfg.alpha, o["F"])
+        w = dad_witness(args.alpha, args.F)
     except ValueError as e:
         raise UsageError("F", str(e))
-    window = o["window"]
-    if window is None:
-        window = 2 * w.lbar * max(w.beta_mu, w.beta_nu)
+    window = w.min_window if args.window is None else args.window
     try:
-        chk = check_witness(cfg.alpha, w, window)
+        chk = check_witness(args.alpha, w, window)
     except ValueError as e:
         raise UsageError("window", str(e))
-    degenerate = degenerate_cover_chain(cfg.alpha, o["F"], window)
+    degenerate = degenerate_cover_chain(args.alpha, args.F, window)
     payload = chk.to_dict()
     payload["degenerate_chain"] = degenerate
     payload["degenerate_exceeds_half_window"] = degenerate > window // 2
@@ -185,28 +159,28 @@ def _run_dad(cfg: RunConfig) -> int:
         f"cocycle_bound={chk.cocycle_bound} pass={chk.passed}",
         f"one-set cover chain={degenerate} (> window/2: {degenerate > window // 2})",
     ]
-    _emit(cfg, payload, lines)
+    _emit(args, payload, lines)
     return 0 if chk.passed else 1
 
 
-def _run_compare(cfg: RunConfig) -> int:
+def _run_compare(args: argparse.Namespace) -> int:
     from .invariants import compare_parameters
 
-    rep = compare_parameters(cfg.alpha, cfg.options["beta"])
+    rep = compare_parameters(args.alpha, args.beta)
     lines = [
         f"conjugate={str(rep.conjugate).lower()}",
         f"flow_equivalent={str(rep.flow_equivalent).lower()}",
         "k0=Z+alphaZ",
         "k1=0",
     ]
-    _emit(cfg, rep.to_dict(), lines)
+    _emit(args, rep.to_dict(), lines)
     return 0
 
 
-def _run_report(cfg: RunConfig) -> int:
-    cf = cf_expand(cfg.alpha)
+def _run_report(args: argparse.Namespace) -> int:
+    cf = cf_expand(args.alpha)
     payload = {
-        "alpha": format_quad(cfg.alpha),
+        "alpha": format_quad(args.alpha),
         "cf": str(cf),
         "k0": "Z+alphaZ",
         "k1": "0",
@@ -214,34 +188,13 @@ def _run_report(cfg: RunConfig) -> int:
         "flow_class_period": list(cf.period),
     }
     lines = [
-        f"alpha = {format_quad(cfg.alpha)} = {cfg.alpha}",
+        f"alpha = {format_quad(args.alpha)} = {args.alpha}",
         f"continued fraction: {cf}",
         f"K0 = Z + alpha*Z (ordered, unit 1); K1 = 0",
         f"flow-equivalence class: period {list(cf.period)} up to rotation",
     ]
-    _emit(cfg, payload, lines)
+    _emit(args, payload, lines)
     return 0
-
-
-_RUNNERS = {
-    "word": _run_word,
-    "language": _run_language,
-    "omega": _run_omega,
-    "past": _run_past,
-    "cover": _run_cover,
-    "fibre": _run_fibre,
-    "dad": _run_dad,
-    "compare": _run_compare,
-    "report": _run_report,
-}
-
-
-def run(cfg: RunConfig) -> int:
-    try:
-        return _RUNNERS[cfg.command](cfg)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -252,99 +205,92 @@ def _build_parser() -> argparse.ArgumentParser:
     default_output = os.environ.get("STURMIAN_OUTPUT", "text")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, run, summary):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
         p.add_argument("--alpha", required=True, help="parameter, e.g. quad:3,-1,5,2")
         p.add_argument("--output", "-o", choices=OUTPUTS, default=default_output)
+        return p
 
-    p = sub.add_parser("word", help="coded word of a circle point")
-    common(p)
+    p = command("word", _run_word, "coded word of a circle point")
     p.add_argument("--t", required=True, help="point: p/q, quad:..., omega, fwd:J, back:M:V")
     p.add_argument("--variant", choices=("L", "R"), default="L")
     p.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("language", help="all admissible words of a length")
-    common(p)
+    p = command("language", _run_language, "all admissible words of a length")
     p.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("omega", help="prefix of the branch point")
-    common(p)
+    p = command("omega", _run_word, "prefix of the branch point")
+    p.set_defaults(t="omega", variant="L")
     p.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("past", help="past set of a point")
-    common(p)
+    p = command("past", _run_past, "past set of a point")
     p.add_argument("--t", required=True)
     p.add_argument("--variant", choices=("L", "R"), default="L")
     p.add_argument("--l", type=int, required=True)
 
-    p = sub.add_parser("cover", help="finite quotient at an index pair")
-    common(p)
+    p = command("cover", _run_cover, "finite quotient at an index pair")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
 
-    p = sub.add_parser("fibre", help="fibre of the cover over a point")
-    common(p)
+    p = command("fibre", _run_fibre, "fibre of the cover over a point")
     p.add_argument("--point", required=True, help="omega, fwd:J, back:M:V, p/q or quad:...")
     p.add_argument("--variant", choices=("L", "R"), default="L")
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--show-threads", action="store_true", help="print level tables per thread")
 
-    p = sub.add_parser("dad", help="two-set chain-bound witness and its verification")
-    common(p)
+    p = command("dad", _run_dad, "two-set chain-bound witness and its verification")
     p.add_argument("--F", required=True, help="comma-separated cocycle values, e.g. 1,2")
     p.add_argument("--window", type=int, default=None)
 
-    p = sub.add_parser("compare", help="conjugacy and flow-equivalence deciders")
-    common(p)
+    p = command("compare", _run_compare, "conjugacy and flow-equivalence deciders")
     p.add_argument("--beta", required=True)
 
-    p = sub.add_parser("report", help="invariant summary for one parameter")
-    common(p)
+    command("report", _run_report, "invariant summary for one parameter")
     return parser
 
 
-def _check_numeric(args) -> None:
+def _check_numeric(args: argparse.Namespace) -> None:
     """Reject out-of-range numeric options before any computation runs."""
     for field in ("n", "l", "L"):
-        if getattr(args, field, 0) < 0:
+        value = getattr(args, field, 0)
+        if value < 0:
             raise UsageError(field, "must be nonnegative")
+        if value > sys.maxsize:
+            raise UsageError(field, f"must be at most {sys.maxsize}")
     if hasattr(args, "k") and not 0 <= args.k <= args.l:
         raise UsageError("k", f"must lie in 0..l = {args.l}")
     if hasattr(args, "K") and not 0 <= args.K <= args.L:
         raise UsageError("K", f"must lie in 0..L = {args.L}")
 
 
-def _config_from_args(args) -> RunConfig:
+def _parse_args(args: argparse.Namespace) -> None:
+    """Check the options and replace alpha, F and beta by their parsed values."""
     if args.output not in OUTPUTS:  # a STURMIAN_OUTPUT default skips argparse's check
         raise UsageError("output", f"must be one of {', '.join(OUTPUTS)}, not {args.output!r}")
-    alpha = _parse_alpha(args.alpha)
+    args.alpha = _parse_alpha(args.alpha)
     _check_numeric(args)
-    options = {}
-    for key in ("t", "variant", "n", "l", "k", "point", "K", "L", "window", "show_threads"):
-        if hasattr(args, key):
-            options[key] = getattr(args, key)
     if args.command == "dad":
         try:
-            options["F"] = tuple(int(v) for v in args.F.split(","))
+            args.F = tuple(int(v) for v in args.F.split(","))
         except ValueError:
             raise UsageError("F", f"cannot parse {args.F!r}")
     if args.command == "compare":
         try:
-            options["beta"] = check_unit_interval(parse_quad(args.beta))
+            args.beta = check_unit_interval(parse_quad(args.beta))
         except (ValueError, ZeroDivisionError) as e:
             raise UsageError("beta", str(e))
-    return RunConfig(args.command, alpha, args.output, options)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
+        _parse_args(args)
+        return args.run(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    return run(cfg)
 
 
 if __name__ == "__main__":

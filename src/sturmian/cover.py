@@ -21,7 +21,6 @@ from .words import (
     _order,
     _word_tags,
     branch_point,
-    code_letter,
     code_word,
     cylinder_arc,
     language,
@@ -217,6 +216,19 @@ class Thread:
         return "\n".join(lines)
 
 
+def _chains(x: OrbitPoint) -> list[Optional[str]]:
+    """The backward chains that carry a fibre element over x.
+
+    None is the section iota(x).  A forward-orbit point sigma^j(omega) has
+    two more elements, one per coding side of the branch point behind it;
+    a backward-orbit point mu.omega has one more, its own chain.
+    """
+    pos = x.orbit_position()
+    if pos is None:
+        return [None]
+    return [None, "L", "R"] if pos[0] == "forward" else [None, x.variant]
+
+
 def _chain_class(alpha, x: OrbitPoint, n: int, chain_variant: Optional[str]) -> EqClass:
     """Class at level (n, 2n) of iota(x) or of a constructed element.
 
@@ -255,24 +267,20 @@ def construct_fibre_element(
 ) -> Thread:
     """The non-section fibre element over a branch-orbit point x.
 
-    Over forward-orbit points the thread follows the backward coding chain
-    selected by past_letter; over backward-orbit points the chain is the
-    point's own and past_letter must match it.
+    past_letter is the letter at the point 0 behind x: '0' selects the
+    backward chain on side L, '1' the chain on side R.  The chain must be
+    one of x's fibre chains: either side over a forward-orbit point, the
+    point's own side over a backward-orbit point.
     """
     if past_letter not in ("0", "1"):
         raise ValueError("past letter must be '0' or '1'")
-    pos = x.orbit_position()
-    if pos is None:
+    chains = _chains(x)
+    if chains == [None]:
         raise ValueError("the point is not in the orbit of the branch point")
-    kind, _ = pos
-    if kind == "backward":
+    chain_variant = "L" if past_letter == "0" else "R"
+    if chain_variant not in chains:
         forced = "0" if x.variant == "L" else "1"
-        if past_letter != forced:
-            raise ValueError(f"the past letter of this backward point is forced to {forced!r}")
-        chain_variant = x.variant
-    else:
-        chain_variant = "L" if past_letter == "0" else "R"
-
+        raise ValueError(f"the past letter of this backward point is forced to {forced!r}")
     return Thread(x, K, L, _chain_class(alpha, x, max(L, 1), chain_variant))
 
 
@@ -311,16 +319,7 @@ def fibre(alpha: QuadraticIrrational, x: OrbitPoint, K: int, L: int) -> set[Thre
     if not 0 <= K <= L:
         raise ValueError("need 0 <= K <= L")
     n0 = max(L, 1)
-
-    pos = x.orbit_position()
-    variants: list[Optional[str]]
-    if pos is None:
-        variants = [None]
-    elif pos[0] == "forward":
-        variants = [None, "L", "R"]
-    else:
-        variants = [None, x.variant]
-    tops = {_chain_class(alpha, x, n0, v) for v in variants}
+    tops = {_chain_class(alpha, x, n0, v) for v in _chains(x)}
     target = {(c.prefix, c.past) for c in tops}
 
     prefix = code_word(x, n0)
@@ -339,10 +338,7 @@ def fibre(alpha: QuadraticIrrational, x: OrbitPoint, K: int, L: int) -> set[Thre
 
 def expected_fibre_size(x: OrbitPoint) -> int:
     """Fibre cardinality dictated by the cover theorem: 3 / 2 / 1."""
-    pos = x.orbit_position()
-    if pos is None:
-        return 1
-    return 3 if pos[0] == "forward" else 2
+    return len(_chains(x))
 
 
 @dataclass(frozen=True)
@@ -397,16 +393,12 @@ def is_isolated(alpha: QuadraticIrrational, th: Thread) -> bool:
 def two_sided_embed(alpha: QuadraticIrrational, x: TwoSidedPoint, K: int, L: int) -> Thread:
     """The non-isolated thread over the truncation of a two-sided point.
 
-    The choice among fibre elements is read off the negative coordinates,
-    which is exactly how the two-sided system sits inside the cover.
+    The negative coordinates select the fibre element, which is exactly how
+    the two-sided system sits inside the cover.  On the orbit of the branch
+    point they are the backward chain on x's own side (the letter at the
+    point 0 is 0 for L and 1 for R), so the thread follows chain x.variant;
+    off the orbit it is the section.
     """
     plus = x.restrict()
-    pos = plus.orbit_position()
-    if pos is None:
-        return thread_of(alpha, plus, K, L)
-    kind, n = pos
-    if kind == "forward":
-        a = code_letter(x, -(n + 1))
-        return construct_fibre_element(alpha, plus, a, K, L)
-    forced = "0" if plus.variant == "L" else "1"
-    return construct_fibre_element(alpha, plus, forced, K, L)
+    chain = x.variant if len(_chains(plus)) > 1 else None
+    return Thread(plus, K, L, _chain_class(alpha, plus, max(L, 1), chain))

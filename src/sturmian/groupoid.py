@@ -122,6 +122,11 @@ class DadWitness:
     beta_nu: int
 
     @property
+    def min_window(self) -> int:
+        """The shortest window check_witness accepts."""
+        return 2 * self.lbar * max(self.beta_mu, self.beta_nu)
+
+    @property
     def u_description(self) -> str:
         return "preimage of Z(" + " | ".join(self.mu_shifts) + ")"
 
@@ -235,9 +240,8 @@ def check_witness(alpha: QuadraticIrrational, w: DadWitness, window: int) -> Wit
     longer than beta_mu on the complement side and beta_nu on the cylinder
     side.
     """
-    need = 2 * w.lbar * max(w.beta_mu, w.beta_nu)
-    if window < need:
-        raise ValueError(f"window must be at least {need}")
+    if window < w.min_window:
+        raise ValueError(f"window must be at least {w.min_window}")
     limit = window - 2 * w.lbar
     jumps = [v for v in w.cocycle_values if v >= 1]
     covered = True

@@ -18,6 +18,8 @@ replaced, and against three enumerations of the same object:
 - the partition table, which sorts the cut points -i*alpha and codes the
   midpoint of every cell;
 - thread identity as the whole projected family over the truncated grid;
+- the two-sided embedding choosing its fibre element by the letter read
+  at the point 0 behind an orbit point;
 - the quotient built from representatives of that partition plus the
   branch orbit, cross-checked by seeded random samples;
 - the fibre candidates built by left extension of the prefix, and their
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
-from sturmian.cover import IndexPair, eq_class
+from sturmian.cover import IndexPair, construct_fibre_element, eq_class, thread_of
 from sturmian.groupoid import WitnessCheck
 from sturmian.words import (
     OrbitPoint,
@@ -297,6 +299,23 @@ def partition_table(alpha, n):
 def thread_family(th):
     """A thread's identity as every level of its grid, each projected from the top."""
     return th.K, th.L, tuple(th.levels())
+
+
+def two_sided_embed(alpha, x, K, L):
+    """The thread over a two-sided point, its fibre element picked by letters.
+
+    On the forward orbit, sigma^n(omega) with omega = alpha, the letter at
+    index -(n + 1) codes the point 0 and selects the backward chain; on the
+    backward orbit the chain is forced by the variant.
+    """
+    plus = x.restrict()
+    pos = orbit_position(alpha, x.t)
+    if pos is None:
+        return thread_of(alpha, plus, K, L)
+    kind, n = pos
+    if kind == "forward":
+        return construct_fibre_element(alpha, plus, code_letter(x, -(n + 1)), K, L)
+    return construct_fibre_element(alpha, plus, "0" if x.variant == "L" else "1", K, L)
 
 
 def sampled_quotient(alpha, idx):

@@ -171,7 +171,7 @@ def test_criterion_09_dad_witness():
         for alpha in TWO_PARAMETERS:
             for values in [(1,), (1, 2), (1, 2, 3)]:
                 w = dad_witness(alpha, values)
-                window = 2 * w.lbar * max(w.beta_mu, w.beta_nu)
+                window = w.min_window
                 chk = check_witness(alpha, w, window)
                 assert chk.passed
                 assert max(chk.max_chain_v, chk.max_chain_u) <= 2 * w.lbar * w.beta_mu

@@ -167,6 +167,36 @@ class TestDeterminism:
         assert out1 == out2
 
 
+PINNED = json.loads((Path(__file__).parent / "cli_pinned.json").read_text())
+
+
+class TestPinnedOutput:
+    """Stdout, stderr and exit code of the README commands in text and json,
+    the benchmark's malformed requests and both STURMIAN_OUTPUT cases, as
+    captured from `sturmian` processes before the runners read the parsed
+    arguments directly."""
+
+    @pytest.mark.parametrize(
+        "case", PINNED, ids=[" ".join(c["argv"]) + f" env={c['env']}" for c in PINNED]
+    )
+    def test_byte_identical(self, capsys, monkeypatch, case):
+        if case["env"] is None:
+            monkeypatch.delenv("STURMIAN_OUTPUT", raising=False)
+        else:
+            monkeypatch.setenv("STURMIAN_OUTPUT", case["env"])
+        assert run_cli(capsys, *case["argv"]) == (case["exit"], case["stdout"], case["stderr"])
+
+    def test_covers_every_readme_command(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        commands = [line.split("#")[0].split()[1:] for line in readme.splitlines()
+                    if line.startswith("sturmian ")]
+        pinned = [c["argv"] for c in PINNED if c["env"] is None]
+        assert len(commands) == 10
+        for argv in commands:
+            text = [a for a in argv if a not in ("-o", "json")]
+            assert text in pinned and text + ["-o", "json"] in pinned
+
+
 class TestUsageErrors:
     def test_rational_alpha(self, capsys):
         code, _, err = run_cli(capsys, "omega", "--alpha", "quad:1,1,4,2", "--n", "3")
@@ -232,6 +262,11 @@ class TestNumericUsageErrors:
             ("point", ("past", "--t", "back:-2", "--l", "2")),
             ("point", ("word", "--t", "back:0", "--n", "2")),
             ("window", ("dad", "--F", "1", "--window", "0")),
+            ("n", ("omega", "--n", "99999999999999999999")),
+            ("l", ("past", "--t", "omega", "--l", str(sys.maxsize + 1))),
+            ("L", ("fibre", "--point", "omega", "--K", "0", "--L", str(sys.maxsize + 1))),
+            ("point", ("word", "--t", "1/", "--n", "3")),
+            ("point", ("past", "--t", "/2", "--l", "2")),
         ],
     )
     def test_out_of_range_exits_2(self, capsys, field, argv):

@@ -39,6 +39,7 @@ from sturmian.cover import (
 )
 from sturmian.cover import _classes, _death_depths
 
+import reference
 from reference import chain_candidates, death_depths_by_walk, sampled_quotient, thread_family
 
 FIB = QuadraticIrrational(3, -1, 5, 2)
@@ -466,6 +467,23 @@ class TestTwoSidedEmbed:
         for t, var in [(Fraction(1, 5), "L"), (FIB, "L"), (Fraction(0), "L")]:
             th = two_sided_embed(FIB, TwoSidedPoint(FIB, t, var), 2, 6)
             assert not is_isolated(FIB, th)
+
+    @pytest.mark.parametrize(
+        "alpha",
+        [FIB, QuadraticIrrational(-7, 1, 61, 3), CF_2_3, QuadraticIrrational(-999, 1, 1000003, 2)],
+    )
+    def test_chain_rule_matches_letter_reading(self, alpha):
+        # the fibre element follows chain x.variant on the orbit; the oracle
+        # reads the letter at the point 0 behind the point instead
+        points = [alpha * b for b in range(-8, 9)]
+        points += [Fraction(1, 2), Fraction(3, 7), Fraction(1, 3) + alpha / 2, 1 - alpha / 5]
+        for t in points:
+            for var in "LR":
+                x = TwoSidedPoint(alpha, t, var)
+                for K, L in [(0, 1), (2, 6), (4, 9)]:
+                    th = two_sided_embed(alpha, x, K, L)
+                    old = reference.two_sided_embed(alpha, x, K, L)
+                    assert th == old and th.top == old.top
 
 
 class TestChainConnectingMap:

@@ -130,11 +130,19 @@ class TestCheckWitness:
         with pytest.raises(ValueError):
             check_witness(FIB, w, 3)
 
+    @pytest.mark.parametrize("values", [(1,), (1, 2), (1, 2, 3)])
+    def test_min_window(self, values):
+        w = dad_witness(FIB, values)
+        assert w.min_window == 2 * w.lbar * max(w.beta_mu, w.beta_nu)
+        with pytest.raises(ValueError, match=f"^window must be at least {w.min_window}$"):
+            check_witness(FIB, w, w.min_window - 1)
+        assert check_witness(FIB, w, w.min_window).window == w.min_window
+
     @pytest.mark.parametrize("alpha", [FIB, SQRT2M1])
     @pytest.mark.parametrize("values", [(1,), (1, 2), (1, 2, 3)])
     def test_passes_with_bounded_chains(self, alpha, values):
         w = dad_witness(alpha, values)
-        window = 2 * w.lbar * max(w.beta_mu, w.beta_nu)
+        window = w.min_window
         chk = check_witness(alpha, w, window)
         assert chk.passed
         assert chk.max_chain_v <= w.beta_mu
@@ -149,7 +157,7 @@ class TestCheckWitness:
     def test_single_set_cover_has_unbounded_chains(self):
         for values in [(1,), (1, 2)]:
             w = dad_witness(FIB, values)
-            window = 2 * w.lbar * max(w.beta_mu, w.beta_nu)
+            window = w.min_window
             deg = degenerate_cover_chain(FIB, values, window)
             assert deg > window // 2
             assert deg > check_witness(FIB, w, window).max_chain_v
@@ -172,8 +180,7 @@ class TestWindowScanMatchesReference:
     )
     def test_same_witness_check(self, alpha, values):
         w = dad_witness(alpha, values)
-        need = 2 * w.lbar * max(w.beta_mu, w.beta_nu)
-        for window in (need, need + 5):
+        for window in (w.min_window, w.min_window + 5):
             assert check_witness(alpha, w, window) == reference.check_witness(alpha, w, window)
             jumps = [v for v in values if v >= 1]
             assert degenerate_cover_chain(alpha, values, window) == reference.longest_chain(
