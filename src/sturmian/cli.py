@@ -170,8 +170,8 @@ def _run_compare(args: argparse.Namespace) -> int:
     lines = [
         f"conjugate={str(rep.conjugate).lower()}",
         f"flow_equivalent={str(rep.flow_equivalent).lower()}",
-        "k0=Z+alphaZ",
-        "k1=0",
+        f"k0={rep.k0_description}",
+        f"k1={rep.k1_description}",
     ]
     _emit(args, rep.to_dict(), lines)
     return 0
@@ -254,10 +254,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def _check_numeric(args: argparse.Namespace) -> None:
     """Reject out-of-range numeric options before any computation runs."""
     for field in ("n", "l", "L"):
-        value = getattr(args, field, 0)
-        if value < 0:
+        if getattr(args, field, 0) < 0:
             raise UsageError(field, "must be nonnegative")
-        if value > sys.maxsize:
+    bounded = [(field, getattr(args, field, None)) for field in ("n", "l", "L", "window")]
+    bounded += [("F", value) for value in getattr(args, "F", ())]
+    for field, value in bounded:
+        if value is not None and value > sys.maxsize:
             raise UsageError(field, f"must be at most {sys.maxsize}")
     if hasattr(args, "k") and not 0 <= args.k <= args.l:
         raise UsageError("k", f"must lie in 0..l = {args.l}")
@@ -270,12 +272,12 @@ def _parse_args(args: argparse.Namespace) -> None:
     if args.output not in OUTPUTS:  # a STURMIAN_OUTPUT default skips argparse's check
         raise UsageError("output", f"must be one of {', '.join(OUTPUTS)}, not {args.output!r}")
     args.alpha = _parse_alpha(args.alpha)
-    _check_numeric(args)
     if args.command == "dad":
         try:
             args.F = tuple(int(v) for v in args.F.split(","))
         except ValueError:
             raise UsageError("F", f"cannot parse {args.F!r}")
+    _check_numeric(args)
     if args.command == "compare":
         try:
             args.beta = check_unit_interval(parse_quad(args.beta))

@@ -18,7 +18,6 @@ from .words import (
     TwoSidedPoint,
     Word,
     _first_entry,
-    _order,
     _word_tags,
     branch_point,
     code_word,
@@ -291,12 +290,11 @@ def _death_depths(alpha: QuadraticIrrational, x: OrbitPoint, n0: int, candidates
     candidate dies once cut points have landed on both arcs between x and
     its branch-orbit point, or B = arc(w[:n0]) + n0*alpha for a past {w}.
     """
-    before = _order(alpha)
     depths = {}
     for data, y in candidates.items():
         start = end = y
         if y is None:  # B runs from (n0 - i)*alpha to (n0 - j)*alpha
-            i, j = _word_tags(before, min(data[1])[:n0])
+            i, j = _word_tags(alpha, min(data[1])[:n0])
             start, end = (OrbitPoint._at(alpha, 0, n0 - t, 1, v) for t, v in ((j, "R"), (i, "L")))
         depths[data] = max(_first_entry(start, x), _first_entry(x, end))
     return depths

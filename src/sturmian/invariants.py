@@ -11,6 +11,7 @@ have tail-equivalent continued fractions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .quadratics import QuadraticIrrational, _period, _reduced, _surd_sign, check_unit_interval
 
@@ -51,8 +52,8 @@ class OrderedGroupDescriptor:
     """
 
     alpha: QuadraticIrrational
-    description: str = "Z + alpha*Z with order unit 1"
-    unit: tuple[int, int] = (1, 0)
+    description: ClassVar[str] = "Z + alpha*Z with order unit 1"
+    unit: ClassVar[tuple[int, int]] = (1, 0)
 
     def value_positive(self, n: int, m: int) -> bool:
         if m == 0:
@@ -79,8 +80,8 @@ class InvariantReport:
     beta: QuadraticIrrational
     conjugate: bool
     flow_equivalent: bool
-    k0_description: str = "Z+alphaZ"
-    k1_description: str = "0"
+    k0_description: ClassVar[str] = "Z+alphaZ"
+    k1_description: ClassVar[str] = "0"
 
     def to_dict(self) -> dict:
         return {

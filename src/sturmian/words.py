@@ -15,9 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from itertools import islice
-from typing import Callable, Iterator, Literal, Optional, Union
+from typing import Iterator, Literal, Optional, Union
 
 from .quadratics import (
     QuadraticIrrational,
@@ -237,7 +236,7 @@ class Arc:
         x = _Point(self.alpha, t)
         if self.is_full_circle():
             return True
-        return _inside(_precedes, x, _cut(self.alpha, self.lo_tag), _cut(self.alpha, self.hi_tag))
+        return _inside(x, _cut(self.alpha, self.lo_tag), _cut(self.alpha, self.hi_tag))
 
     def interior_point_off_orbit(self) -> OrbitPoint:
         """An interior point whose rotation orbit avoids the orbit of 0.
@@ -259,116 +258,64 @@ class Arc:
 Tags = tuple[int, int]  # endpoint tags (lo, hi) of an arc; lo == hi is the full circle
 
 
-def _order(alpha: QuadraticIrrational) -> Callable[[int, int], bool]:
-    """before(i, j): the cut point -i*alpha (mod 1) precedes -j*alpha in [0, 1).
-
-    The cut point is c_i - i*alpha with c_i = ceil(i*alpha), so the order is
-    the sign of (c_i - c_j) + (j - i)*alpha: one floor once c_i is known.
-    """
-    ceil: dict[int, int] = {}
-
-    def before(i: int, j: int) -> bool:
-        for t in (i, j):
-            if t not in ceil:
-                ceil[t] = -_floor(alpha, 0, -t)
-        return _floor(alpha, ceil[i] - ceil[j], j - i) < 0
-
-    return before
-
-
-def _inside(before, x, lo, hi) -> bool:
-    """Whether x lies on the half-open arc [lo, hi), lo != hi, ordered by before.
-
-    The ends and x are cut point tags ordered by `_order`, or points ordered
-    by `_precedes`.
-    """
+def _inside(x: _Point, lo: _Point, hi: _Point) -> bool:
+    """Whether x lies on the half-open arc [lo, hi), lo != hi, one floor per comparison."""
     if x == lo:
         return True
-    if before(lo, hi):
-        return before(lo, x) and before(x, hi)
-    return before(lo, x) or before(x, hi)
+    if _precedes(lo, hi):
+        return _precedes(lo, x) and _precedes(x, hi)
+    return _precedes(lo, x) or _precedes(x, hi)
 
 
-def _meet(before, a: Tags, b: Tags) -> Optional[Tags]:
-    """Tags of the intersection of two arcs when it is again a single arc.
+def _word_tags(alpha: QuadraticIrrational, mu: Word) -> Optional[Tags]:
+    """Tags of the cylinder arc of mu, walked once from the full circle; None if empty.
 
-    The intersection starts at whichever start point lies on the other arc
-    and ends at the first end point after it.  Cylinder arcs of a Sturmian
-    coding always meet in one arc; when both start points lie on the other
-    arc the intersection has two pieces, the inputs were not cylinders, and
-    this raises.
+    The arc of mu[:j] is a cell [lo, hi) cut by the points -i*alpha, i <= j,
+    and letter j is 0 exactly on [-j*alpha, -(j+1)*alpha).  So when the cut
+    point -(j+1)*alpha lies inside the cell it splits it into [lo, j+1),
+    which reads 0, and [j+1, hi), which reads 1; otherwise the whole cell
+    reads the letter of lo, which is 0 exactly when lo lies on [j, j+1).
     """
-    (a0, a1), (b0, b1) = a, b
-    if a0 == a1:
-        return b
-    if b0 == b1:
-        return a
-    from_b = _inside(before, b0, a0, a1)
-    from_a = a0 != b0 and _inside(before, a0, b0, b1)
-    if from_a and from_b:
-        raise RuntimeError("arc intersection is not a single arc")
-    if not (from_a or from_b):
-        return None
-    start = b0 if from_b else a0
-    return start, b1 if _inside(before, b1, start, a1) else a1
-
-
-def _letter_tags(letter: str, j: int) -> Tags:
-    """Letter 0 at index j is the arc [-j*alpha, -(j+1)*alpha), letter 1 the rest."""
-    return (j, j + 1) if letter == "0" else (j + 1, j)
-
-
-def _word_tags(before, mu: Word) -> Optional[Tags]:
-    """Tags of the cylinder arc of mu, one letter arc at a time; None if empty."""
-    arc: Optional[Tags] = (0, 0)
+    lo = hi = 0
+    lo_pt = hi_pt = here = _cut(alpha, 0)  # here is the cut point -j*alpha
     for j, letter in enumerate(mu):
-        arc = _meet(before, arc, _letter_tags(letter, j))
-        if arc is None:
+        nxt = _cut(alpha, j + 1)
+        if lo == hi or _inside(nxt, lo_pt, hi_pt):
+            if letter == "0":
+                hi, hi_pt = j + 1, nxt
+            else:
+                lo, lo_pt = j + 1, nxt
+        elif (letter == "0") != _inside(lo_pt, here, nxt):
             return None
-    return arc
-
-
-def _cells(alpha: QuadraticIrrational, n: int) -> dict[Word, Tags]:
-    """The n+1 cells cut out by the points -i*alpha (mod 1), 0 <= i <= n.
-
-    Each cell is the cylinder arc of one length-n word: keyed by that word,
-    valued by its endpoint tags, in circular order from 0.  The tags are
-    sorted by their cut points with one floor per comparison.  Letter 1 at
-    index j is the arc [-(j+1)*alpha, -j*alpha), so the cells reading 1
-    there are the run from the cell starting at tag j+1 up to the cell
-    ending at tag j: every letter comes from the tags.
-    """
-    before = _order(alpha)
-    tags = sorted(range(n + 1), key=cmp_to_key(lambda i, j: -1 if before(i, j) else int(i != j)))
-    m = n + 1
-    pos = {tag: p for p, tag in enumerate(tags)}
-    letters = [["0"] * n for _ in range(m)]
-    for j in range(n):
-        p = pos[j + 1]
-        while p != pos[j]:
-            letters[p][j] = "1"
-            p = (p + 1) % m
-    return {"".join(w): (tags[p], tags[(p + 1) % m]) for p, w in enumerate(letters)}
+        here = nxt
+    return lo, hi
 
 
 def cylinder_arc(alpha: QuadraticIrrational, mu: Word) -> Optional[Arc]:
     """The set of circle points whose coding begins with mu; None if empty."""
     check_unit_interval(alpha)
-    tags = _word_tags(_order(alpha), check_word(mu))
+    tags = _word_tags(alpha, check_word(mu))
     return None if tags is None else Arc(alpha, *tags)
 
 
 def is_admissible(alpha: QuadraticIrrational, mu: Word) -> bool:
     check_unit_interval(alpha)
-    return _word_tags(_order(alpha), check_word(mu)) is not None
+    return _word_tags(alpha, check_word(mu)) is not None
 
 
 def language(alpha: QuadraticIrrational, n: int) -> frozenset[Word]:
-    """All admissible words of length n; always n+1 of them for n >= 1."""
+    """All admissible words of length n; always n+1 of them for n >= 1.
+
+    The points -i*alpha (mod 1), 0 <= i <= n, cut the circle into n+1 cells,
+    each the cylinder arc of one length-n word.  A cell holds its start point,
+    so its word is that point's L coding: the n+1 words are the length-n
+    windows of the L coding of 0 at indices -n..n-1, 2n+1 floors in all.
+    """
     if n < 0:
         raise ValueError("length must be nonnegative")
     check_unit_interval(alpha)
-    words = frozenset(_cells(alpha, n))
+    w = "".join(islice(_letters(alpha, "L", 0, -n, 1), 2 * n))
+    words = frozenset(w[i : i + n] for i in range(n + 1))
     if len(words) != (n + 1 if n >= 1 else 1):
         raise RuntimeError("factor complexity violated; arithmetic bug")
     return words
@@ -464,9 +411,10 @@ def recurrence_bound(alpha: QuadraticIrrational, mu: Word) -> int:
     """
     if not check_word(mu):
         return 0
-    if not is_admissible(alpha, mu):
+    arc = cylinder_arc(alpha, mu)
+    if arc is None:
         raise ValueError(f"word is not admissible: {mu!r}")
-    lo, hi = _word_tags(_order(alpha), mu)  # s = (lo - hi)*alpha (mod 1)
+    lo, hi = arc.lo_tag, arc.hi_tag  # s = (lo - hi)*alpha (mod 1)
     at = lambda b, v: OrbitPoint._at(alpha, 0, b, 1, v)
     # moving forward by less than s is landing on (1 - s, 1), back by less than s on (0, s)
     j1, j2 = _first_entry(at(hi - lo, "L"), at(0, "R")), _first_entry(at(0, "L"), at(lo - hi, "R"))

@@ -23,7 +23,8 @@ replaced, and against three enumerations of the same object:
 - the quotient built from representatives of that partition plus the
   branch orbit, cross-checked by seeded random samples;
 - the fibre candidates built by left extension of the prefix, and their
-  death depths found by reading the base point's letters one at a time;
+  death depths found by reading the base point's letters one at a time
+  and intersecting field arcs;
 - first entries of the cut points -j*alpha into an arc by scanning j, and
   recurrence bounds by scanning window lengths over the whole language;
 - the witness window scan testing every start position of every shift and
@@ -36,16 +37,13 @@ import random
 from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
 
 from sturmian.cover import IndexPair, construct_fibre_element, eq_class, thread_of
 from sturmian.groupoid import WitnessCheck
 from sturmian.words import (
     OrbitPoint,
-    _letter_tags,
-    _meet,
-    _order,
-    _word_tags,
     branch_point,
     is_admissible,
     language,
@@ -182,6 +180,7 @@ def ends(arc):
     return arc.lo, arc.hi, arc.lo_tag, arc.hi_tag
 
 
+@lru_cache(maxsize=4096)
 def tag_arc(alpha, lo_tag, hi_tag):
     """The field arc between the cut points of two tags."""
     return FieldArc(_mod1(alpha * -lo_tag), _mod1(alpha * -hi_tag), lo_tag, hi_tag)
@@ -201,21 +200,21 @@ def intersect_arcs(a, b):
     span_a = a.span()
     s2 = _mod1(b.lo - a.lo)
     e2 = s2 + b.span()
-    pieces = []
+    pieces = []  # each starts at b.lo or a.lo and ends at b.hi or a.hi
     if s2 < span_a:
         end = min(e2, span_a)
         if s2 < end:
-            pieces.append((s2, end, b.lo_tag, b.hi_tag if end == e2 else a.hi_tag))
+            pieces.append((b.lo, b.lo_tag, b if end == e2 else a))
     if e2 > 1:
         end = min(e2 - 1, span_a)
         if end > 0:
-            pieces.append((Fraction(0), end, a.lo_tag, b.hi_tag if end == e2 - 1 else a.hi_tag))
+            pieces.append((a.lo, a.lo_tag, b if end == e2 - 1 else a))
     if not pieces:
         return None
     if len(pieces) > 1:
         raise RuntimeError("arc intersection is not a single arc")
-    s, e, lo_tag, hi_tag = pieces[0]
-    return FieldArc(_mod1(a.lo + s), _mod1(a.lo + e), lo_tag, hi_tag)
+    lo, lo_tag, last = pieces[0]
+    return FieldArc(lo, last.hi, lo_tag, last.hi_tag)
 
 
 def interior_point_off_orbit(arc):
@@ -372,12 +371,11 @@ def death_depths_by_walk(alpha, x, n0, candidates, max_depth):
     branch-orbit point dies at the first letter where that point's coding
     parts from x's.  Candidates alive after max_depth letters are left out.
     """
-    before = _order(alpha)
     arcs, codings, depths = {}, {}, {}
     for data, y in candidates.items():
         if y is None:
             (w,) = data[1]
-            arcs[data] = _word_tags(before, w)
+            arcs[data] = word_arc(alpha, w)
         else:
             codings[data] = letters(y)
     for i, letter in enumerate(islice(letters(x), max_depth)):
@@ -387,7 +385,7 @@ def death_depths_by_walk(alpha, x, n0, candidates, max_depth):
                 depths[data] = i + 1
         if i >= n0:
             for data, arc in list(arcs.items()):
-                arcs[data] = _meet(before, arc, _letter_tags(letter, n0 + i))
+                arcs[data] = intersect_arcs(arc, letter_arc(alpha, letter, n0 + i))
                 if arcs[data] is None:
                     del arcs[data]
                     depths[data] = i + 1

@@ -267,6 +267,8 @@ class TestNumericUsageErrors:
             ("L", ("fibre", "--point", "omega", "--K", "0", "--L", str(sys.maxsize + 1))),
             ("point", ("word", "--t", "1/", "--n", "3")),
             ("point", ("past", "--t", "/2", "--l", "2")),
+            ("window", ("dad", "--F", "1", "--window", str(sys.maxsize + 1))),
+            ("F", ("dad", "--F", f"1,{sys.maxsize + 1}")),
         ],
     )
     def test_out_of_range_exits_2(self, capsys, field, argv):

@@ -5,9 +5,12 @@ coding by adding alpha and comparing with 1 - alpha, pasts by walking back
 along preimages, arcs with object endpoints and cells inserted by bisection.
 The kernel must agree with it point for point, letter for letter, past for
 past and arc for arc, and must build a bounded number of field elements
-however long the word; arcs and the cover build none at all.  First entries
-of the cut points into an arc must agree with a scan over j, and floors of a
-ratio of two lattice elements with the field arithmetic.
+however long the word; arcs and the cover build none at all, and the
+language and cylinder arcs a bounded number of floors per letter.  Language,
+arcs and special factors are also checked over random continued-fraction
+parameters.  First entries of the cut points into an arc must agree with a
+scan over j, and floors of a ratio of two lattice elements with the field
+arithmetic.
 """
 
 import math
@@ -18,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sturmian.cover import eq_class, fibre, property_star_witness, quotient, thread_of
-from sturmian.quadratics import QuadraticIrrational
+from sturmian.quadratics import ContinuedFraction, QuadraticIrrational, cf_value
 from sturmian.words import (
     Arc,
     OrbitPoint,
@@ -27,11 +30,13 @@ from sturmian.words import (
     code_letter,
     code_word,
     cylinder_arc,
+    language,
     past_set,
     preimages,
     two_sided_word,
 )
-from sturmian.words import _cells, _first_entry, _floor
+from sturmian import words
+from sturmian.words import _first_entry, _floor
 
 import reference
 
@@ -170,11 +175,43 @@ def test_arc_matches_field_arc(data, alpha, lo, hi):
 @settings(max_examples=40, deadline=None)
 @given(alpha=st.sampled_from(ALPHAS), n=st.integers(0, 60))
 def test_cells(alpha, n):
-    cells = _cells(alpha, n)
     ref = reference.cells(alpha, n)
-    assert list(cells) == list(ref)  # the same words in the same circular order
-    for w, tags in cells.items():
-        assert reference.ends(Arc(alpha, *tags)) == reference.ends(ref[w])
+    assert language(alpha, n) == set(ref)
+    for w, arc in ref.items():
+        assert reference.ends(cylinder_arc(alpha, w)) == reference.ends(arc)
+
+
+digits = st.one_of(st.integers(1, 5), st.integers(1, 10**6))
+
+
+@st.composite
+def cf_parameters(draw):
+    """cf:[0; a1, .., (b1, .., bm)]: at most three preperiod digits, 1 <= m <= 4."""
+    pre = (0, *draw(st.lists(digits, max_size=2)))
+    return cf_value(ContinuedFraction(pre, tuple(draw(st.lists(digits, min_size=1, max_size=4)))))
+
+
+def flip(w, i):
+    return w[:i] + "10"[int(w[i])] + w[i + 1 :]
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), alpha=cf_parameters(), n=st.integers(0, 60))
+def test_cylinders_over_cf_parameters(data, alpha, n):
+    # tiny and huge partial quotients: the language, its arcs, emptiness and special factors
+    ref = reference.cells(alpha, n)
+    lang = language(alpha, n)
+    assert lang == set(ref)
+    for w, arc in ref.items():
+        assert reference.ends(cylinder_arc(alpha, w)) == reference.ends(arc)
+    tries = [data.draw(st.text("01", max_size=n)) for _ in range(3)]
+    if n:
+        tries += [flip(w, data.draw(st.integers(0, n - 1))) for w in sorted(lang)[:: max(n // 3, 1)]]
+    for w in tries:
+        assert (cylinder_arc(alpha, w) is None) == (reference.word_arc(alpha, w) is None)
+    longer = language(alpha, n + 1)
+    assert sum(w + "0" in longer and w + "1" in longer for w in lang) == 1  # right special
+    assert sum("0" + w in longer and "1" + w in longer for w in lang) == 1  # left special
 
 
 lattice = st.tuples(st.integers(-40, 40), st.integers(-40, 40))
@@ -232,8 +269,26 @@ def constructions(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def floors(monkeypatch):
+    """A list that grows by one per call of the kernel floor `words._floor`."""
+    seen = []
+    real = words._floor
+
+    def counted(*args):
+        seen.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(words, "_floor", counted)
+    return seen
+
+
 class TestKernelObjectCounts:
-    """Coding and pasts build O(1) field elements, not O(length); arcs build none."""
+    """Coding and pasts build O(1) field elements, not O(length); arcs build none.
+
+    The language reads one coded word of 2n letters, one floor each plus one,
+    and a cylinder arc walks its word once, at most seven floors a letter.
+    """
 
     FIB = ALPHAS[0]
     WORD = code_word(OrbitPoint(FIB, Fraction(2, 9)), 200)
@@ -259,10 +314,20 @@ class TestKernelObjectCounts:
         for n in (0, 1, 20, 200):
             assert self._count(constructions, cylinder_arc, self.FIB, self.WORD[:n]) == 0
 
+    def test_language(self, constructions, floors):
+        for n in (1, 2, 20, 200):
+            assert self._count(floors, language, self.FIB, n) == 2 * n + 1
+            assert self._count(constructions, language, self.FIB, n) == 0
+
+    def test_cylinder_arc_floors(self, floors):
+        for n in (1, 2, 20, 200):
+            for w in (self.WORD[:n], flip(self.WORD[:n], n - 1)):
+                assert self._count(floors, cylinder_arc, self.FIB, w) <= 7 * n + 2
+
     def test_arc_contains(self, constructions):
         ts = [Fraction(2, 9), Fraction(-7, 3), self.FIB * Fraction(1, 3), 1 - self.FIB, self.FIB * -40]
-        for tags in _cells(self.FIB, 8).values():
-            arc = Arc(self.FIB, *tags)
+        for w in language(self.FIB, 8):
+            arc = cylinder_arc(self.FIB, w)
             for t in ts:
                 assert self._count(constructions, arc.contains, t) == 0
 

@@ -19,7 +19,6 @@ from sturmian.words import (
     recurrence_bound,
     two_sided_word,
 )
-from sturmian.words import _cells, _meet, _order
 
 import reference
 from reference import partition_table
@@ -110,10 +109,10 @@ class TestCylinders:
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_cells_are_half_open(self, alpha):
         # every cylinder arc holds its start point and not its end point
-        assert list(_cells(alpha, 0).values()) == [(0, 0)]
+        assert language(alpha, 0) == {""} and cylinder_arc(alpha, "") == Arc(alpha, 0, 0)
         for n in range(1, 9):
-            for tags in _cells(alpha, n).values():
-                arc = Arc(alpha, *tags)
+            for w in language(alpha, n):
+                arc = cylinder_arc(alpha, w)
                 assert arc.contains(arc.lo) and not arc.contains(arc.hi)
 
     def test_alphabet_validation(self):
@@ -346,24 +345,23 @@ class TestVariantAgreement:
 class TestArcImplementationsAgree:
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_incremental_cylinder_matches_partition_table(self, alpha):
-        # language reads the ordered refinement, the fibre certificates the
-        # incremental intersection; both must give the arcs of the midpoint
-        # coded partition table, in circular order, endpoint tags included
+        # language reads windows of one coded word, cylinder_arc walks the
+        # letters; both must give the cells of the midpoint coded partition
+        # table, endpoint tags included
         for n in [*range(0, 9), 100]:
             table = partition_table(alpha, n)
-            cells = _cells(alpha, n)
-            got = [(w, reference.ends(Arc(alpha, *tags))) for w, tags in cells.items()]
-            assert got == [(w, reference.ends(arc)) for w, arc in table.items()]
+            assert language(alpha, n) == set(table)
             for w, arc in table.items():
                 assert reference.ends(cylinder_arc(alpha, w)) == reference.ends(arc)
 
     def test_intersections_of_disjoint_cylinders_are_empty(self):
+        # the field arcs through the package's tags meet only on the diagonal
         lang = sorted(language(FIB, 4))
-        arcs = {w: cylinder_arc(FIB, w) for w in lang}
+        cylinders = {w: cylinder_arc(FIB, w) for w in lang}
+        arcs = {w: reference.tag_arc(FIB, arc.lo_tag, arc.hi_tag) for w, arc in cylinders.items()}
         for a in lang:
             for b in lang:
-                tags = [(arcs[w].lo_tag, arcs[w].hi_tag) for w in (a, b)]
-                got = _meet(_order(FIB), *tags)
+                got = reference.intersect_arcs(arcs[a], arcs[b])
                 assert (got is not None) == (a == b)
 
 
@@ -378,15 +376,15 @@ class TestOrbitPosition:
         assert OrbitPoint(FIB, FIB * Fraction(1, 2)).orbit_position() is None
 
     def test_partition_arcs_cover_circle(self):
-        arcs = [Arc(FIB, *tags) for tags in _cells(FIB, 5).values()]
+        arcs = [cylinder_arc(FIB, w) for w in language(FIB, 5)]
         rng = random.Random(4)
         for _ in range(50):
             t = Fraction(rng.randint(0, 10**6 - 1), 10**6)
             assert sum(a.contains(t) for a in arcs) == 1
 
     def test_interior_points_off_orbit(self):
-        for tags in _cells(FIB, 7).values():
-            arc = Arc(FIB, *tags)
+        for w in language(FIB, 7):
+            arc = cylinder_arc(FIB, w)
             x = arc.interior_point_off_orbit()
             assert arc.contains(x.t)
             assert x.orbit_position() is None
