@@ -23,11 +23,19 @@ class UsageError(ValueError):
         super().__init__(f"{field}: {message}")
 
 
-def _parse_alpha(text: str) -> QuadraticIrrational:
+def _blame(field: str, f, *args):
+    """f(*args), its ValueError reported as a usage error of the option field."""
+    try:
+        return f(*args)
+    except ValueError as e:
+        raise UsageError(field, str(e))
+
+
+def _parse_parameter(field: str, text: str) -> QuadraticIrrational:
     try:
         return check_unit_interval(parse_quad(text))
     except (ValueError, ZeroDivisionError) as e:
-        raise UsageError("alpha", str(e))
+        raise UsageError(field, str(e))
 
 
 def _parse_point(alpha: QuadraticIrrational, spec: str, variant: str) -> OrbitPoint:
@@ -75,7 +83,7 @@ def _run_word(args: argparse.Namespace) -> int:
 def _run_language(args: argparse.Namespace) -> int:
     from .words import language
 
-    words = sorted(language(args.alpha, args.n))
+    words = sorted(_blame("n", language, args.alpha, args.n))
     _emit(args, {"alpha": format_quad(args.alpha), "n": args.n, "words": words}, words)
     return 0
 
@@ -93,7 +101,7 @@ def _run_cover(args: argparse.Namespace) -> int:
     from .cover import quotient
 
     k, l = args.k, args.l
-    q = quotient(args.alpha, (k, l))
+    q = _blame("l", quotient, args.alpha, (k, l))
     classes = sorted(
         ({"prefix": c.prefix, "past": sorted(c.past)} for c in q.classes),
         key=lambda d: (d["prefix"], d["past"]),
@@ -140,15 +148,9 @@ def _run_fibre(args: argparse.Namespace) -> int:
 def _run_dad(args: argparse.Namespace) -> int:
     from .groupoid import check_witness, dad_witness, degenerate_cover_chain
 
-    try:
-        w = dad_witness(args.alpha, args.F)
-    except ValueError as e:
-        raise UsageError("F", str(e))
+    w = _blame("F", dad_witness, args.alpha, args.F)
     window = w.min_window if args.window is None else args.window
-    try:
-        chk = check_witness(args.alpha, w, window)
-    except ValueError as e:
-        raise UsageError("window", str(e))
+    chk = _blame("window", check_witness, args.alpha, w, window)
     degenerate = degenerate_cover_chain(args.alpha, args.F, window)
     payload = chk.to_dict()
     payload["degenerate_chain"] = degenerate
@@ -271,7 +273,7 @@ def _parse_args(args: argparse.Namespace) -> None:
     """Check the options and replace alpha, F and beta by their parsed values."""
     if args.output not in OUTPUTS:  # a STURMIAN_OUTPUT default skips argparse's check
         raise UsageError("output", f"must be one of {', '.join(OUTPUTS)}, not {args.output!r}")
-    args.alpha = _parse_alpha(args.alpha)
+    args.alpha = _parse_parameter("alpha", args.alpha)
     if args.command == "dad":
         try:
             args.F = tuple(int(v) for v in args.F.split(","))
@@ -279,10 +281,7 @@ def _parse_args(args: argparse.Namespace) -> None:
             raise UsageError("F", f"cannot parse {args.F!r}")
     _check_numeric(args)
     if args.command == "compare":
-        try:
-            args.beta = check_unit_interval(parse_quad(args.beta))
-        except (ValueError, ZeroDivisionError) as e:
-            raise UsageError("beta", str(e))
+        args.beta = _parse_parameter("beta", args.beta)
 
 
 def main(argv: Optional[list[str]] = None) -> int:

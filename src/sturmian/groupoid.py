@@ -11,11 +11,12 @@ the orbit into it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .quadratics import QuadraticIrrational, check_unit_interval
-from .words import OrbitPoint, Word, language, recurrence_bound
+from .words import OrbitPoint, TwoSidedPoint, Word, language, recurrence_bound, two_sided_word
 
 if TYPE_CHECKING:  # the witness and its check never touch the cover
     from .cover import Thread
@@ -126,14 +127,6 @@ class DadWitness:
         """The shortest window check_witness accepts."""
         return 2 * self.lbar * max(self.beta_mu, self.beta_nu)
 
-    @property
-    def u_description(self) -> str:
-        return "preimage of Z(" + " | ".join(self.mu_shifts) + ")"
-
-    @property
-    def v_description(self) -> str:
-        return "complement of " + self.u_description
-
 
 def _shift_cylinders_disjoint(mu: Word, nu: Word, lbar: int) -> bool:
     a = [mu[j:] for j in range(lbar)]
@@ -177,7 +170,7 @@ def dad_witness(alpha: QuadraticIrrational, values) -> DadWitness:
 
 @dataclass(frozen=True)
 class WitnessCheck:
-    """Exhaustive window verification of the two-set chain bounds."""
+    """Verification of the two-set chain bounds over every admissible window."""
 
     witness: DadWitness
     window: int
@@ -222,14 +215,17 @@ def _u_positions(w: DadWitness, word: Word, limit: int) -> list[bool]:
     return flags
 
 
-def _longest_chain(allowed: list[bool], jumps: list[int]) -> int:
-    """Most steps in a chain of allowed positions, each step one of the jumps."""
-    # best[s]: the longest chain from s; -1 where s is not allowed or past the end
-    best = [-1] * (len(allowed) + max(jumps))
-    for s in range(len(allowed) - 1, -1, -1):
-        if allowed[s]:
-            best[s] = 1 + max([best[s + f] for f in jumps])
-    return max(max(best), 0)
+def _longest_chain(allowed: list[bool], jumps: list[int], span: int) -> int:
+    """Most steps in a chain of allowed positions, each step one of the jumps,
+    that ends at most span positions past its start."""
+    # end[s]: the least end of a k-step chain from s; it grows with k, so dead starts stay dead
+    end = [s if ok else math.inf for s, ok in enumerate(allowed)] + [math.inf] * max(jumps)
+    alive, steps = [s for s, ok in enumerate(allowed) if ok], -1
+    while alive:
+        for s in alive:  # increasing, so end[s + f] still holds a k-step end
+            end[s] = min([end[s + f] for f in jumps])
+        alive, steps = [s for s in alive if end[s] <= s + span], steps + 1
+    return max(steps, 0)
 
 
 def check_witness(alpha: QuadraticIrrational, w: DadWitness, window: int) -> WitnessCheck:
@@ -238,31 +234,29 @@ def check_witness(alpha: QuadraticIrrational, w: DadWitness, window: int) -> Wit
     (a) every window meets the cylinder union within beta_mu shifts; (b)
     chains of same-side arrows with jumps among the cocycle values are no
     longer than beta_mu on the complement side and beta_nu on the cylinder
-    side.
+    side.  The windows are those of one word of 2*window letters, as in
+    `language`; each reads its starts i..i + limit, limit = window - 2*lbar,
+    so the word is flagged once.  A chain spanning at most limit positions
+    lies in the window starting at its first position, or in the last one.
     """
     if window < w.min_window:
         raise ValueError(f"window must be at least {w.min_window}")
+    word = two_sided_word(TwoSidedPoint._at(alpha, 0, 0, 1, "L"), -window, window)
     limit = window - 2 * w.lbar
     jumps = [v for v in w.cocycle_values if v >= 1]
-    covered = True
-    max_first = 0
-    max_v = max_u = 0
-    for word in language(alpha, window):
-        upos = _u_positions(w, word, limit)
-        first = upos.index(True) if True in upos else limit + 1
-        covered = covered and first <= w.beta_mu
-        max_first = max(max_first, first)
-        max_v = max(max_v, _longest_chain([not u for u in upos], jumps))
-        max_u = max(max_u, _longest_chain(upos, jumps))
+    upos = _u_positions(w, word, window + limit)
+    max_first, nxt = 0, len(upos)  # nxt: the first flag at or after s
+    for s in range(len(upos) - 1, -1, -1):
+        nxt = s if upos[s] else nxt
+        max_first = max(max_first, min(nxt - s, limit + 1) if s <= window else 0)
+    max_v, max_u = (_longest_chain(side, jumps, limit) for side in ([not u for u in upos], upos))
     bound = w.lbar * max(max_v, max_u)
-    return WitnessCheck(w, window, covered, max_first, max_v, max_u, bound)
+    return WitnessCheck(w, window, max_first <= w.beta_mu, max_first, max_v, max_u, bound)
 
 
 def degenerate_cover_chain(alpha: QuadraticIrrational, values, window: int) -> int:
-    """Longest chain when a single set covers everything: no barrier at all."""
-    values = tuple(sorted(set(int(v) for v in values)))
-    jumps = [v for v in values if v >= 1]
-    if not jumps:
+    """Longest chain when a single set covers everything: every step takes the least jump."""
+    values = [int(v) for v in values]
+    if not values or max(values) < 1:
         raise ValueError("need a positive cocycle value")
-    limit = window - 2 * values[-1]
-    return _longest_chain([True] * (limit + 1), jumps)
+    return max((window - 2 * max(values)) // min(v for v in values if v >= 1), 0)

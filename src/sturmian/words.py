@@ -13,6 +13,7 @@ which is where the subshift closure adds points.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -184,14 +185,20 @@ def code_word(x: OrbitPoint, n: int) -> Word:
     """First n letters of the coding of x."""
     if n < 0:
         raise ValueError("length must be nonnegative")
-    return "".join(islice(coding(x), n))
+    return _word(coding(x), n)
 
 
 def two_sided_word(x: TwoSidedPoint, m: int, n: int) -> Word:
     """Letters of the bi-infinite coding at indices m..n-1."""
     if m > n:
         raise ValueError("need m <= n")
-    return "".join(islice(coding(x, m), n - m))
+    return _word(coding(x, m), n - m)
+
+
+def _word(letters: Iterator[str], n: int) -> Word:
+    if n > sys.maxsize:  # islice counts at most sys.maxsize letters
+        raise ValueError(f"a coded word has at most sys.maxsize = {sys.maxsize} letters, not {n}")
+    return "".join(islice(letters, n))
 
 
 # -- arcs and the cylinder structure ---------------------------------------
@@ -314,7 +321,7 @@ def language(alpha: QuadraticIrrational, n: int) -> frozenset[Word]:
     if n < 0:
         raise ValueError("length must be nonnegative")
     check_unit_interval(alpha)
-    w = "".join(islice(_letters(alpha, "L", 0, -n, 1), 2 * n))
+    w = _word(_letters(alpha, "L", 0, -n, 1), 2 * n)
     words = frozenset(w[i : i + n] for i in range(n + 1))
     if len(words) != (n + 1 if n >= 1 else 1):
         raise RuntimeError("factor complexity violated; arithmetic bug")
@@ -353,7 +360,7 @@ def past_set(x: OrbitPoint, l: int) -> frozenset[Word]:
     pos = x.orbit_position()
     variants = "LR" if pos is not None and pos[0] == "forward" and pos[1] < l else x.variant
     return frozenset(
-        "".join(islice(_letters(x.alpha, v, x.a, x.b - l * x.c, x.c), l)) for v in variants
+        _word(_letters(x.alpha, v, x.a, x.b - l * x.c, x.c), l) for v in variants
     )
 
 

@@ -269,12 +269,18 @@ class TestNumericUsageErrors:
             ("point", ("past", "--t", "/2", "--l", "2")),
             ("window", ("dad", "--F", "1", "--window", str(sys.maxsize + 1))),
             ("F", ("dad", "--F", f"1,{sys.maxsize + 1}")),
+            # in range, but the coded word would have more than sys.maxsize letters
+            ("n", ("language", "--n", str(sys.maxsize // 2 + 1))),
+            ("l", ("cover", "--k", "0", "--l", str(sys.maxsize))),
+            ("F", ("dad", "--F", str(sys.maxsize))),
+            ("window", ("dad", "--F", "1", "--window", str(sys.maxsize))),
         ],
     )
     def test_out_of_range_exits_2(self, capsys, field, argv):
         code, out, err = run_cli(capsys, *argv, "--alpha", FIB)
         assert code == 2 and out == ""
         assert err.startswith(f"error: {field}: ")
+        assert "islice" not in err
 
 
 class TestOptimizedInterpreter:

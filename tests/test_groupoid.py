@@ -1,6 +1,9 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, reject, settings
+from hypothesis import strategies as st
 
 from sturmian.quadratics import QuadraticIrrational
 from sturmian.words import (
@@ -21,6 +24,7 @@ from sturmian.groupoid import (
 )
 
 import reference
+from test_kernel import cf_parameters
 
 FIB = QuadraticIrrational(3, -1, 5, 2)
 SQRT2M1 = QuadraticIrrational(-1, 1, 2, 1)
@@ -186,6 +190,38 @@ class TestWindowScanMatchesReference:
             assert degenerate_cover_chain(alpha, values, window) == reference.longest_chain(
                 set(range(window - 2 * w.lbar + 1)), jumps
             )
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    data=st.data(),
+    # cf_value factors the period's discriminant by trial division, so the
+    # huge partial quotients sit in the preperiod
+    alpha=cf_parameters(period_digits=st.integers(1, 40)),
+    values=st.builds(lambda v, rest: {v} | rest, st.integers(1, 4), st.sets(st.integers(0, 4))),
+)
+def test_one_word_scan_matches_window_scan(data, alpha, values):
+    # tiny and huge partial quotients; lowered betas make the check fail and
+    # shrink the window below the chains' spans
+    try:
+        w = dad_witness(alpha, values)
+    except RuntimeError:  # no disjoint witness words for this F: not every F has a witness yet
+        reject()
+    assume(w.min_window <= 400)
+    lowered = dataclasses.replace(
+        w,
+        beta_mu=data.draw(st.integers(1, w.beta_mu)),
+        beta_nu=data.draw(st.integers(1, w.beta_nu)),
+    )
+    jumps = [v for v in values if v >= 1]
+    for v in (w, lowered):
+        for window in (v.min_window, v.min_window + 1, v.min_window + data.draw(st.integers(2, 40))):
+            assert check_witness(alpha, v, window) == reference.check_witness(alpha, v, window)
+    for window in (0, 2 * w.lbar - 1, data.draw(st.integers(0, w.min_window + 40))):
+        limit = window - 2 * w.lbar
+        assert degenerate_cover_chain(alpha, values, window) == reference.longest_chain(
+            set(range(limit + 1)), jumps
+        )
 
 
 class TestChainModelSpotCheck:

@@ -21,6 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sturmian.cover import eq_class, fibre, property_star_witness, quotient, thread_of
+from sturmian.groupoid import check_witness, dad_witness
 from sturmian.quadratics import ContinuedFraction, QuadraticIrrational, cf_value
 from sturmian.words import (
     Arc,
@@ -35,7 +36,7 @@ from sturmian.words import (
     preimages,
     two_sided_word,
 )
-from sturmian import words
+from sturmian import groupoid, words
 from sturmian.words import _first_entry, _floor
 
 import reference
@@ -185,10 +186,11 @@ digits = st.one_of(st.integers(1, 5), st.integers(1, 10**6))
 
 
 @st.composite
-def cf_parameters(draw):
+def cf_parameters(draw, period_digits=digits):
     """cf:[0; a1, .., (b1, .., bm)]: at most three preperiod digits, 1 <= m <= 4."""
     pre = (0, *draw(st.lists(digits, max_size=2)))
-    return cf_value(ContinuedFraction(pre, tuple(draw(st.lists(digits, min_size=1, max_size=4)))))
+    period = draw(st.lists(period_digits, min_size=1, max_size=4))
+    return cf_value(ContinuedFraction(pre, tuple(period)))
 
 
 def flip(w, i):
@@ -287,7 +289,8 @@ class TestKernelObjectCounts:
     """Coding and pasts build O(1) field elements, not O(length); arcs build none.
 
     The language reads one coded word of 2n letters, one floor each plus one,
-    and a cylinder arc walks its word once, at most seven floors a letter.
+    and the witness check one more to reduce the word's point; a cylinder arc
+    walks its word once, at most seven floors a letter.
     """
 
     FIB = ALPHAS[0]
@@ -318,6 +321,16 @@ class TestKernelObjectCounts:
         for n in (1, 2, 20, 200):
             assert self._count(floors, language, self.FIB, n) == 2 * n + 1
             assert self._count(constructions, language, self.FIB, n) == 0
+
+    def test_check_witness_reads_one_coded_word(self, floors, monkeypatch):
+        witnesses = [dad_witness(self.FIB, values) for values in [(1,), (1, 2, 3)]]
+        languages = []
+        for module in (words, groupoid):  # groupoid holds its own name for language
+            monkeypatch.setattr(module, "language", lambda *args: languages.append(args))
+        for w in witnesses:
+            for window in (w.min_window, 3 * w.min_window):
+                assert self._count(floors, check_witness, self.FIB, w, window) <= 2 * window + 2
+        assert languages == []
 
     def test_cylinder_arc_floors(self, floors):
         for n in (1, 2, 20, 200):
