@@ -14,8 +14,7 @@ from importlib import import_module as _import_module
 _EXPORTS = {
     "quadratics": (
         "BudgetExceededError", "ContinuedFraction", "Moebius", "QuadraticIrrational",
-        "RationalValueError", "cf_expand", "cf_tail_equivalent", "cf_value", "compare_to_rational",
-        "format_quad", "parse_cf", "parse_quad",
+        "RationalValueError", "cf_expand", "cf_value", "format_quad", "parse_cf", "parse_quad",
     ),
     "words": (
         "Arc", "OrbitPoint", "TwoSidedPoint", "branch_point", "code_letter", "code_word",
@@ -24,7 +23,7 @@ _EXPORTS = {
     ),
     "cover": (
         "EqClass", "FiniteQuotient", "IndexPair", "Thread", "construct_fibre_element", "eq_class",
-        "equivalent", "expected_fibre_size", "fibre", "fibre_report", "index_leq", "is_isolated",
+        "expected_fibre_size", "fibre", "fibre_report", "index_leq", "is_isolated",
         "property_star_witness", "q_map", "quotient", "shift_map", "shift_thread", "thread_of",
         "two_sided_embed",
     ),
@@ -34,7 +33,7 @@ _EXPORTS = {
     ),
     "invariants": (
         "InvariantReport", "OrderedGroupDescriptor", "compare_parameters", "conjugate",
-        "flow_equivalent", "k_theory_report",
+        "flow_equivalent",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

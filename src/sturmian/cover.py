@@ -19,10 +19,9 @@ from .words import (
     Word,
     _first_entry,
     _word_tags,
-    branch_point,
+    _zero_word,
     code_word,
     cylinder_arc,
-    language,
     past_set,
 )
 
@@ -78,10 +77,6 @@ def eq_class(alpha: QuadraticIrrational, x: OrbitPoint, idx) -> EqClass:
     return EqClass(idx, code_word(x, idx.k), past_set(x.shift(idx.k), idx.l), x)
 
 
-def equivalent(alpha: QuadraticIrrational, x: OrbitPoint, y: OrbitPoint, idx) -> bool:
-    return eq_class(alpha, x, idx) == eq_class(alpha, y, idx)
-
-
 @dataclass(frozen=True)
 class FiniteQuotient:
     index: IndexPair
@@ -98,25 +93,28 @@ class FiniteQuotient:
 
 
 def _classes(alpha: QuadraticIrrational, k: int, l: int) -> set[EqClass]:
-    """Every class at level (k, l), exactly.
+    """Every class at level (k, l), exactly, as windows of the two codings of 0.
 
-    The k-th shift of x has one length-l past unless it is sigma^j(omega)
-    with j < l.  A unique past is one admissible length-l word w, whose
-    last k letters are then the prefix; every such word occurs.  The other
-    classes belong to the points x whose k-th shift is sigma^j(omega):
-    x = sigma^(j-k)(omega) when j >= k, else the two codings of the point
-    (1-k+j)*alpha, which meet omega after k-j shifts.  Those classes carry
-    x as their representative; the singleton classes carry none.
+    Let w be the L coding of 0 at indices -l..l-1 and v the R coding, w with
+    its letters at -1 and 0 swapped.  The k-th shift of x has one length-l
+    past unless it is sigma^j(omega), the point (1+j)*alpha, with j < l.  A
+    unique past is one admissible length-l word, a window of w, whose last k
+    letters are then the prefix; every such word occurs.  The other classes
+    belong to the points x = (1+j-k)*alpha: their pasts are the windows of w
+    and v ending at index j, and x's prefix is w's window of k letters ending
+    there, or v's for x's R coding, another point when j < k.  Those classes
+    carry x as their representative; the singleton classes carry none.
     """
     idx = IndexPair(k, l)
-    out = {EqClass(idx, w[l - k :], frozenset({w})) for w in language(alpha, l)}
-    om = branch_point(alpha)
+    w = _zero_word(alpha, l)  # letter i at w[l + i]
+    v = w[: l - 1] + w[l - 1 : l + 1][::-1] + w[l + 1 :]
+    out = {EqClass(idx, w[i + l - k : i + l], frozenset({w[i : i + l]})) for i in range(l + 1)}
     for j in range(l):
-        if j >= k:
-            reps = [om.shift(j - k)]
-        else:
-            reps = [OrbitPoint._at(alpha, 0, 1 - k + j, 1, v) for v in "LR"]
-        out.update(eq_class(alpha, x, idx) for x in reps)
+        e = l + 1 + j  # the windows end at index j, just before w[e]
+        past = frozenset({w[e - l : e], v[e - l : e]})
+        for word, variant in ((w, "L"), (v, "R"))[: 1 + (j < k)]:
+            x = OrbitPoint._at(alpha, 0, 1 + j - k, 1, variant)
+            out.add(EqClass(idx, word[e - k : e], past, x))
     return out
 
 
@@ -306,13 +304,13 @@ def fibre(alpha: QuadraticIrrational, x: OrbitPoint, K: int, L: int) -> set[Thre
     Every compatible family over the truncated grid is the projection of a
     single class at the chain level (n0, 2n0) with n0 = max(L, 1), and the
     families extending to arbitrarily deep levels are exactly the fibre of
-    the projective limit.  The search enumerates every class at (n0, 2n0)
-    whose prefix matches x and certifies each non-fibre candidate dead at a
-    first landing of the cut points: a singleton-past class survives exactly
-    while its past window glued to x's prefix stays admissible, and a
-    two-past class belongs to one concrete branch-orbit point and survives
-    only while that point's coding agrees with x.  Every depth is finite, so
-    the search is total.
+    the projective limit.  The candidates are the classes at (n0, 2n0) whose
+    prefix matches x, all read off the two codings of 0 (`_classes`); each
+    non-fibre candidate is certified dead at a first landing of the cut
+    points: a singleton-past class survives exactly while its past window
+    glued to x's prefix stays admissible, and a two-past class belongs to
+    one concrete branch-orbit point and survives only while that point's
+    coding agrees with x.  Every depth is finite, so the search is total.
     """
     if not 0 <= K <= L:
         raise ValueError("need 0 <= K <= L")

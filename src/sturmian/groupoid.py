@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .quadratics import QuadraticIrrational, check_unit_interval
-from .words import OrbitPoint, TwoSidedPoint, Word, language, recurrence_bound, two_sided_word
+from .words import OrbitPoint, Word, _zero_word, language, recurrence_bound
 
 if TYPE_CHECKING:  # the witness and its check never touch the cover
     from .cover import Thread
@@ -234,14 +234,15 @@ def check_witness(alpha: QuadraticIrrational, w: DadWitness, window: int) -> Wit
     (a) every window meets the cylinder union within beta_mu shifts; (b)
     chains of same-side arrows with jumps among the cocycle values are no
     longer than beta_mu on the complement side and beta_nu on the cylinder
-    side.  The windows are those of one word of 2*window letters, as in
-    `language`; each reads its starts i..i + limit, limit = window - 2*lbar,
-    so the word is flagged once.  A chain spanning at most limit positions
-    lies in the window starting at its first position, or in the last one.
+    side.  The windows are those of the coding of 0 at indices
+    -window..window-1, as in `language`; each reads its starts i..i + limit,
+    limit = window - 2*lbar, so the word is flagged once.  A chain spanning
+    at most limit positions lies in the window starting at its first
+    position, or in the last one.
     """
     if window < w.min_window:
         raise ValueError(f"window must be at least {w.min_window}")
-    word = two_sided_word(TwoSidedPoint._at(alpha, 0, 0, 1, "L"), -window, window)
+    word = _zero_word(alpha, window)
     limit = window - 2 * w.lbar
     jumps = [v for v in w.cocycle_values if v >= 1]
     upos = _u_positions(w, word, window + limit)

@@ -68,12 +68,6 @@ class OrderedGroupDescriptor:
         return 1 if self.value_positive(a[0] - b[0], a[1] - b[1]) else -1
 
 
-def k_theory_report(alpha: QuadraticIrrational) -> OrderedGroupDescriptor:
-    """The ordered invariant attached to the parameter: K0 data, K1 = 0."""
-    check_unit_interval(alpha)
-    return OrderedGroupDescriptor(alpha)
-
-
 @dataclass(frozen=True)
 class InvariantReport:
     alpha: QuadraticIrrational

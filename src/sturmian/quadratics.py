@@ -257,13 +257,6 @@ def check_unit_interval(x: QuadraticIrrational) -> QuadraticIrrational:
     return x
 
 
-def compare_to_rational(x: QuadraticIrrational, num: int, den: int) -> str:
-    """Exact ordering of x against num/den: "LT" or "GT" (never equal)."""
-    if den <= 0:
-        raise ValueError("denominator must be a positive integer")
-    return "LT" if x._cmp(Fraction(num, den)) < 0 else "GT"
-
-
 # -- continued fractions ---------------------------------------------------
 
 
@@ -389,20 +382,6 @@ def cf_value(cf: ContinuedFraction) -> QuadraticIrrational:
     if f == 1:
         raise RationalValueError("period does not define an irrational")
     return _image(*_matrix(cf.preperiod), u, s, f, 2 * c)  # y = (u + s*sqrt(f))/(2c)
-
-
-def _delimited(digits: tuple[int, ...]) -> str:
-    return "," + ",".join(map(str, digits)) + ","
-
-
-def cf_tail_equivalent(a: ContinuedFraction, b: ContinuedFraction) -> bool:
-    """True iff the two digit streams agree from some point on.
-
-    For canonical (minimal-period) inputs this holds exactly when the
-    periods are rotations of one another, that is when b's period occurs
-    in a's period written twice.
-    """
-    return len(a.period) == len(b.period) and _delimited(b.period) in _delimited(a.period * 2)
 
 
 # -- the GL(2,Z) action ----------------------------------------------------

@@ -201,6 +201,16 @@ def _word(letters: Iterator[str], n: int) -> Word:
     return "".join(islice(letters, n))
 
 
+def _zero_word(alpha: QuadraticIrrational, n: int) -> Word:
+    """The L coding of 0 at indices -n..n-1, letter i at w[n + i]; 2n + 1 floors.
+
+    The R coding of 0 is the same word with its letters at -1 and 0 swapped:
+    the two differ only where the orbit of 0 meets {0, 1 - alpha}.
+    """
+    check_unit_interval(alpha)
+    return _word(_letters(alpha, "L", 0, -n, 1), 2 * n)
+
+
 # -- arcs and the cylinder structure ---------------------------------------
 
 
@@ -320,8 +330,7 @@ def language(alpha: QuadraticIrrational, n: int) -> frozenset[Word]:
     """
     if n < 0:
         raise ValueError("length must be nonnegative")
-    check_unit_interval(alpha)
-    w = _word(_letters(alpha, "L", 0, -n, 1), 2 * n)
+    w = _zero_word(alpha, n)
     words = frozenset(w[i : i + n] for i in range(n + 1))
     if len(words) != (n + 1 if n >= 1 else 1):
         raise RuntimeError("factor complexity violated; arithmetic bug")

@@ -21,7 +21,8 @@ replaced, and against three enumerations of the same object:
 - the two-sided embedding choosing its fibre element by the letter read
   at the point 0 behind an orbit point;
 - the quotient built from representatives of that partition plus the
-  branch orbit, cross-checked by seeded random samples;
+  branch orbit, cross-checked by seeded random samples, and built from
+  the language plus one class per coded branch-orbit point;
 - the fibre candidates built by left extension of the prefix, and their
   death depths found by reading the base point's letters one at a time
   and intersecting field arcs;
@@ -29,7 +30,9 @@ replaced, and against three enumerations of the same object:
   recurrence bounds by scanning window lengths over the whole language;
 - the witness window scan testing every start position of every shift and
   taking the longest chain over a dict;
-- the minimal period of a continued fraction by trying every length.
+- the minimal period of a continued fraction by trying every length, and
+  tail equivalence of two continued fractions by finding one period among
+  the rotations of the other, written as digit strings.
 """
 
 import math
@@ -40,7 +43,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 
-from sturmian.cover import IndexPair, construct_fibre_element, eq_class, thread_of
+from sturmian.cover import EqClass, IndexPair, construct_fibre_element, eq_class, thread_of
 from sturmian.groupoid import WitnessCheck
 from sturmian.words import (
     OrbitPoint,
@@ -342,6 +345,25 @@ def sampled_quotient(alpha, idx):
     return classes
 
 
+def classes(alpha, k, l):
+    """Every class at (k, l): one per admissible past word, plus the class of
+    every point whose k-th shift is sigma^j(omega), j < l, coded one by one.
+
+    That point is sigma^(j-k)(omega) when j >= k, else either coding of the
+    point (1-k+j)*alpha; those classes carry it as their representative.
+    """
+    idx = IndexPair(k, l)
+    out = {EqClass(idx, w[l - k :], frozenset({w})) for w in language(alpha, l)}
+    om = branch_point(alpha)
+    for j in range(l):
+        if j >= k:
+            reps = [om.shift(j - k)]
+        else:
+            reps = [OrbitPoint._at(alpha, 0, 1 - k + j, 1, v) for v in "LR"]
+        out.update(eq_class(alpha, x, idx) for x in reps)
+    return out
+
+
 def chain_candidates(alpha, prefix, n):
     """Classes at (n, 2n) with the given prefix, each mapped to its
     branch-orbit point, or to None for a singleton past."""
@@ -468,3 +490,17 @@ def minimal_period(period):
         if n % p == 0 and period == period[:p] * (n // p):
             return period[:p]
     return period
+
+
+def _delimited(digits):
+    return "," + ",".join(map(str, digits)) + ","
+
+
+def cf_tail_equivalent(a, b):
+    """True iff the two digit streams agree from some point on.
+
+    For canonical (minimal-period) inputs this holds exactly when the
+    periods are rotations of one another, that is when b's period occurs
+    in a's period written twice.
+    """
+    return len(a.period) == len(b.period) and _delimited(b.period) in _delimited(a.period * 2)

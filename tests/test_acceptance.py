@@ -27,7 +27,6 @@ from sturmian.words import (
 from sturmian.cover import (
     IndexPair,
     eq_class,
-    equivalent,
     fibre_report,
     index_leq,
     q_map,
@@ -145,10 +144,10 @@ def test_criterion_07_projective_coherence():
             x = OrbitPoint(FIB, t, "L")
             hi = rng.choice(grid)
             y = quotient(FIB, hi).class_of(x).representative
-            assert equivalent(FIB, x, y, hi)
+            assert eq_class(FIB, x, hi) == eq_class(FIB, y, hi)
             for lo in grid:
                 if index_leq(lo, hi):
-                    assert equivalent(FIB, x, y, lo)
+                    assert eq_class(FIB, x, lo) == eq_class(FIB, y, lo)
 
 
 def test_criterion_08_isolated_density():

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sturmian import cover, words
-from sturmian.quadratics import QuadraticIrrational, cf_value, parse_cf
+from sturmian.quadratics import QuadraticIrrational, cf_value, parse_cf, parse_quad
 from sturmian.words import (
     OrbitPoint,
     TwoSidedPoint,
@@ -23,7 +23,6 @@ from sturmian.cover import (
     UnresolvedTruncationError,
     construct_fibre_element,
     eq_class,
-    equivalent,
     expected_fibre_size,
     fibre,
     fibre_report,
@@ -100,10 +99,10 @@ class TestEqClass:
         assert c.past == past_set(HALF.shift(2), 3)
 
     def test_reflexive(self):
-        assert equivalent(FIB, HALF, HALF, (2, 4))
+        assert eq_class(FIB, HALF, (2, 4)) == eq_class(FIB, HALF, (2, 4))
 
     def test_branch_point_separated(self):
-        assert not equivalent(FIB, OM, HALF, (0, 1))
+        assert eq_class(FIB, OM, (0, 1)) != eq_class(FIB, HALF, (0, 1))
 
     def test_recurrent_return_is_equivalent(self):
         # a return to the class built as in the isolated-point density
@@ -115,7 +114,7 @@ class TestEqClass:
         w = code_word(OM, 400)
         K = w.index(mu)
         z = OM.shift(K + l - k)
-        assert equivalent(FIB, x, z, (k, l))
+        assert eq_class(FIB, x, (k, l)) == eq_class(FIB, z, (k, l))
 
     def test_wrong_alpha_rejected(self):
         with pytest.raises(ValueError):
@@ -150,6 +149,22 @@ class TestQuotient:
             for x in pts:
                 seen.add(eq_class(FIB, x, idx))
             assert seen == q.classes
+
+    @pytest.mark.parametrize(
+        "alpha",
+        [FIB, SQRT2M1, CF_2_3, parse_quad("quad:-7,1,61,3"), parse_quad("quad:-999,1,1000003,2")],
+        ids=["fib", "sqrt2m1", "d13", "d61", "d1000003"],
+    )
+    def test_windows_match_coded_classes(self, alpha):
+        # the classes read off the two codings of 0 against the classes
+        # coded one branch-orbit point at a time, representatives included
+        def table(classes):
+            return {(c.prefix, c.past): c.representative for c in classes}
+
+        levels = [(k, l) for l in range(26) for k in range(l + 1)]
+        levels += [(80, 160)] if alpha == FIB else []
+        for k, l in levels:
+            assert table(_classes(alpha, k, l)) == table(reference.classes(alpha, k, l))
 
     @pytest.mark.parametrize("alpha", [FIB, SQRT2M1, CF_2_3])
     def test_matches_sampled_representatives(self, alpha):
@@ -227,10 +242,10 @@ class TestConnectingMaps:
             x = random_point(rng)
             hi = rng.choice(pairs)
             y = quotient(FIB, hi).class_of(x).representative
-            assert equivalent(FIB, x, y, hi)
+            assert eq_class(FIB, x, hi) == eq_class(FIB, y, hi)
             for lo in pairs:
                 if index_leq(lo, hi):
-                    assert equivalent(FIB, x, y, lo)
+                    assert eq_class(FIB, x, lo) == eq_class(FIB, y, lo)
 
 
 class TestShiftMap:

