@@ -325,6 +325,79 @@ def test_compare_matches_interval_oracle(p, q, d, r, num, den):
     assert (x > Fraction(num, den), x < Fraction(num, den)) == (want > 0, want < 0)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    p1=st.integers(-30, 30),
+    q1=st.integers(-10, 10).filter(bool),
+    r1=st.integers(-10, 10).filter(bool),
+    p2=st.integers(-30, 30),
+    q2=st.integers(-10, 10).filter(bool),
+    r2=st.integers(-10, 10).filter(bool),
+    d=st.sampled_from([2, 3, 5, 6, 7, 10, 13]),
+)
+@example(p1=3, q1=-1, r1=2, p2=-6, q2=2, r2=-4, d=5)  # equal values
+@example(p1=1, q1=1, r1=2, p2=3, q2=1, r2=2, d=5)  # rational difference -1
+def test_same_field_order_matches_interval_oracle(p1, q1, r1, p2, q2, r2, d):
+    x, y = QuadraticIrrational(p1, q1, d, r1), QuadraticIrrational(p2, q2, d, r2)
+    raw = (x.p * y.r - y.p * x.r, x.q * y.r - y.q * x.r, d, x.r * y.r)  # x - y, not reduced
+    want = 0 if raw[:2] == (0, 0) else interval_sign(*raw, 0, 1)
+    assert (x < y, x <= y, x > y, x >= y) == (want < 0, want <= 0, want > 0, want >= 0)
+
+
+class TestOperands:
+    """The operand contract: ints, Fractions and same-field values, nothing else."""
+
+    OTHER_FIELD = QuadraticIrrational(0, 1, 3, 1)
+
+    @pytest.mark.parametrize("a", [0, 3, -2, Fraction(5, 7), Fraction(-1, 3)])
+    @pytest.mark.parametrize("x", [FIB, SQRT2, LONG_PERIOD])
+    def test_rational_round_trips(self, a, x):
+        assert (a - x) + x == a
+        assert (a / x) * x == a
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda x, y: x + y,
+            lambda x, y: x - y,
+            lambda x, y: x * y,
+            lambda x, y: x / y,
+            lambda x, y: x < y,
+            lambda x, y: x <= y,
+            lambda x, y: x > y,
+            lambda x, y: x >= y,
+        ],
+    )
+    def test_cross_field_raises_value_error(self, op):
+        with pytest.raises(ValueError, match="different quadratic fields"):
+            op(FIB, self.OTHER_FIELD)
+        with pytest.raises(ValueError, match="different quadratic fields"):
+            op(self.OTHER_FIELD, FIB)
+
+    @pytest.mark.parametrize("zero", [0, Fraction(0)])
+    def test_division_by_zero(self, zero):
+        with pytest.raises(ZeroDivisionError):
+            FIB / zero
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda x: x + 1.5,
+            lambda x: 1.5 - x,
+            lambda x: 1.5 / x,
+            lambda x: "a" / x,
+            lambda x: x < "a",
+        ],
+    )
+    def test_foreign_operands_raise_type_error(self, op):
+        with pytest.raises(TypeError):
+            op(FIB)
+
+    def test_times_zero_is_the_fraction_zero(self):
+        for z in (FIB * 0, 0 * FIB, FIB * Fraction(0)):
+            assert type(z) is Fraction and z == 0
+
+
 def reference_floor(y: QuadraticIrrational) -> int:
     """floor(y) from an isqrt estimate corrected by exact comparisons."""
     q2d = y.q * y.q * y.d
