@@ -96,7 +96,7 @@ def bisection_arrows(
         arrows.append(Arrow(chain[j], 1, chain[j - 1], (1, 0)))
     sources = [a.source for a in arrows]
     targets = {a.target for a in arrows}
-    distinct = all(sources[i] != sources[j] for i in range(len(sources)) for j in range(i))
+    distinct = len(set(sources)) == len(sources)
     omits = chain[0] not in targets and targets == set(chain[1:])
     return BisectionReport(tuple(arrows), distinct, omits)
 
@@ -114,13 +114,22 @@ class DadWitness:
     """
 
     cocycle_values: tuple[int, ...]
-    lbar: int
     mu: Word
     nu: Word
-    mu_shifts: tuple[Word, ...]
-    nu_shifts: tuple[Word, ...]
     beta_mu: int
     beta_nu: int
+
+    @property
+    def lbar(self) -> int:
+        return self.cocycle_values[-1]
+
+    @property
+    def mu_shifts(self) -> tuple[Word, ...]:
+        return tuple(self.mu[j:] for j in range(self.lbar))
+
+    @property
+    def nu_shifts(self) -> tuple[Word, ...]:
+        return tuple(self.nu[j:] for j in range(self.lbar))
 
     @property
     def min_window(self) -> int:
@@ -156,14 +165,7 @@ def dad_witness(alpha: QuadraticIrrational, values) -> DadWitness:
                 for nu in (w for w in long_words if w.endswith(s2)):
                     if _shift_cylinders_disjoint(mu, nu, lbar):
                         return DadWitness(
-                            values,
-                            lbar,
-                            mu,
-                            nu,
-                            tuple(mu[j:] for j in range(lbar)),
-                            tuple(nu[j:] for j in range(lbar)),
-                            recurrence_bound(alpha, mu),
-                            recurrence_bound(alpha, nu),
+                            values, mu, nu, recurrence_bound(alpha, mu), recurrence_bound(alpha, nu)
                         )
     raise RuntimeError("no disjoint witness words at this length")
 

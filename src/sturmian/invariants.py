@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import ClassVar
 
-from .quadratics import QuadraticIrrational, _period, _reduced, _surd_sign, check_unit_interval
+from .quadratics import QuadraticIrrational, _floor, _period, _reduced, check_unit_interval
 
 
 def conjugate(alpha: QuadraticIrrational, beta: QuadraticIrrational) -> bool:
@@ -58,9 +58,7 @@ class OrderedGroupDescriptor:
     def value_positive(self, n: int, m: int) -> bool:
         if m == 0:
             return n > 0
-        # n + m*(p + q*sqrt(d))/r has the sign of (n*r + m*p) + m*q*sqrt(d), r > 0
-        al = self.alpha
-        return _surd_sign(n * al.r + m * al.p, m * al.q, al.d) > 0
+        return _floor(self.alpha, n, m) >= 0  # n + m*alpha is irrational, never 0
 
     def compare(self, a: tuple[int, int], b: tuple[int, int]) -> int:
         if a == b:

@@ -8,13 +8,12 @@ anywhere in this module.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
-
-Rational = Union[int, Fraction]
+from typing import Iterator, Optional, Union
 
 
 class RationalValueError(ValueError):
@@ -51,19 +50,6 @@ def _squarefree_split(d: int) -> tuple[int, int]:
     return s, f * n
 
 
-def _surd_sign(p: int, q: int, d: int) -> int:
-    """Sign of p + q*sqrt(d) for q != 0 and d not a square; never 0."""
-    if p >= 0 and q > 0:
-        return 1
-    if p <= 0 and q < 0:
-        return -1
-    # mixed signs: compare p^2 with q^2 d
-    lhs, rhs = p * p, q * q * d
-    if p > 0:  # q < 0
-        return 1 if lhs > rhs else -1
-    return 1 if rhs > lhs else -1
-
-
 def _surd_floor(P: int, s: int, Q: int) -> int:
     """floor((P + sqrt(D))/Q) for a nonsquare D with s = isqrt(D).
 
@@ -72,10 +58,27 @@ def _surd_floor(P: int, s: int, Q: int) -> int:
     return (P + s) // Q if Q > 0 else (P + s + 1) // Q
 
 
-def _as_fraction(x: Rational) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _floor(alpha: "QuadraticIrrational", a: int, k: int, c: int = 1, e: int = 0) -> int:
+    """floor((a + k*alpha)/(c + e*alpha)) for integers with c + e*alpha != 0, by one isqrt.
+
+    The value is (a*r + k*p + k*q*sqrt(d))/(c*r) for alpha = (p + q*sqrt(d))/r
+    and e = 0; a divisor with e != 0 is first cleared by its conjugate.  This
+    is the field's one floor: orders, signs and letters all read it.
+    """
+    if k == 0 and e == 0:
+        return a // c
+    num, coef, den = a * alpha.r + k * alpha.p, k * alpha.q, c * alpha.r
+    if e:
+        den, f = den + e * alpha.p, e * alpha.q
+        num, coef, den = num * den - coef * f * alpha.d, coef * den - num * f, den * den - f * f * alpha.d
+        if coef == 0:
+            return num // den
+    if coef < 0:
+        num, coef, den = -num, -coef, -den
+    return _surd_floor(num, math.isqrt(coef * coef * alpha.d), den)
 
 
+@functools.total_ordering
 @dataclass(frozen=True)
 class QuadraticIrrational:
     """(p + q*sqrt(d))/r in canonical form.
@@ -116,28 +119,28 @@ class QuadraticIrrational:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _same_field(self, other: "QuadraticIrrational"):
-        if self.d != other.d:
-            raise ValueError("values live in different quadratic fields")
+    def _operand(self, other) -> Optional[tuple[int, int, int]]:
+        """other as (p, q, r), the value (p + q*sqrt(d))/r over self's field d.
+
+        None for a type outside int, Fraction and QuadraticIrrational.
+        """
+        if isinstance(other, QuadraticIrrational):
+            if other.d != self.d:
+                raise ValueError("values live in different quadratic fields")
+            return other.p, other.q, other.r
+        if isinstance(other, (int, Fraction)):
+            return other.numerator, 0, other.denominator
+        return None
+
+    def _sum(self, p: int, q: int, r: int) -> Union[Fraction, "QuadraticIrrational"]:
+        return _build(self.p * r + p * self.r, self.q * r + q * self.r, self.d, self.r * r)
+
+    def _product(self, p: int, q: int, r: int) -> Union[Fraction, "QuadraticIrrational"]:
+        return _build(self.p * p + self.q * q * self.d, self.p * q + self.q * p, self.d, self.r * r)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            f = _as_fraction(other)
-            return _build(
-                self.p * f.denominator + f.numerator * self.r,
-                self.q * f.denominator,
-                self.d,
-                self.r * f.denominator,
-            )
-        if isinstance(other, QuadraticIrrational):
-            self._same_field(other)
-            return _build(
-                self.p * other.r + other.p * self.r,
-                self.q * other.r + other.q * self.r,
-                self.d,
-                self.r * other.r,
-            )
-        return NotImplemented
+        o = self._operand(other)
+        return NotImplemented if o is None else self._sum(*o)
 
     __radd__ = __add__
 
@@ -145,34 +148,16 @@ class QuadraticIrrational:
         return self._at(-self.p, -self.q, self.d, self.r)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self + (-other)
-        if isinstance(other, QuadraticIrrational):
-            return self + (-other)
-        return NotImplemented
+        o = self._operand(other)
+        return NotImplemented if o is None else self._sum(-o[0], -o[1], o[2])
 
     def __rsub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return (-self) + other
-        return NotImplemented
+        o = self._operand(other)
+        return NotImplemented if o is None else (-self)._sum(*o)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            f = _as_fraction(other)
-            if f == 0:
-                return Fraction(0)
-            return _build(
-                self.p * f.numerator, self.q * f.numerator, self.d, self.r * f.denominator
-            )
-        if isinstance(other, QuadraticIrrational):
-            self._same_field(other)
-            return _build(
-                self.p * other.p + self.q * other.q * self.d,
-                self.p * other.q + self.q * other.p,
-                self.d,
-                self.r * other.r,
-            )
-        return NotImplemented
+        o = self._operand(other)
+        return NotImplemented if o is None else self._product(*o)
 
     __rmul__ = __mul__
 
@@ -181,57 +166,30 @@ class QuadraticIrrational:
         return self._at(self.r * self.p, -self.r * self.q, self.d, norm)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            f = _as_fraction(other)
-            if f == 0:
-                raise ZeroDivisionError
-            return self * Fraction(f.denominator, f.numerator)
-        if isinstance(other, QuadraticIrrational):
-            return self * other.inverse()
-        return NotImplemented
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        p, q, r = o
+        if p == q == 0:
+            raise ZeroDivisionError("division by zero")
+        return self._product(r * p, -r * q, p * p - q * q * self.d)  # times 1/other
 
     def __rtruediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.inverse() * other
-        return NotImplemented
+        o = self._operand(other)
+        return NotImplemented if o is None else self.inverse()._product(*o)
 
     # -- ordering ----------------------------------------------------------
 
+    def __lt__(self, other):
+        o = self._operand(other)
+        return NotImplemented if o is None else math.floor(self._sum(-o[0], -o[1], o[2])) < 0
+
     def sign(self) -> int:
         """Exact sign of the value; never 0 (the value is irrational)."""
-        return _surd_sign(self.p, self.q, self.d)
-
-    def _cmp(self, other) -> int:
-        diff = self - other
-        if isinstance(diff, Fraction):
-            # only reachable when other is a same-field irrational
-            return (diff > 0) - (diff < 0)
-        return diff.sign()
-
-    def __lt__(self, other):
-        if isinstance(other, (int, Fraction, QuadraticIrrational)):
-            return self._cmp(other) < 0
-        return NotImplemented
-
-    def __le__(self, other):
-        if isinstance(other, (int, Fraction, QuadraticIrrational)):
-            return self._cmp(other) < 0 or self == other
-        return NotImplemented
-
-    def __gt__(self, other):
-        if isinstance(other, (int, Fraction, QuadraticIrrational)):
-            return self._cmp(other) > 0
-        return NotImplemented
-
-    def __ge__(self, other):
-        if isinstance(other, (int, Fraction, QuadraticIrrational)):
-            return self._cmp(other) > 0 or self == other
-        return NotImplemented
+        return 1 if _floor(self, 0, 1) >= 0 else -1
 
     def __floor__(self) -> int:
-        # self = (P + sqrt(q*q*d))/Q with P, Q = p, r negated when q < 0
-        sign = 1 if self.q > 0 else -1
-        return _surd_floor(sign * self.p, math.isqrt(self.q * self.q * self.d), sign * self.r)
+        return _floor(self, 0, 1)
 
     def __str__(self):
         return f"({self.p}{self.q:+d}*sqrt({self.d}))/{self.r}"
@@ -292,11 +250,6 @@ class ContinuedFraction:
             per = per[-1:] + per[:-1]
         object.__setattr__(self, "preperiod", pre)
         object.__setattr__(self, "period", per)
-
-    def digit(self, i: int) -> int:
-        if i < len(self.preperiod):
-            return self.preperiod[i]
-        return self.period[(i - len(self.preperiod)) % len(self.period)]
 
     def __str__(self):
         per = "(" + ",".join(map(str, self.period)) + ")"

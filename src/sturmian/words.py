@@ -19,11 +19,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterator, Literal, Optional, Union
 
-from .quadratics import (
-    QuadraticIrrational,
-    _surd_floor,
-    check_unit_interval,
-)
+from .quadratics import QuadraticIrrational, _floor, check_unit_interval
 
 CirclePoint = Union[Fraction, QuadraticIrrational]
 Variant = Literal["L", "R"]
@@ -132,25 +128,6 @@ class TwoSidedPoint(_Point):
     def restrict(self) -> OrbitPoint:
         """The nonnegative-index part."""
         return OrbitPoint._at(self.alpha, self.a, self.b, self.c, self.variant)
-
-
-def _floor(alpha: QuadraticIrrational, a: int, k: int, c: int = 1, e: int = 0) -> int:
-    """floor((a + k*alpha)/(c + e*alpha)) for integers with c + e*alpha != 0, by one isqrt.
-
-    The value is (a*r + k*p + k*q*sqrt(d))/(c*r) for alpha = (p + q*sqrt(d))/r
-    and e = 0; a divisor with e != 0 is first cleared by its conjugate.
-    """
-    if k == 0 and e == 0:
-        return a // c
-    num, coef, den = a * alpha.r + k * alpha.p, k * alpha.q, c * alpha.r
-    if e:
-        den, f = den + e * alpha.p, e * alpha.q
-        num, coef, den = num * den - coef * f * alpha.d, coef * den - num * f, den * den - f * f * alpha.d
-        if coef == 0:
-            return num // den
-    if coef < 0:
-        num, coef, den = -num, -coef, -den
-    return _surd_floor(num, math.isqrt(coef * coef * alpha.d), den)
 
 
 def _letters(alpha: QuadraticIrrational, variant: Variant, a: int, k: int, c: int) -> Iterator[str]:

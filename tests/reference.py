@@ -3,8 +3,9 @@
 The package now stores circle points as integer triples (a + b*alpha)/c
 and arcs as the integer tags i of their end points -i*alpha (mod 1), and
 codes, orders, intersects and picks interior points with integer floors
-(`words._floor`); the tests compare it against the object arithmetic it
-replaced, and against three enumerations of the same object:
+(`quadratics._floor`, the field's one floor, which `words` imports); the
+tests compare it against the object arithmetic it replaced, and against
+three enumerations of the same object:
 
 - circle points as field elements: shifts by adding k*alpha mod 1, orbit
   positions read off the rational coordinates, and shift preimages;

@@ -323,6 +323,7 @@ def test_compare_matches_interval_oracle(p, q, d, r, num, den):
     x = QuadraticIrrational(p, q, d, r)
     want = interval_sign(x.p, x.q, x.d, x.r, num, den)
     assert (x > Fraction(num, den), x < Fraction(num, den)) == (want > 0, want < 0)
+    assert x.sign() == interval_sign(x.p, x.q, x.d, x.r, 0, 1)
 
 
 @settings(max_examples=200, deadline=None)

@@ -43,6 +43,20 @@ def test_no_unbounded_caches():
     assert SOURCES and not found, found
 
 
+def test_square_roots_only_in_the_field():
+    # every floor of a field value goes through quadratics._floor or
+    # quadratics._surd_floor, so math.isqrt is called in quadratics.py alone
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name != "quadratics.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "attr", None) == "isqrt" or getattr(node.func, "id", None) == "isqrt")
+    ]
+    assert SOURCES and found == [], found
+
+
 def _names_a_point(node) -> bool:
     if isinstance(node, ast.Name):
         return node.id == "alpha"
