@@ -70,9 +70,13 @@ class EqClass:
             raise ValueError("past words must have length l")
 
 
-def eq_class(alpha: QuadraticIrrational, x: OrbitPoint, idx) -> EqClass:
+def _check_point(alpha: QuadraticIrrational, x: OrbitPoint) -> None:
     if x.alpha != alpha:
         raise ValueError("point belongs to a different parameter")
+
+
+def eq_class(alpha: QuadraticIrrational, x: OrbitPoint, idx) -> EqClass:
+    _check_point(alpha, x)
     idx = _check_index(idx)
     return EqClass(idx, code_word(x, idx.k), past_set(x.shift(idx.k), idx.l), x)
 
@@ -226,22 +230,26 @@ def _chains(x: OrbitPoint) -> list[Optional[str]]:
     return [None, "L", "R"] if pos[0] == "forward" else [None, x.variant]
 
 
-def _chain_class(alpha, x: OrbitPoint, n: int, chain_variant: Optional[str]) -> EqClass:
-    """Class at level (n, 2n) of iota(x) or of a constructed element.
+def _thread(alpha: QuadraticIrrational, x: OrbitPoint, K: int, L: int, chain: Optional[str]) -> Thread:
+    """The thread over x along one of its chains (`_chains`): None is iota(x).
 
-    A constructed element's past is the coding of its backward chain, the
-    point n steps behind x on the side chain_variant.
+    Its top is the class at the chain level (n, 2n), n = max(L, 1): x's
+    prefix, with x's own past set for the section and otherwise the coding
+    of the point n steps behind x on the side chain.
     """
-    idx = IndexPair(n, 2 * n)
-    if chain_variant is None:
-        return eq_class(alpha, x, idx)
-    chain = OrbitPoint._at(alpha, x.a, x.b - n * x.c, x.c, chain_variant)
-    return EqClass(idx, code_word(x, n), frozenset({code_word(chain, 2 * n)}))
+    _check_point(alpha, x)
+    n = max(L, 1)
+    if chain is None:
+        past = past_set(x.shift(n), 2 * n)
+    else:
+        past = frozenset({code_word(OrbitPoint._at(alpha, x.a, x.b - n * x.c, x.c, chain), 2 * n)})
+    top = EqClass(IndexPair(n, 2 * n), code_word(x, n), past, None if chain else x)
+    return Thread(x, K, L, top)
 
 
 def thread_of(alpha: QuadraticIrrational, x: OrbitPoint, K: int, L: int) -> Thread:
     """The canonical thread through x (the section of the factor map)."""
-    return Thread(x, K, L, _chain_class(alpha, x, max(L, 1), None))
+    return _thread(alpha, x, K, L, None)
 
 
 def shift_thread(th: Thread) -> Thread:
@@ -278,23 +286,23 @@ def construct_fibre_element(
     if chain_variant not in chains:
         forced = "0" if x.variant == "L" else "1"
         raise ValueError(f"the past letter of this backward point is forced to {forced!r}")
-    return Thread(x, K, L, _chain_class(alpha, x, max(L, 1), chain_variant))
+    return _thread(alpha, x, K, L, chain_variant)
 
 
-def _death_depths(alpha: QuadraticIrrational, x: OrbitPoint, n0: int, candidates: dict) -> dict:
-    """For each candidate, the length of the shortest prefix of x it cannot carry.
+def _death_depths(x: OrbitPoint, n0: int, classes) -> dict[EqClass, int]:
+    """For each class at (n0, 2n0), the length of the shortest prefix of x it cannot carry.
 
-    The cells of x's prefixes are cut by the points -j*alpha (mod 1); a
-    candidate dies once cut points have landed on both arcs between x and
-    its branch-orbit point, or B = arc(w[:n0]) + n0*alpha for a past {w}.
+    The cells of x's prefixes are cut by the points -j*alpha (mod 1); a class
+    dies once cut points have landed on both arcs between x and its
+    representative, or B = arc(w[:n0]) + n0*alpha if it has none and past {w}.
     """
-    depths = {}
-    for data, y in candidates.items():
-        start = end = y
-        if y is None:  # B runs from (n0 - i)*alpha to (n0 - j)*alpha
-            i, j = _word_tags(alpha, min(data[1])[:n0])
+    alpha, depths = x.alpha, {}
+    for c in classes:
+        start = end = c.representative
+        if start is None:  # B runs from (n0 - i)*alpha to (n0 - j)*alpha
+            i, j = _word_tags(alpha, min(c.past)[:n0])
             start, end = (OrbitPoint._at(alpha, 0, n0 - t, 1, v) for t, v in ((j, "R"), (i, "L")))
-        depths[data] = max(_first_entry(start, x), _first_entry(x, end))
+        depths[c] = max(_first_entry(start, x), _first_entry(x, end))
     return depths
 
 
@@ -302,34 +310,25 @@ def fibre(alpha: QuadraticIrrational, x: OrbitPoint, K: int, L: int) -> set[Thre
     """All threads over x at truncation (K, L), by exhaustive chain search.
 
     Every compatible family over the truncated grid is the projection of a
-    single class at the chain level (n0, 2n0) with n0 = max(L, 1), and the
-    families extending to arbitrarily deep levels are exactly the fibre of
-    the projective limit.  The candidates are the classes at (n0, 2n0) whose
-    prefix matches x, all read off the two codings of 0 (`_classes`); each
-    non-fibre candidate is certified dead at a first landing of the cut
-    points: a singleton-past class survives exactly while its past window
-    glued to x's prefix stays admissible, and a two-past class belongs to
-    one concrete branch-orbit point and survives only while that point's
-    coding agrees with x.  Every depth is finite, so the search is total.
+    single class at the chain level (n0, 2n0) of `_thread`, and the families
+    extending to arbitrarily deep levels are exactly the fibre of the
+    projective limit.  The candidates are the classes at (n0, 2n0) with x's
+    prefix, read off the two codings of 0 (`_classes`); the tops of x's
+    threads are among them, and each other class is certified dead at a
+    first landing of the cut points: a singleton-past class survives exactly
+    while its past window glued to x's prefix stays admissible, and a
+    two-past class belongs to one concrete branch-orbit point and survives
+    only while that point's coding agrees with x.  Every depth is finite.
     """
-    if not 0 <= K <= L:
-        raise ValueError("need 0 <= K <= L")
-    n0 = max(L, 1)
-    tops = {_chain_class(alpha, x, n0, v) for v in _chains(x)}
-    target = {(c.prefix, c.past) for c in tops}
-
-    prefix = code_word(x, n0)
-    candidates = {
-        (c.prefix, c.past): c.representative
-        for c in _classes(alpha, n0, 2 * n0)
-        if c.prefix == prefix
-    }
-    if not target <= set(candidates):
+    threads = [_thread(alpha, x, K, L, v) for v in _chains(x)]
+    tops = {th.top for th in threads}
+    n0 = threads[0].top.index.k
+    candidates = {c for c in _classes(alpha, n0, 2 * n0) if c.prefix == threads[0].top.prefix}
+    if not tops <= candidates:
         raise IncompleteEnumerationError("constructed elements missing from candidates")
-    rejected = {data: y for data, y in candidates.items() if data not in target}
-    if any(depth <= n0 for depth in _death_depths(alpha, x, n0, rejected).values()):
+    if any(depth <= n0 for depth in _death_depths(x, n0, candidates - tops).values()):
         raise RuntimeError("a candidate died inside the chain level; arithmetic bug")
-    return {Thread(x, K, L, c) for c in tops}
+    return set(threads)
 
 
 def expected_fibre_size(x: OrbitPoint) -> int:
@@ -373,6 +372,7 @@ def is_isolated(alpha: QuadraticIrrational, th: Thread) -> bool:
     (0, k+1) and iota(mu.omega) at level (|mu|, |mu|).
     """
     x = th.base
+    _check_point(alpha, x)
     pos = x.orbit_position()
     if pos is None:
         return False
@@ -397,4 +397,4 @@ def two_sided_embed(alpha: QuadraticIrrational, x: TwoSidedPoint, K: int, L: int
     """
     plus = x.restrict()
     chain = x.variant if len(_chains(plus)) > 1 else None
-    return Thread(plus, K, L, _chain_class(alpha, plus, max(L, 1), chain))
+    return _thread(alpha, plus, K, L, chain)

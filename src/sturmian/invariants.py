@@ -52,7 +52,6 @@ class OrderedGroupDescriptor:
     """
 
     alpha: QuadraticIrrational
-    description: ClassVar[str] = "Z + alpha*Z with order unit 1"
     unit: ClassVar[tuple[int, int]] = (1, 0)
 
     def value_positive(self, n: int, m: int) -> bool:

@@ -184,10 +184,6 @@ class QuadraticIrrational:
         o = self._operand(other)
         return NotImplemented if o is None else math.floor(self._sum(-o[0], -o[1], o[2])) < 0
 
-    def sign(self) -> int:
-        """Exact sign of the value; never 0 (the value is irrational)."""
-        return 1 if _floor(self, 0, 1) >= 0 else -1
-
     def __floor__(self) -> int:
         return _floor(self, 0, 1)
 

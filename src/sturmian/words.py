@@ -37,8 +37,9 @@ class _Point:
     """A circle point (a + b*alpha)/c in [0, 1) with its coding variant.
 
     The triple is canonical: c > 0, gcd(a, b, c) = 1 and 0 <= a + b*alpha < c,
-    so equal points have equal fields.  The constructor takes the circle
-    point t as an int, a Fraction or a QuadraticIrrational of alpha's field.
+    so equal points have equal fields.  The constructor reads the circle
+    point t as the field reads an operand (`QuadraticIrrational._operand`):
+    an int, a Fraction or a QuadraticIrrational of alpha's field.
     """
 
     alpha: QuadraticIrrational
@@ -51,17 +52,12 @@ class _Point:
         check_unit_interval(alpha)
         if variant not in ("L", "R"):
             raise ValueError("variant must be 'L' or 'R'")
-        if isinstance(t, QuadraticIrrational):
-            if t.d != alpha.d:
-                raise ValueError("circle point lies outside the parameter's field")
-            # (p + q*sqrt(d))/r = (p*Q - q*P + q*R*alpha)/(r*Q) for alpha = (P + Q*sqrt(d))/R
-            a, b, c = t.p * alpha.q - t.q * alpha.p, t.q * alpha.r, t.r * alpha.q
-        elif isinstance(t, (int, Fraction)):
-            t = Fraction(t)
-            a, b, c = t.numerator, 0, t.denominator
-        else:
+        o = alpha._operand(t)
+        if o is None:
             raise TypeError(f"circle point must be exact, not {type(t).__name__}")
-        self._set(alpha, a, b, c, variant)
+        p, q, r = o
+        # (p + q*sqrt(d))/r = (p*Q - q*P + q*R*alpha)/(r*Q) for alpha = (P + Q*sqrt(d))/R
+        self._set(alpha, p * alpha.q - q * alpha.p, q * alpha.r, r * alpha.q, variant)
 
     @classmethod
     def _at(cls, alpha: QuadraticIrrational, a: int, b: int, c: int, variant: Variant):

@@ -29,6 +29,7 @@ from sturmian.cover import (
     eq_class,
     fibre_report,
     index_leq,
+    property_star_witness,
     q_map,
     quotient,
 )
@@ -143,7 +144,10 @@ def test_criterion_07_projective_coherence():
             t = Fraction(rng.randint(1, 10**9), 10**9 + 7)
             x = OrbitPoint(FIB, t, "L")
             hi = rng.choice(grid)
-            y = quotient(FIB, hi).class_of(x).representative
+            # another point of x's class at hi: its k-th shift has x's one past there
+            (u,) = quotient(FIB, hi).class_of(x).past
+            y = property_star_witness(FIB, u).shift(-hi.k)
+            assert y != x
             assert eq_class(FIB, x, hi) == eq_class(FIB, y, hi)
             for lo in grid:
                 if index_leq(lo, hi):

@@ -57,6 +57,15 @@ def random_point(rng, alpha=FIB):
     return OrbitPoint(alpha, Fraction(rng.randint(1, 10**9), 10**9 + 7), "L")
 
 
+def class_mate(alpha, x, idx):
+    # a point of x's class at idx other than x, for x off the branch orbit:
+    # its k-th shift is the property-star witness of x's one past there
+    (u,) = quotient(alpha, idx).class_of(x).past
+    y = property_star_witness(alpha, u).shift(-idx[0])
+    assert y != x
+    return y
+
+
 class TestIndexOrder:
     def test_bottom(self):
         for idx in grid_pairs(3, 5):
@@ -222,10 +231,9 @@ class TestConnectingMaps:
         rng = random.Random(3)
         for _ in range(40):
             x = random_point(rng)
-            c = eq_class(FIB, x, (2, 4))
-            rep = c.representative
-            other = quotient(FIB, (2, 4)).class_of(x).representative
-            assert eq_class(FIB, rep, (1, 2)) == eq_class(FIB, other, (1, 2))
+            other = class_mate(FIB, x, (2, 4))
+            assert eq_class(FIB, x, (2, 4)) == eq_class(FIB, other, (2, 4))
+            assert eq_class(FIB, x, (1, 2)) == eq_class(FIB, other, (1, 2))
 
     def test_composition_along_chains(self):
         rng = random.Random(5)
@@ -241,7 +249,7 @@ class TestConnectingMaps:
         for _ in range(200):
             x = random_point(rng)
             hi = rng.choice(pairs)
-            y = quotient(FIB, hi).class_of(x).representative
+            y = class_mate(FIB, x, hi)
             assert eq_class(FIB, x, hi) == eq_class(FIB, y, hi)
             for lo in pairs:
                 if index_leq(lo, hi):
@@ -688,4 +696,30 @@ class TestDeathDepths:
         alpha, x, n0 = case
         candidates = chain_candidates(alpha, code_word(x, n0), n0)
         walked = death_depths_by_walk(alpha, x, n0, candidates, 400)
-        assert _death_depths(alpha, x, n0, {d: candidates[d] for d in walked}) == walked
+        idx = IndexPair(n0, 2 * n0)
+        want = {EqClass(idx, *data, candidates[data]): depth for data, depth in walked.items()}
+        assert _death_depths(x, n0, want) == want
+
+
+class TestForeignPoint:
+    # every entry point that takes a parameter and a point rejects a point of
+    # another parameter, whichever chain its thread would follow
+    CALLS = {
+        "eq_class": lambda x: eq_class(SQRT2M1, x, (1, 2)),
+        "thread_of": lambda x: thread_of(SQRT2M1, x, 3, 6),
+        "two_sided_embed": lambda x: two_sided_embed(SQRT2M1, TwoSidedPoint(FIB, x.t, x.variant), 3, 6),
+        "fibre": lambda x: fibre(SQRT2M1, x, 3, 6),
+        "fibre_report": lambda x: fibre_report(SQRT2M1, x, 3, 6),
+        "is_isolated": lambda x: is_isolated(SQRT2M1, thread_of(FIB, x, 3, 6)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    @pytest.mark.parametrize("x", [OM.shift(2), HALF], ids=["forward", "generic"])
+    def test_rejected(self, name, x):
+        with pytest.raises(ValueError, match="point belongs to a different parameter"):
+            self.CALLS[name](x)
+
+    @pytest.mark.parametrize("letter", "01")
+    def test_constructed_element_rejected(self, letter):
+        with pytest.raises(ValueError, match="point belongs to a different parameter"):
+            construct_fibre_element(SQRT2M1, OM.shift(2), letter, 3, 6)

@@ -77,3 +77,29 @@ def test_no_field_arithmetic_on_points():
         }
     )
     assert found == [], found
+
+
+BUILDERS = {("cover.py", "_thread"), ("cover.py", "shift_thread")}
+
+
+def _thread_calls(node) -> list[int]:
+    return [
+        n.lineno
+        for n in ast.walk(node)
+        if isinstance(n, ast.Call) and "Thread" in (getattr(n.func, "id", None), getattr(n.func, "attr", None))
+    ]
+
+
+def test_threads_built_in_one_place():
+    # a thread's top is coded in cover._thread alone, for every chain of every
+    # entry point; cover.shift_thread maps the top of a thread it is given
+    builders, found = [], []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        inside = set()
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and (path.name, node.name) in BUILDERS and _thread_calls(node):
+                builders.append(node.name)
+                inside.update(_thread_calls(node))
+        found += [f"{path.name}:{line}" for line in _thread_calls(tree) if line not in inside]
+    assert sorted(builders) == ["_thread", "shift_thread"] and found == [], found
