@@ -83,11 +83,12 @@ def eq_class(alpha: QuadraticIrrational, x: OrbitPoint, idx) -> EqClass:
 
 @dataclass(frozen=True)
 class FiniteQuotient:
+    alpha: QuadraticIrrational
     index: IndexPair
     classes: frozenset[EqClass]
 
     def class_of(self, x: OrbitPoint) -> EqClass:
-        c = eq_class(x.alpha, x, self.index)
+        c = eq_class(self.alpha, x, self.index)
         if c not in self.classes:
             raise IncompleteEnumerationError(f"class of {x} missing at {self.index}")
         return c
@@ -125,7 +126,7 @@ def _classes(alpha: QuadraticIrrational, k: int, l: int) -> set[EqClass]:
 def quotient(alpha: QuadraticIrrational, idx) -> FiniteQuotient:
     """All equivalence classes at idx, by exact enumeration."""
     idx = _check_index(idx)
-    return FiniteQuotient(idx, frozenset(_classes(alpha, idx.k, idx.l)))
+    return FiniteQuotient(alpha, idx, frozenset(_classes(alpha, idx.k, idx.l)))
 
 
 def q_map(c: EqClass, idx1) -> EqClass:
@@ -279,6 +280,7 @@ def construct_fibre_element(
     """
     if past_letter not in ("0", "1"):
         raise ValueError("past letter must be '0' or '1'")
+    _check_point(alpha, x)
     chains = _chains(x)
     if chains == [None]:
         raise ValueError("the point is not in the orbit of the branch point")

@@ -247,6 +247,19 @@ class ContinuedFraction:
         object.__setattr__(self, "preperiod", pre)
         object.__setattr__(self, "period", per)
 
+    @classmethod
+    def _at(cls, pre: tuple[int, ...], per: tuple[int, ...]) -> "ContinuedFraction":
+        """pre + (per) unchecked, for `cf_expand`, whose output is canonical as built.
+
+        Its period closes at the first repeated state (P, Q), which fixes the
+        complete quotient; its preperiod ends at the first reduced state, and by
+        Galois a complete quotient is purely periodic exactly when it is reduced.
+        """
+        cf = object.__new__(cls)
+        object.__setattr__(cf, "preperiod", pre)
+        object.__setattr__(cf, "period", per)
+        return cf
+
     def __str__(self):
         per = "(" + ",".join(map(str, self.period)) + ")"
         if not self.preperiod:
@@ -298,31 +311,47 @@ def cf_expand(x: QuadraticIrrational) -> ContinuedFraction:
     """Continued fraction of x by the integer (P + sqrt(D))/Q recurrence.
 
     D is the discriminant of x's primitive minimal polynomial (`_reduced`).
-    The preperiod ends at the first reduced complete quotient, and the
-    period closes when the state (P, Q), which for this D determines the
-    complete quotient, first returns to it.
+    One floor per digit, and the result is built canonical (`ContinuedFraction._at`).
     """
-    D, digits, P, Q = _reduced(x)
-    s = math.isqrt(D)
-    return ContinuedFraction(tuple(digits), tuple((P + s) // Q for P, Q in _period(D, P, Q)))
+    D, pre, P0, Q0 = _reduced(x)
+    s, P, Q, per = math.isqrt(D), P0, Q0, []
+    while True:
+        a = (P + s) // Q  # Q > 0 on reduced states
+        per.append(a)
+        P = a * Q - P
+        Q = (D - P * P) // Q
+        if P == P0 and Q == Q0:
+            return ContinuedFraction._at(tuple(pre), tuple(per))
+
+
+_BLOCK = 32
 
 
 def _matrix(digits: tuple[int, ...]) -> tuple[int, int, int, int]:
-    """(a, b, c, e) with [digits..., y] = (a*y + b)/(c*y + e)."""
+    """(a, b, c, e) with [digits..., y] = (a*y + b)/(c*y + e).
+
+    Each block of _BLOCK digits folds in small ints, a row at a time, before
+    one product with the large running matrix: exact by associativity.
+    """
     a, b, c, e = 1, 0, 0, 1
-    for digit in digits:
-        a, b, c, e = a * digit + b, a, c * digit + e, c
+    for i in range(0, len(digits), _BLOCK):
+        block, f, g, h, k = digits[i:i + _BLOCK], 1, 0, 0, 1
+        for digit in block:
+            f, g = f * digit + g, f
+        for digit in block:
+            h, k = h * digit + k, h
+        a, b, c, e = a * f + b * h, a * g + b * k, c * f + e * h, c * g + e * k
     return a, b, c, e
 
 
 def cf_value(cf: ContinuedFraction) -> QuadraticIrrational:
     """Fold a continued fraction back into its exact value.
 
-    The periodic tail y = (a*y + b)/(c*y + e) is a root of c*y^2 + (e - a)*y - b
-    divided by its content, whose discriminant is small however long the
-    period is; its squarefree part is the one radicand factored here.  The
-    preperiod folds into one matrix (A, B; C, E), and x = (A*y + B)/(C*y + E)
-    is rationalised at once.
+    The period folds in blocks (`_matrix`) into (a, b; c, e): the tail
+    y = (a*y + b)/(c*y + e) is a root of c*y^2 + (e - a)*y - b over its
+    content, whose discriminant is small however long the period is; its
+    squarefree part is the one radicand factored here.  The preperiod folds
+    into one matrix (A, B; C, E), and x = (A*y + B)/(C*y + E) is rationalised once.
     """
     a, b, c, e = _matrix(cf.period)
     g = math.gcd(a - e, b, c)

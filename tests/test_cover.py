@@ -711,6 +711,7 @@ class TestForeignPoint:
         "fibre": lambda x: fibre(SQRT2M1, x, 3, 6),
         "fibre_report": lambda x: fibre_report(SQRT2M1, x, 3, 6),
         "is_isolated": lambda x: is_isolated(SQRT2M1, thread_of(FIB, x, 3, 6)),
+        "class_of": lambda x: quotient(SQRT2M1, (1, 2)).class_of(x),
     }
 
     @pytest.mark.parametrize("name", sorted(CALLS))
@@ -721,5 +722,8 @@ class TestForeignPoint:
 
     @pytest.mark.parametrize("letter", "01")
     def test_constructed_element_rejected(self, letter):
-        with pytest.raises(ValueError, match="point belongs to a different parameter"):
-            construct_fibre_element(SQRT2M1, OM.shift(2), letter, 3, 6)
+        # the parameter is checked before the point's orbit: off the orbit
+        # too, a foreign point is rejected as foreign
+        for x in (OM.shift(2), HALF):
+            with pytest.raises(ValueError, match="point belongs to a different parameter"):
+                construct_fibre_element(SQRT2M1, x, letter, 3, 6)

@@ -542,12 +542,18 @@ class TestKernelCallCounts:
         assert len(splits) == 1
 
 
+def reference_matrix(digits: tuple[int, ...]) -> tuple[int, int, int, int]:
+    """The product of the matrices (digit, 1; 1, 0), one digit at a time."""
+    a, b, c, e = 1, 0, 0, 1
+    for digit in digits:
+        a, b, c, e = a * digit + b, a, c * digit + e, c
+    return a, b, c, e
+
+
 def reference_cf_value(cf: ContinuedFraction) -> QuadraticIrrational:
     """The tail from its content-free minimal polynomial, then x = a + 1/y
     for each preperiod digit a, from the last, in field arithmetic."""
-    a, b, c, e = 1, 0, 0, 1
-    for digit in cf.period:
-        a, b, c, e = a * digit + b, a, c * digit + e, c
+    a, b, c, e = reference_matrix(cf.period)
     g = math.gcd(a - e, b, c)
     u, b, c = (a - e) // g, b // g, c // g
     y = QuadraticIrrational(u, 1, u * u + 4 * b * c, 2 * c)
@@ -581,6 +587,38 @@ def test_cf_value_round_trip_with_one_split(tail, rotate, pre):
     assert x == reference_cf_value(cf)
     assert cf_expand(x) == cf
     assert cf_value(cf_expand(x)) == x
+
+
+def test_blocked_fold_matches_one_digit_fold():
+    # every length up to three blocks and one digit more, so empty, partial
+    # and whole blocks all occur; a0 <= 0 and digits of any sign included
+    rng = random.Random(19)
+    for n in range(3 * quadratics._BLOCK + 2):
+        for a0 in (-7, 0, 3):
+            digits = (a0, *(rng.randint(1, 3000) for _ in range(n - 1)))[:n]
+            assert quadratics._matrix(digits) == reference_matrix(digits)
+        digits = tuple(rng.randint(-3000, 3000) for _ in range(n))
+        assert quadratics._matrix(digits) == reference_matrix(digits)
+
+
+@pytest.mark.parametrize("x", TAILS, ids=str)
+def test_round_trip_across_blocks(x):
+    # the 334- and 392-digit periods fold in many blocks and a partial one
+    cf = cf_expand(x)
+    assert cf_value(cf) == x == reference_cf_value(cf)
+
+
+LONGEST = parse_quad("quad:1700,-3,320794,3")  # period 2994 = 2*3*499
+
+
+@pytest.mark.parametrize("x, n", [(LONG_PERIOD, 436), (LONGEST, 2994)], ids=["436", "2994"])
+def test_expansion_is_canonical_as_built(x, n):
+    # cf_expand skips canonicalisation; the public constructor, which
+    # searches every divisor of the period length, must leave it unchanged
+    cf = cf_expand(x)
+    assert len(cf.period) == n
+    assert cf == ContinuedFraction(cf.preperiod, cf.period) == reference_cf_expand(x)
+    assert type(cf.preperiod) is type(cf.period) is tuple
 
 
 @settings(max_examples=300, deadline=None)

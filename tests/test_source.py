@@ -103,3 +103,32 @@ def test_threads_built_in_one_place():
                 inside.update(_thread_calls(node))
         found += [f"{path.name}:{line}" for line in _thread_calls(tree) if line not in inside]
     assert sorted(builders) == ["_thread", "shift_thread"] and found == [], found
+
+
+def _trusted_cf_calls(node) -> list[int]:
+    return [
+        n.lineno
+        for n in ast.walk(node)
+        if isinstance(n, ast.Call)
+        and getattr(n.func, "attr", None) == "_at"
+        and getattr(n.func.value, "id", None) == "ContinuedFraction"
+    ]
+
+
+def test_trusted_continued_fractions_built_in_one_place():
+    # ContinuedFraction._at skips canonicalisation, so only quadratics.cf_expand,
+    # whose expansion is canonical as built, may call it
+    builders, found = [], []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        inside = set()
+        for node in tree.body:
+            if (
+                isinstance(node, ast.FunctionDef)
+                and (path.name, node.name) == ("quadratics.py", "cf_expand")
+                and _trusted_cf_calls(node)
+            ):
+                builders.append(node.name)
+                inside.update(_trusted_cf_calls(node))
+        found += [f"{path.name}:{line}" for line in _trusted_cf_calls(tree) if line not in inside]
+    assert builders == ["cf_expand"] and found == [], found
