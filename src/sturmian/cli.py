@@ -40,7 +40,7 @@ def _parse_parameter(field: str, text: str) -> QuadraticIrrational:
 
 def _parse_point(alpha: QuadraticIrrational, spec: str, variant: str) -> OrbitPoint:
     """Point specs: 'omega', 'fwd:J', 'back:M:L|R', 'quad:p,q,d,r' or 'p/q'."""
-    from .words import OrbitPoint, branch_point
+    from .words import OrbitPoint, _orbit_point, branch_point
 
     try:
         if spec == "omega":
@@ -55,7 +55,7 @@ def _parse_point(alpha: QuadraticIrrational, spec: str, variant: str) -> OrbitPo
             m, var = int(m), var or variant
             if m < 1 or var not in ("L", "R"):
                 raise ValueError("back:M:V needs M >= 1 and V in L, R")
-            return OrbitPoint._at(alpha, 0, 1 - m, 1, var)
+            return _orbit_point(alpha, 1 - m, var)
         if spec.startswith("quad:"):
             return OrbitPoint(alpha, parse_quad(spec), variant)
         num, slash, den = spec.partition("/")
@@ -109,7 +109,7 @@ def _run_cover(args: argparse.Namespace) -> int:
     payload = {"index": [k, l], "classes": classes}
     lines = [f"index=({k},{l}) classes={len(classes)}"]
     for c in classes:
-        lines.append(f"  prefix={c['prefix'] or '-'} past={{{','.join(c['past'])}}}")
+        lines.append(f"  prefix={c['prefix'] or '-'} past={{{','.join(w or '-' for w in c['past'])}}}")
     _emit(args, payload, lines)
     return 0
 
@@ -120,7 +120,6 @@ def _run_fibre(args: argparse.Namespace) -> int:
     K, L = args.K, args.L
     x = _parse_point(args.alpha, args.point, args.variant)
     rep = fibre_report(args.alpha, x, K, L)
-    threads = sorted(rep.threads, key=lambda th: th.table())
     payload = {
         "alpha": format_quad(args.alpha),
         "point": args.point,
@@ -137,10 +136,11 @@ def _run_fibre(args: argparse.Namespace) -> int:
         f"expected={rep.expected} resolved={rep.resolved} (bound used: K>={rep.min_K}, L>={rep.min_L})"
     ]
     if args.show_threads:
-        payload["threads"] = [th.table().splitlines() for th in threads]
-        for i, th in enumerate(threads):
+        tables = [table.splitlines() for table in sorted(th.table() for th in rep.threads)]
+        payload["threads"] = tables
+        for i, rows in enumerate(tables):
             lines.append(f"thread {i}:")
-            lines.extend("  " + row for row in th.table().splitlines())
+            lines.extend("  " + row for row in rows)
     _emit(args, payload, lines)
     return 0 if rep.resolved else 1
 

@@ -18,6 +18,7 @@ from .words import (
     TwoSidedPoint,
     Word,
     _first_entry,
+    _orbit_point,
     _word_tags,
     _zero_word,
     code_word,
@@ -118,8 +119,7 @@ def _classes(alpha: QuadraticIrrational, k: int, l: int) -> set[EqClass]:
         e = l + 1 + j  # the windows end at index j, just before w[e]
         past = frozenset({w[e - l : e], v[e - l : e]})
         for word, variant in ((w, "L"), (v, "R"))[: 1 + (j < k)]:
-            x = OrbitPoint._at(alpha, 0, 1 + j - k, 1, variant)
-            out.add(EqClass(idx, word[e - k : e], past, x))
+            out.add(EqClass(idx, word[e - k : e], past, _orbit_point(alpha, 1 + j - k, variant)))
     return out
 
 
@@ -164,8 +164,8 @@ class Thread:
     The family is stored as one class `top` whose index dominates the grid;
     every level is its projection under the connecting map.  Identity is
     the projected family itself, so tops that differ only beyond the
-    truncation give equal threads; the base point records which subshift
-    element the thread sits over but does not enter equality.  The family
+    truncation give equal threads; of the base point, the subshift element
+    the thread sits over, only its parameter enters equality.  The family
     is compared on its row of classes at (k, L), k <= K: every level (k, l)
     lies below (k, L) and the connecting maps compose, so the row fixes the
     rest.
@@ -195,7 +195,7 @@ class Thread:
                 yield IndexPair(k, l), self.class_at(k, l)
 
     def _family(self):
-        return self.K, self.L, tuple(self.class_at(k, self.L) for k in range(self.K + 1))
+        return self.base.alpha, self.K, self.L, tuple(self.class_at(k, self.L) for k in range(self.K + 1))
 
     def __eq__(self, other):
         if not isinstance(other, Thread):
@@ -242,8 +242,8 @@ def _thread(alpha: QuadraticIrrational, x: OrbitPoint, K: int, L: int, chain: Op
     n = max(L, 1)
     if chain is None:
         past = past_set(x.shift(n), 2 * n)
-    else:
-        past = frozenset({code_word(OrbitPoint._at(alpha, x.a, x.b - n * x.c, x.c, chain), 2 * n)})
+    else:  # chains exist only on the orbit of 0, where x is x.b*alpha
+        past = frozenset({code_word(_orbit_point(alpha, x.b - n, chain), 2 * n)})
     top = EqClass(IndexPair(n, 2 * n), code_word(x, n), past, None if chain else x)
     return Thread(x, K, L, top)
 
@@ -303,7 +303,7 @@ def _death_depths(x: OrbitPoint, n0: int, classes) -> dict[EqClass, int]:
         start = end = c.representative
         if start is None:  # B runs from (n0 - i)*alpha to (n0 - j)*alpha
             i, j = _word_tags(alpha, min(c.past)[:n0])
-            start, end = (OrbitPoint._at(alpha, 0, n0 - t, 1, v) for t, v in ((j, "R"), (i, "L")))
+            start, end = (_orbit_point(alpha, n0 - t, v) for t, v in ((j, "R"), (i, "L")))
         depths[c] = max(_first_entry(start, x), _first_entry(x, end))
     return depths
 

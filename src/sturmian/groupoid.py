@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .quadratics import QuadraticIrrational, check_unit_interval
-from .words import OrbitPoint, Word, _zero_word, language, recurrence_bound
+from .words import Word, _orbit_point, _zero_word, language, recurrence_bound
 
 if TYPE_CHECKING:  # the witness and its check never touch the cover
     from .cover import Thread
@@ -91,7 +91,7 @@ def bisection_arrows(
     if nu_len_max < 1:
         raise ValueError("need nu_len_max >= 1")
     arrows = []
-    chain = [thread_of(alpha, OrbitPoint._at(alpha, 0, -j, 1, "R"), K, L) for j in range(nu_len_max + 1)]
+    chain = [thread_of(alpha, _orbit_point(alpha, -j, "R"), K, L) for j in range(nu_len_max + 1)]
     for j in range(1, nu_len_max + 1):
         arrows.append(Arrow(chain[j], 1, chain[j - 1], (1, 0)))
     sources = [a.source for a in arrows]
@@ -260,6 +260,6 @@ def check_witness(alpha: QuadraticIrrational, w: DadWitness, window: int) -> Wit
 def degenerate_cover_chain(alpha: QuadraticIrrational, values, window: int) -> int:
     """Longest chain when a single set covers everything: every step takes the least jump."""
     values = [int(v) for v in values]
-    if not values or max(values) < 1:
-        raise ValueError("need a positive cocycle value")
+    if not values or min(values) < 0 or max(values) < 1:
+        raise ValueError("cocycle values must be nonnegative integers, one of them positive")
     return max((window - 2 * max(values)) // min(v for v in values if v >= 1), 0)

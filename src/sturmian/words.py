@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterator, Literal, Optional, Union
 
-from .quadratics import QuadraticIrrational, _floor, check_unit_interval
+from .quadratics import QuadraticIrrational, _build, _floor, check_unit_interval
 
 CirclePoint = Union[Fraction, QuadraticIrrational]
 Variant = Literal["L", "R"]
@@ -78,10 +78,8 @@ class _Point:
     @property
     def t(self) -> CirclePoint:
         """The circle point as a field element, built on demand; a Fraction when rational."""
-        if self.b == 0:
-            return Fraction(self.a, self.c)
         al = self.alpha
-        return QuadraticIrrational._at(self.a * al.r + self.b * al.p, self.b * al.q, al.d, self.c * al.r)
+        return _build(self.a * al.r + self.b * al.p, self.b * al.q, al.d, self.c * al.r)
 
     def shift(self, k: int = 1):
         return self._at(self.alpha, self.a, self.b + k * self.c, self.c, self.variant)
@@ -124,6 +122,12 @@ class TwoSidedPoint(_Point):
     def restrict(self) -> OrbitPoint:
         """The nonnegative-index part."""
         return OrbitPoint._at(self.alpha, self.a, self.b, self.c, self.variant)
+
+
+def _orbit_point(alpha: QuadraticIrrational, b: int, variant: Variant) -> OrbitPoint:
+    """The point b*alpha (mod 1), sigma^(b-1)(omega) for b >= 1 and else 1 - b shifts
+    behind omega: the inverse of `OrbitPoint.orbit_position`.  alpha and variant are trusted."""
+    return OrbitPoint._at(alpha, 0, b, 1, variant)
 
 
 def _letters(alpha: QuadraticIrrational, variant: Variant, a: int, k: int, c: int) -> Iterator[str]:
@@ -187,11 +191,6 @@ def _zero_word(alpha: QuadraticIrrational, n: int) -> Word:
 # -- arcs and the cylinder structure ---------------------------------------
 
 
-def _cut(alpha: QuadraticIrrational, i: int) -> _Point:
-    """The cut point -i*alpha (mod 1)."""
-    return _Point._at(alpha, 0, -i, 1, "L")
-
-
 def _precedes(x: _Point, y: _Point) -> bool:
     """Whether x < y in [0, 1) for two points of one parameter: the sign of x - y, one floor."""
     return _floor(x.alpha, x.a * y.c - y.a * x.c, x.b * y.c - y.b * x.c, x.c * y.c) < 0
@@ -212,21 +211,20 @@ class Arc:
 
     @property
     def lo(self) -> CirclePoint:
-        return _cut(self.alpha, self.lo_tag).t
+        return _orbit_point(self.alpha, -self.lo_tag, "L").t
 
     @property
     def hi(self) -> CirclePoint:
-        return _cut(self.alpha, self.hi_tag).t
+        return _orbit_point(self.alpha, -self.hi_tag, "L").t
 
     def is_full_circle(self) -> bool:
         return self.lo_tag == self.hi_tag
 
     def contains(self, t: CirclePoint) -> bool:
         """Whether the circle point t (read mod 1) lies on the arc."""
-        x = _Point(self.alpha, t)
-        if self.is_full_circle():
-            return True
-        return _inside(x, _cut(self.alpha, self.lo_tag), _cut(self.alpha, self.hi_tag))
+        x = OrbitPoint(self.alpha, t)
+        lo, hi = (_orbit_point(self.alpha, -tag, "L") for tag in (self.lo_tag, self.hi_tag))
+        return self.is_full_circle() or _inside(x, lo, hi)
 
     def interior_point_off_orbit(self) -> OrbitPoint:
         """An interior point whose rotation orbit avoids the orbit of 0.
@@ -237,7 +235,7 @@ class Arc:
         """
         if self.is_full_circle():
             return OrbitPoint._at(self.alpha, 1, 0, 2, "L")
-        lo, hi = _cut(self.alpha, self.lo_tag), _cut(self.alpha, self.hi_tag)
+        lo, hi = (_orbit_point(self.alpha, -tag, "L") for tag in (self.lo_tag, self.hi_tag))
         m, wrap = 2 * abs(self.lo_tag - self.hi_tag) + 1, int(_precedes(hi, lo))
         x = OrbitPoint._at(self.alpha, (m - 1) * lo.a + hi.a + wrap, (m - 1) * lo.b + hi.b, m, "L")
         if x.orbit_position() is not None:
@@ -267,9 +265,9 @@ def _word_tags(alpha: QuadraticIrrational, mu: Word) -> Optional[Tags]:
     reads the letter of lo, which is 0 exactly when lo lies on [j, j+1).
     """
     lo = hi = 0
-    lo_pt = hi_pt = here = _cut(alpha, 0)  # here is the cut point -j*alpha
+    lo_pt = hi_pt = here = _orbit_point(alpha, 0, "L")  # here is the cut point -j*alpha
     for j, letter in enumerate(mu):
-        nxt = _cut(alpha, j + 1)
+        nxt = _orbit_point(alpha, -j - 1, "L")
         if lo == hi or _inside(nxt, lo_pt, hi_pt):
             if letter == "0":
                 hi, hi_pt = j + 1, nxt
@@ -320,13 +318,13 @@ def left_extensions(alpha: QuadraticIrrational, w: Word) -> frozenset[str]:
 def branch_point(alpha: QuadraticIrrational) -> OrbitPoint:
     """The unique point with two shift preimages; its circle point is alpha."""
     check_unit_interval(alpha)
-    return OrbitPoint._at(alpha, 0, 1, 1, "L")
+    return _orbit_point(alpha, 1, "L")
 
 
 def preimages(x: OrbitPoint) -> frozenset[OrbitPoint]:
     """All shift preimages of x; two exactly at the branch point."""
-    if (x.a, x.b, x.c) == (0, 1, 1):
-        return frozenset(OrbitPoint._at(x.alpha, 0, 0, 1, v) for v in "LR")
+    if x.orbit_position() == ("forward", 0):
+        return frozenset(_orbit_point(x.alpha, 0, v) for v in "LR")
     return frozenset({x.shift(-1)})
 
 
@@ -346,7 +344,7 @@ def past_set(x: OrbitPoint, l: int) -> frozenset[Word]:
     )
 
 
-def _first_entry(p: _Point, q: _Point) -> int:
+def _first_entry(p: OrbitPoint, q: OrbitPoint) -> int:
     """Least j >= 0 whose cut point -j*alpha (mod 1) lies on the arc from p to q.
 
     The arc runs counterclockwise; an L end stands just after its point and an
@@ -357,7 +355,7 @@ def _first_entry(p: _Point, q: _Point) -> int:
     k*(-m mod s) lands on the arc mod s, the same question on a circle of
     length s; each level costs a few floors.
     """
-    lone = p.variant == "R" and not (p.c == 1 and p.b <= 0)  # {p} holds no cut point
+    lone = p.variant == "R" and not p.hits_coding_boundary()  # {p} holds no cut point
     if (p.a, p.b, p.c) == (q.a, q.b, q.c) and (p.variant == q.variant or lone):
         raise ValueError("no cut point lies on this arc")
     alpha, n = p.alpha, p.c * q.c // math.gcd(p.c, q.c)
@@ -404,7 +402,7 @@ def recurrence_bound(alpha: QuadraticIrrational, mu: Word) -> int:
     if arc is None:
         raise ValueError(f"word is not admissible: {mu!r}")
     lo, hi = arc.lo_tag, arc.hi_tag  # s = (lo - hi)*alpha (mod 1)
-    at = lambda b, v: OrbitPoint._at(alpha, 0, b, 1, v)
     # moving forward by less than s is landing on (1 - s, 1), back by less than s on (0, s)
-    j1, j2 = _first_entry(at(hi - lo, "L"), at(0, "R")), _first_entry(at(0, "L"), at(lo - hi, "R"))
+    j1 = _first_entry(_orbit_point(alpha, hi - lo, "L"), _orbit_point(alpha, 0, "R"))
+    j2 = _first_entry(_orbit_point(alpha, 0, "L"), _orbit_point(alpha, lo - hi, "R"))
     return len(mu) - 1 + max(j1, j2)

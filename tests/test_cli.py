@@ -63,6 +63,14 @@ class TestCover:
         assert len(data["classes"]) == 3
         assert "seed" not in data
 
+    def test_empty_past_word(self, capsys):
+        # at (0, 0) the one class has the empty prefix and the empty past word
+        code, out, _ = run_cli(capsys, "cover", "--alpha", FIB, "--k", "0", "--l", "0")
+        assert code == 0
+        assert out == "index=(0,0) classes=1\n  prefix=- past={-}\n"
+        code, out, _ = run_cli(capsys, "cover", "--alpha", FIB, "--k", "0", "--l", "0", "-o", "json")
+        assert json.loads(out)["classes"] == [{"prefix": "", "past": [""]}]
+
 
 class TestFibre:
     def test_branch_point(self, capsys):

@@ -297,6 +297,13 @@ class TestThreads:
         th = shift_thread(thread_of(FIB, HALF, 3, 5))
         assert th == thread_of(FIB, HALF.shift(), 2, 5)
 
+    def test_parameter_enters_identity(self):
+        # the two threads over the branch points of FIB and sqrt(2) - 1 carry
+        # the same classes at every level up to (2, 3), yet are not one thread
+        fib, s2 = (thread_of(alpha, branch_point(alpha), 2, 3) for alpha in (FIB, SQRT2M1))
+        assert [c for _, c in fib.levels()] == [c for _, c in s2.levels()]
+        assert fib != s2 and len({fib, s2}) == 2
+
     def test_missing_level_rejected(self):
         # a top class below the grid would leave levels undetermined: its
         # prefix is too short (k < K) or its past window too narrow (l-k < L)

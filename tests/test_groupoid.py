@@ -69,6 +69,11 @@ class TestArrows:
         with pytest.raises(ValueError):
             compose(g, g)
 
+    def test_threads_of_two_parameters_do_not_compose(self):
+        fib, s2 = (thread_of(alpha, branch_point(alpha), 2, 3) for alpha in (FIB, SQRT2M1))
+        with pytest.raises(ValueError, match="arrows are not composable"):
+            compose(unit(fib), unit(s2))
+
     def test_principal_on_units(self):
         # an arrow with equal source and target must have cocycle zero:
         # any nonzero witness fails the aperiodicity of base points
@@ -165,6 +170,11 @@ class TestCheckWitness:
             deg = degenerate_cover_chain(FIB, values, window)
             assert deg > window // 2
             assert deg > check_witness(FIB, w, window).max_chain_v
+
+    def test_degenerate_chain_rejects_negative_values(self):
+        # as dad_witness does, before any chain is counted
+        with pytest.raises(ValueError, match="nonnegative"):
+            degenerate_cover_chain(FIB, [-1, 2], 44)
 
     def test_report_dict_schema(self):
         w = dad_witness(FIB, [1])

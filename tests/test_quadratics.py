@@ -562,8 +562,8 @@ def reference_cf_value(cf: ContinuedFraction) -> QuadraticIrrational:
     return y
 
 
-# sqrt(d) - floor(sqrt(d)), purely periodic after a0 = 0, with periods of
-# 1, 2, 5, 16, 334 and 392 digits
+# sqrt(d): a0 = isqrt(d), then a period of 1, 2, 5, 16, 334 and 392 digits
+# respectively
 TAILS = [QuadraticIrrational(0, 1, d, 1) for d in (2, 3, 13, 94, 30139, 60094)]
 
 

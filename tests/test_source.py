@@ -132,3 +132,27 @@ def test_trusted_continued_fractions_built_in_one_place():
                 inside.update(_trusted_cf_calls(node))
         found += [f"{path.name}:{line}" for line in _trusted_cf_calls(tree) if line not in inside]
     assert builders == ["cf_expand"] and found == [], found
+
+
+HOMES = {
+    "QuadraticIrrational": "quadratics.py",
+    "ContinuedFraction": "quadratics.py",
+    "_Point": "words.py",
+    "OrbitPoint": "words.py",
+    "TwoSidedPoint": "words.py",
+}
+
+
+def test_trusted_constructors_stay_home():
+    # X._at skips the checks of X's constructor, so only X's home module may
+    # call it: the other layers build points through words' public makers or
+    # words._orbit_point, and field values through the field's arithmetic
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) == "_at"
+        and HOMES.get(getattr(node.func.value, "id", None), path.name) != path.name
+    ]
+    assert SOURCES and found == [], found

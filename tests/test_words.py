@@ -1,13 +1,15 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from sturmian.quadratics import QuadraticIrrational
+from sturmian.quadratics import QuadraticIrrational, parse_quad
 from sturmian.words import (
     Arc,
     OrbitPoint,
     TwoSidedPoint,
+    _orbit_point,
     branch_point,
     code_letter,
     code_word,
@@ -374,6 +376,18 @@ class TestOrbitPosition:
         assert OrbitPoint(FIB, 1 - FIB, "R").orbit_position() == ("backward", 2)
         assert OrbitPoint(FIB, Fraction(1, 2)).orbit_position() is None
         assert OrbitPoint(FIB, FIB * Fraction(1, 2)).orbit_position() is None
+
+    @pytest.mark.parametrize(
+        "alpha", [FIB, SQRT2M1, parse_quad("quad:-1,1,13,6"), parse_quad("quad:-7,1,61,3")]
+    )
+    def test_orbit_point_inverts_orbit_position(self, alpha):
+        # b*alpha is sigma^(b-1)(omega) for b >= 1 and 1 - b shifts behind omega otherwise
+        for b in range(-20, 21):
+            for v in "LR":
+                x = _orbit_point(alpha, b, v)
+                assert x.orbit_position() == (("forward", b - 1) if b >= 1 else ("backward", 1 - b))
+                assert (x.t, x.variant) == (b * alpha - math.floor(b * alpha), v)
+                assert x == OrbitPoint(alpha, b * alpha, v)
 
     def test_partition_arcs_cover_circle(self):
         arcs = [cylinder_arc(FIB, w) for w in language(FIB, 5)]
