@@ -28,8 +28,8 @@ _EXPORTS = {
         "two_sided_embed",
     ),
     "groupoid": (
-        "Arrow", "DadWitness", "bisection_arrows", "check_witness", "compose", "dad_witness",
-        "degenerate_cover_chain", "unit",
+        "Arrow", "DadWitness", "NoWitnessError", "bisection_arrows", "check_witness", "compose",
+        "dad_witness", "degenerate_cover_chain", "unit",
     ),
     "invariants": (
         "InvariantReport", "OrderedGroupDescriptor", "compare_parameters", "conjugate",

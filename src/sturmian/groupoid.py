@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations, groupby, product
 from typing import TYPE_CHECKING
 
 from .quadratics import QuadraticIrrational, check_unit_interval
@@ -55,12 +56,8 @@ def compose(a: Arrow, b: Arrow) -> Arrow:
     """(x, p, y)(y, q, z) = (x, p + q, z); the middle threads must agree."""
     if a.source != b.target:
         raise ValueError("arrows are not composable")
-    return Arrow(
-        a.target,
-        a.cocycle + b.cocycle,
-        b.source,
-        (a.witness[0] + b.witness[0], a.witness[1] + b.witness[1]),
-    )
+    (k, l), (m, n) = a.witness, b.witness
+    return Arrow(a.target, a.cocycle + b.cocycle, b.source, (k + m, l + n))
 
 
 @dataclass(frozen=True)
@@ -90,10 +87,8 @@ def bisection_arrows(
     check_unit_interval(alpha)
     if nu_len_max < 1:
         raise ValueError("need nu_len_max >= 1")
-    arrows = []
     chain = [thread_of(alpha, _orbit_point(alpha, -j, "R"), K, L) for j in range(nu_len_max + 1)]
-    for j in range(1, nu_len_max + 1):
-        arrows.append(Arrow(chain[j], 1, chain[j - 1], (1, 0)))
+    arrows = [Arrow(chain[j], 1, chain[j - 1], (1, 0)) for j in range(1, nu_len_max + 1)]
     sources = [a.source for a in arrows]
     targets = {a.target for a in arrows}
     distinct = len(set(sources)) == len(sources)
@@ -110,7 +105,8 @@ class DadWitness:
 
     The first set is the preimage of the union of cylinders of the left
     shifts sigma^j(mu) for j < lbar; the second is its complement.  The
-    words mu and nu have length 2*lbar with distinct length-lbar suffixes.
+    words mu and nu have length 2*lbar with distinct length-lbar suffixes
+    and disjoint shift cylinders: mu[lbar-1:] is not in nu, nor nu[lbar-1:] in mu.
     """
 
     cocycle_values: tuple[int, ...]
@@ -128,46 +124,45 @@ class DadWitness:
         return tuple(self.mu[j:] for j in range(self.lbar))
 
     @property
-    def nu_shifts(self) -> tuple[Word, ...]:
-        return tuple(self.nu[j:] for j in range(self.lbar))
-
-    @property
     def min_window(self) -> int:
         """The shortest window check_witness accepts."""
         return 2 * self.lbar * max(self.beta_mu, self.beta_nu)
 
 
-def _shift_cylinders_disjoint(mu: Word, nu: Word, lbar: int) -> bool:
-    a = [mu[j:] for j in range(lbar)]
-    b = [nu[j:] for j in range(lbar)]
-    return not any(x.startswith(y) or y.startswith(x) for x in a for y in b)
+class NoWitnessError(RuntimeError):
+    """No pair of words of length 2*lbar has disjoint shift cylinders."""
+
+
+def _cocycle_values(values) -> tuple[int, ...]:
+    """The distinct values in increasing order: nonempty, nonnegative, one of them positive."""
+    values = tuple(sorted({int(v) for v in values}))
+    if not values or values[0] < 0 or values[-1] < 1:
+        raise ValueError("cocycle values must be nonnegative integers, one of them positive")
+    return values
 
 
 def dad_witness(alpha: QuadraticIrrational, values) -> DadWitness:
     """Build the deterministic two-set witness for the given cocycle values.
 
     The words are the lexicographically first pair (suffixes, then their
-    left-extensions to twice the length) whose shifted cylinders are
-    disjoint; not every suffix pair admits disjoint extensions, so the
-    suffix choice is part of the search.
+    left-extensions to length m = 2*lbar, grouped from the one language of
+    length m) whose shifted cylinders are disjoint; not every suffix pair
+    admits disjoint extensions.  For any m >= lbar, a pair is disjoint
+    exactly when mu[lbar-1:] is not in nu and nu[lbar-1:] is not in mu.
+    Proof: for j >= i the cylinders of mu[j:] and nu[i:] meet exactly when
+    mu[j:] occurs in nu at i, and then so does its suffix t = mu[lbar-1:];
+    conversely t has m - lbar + 1 letters, so it occurs only at some
+    p <= lbar - 1, the pair (lbar - 1, p).  The case i >= j is symmetric.
     """
-    values = tuple(sorted(set(int(v) for v in values)))
-    if not values or values[0] < 0:
-        raise ValueError("cocycle values must be nonnegative integers")
+    values = _cocycle_values(values)
     lbar = values[-1]
-    if lbar < 1:
-        raise ValueError("the largest cocycle value must be at least 1")
-    short_words = sorted(language(alpha, lbar))
-    long_words = sorted(language(alpha, 2 * lbar))
-    for i, s1 in enumerate(short_words):
-        for s2 in short_words[i + 1 :]:
-            for mu in (w for w in long_words if w.endswith(s1)):
-                for nu in (w for w in long_words if w.endswith(s2)):
-                    if _shift_cylinders_disjoint(mu, nu, lbar):
-                        return DadWitness(
-                            values, mu, nu, recurrence_bound(alpha, mu), recurrence_bound(alpha, nu)
-                        )
-    raise RuntimeError("no disjoint witness words at this length")
+    words = sorted(language(alpha, 2 * lbar), key=lambda w: (w[lbar:], w))
+    extensions = [list(group) for _, group in groupby(words, lambda w: w[lbar:])]
+    for mus, nus in combinations(extensions, 2):
+        for mu, nu in product(mus, nus):
+            if mu[lbar - 1 :] not in nu and nu[lbar - 1 :] not in mu:
+                return DadWitness(values, mu, nu, recurrence_bound(alpha, mu), recurrence_bound(alpha, nu))
+    raise NoWitnessError("no disjoint witness words at this length")
 
 
 @dataclass(frozen=True)
@@ -259,7 +254,5 @@ def check_witness(alpha: QuadraticIrrational, w: DadWitness, window: int) -> Wit
 
 def degenerate_cover_chain(alpha: QuadraticIrrational, values, window: int) -> int:
     """Longest chain when a single set covers everything: every step takes the least jump."""
-    values = [int(v) for v in values]
-    if not values or min(values) < 0 or max(values) < 1:
-        raise ValueError("cocycle values must be nonnegative integers, one of them positive")
-    return max((window - 2 * max(values)) // min(v for v in values if v >= 1), 0)
+    values = _cocycle_values(values)
+    return max((window - 2 * values[-1]) // min(v for v in values if v >= 1), 0)

@@ -29,6 +29,9 @@ three enumerations of the same object:
   and intersecting field arcs;
 - first entries of the cut points -j*alpha into an arc by scanning j, and
   recurrence bounds by scanning window lengths over the whole language;
+- disjointness of the witness words' shift cylinders by comparing every
+  shift of one word with every shift of the other, and the witness search
+  rescanning the language for every suffix;
 - the witness window scan testing every start position of every shift and
   taking the longest chain over a dict;
 - the minimal period of a continued fraction by trying every length, and
@@ -445,6 +448,33 @@ def recurrence_bound(alpha, mu, max_window=2048):
         if all(mu in w for w in language(alpha, m)):
             return m
     raise AssertionError(f"no recurrence bound within window {max_window}")
+
+
+# -- the witness words ------------------------------------------------------------
+
+
+def shifts(word, lbar):
+    return [word[j:] for j in range(lbar)]
+
+
+def shift_cylinders_disjoint(mu, nu, lbar):
+    """No shift mu[j:] is a prefix of a shift nu[i:], or the other way, for j, i < lbar."""
+    return not any(
+        x.startswith(y) or y.startswith(x) for x in shifts(mu, lbar) for y in shifts(nu, lbar)
+    )
+
+
+def witness_words(alpha, lbar):
+    """dad_witness's first pair (mu, nu) by scanning the language for each suffix; None if none."""
+    short_words = sorted(language(alpha, lbar))
+    long_words = sorted(language(alpha, 2 * lbar))
+    for i, s1 in enumerate(short_words):
+        for s2 in short_words[i + 1 :]:
+            for mu in (w for w in long_words if w.endswith(s1)):
+                for nu in (w for w in long_words if w.endswith(s2)):
+                    if shift_cylinders_disjoint(mu, nu, lbar):
+                        return mu, nu
+    return None
 
 
 # -- the witness window scan ------------------------------------------------------

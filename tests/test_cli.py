@@ -124,6 +124,21 @@ class TestDad:
         code, _, err = run_cli(capsys, "dad", "--alpha", FIB, "--F", "0")
         assert code == 2 and "F" in err
 
+    def test_no_witness_is_a_verification_failure(self):
+        # exit 1 with one error line, as a process, so a traceback would show on stderr
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(sturmian.__file__).parent.parent), env.get("PYTHONPATH", "")]
+        )
+        script = "import sys\nfrom sturmian.cli import main\nsys.exit(main())"
+        run = subprocess.run(
+            [sys.executable, "-c", script, "dad", "--alpha", FIB, "--F", "11"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (run.returncode, run.stdout) == (1, "")
+        assert run.stderr == "error: F: no disjoint witness words at this length\n"
+        assert "Traceback" not in run.stderr
+
 
 class TestCompare:
     def test_conjugate_pair_json_schema(self, capsys):

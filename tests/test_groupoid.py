@@ -1,11 +1,13 @@
 import dataclasses
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
-from sturmian.quadratics import QuadraticIrrational
+from sturmian.quadratics import QuadraticIrrational, parse_quad
 from sturmian.words import (
     OrbitPoint,
     branch_point,
@@ -15,6 +17,7 @@ from sturmian.words import (
 from sturmian.cover import thread_of
 from sturmian.groupoid import (
     Arrow,
+    NoWitnessError,
     bisection_arrows,
     check_witness,
     compose,
@@ -29,6 +32,12 @@ from test_kernel import cf_parameters
 FIB = QuadraticIrrational(3, -1, 5, 2)
 SQRT2M1 = QuadraticIrrational(-1, 1, 2, 1)
 GOLDEN_CONJ = QuadraticIrrational(-1, 1, 5, 2)
+# the witness search's parameters: FIB, sqrt(2) - 1, (sqrt(13) - 1)/6, (sqrt(61) - 7)/3
+SEARCHED = [FIB, SQRT2M1, QuadraticIrrational(-1, 1, 13, 6), QuadraticIrrational(-7, 1, 61, 3)]
+# dad_witness on those four for F = {1..lbar}, lbar <= 40, and F = {lbar} at 100 and 200, as
+# (mu, nu, beta_mu, beta_nu) or null for no witness; recorded from the search before it took
+# two substring tests per pair
+PINNED = json.loads((Path(__file__).parent / "dad_pinned.json").read_text())
 OM = branch_point(FIB)
 
 
@@ -108,19 +117,37 @@ class TestDadWitness:
         assert w.beta_mu == recurrence_bound(FIB, "00")
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            dad_witness(FIB, [])
-        with pytest.raises(ValueError):
-            dad_witness(FIB, [0])
-        with pytest.raises(ValueError):
-            dad_witness(FIB, [-1, 2])
+        # one rule and one message for the witness and the one-set chain
+        for values in [(), (0,), (0, 0), (-1, 2), (-3,), (-2, 0)]:
+            with pytest.raises(ValueError, match="nonnegative") as witness_error:
+                dad_witness(FIB, values)
+            with pytest.raises(ValueError) as chain_error:
+                degenerate_cover_chain(FIB, values, 44)
+            assert str(chain_error.value) == str(witness_error.value)
+
+    def test_no_witness(self):
+        # the RuntimeError that the CLI reports as a verification failure
+        assert issubclass(NoWitnessError, RuntimeError)
+        with pytest.raises(NoWitnessError, match="^no disjoint witness words at this length$"):
+            dad_witness(FIB, [11])
+
+    def test_pinned_sweep(self):
+        for row in PINNED:
+            alpha = parse_quad(row["alpha"])
+            try:
+                w = dad_witness(alpha, row["F"])
+                got = [w.mu, w.nu, w.beta_mu, w.beta_nu]
+            except NoWitnessError:
+                got = None
+            assert got == row["witness"], (row["alpha"], row["F"])
 
     @pytest.mark.parametrize("alpha", [FIB, SQRT2M1])
     @pytest.mark.parametrize("values", [(1,), (1, 2), (1, 2, 3)])
     def test_cylinder_arcs_disjoint(self, alpha, values):
         w = dad_witness(alpha, values)
+        assert reference.shift_cylinders_disjoint(w.mu, w.nu, w.lbar)
         for wm in w.mu_shifts:
-            for wn in w.nu_shifts:
+            for wn in reference.shifts(w.nu, w.lbar):
                 am = reference.word_arc(alpha, wm)
                 an = reference.word_arc(alpha, wn)
                 assert reference.intersect_arcs(am, an) is None
@@ -131,6 +158,31 @@ class TestDadWitness:
             assert w.mu in language(FIB, 2 * w.lbar)
             assert w.nu in language(FIB, 2 * w.lbar)
             assert w.mu[w.lbar :] != w.nu[w.lbar :]
+
+
+def two_substring_tests(mu, nu, lbar):
+    return mu[lbar - 1 :] not in nu and nu[lbar - 1 :] not in mu
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    alpha=st.one_of(st.sampled_from(SEARCHED), cf_parameters(period_digits=st.integers(1, 40))),
+    lbar=st.integers(1, 8),
+)
+def test_two_substring_tests_match_every_shift_pair(alpha, lbar):
+    # the rule holds for every common length m >= lbar, not only m = 2*lbar
+    for m in range(lbar, 2 * lbar + 5):
+        words = sorted(language(alpha, m))
+        for mu in words:
+            for nu in words:
+                assert two_substring_tests(mu, nu, lbar) == reference.shift_cylinders_disjoint(
+                    mu, nu, lbar
+                ), (mu, nu)
+    try:
+        w = dad_witness(alpha, [lbar])
+        assert (w.mu, w.nu) == reference.witness_words(alpha, lbar)
+    except NoWitnessError:
+        assert reference.witness_words(alpha, lbar) is None
 
 
 class TestCheckWitness:

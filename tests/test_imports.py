@@ -32,8 +32,8 @@ EXPORTS = {
         "shift_thread", "thread_of", "two_sided_embed",
     ],
     "groupoid": [
-        "Arrow", "DadWitness", "bisection_arrows", "check_witness", "compose", "dad_witness",
-        "degenerate_cover_chain", "unit",
+        "Arrow", "DadWitness", "NoWitnessError", "bisection_arrows", "check_witness", "compose",
+        "dad_witness", "degenerate_cover_chain", "unit",
     ],
     "invariants": [
         "InvariantReport", "OrderedGroupDescriptor", "compare_parameters", "conjugate",
@@ -98,7 +98,7 @@ class TestModulesLoaded:
 
 class TestNamespace:
     def test_export_list(self):
-        assert len(NAMES) == len(set(NAMES)) == 55
+        assert len(NAMES) == len(set(NAMES)) == 56
         assert sorted(sturmian.__all__) == sorted(NAMES)
         assert sturmian.__version__ == "0.1.0"
 

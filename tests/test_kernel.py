@@ -333,6 +333,23 @@ class TestKernelObjectCounts:
                 assert self._count(floors, check_witness, self.FIB, w, window) <= 2 * window + 2
         assert languages == []
 
+    def test_dad_witness_reads_one_language(self, monkeypatch):
+        # the search reads one language, of length 2*lbar, and no other
+        languages = []
+
+        def counted(*args):
+            languages.append(args[1:])
+            return language(*args)
+
+        monkeypatch.setattr(groupoid, "language", counted)
+        for values in [(1,), (1, 2, 3), (11,), (0, 40), (100,)]:
+            del languages[:]
+            try:
+                dad_witness(self.FIB, values)
+            except groupoid.NoWitnessError:
+                pass
+            assert languages == [(2 * max(values),)]
+
     def test_quotient_reads_one_coded_word(self, floors):
         # 2l + 1 floors for the coding of 0, one per branch-orbit representative
         for alpha in (self.FIB, ALPHAS[3]):
