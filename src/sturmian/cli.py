@@ -38,28 +38,31 @@ def _parse_parameter(field: str, text: str) -> QuadraticIrrational:
         raise UsageError(field, str(e))
 
 
-def _parse_point(alpha: QuadraticIrrational, spec: str, variant: str) -> OrbitPoint:
-    """Point specs: 'omega', 'fwd:J', 'back:M:L|R', 'quad:p,q,d,r' or 'p/q'."""
-    from .words import OrbitPoint, _orbit_point, branch_point
+def _parse_point(alpha: QuadraticIrrational, spec: str) -> OrbitPoint:
+    """Point specs: 'omega', 'fwd:J', 'back:M:L|R', 'quad:p,q,d,r' or 'p/q'.
+
+    Only back:M:V names a coding side, L if V is left out: the two codings
+    differ only at the points -i*alpha, back:(i+1) (`hits_coding_boundary`)."""
+    from .words import OrbitPoint, _orbit_point
 
     try:
         if spec == "omega":
-            return branch_point(alpha)
+            return _orbit_point(alpha, 1, "L")
         if spec.startswith("fwd:"):
             j = int(spec[4:])
             if j < 0:
                 raise ValueError("fwd:J needs J >= 0")
-            return branch_point(alpha).shift(j)
+            return _orbit_point(alpha, 1 + j, "L")
         if spec.startswith("back:"):
             m, _, var = spec[5:].partition(":")
-            m, var = int(m), var or variant
+            m, var = int(m), var or "L"
             if m < 1 or var not in ("L", "R"):
                 raise ValueError("back:M:V needs M >= 1 and V in L, R")
             return _orbit_point(alpha, 1 - m, var)
         if spec.startswith("quad:"):
-            return OrbitPoint(alpha, parse_quad(spec), variant)
+            return OrbitPoint(alpha, parse_quad(spec))
         num, slash, den = spec.partition("/")
-        return OrbitPoint(alpha, Fraction(int(num), int(den) if slash else 1), variant)
+        return OrbitPoint(alpha, Fraction(int(num), int(den) if slash else 1))
     except (ValueError, ZeroDivisionError) as e:
         raise UsageError("point", f"cannot parse {spec!r}: {e}")
 
@@ -75,7 +78,7 @@ def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> Non
 def _run_word(args: argparse.Namespace) -> int:
     from .words import code_word
 
-    w = code_word(_parse_point(args.alpha, args.t, args.variant), args.n)
+    w = _blame("n", code_word, _parse_point(args.alpha, args.t), args.n)
     _emit(args, {"alpha": format_quad(args.alpha), "n": args.n, "word": w}, [w])
     return 0
 
@@ -91,8 +94,8 @@ def _run_language(args: argparse.Namespace) -> int:
 def _run_past(args: argparse.Namespace) -> int:
     from .words import past_set
 
-    x = _parse_point(args.alpha, args.t, args.variant)
-    words = sorted(past_set(x, args.l))
+    x = _parse_point(args.alpha, args.t)
+    words = sorted(_blame("l", past_set, x, args.l))
     _emit(args, {"alpha": format_quad(args.alpha), "l": args.l, "pasts": words}, words)
     return 0
 
@@ -118,8 +121,8 @@ def _run_fibre(args: argparse.Namespace) -> int:
     from .cover import fibre_report
 
     K, L = args.K, args.L
-    x = _parse_point(args.alpha, args.point, args.variant)
-    rep = fibre_report(args.alpha, x, K, L)
+    x = _parse_point(args.alpha, args.point)
+    rep = _blame("L", fibre_report, args.alpha, x, K, L)
     payload = {
         "alpha": format_quad(args.alpha),
         "point": args.point,
@@ -220,19 +223,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("word", _run_word, "coded word of a circle point")
     p.add_argument("--t", required=True, help="point: p/q, quad:..., omega, fwd:J, back:M:V")
-    p.add_argument("--variant", choices=("L", "R"), default="L")
     p.add_argument("--n", type=int, required=True)
 
     p = command("language", _run_language, "all admissible words of a length")
     p.add_argument("--n", type=int, required=True)
 
     p = command("omega", _run_word, "prefix of the branch point")
-    p.set_defaults(t="omega", variant="L")
+    p.set_defaults(t="omega")
     p.add_argument("--n", type=int, required=True)
 
     p = command("past", _run_past, "past set of a point")
     p.add_argument("--t", required=True)
-    p.add_argument("--variant", choices=("L", "R"), default="L")
     p.add_argument("--l", type=int, required=True)
 
     p = command("cover", _run_cover, "finite quotient at an index pair")
@@ -241,7 +242,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("fibre", _run_fibre, "fibre of the cover over a point")
     p.add_argument("--point", required=True, help="omega, fwd:J, back:M:V, p/q or quad:...")
-    p.add_argument("--variant", choices=("L", "R"), default="L")
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--show-threads", action="store_true", help="print level tables per thread")
@@ -262,11 +262,6 @@ def _check_numeric(args: argparse.Namespace) -> None:
     for field in ("n", "l", "L"):
         if getattr(args, field, 0) < 0:
             raise UsageError(field, "must be nonnegative")
-    bounded = [(field, getattr(args, field, None)) for field in ("n", "l", "L", "window")]
-    bounded += [("F", value) for value in getattr(args, "F", ())]
-    for field, value in bounded:
-        if value is not None and value > sys.maxsize:
-            raise UsageError(field, f"must be at most {sys.maxsize}")
     if hasattr(args, "k") and not 0 <= args.k <= args.l:
         raise UsageError("k", f"must lie in 0..l = {args.l}")
     if hasattr(args, "K") and not 0 <= args.K <= args.L:

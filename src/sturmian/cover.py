@@ -98,8 +98,8 @@ class FiniteQuotient:
         return len(self.classes)
 
 
-def _classes(alpha: QuadraticIrrational, k: int, l: int) -> set[EqClass]:
-    """Every class at level (k, l), exactly, as windows of the two codings of 0.
+def _classes(alpha: QuadraticIrrational, k: int, l: int) -> Iterator[EqClass]:
+    """Every class at level (k, l), exactly and once, as windows of the two codings of 0.
 
     Let w be the L coding of 0 at indices -l..l-1 and v the R coding, w with
     its letters at -1 and 0 swapped.  The k-th shift of x has one length-l
@@ -110,17 +110,18 @@ def _classes(alpha: QuadraticIrrational, k: int, l: int) -> set[EqClass]:
     and v ending at index j, and x's prefix is w's window of k letters ending
     there, or v's for x's R coding, another point when j < k.  Those classes
     carry x as their representative; the singleton classes carry none.
+    They come one at a time, so a caller that keeps a few never holds them all.
     """
     idx = IndexPair(k, l)
     w = _zero_word(alpha, l)  # letter i at w[l + i]
     v = w[: l - 1] + w[l - 1 : l + 1][::-1] + w[l + 1 :]
-    out = {EqClass(idx, w[i + l - k : i + l], frozenset({w[i : i + l]})) for i in range(l + 1)}
+    for i in range(l + 1):
+        yield EqClass(idx, w[i + l - k : i + l], frozenset({w[i : i + l]}))
     for j in range(l):
         e = l + 1 + j  # the windows end at index j, just before w[e]
         past = frozenset({w[e - l : e], v[e - l : e]})
         for word, variant in ((w, "L"), (v, "R"))[: 1 + (j < k)]:
-            out.add(EqClass(idx, word[e - k : e], past, _orbit_point(alpha, 1 + j - k, variant)))
-    return out
+            yield EqClass(idx, word[e - k : e], past, _orbit_point(alpha, 1 + j - k, variant))
 
 
 def quotient(alpha: QuadraticIrrational, idx) -> FiniteQuotient:

@@ -8,6 +8,8 @@ import pytest
 
 import sturmian
 from sturmian.cli import main
+from sturmian.quadratics import parse_quad
+from sturmian.words import OrbitPoint, code_word
 
 FIB = "quad:3,-1,5,2"
 LONG_PERIOD = "quad:-316,1,99991,1"  # sqrt(99991) - 316
@@ -46,6 +48,37 @@ class TestWordAndPast:
         )
         assert code == 0
         assert json.loads(out)["pasts"] == ["001", "101"]
+
+    def test_same_field_point(self, capsys):
+        code, out, _ = run_cli(capsys, "word", "--alpha", FIB, "--t", "quad:1,1,5,4", "--n", "12")
+        point = OrbitPoint(parse_quad(FIB), parse_quad("quad:1,1,5,4"))
+        assert (code, out) == (0, code_word(point, 12) + "\n")
+
+    def test_foreign_field_point(self, capsys):
+        code, out, err = run_cli(capsys, "word", "--alpha", FIB, "--t", "quad:-1,1,2,1", "--n", "4")
+        assert (code, out) == (2, "") and err.startswith("error: point: ")
+        assert "values live in different quadratic fields" in err
+
+    def test_back_defaults_to_side_l(self, capsys):
+        words = [
+            run_cli(capsys, "word", "--alpha", FIB, "--t", t, "--n", "6")[1]
+            for t in ("back:2", "back:2:L", "back:2:R")
+        ]
+        assert words[0] == words[1] != words[2]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("word", "--t", "0", "--n", "4"),
+            ("past", "--t", "0", "--l", "4"),
+            ("fibre", "--point", "omega", "--K", "1", "--L", "4"),
+        ],
+    )
+    def test_no_variant_option(self, capsys, argv):
+        # back:M:V is the one spelling of a coding side: --t 0 --variant R is --t back:1:R
+        with pytest.raises(SystemExit) as e:
+            main([*argv, "--alpha", FIB, "--variant", "R"])
+        assert e.value.code == 2
 
 
 class TestLanguage:
@@ -123,6 +156,10 @@ class TestDad:
     def test_bad_values(self, capsys):
         code, _, err = run_cli(capsys, "dad", "--alpha", FIB, "--F", "0")
         assert code == 2 and "F" in err
+
+    def test_unparsable_values(self, capsys):
+        code, out, err = run_cli(capsys, "dad", "--alpha", FIB, "--F", "1,a")
+        assert (code, out, err) == (2, "", "error: F: cannot parse '1,a'\n")
 
     def test_no_witness_is_a_verification_failure(self):
         # exit 1 with one error line, as a process, so a traceback would show on stderr
@@ -297,6 +334,7 @@ class TestNumericUsageErrors:
             ("l", ("cover", "--k", "0", "--l", str(sys.maxsize))),
             ("F", ("dad", "--F", str(sys.maxsize))),
             ("window", ("dad", "--F", "1", "--window", str(sys.maxsize))),
+            ("L", ("fibre", "--point", "omega", "--K", "0", "--L", str(sys.maxsize // 2 + 1))),
         ],
     )
     def test_out_of_range_exits_2(self, capsys, field, argv):

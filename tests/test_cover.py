@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -173,7 +174,9 @@ class TestQuotient:
         levels = [(k, l) for l in range(26) for k in range(l + 1)]
         levels += [(80, 160)] if alpha == FIB else []
         for k, l in levels:
-            assert table(_classes(alpha, k, l)) == table(reference.classes(alpha, k, l))
+            classes = list(_classes(alpha, k, l))
+            assert len(set(classes)) == len(classes)  # each class comes once
+            assert table(classes) == table(reference.classes(alpha, k, l))
 
     @pytest.mark.parametrize("alpha", [FIB, SQRT2M1, CF_2_3])
     def test_matches_sampled_representatives(self, alpha):
@@ -406,6 +409,19 @@ class TestFibre:
         r = fibre_report(FIB, OM, 2, 6)
         assert r.resolved and r.count == 3
 
+    def test_candidates_streamed(self):
+        # the classes at (n0, 2n0) without x's prefix are dropped as they are
+        # built: holding all 5*n0 + 1 of them peaked at about 20 MB here; a
+        # small call first keeps the lazy imports out of the traced peak
+        fibre(FIB, OM.shift(2), 3, 10)
+        tracemalloc.start()
+        try:
+            assert len(fibre(FIB, OM.shift(2), 3, 1000)) == 3
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6, peak
+
 
 class TestFibreFloorCounts:
     """The fibre's work counted in calls of the kernel floor, which every
@@ -541,7 +557,7 @@ class TestChainConnectingMap:
         # branch-orbit classes, each with the same orbit point
         for alpha in (FIB, SQRT2M1):
             for n in range(1, 7):
-                classes = _classes(alpha, n, 2 * n)
+                classes = set(_classes(alpha, n, 2 * n))
                 for prefix in sorted(language(alpha, n)):
                     got = {(c.prefix, c.past): c.representative for c in classes if c.prefix == prefix}
                     assert got == chain_candidates(alpha, prefix, n)

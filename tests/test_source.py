@@ -156,3 +156,16 @@ def test_trusted_constructors_stay_home():
         and HOMES.get(getattr(node.func.value, "id", None), path.name) != path.name
     ]
     assert SOURCES and found == [], found
+
+
+def test_word_length_bound_only_in_words():
+    # islice counts at most sys.maxsize letters; words._word alone checks a
+    # length against that bound, and every caller reports its ValueError
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name != "words.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "maxsize"
+    ]
+    assert SOURCES and found == [], found
