@@ -9,10 +9,10 @@ truncated index grid and approximate elements of the projective limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterator, NamedTuple, Optional
 
-from .quadratics import QuadraticIrrational
+from .quadratics import QuadraticIrrational, _Record, _store
 from .words import (
     OrbitPoint,
     TwoSidedPoint,
@@ -53,22 +53,23 @@ def index_leq(a, b) -> bool:
     return a.k <= b.k and a.l - a.k <= b.l - b.k
 
 
-@dataclass(frozen=True)
-class EqClass:
+class EqClass(_Record):
     """A prefix/past equivalence class, optionally with one witnessing point."""
 
-    index: IndexPair
-    prefix: Word
-    past: frozenset[Word]
-    representative: Optional[OrbitPoint] = field(default=None, compare=False)
+    __slots__ = ("index", "prefix", "past", "representative")
+    _key = attrgetter("index", "prefix", "past")  # the representative is not compared
 
-    def __post_init__(self):
-        if len(self.prefix) != self.index.k:
+    def __init__(self, index: IndexPair, prefix: Word, past: frozenset[Word], representative=None):
+        if len(prefix) != index.k:
             raise ValueError("prefix length must equal k")
-        if not self.past or len(self.past) > 2:
+        if not past or len(past) > 2:
             raise ValueError("past sets have one or two elements")
-        if any(len(w) != self.index.l for w in self.past):
+        if any(len(w) != index.l for w in past):
             raise ValueError("past words must have length l")
+        _store(self, "index", index)
+        _store(self, "prefix", prefix)
+        _store(self, "past", past)
+        _store(self, "representative", representative)
 
 
 def _check_point(alpha: QuadraticIrrational, x: OrbitPoint) -> None:
@@ -82,11 +83,8 @@ def eq_class(alpha: QuadraticIrrational, x: OrbitPoint, idx) -> EqClass:
     return EqClass(idx, code_word(x, idx.k), past_set(x.shift(idx.k), idx.l), x)
 
 
-@dataclass(frozen=True)
-class FiniteQuotient:
-    alpha: QuadraticIrrational
-    index: IndexPair
-    classes: frozenset[EqClass]
+class FiniteQuotient(_Record):
+    __slots__ = ("alpha", "index", "classes")  # QuadraticIrrational, IndexPair, frozenset[EqClass]
 
     def class_of(self, x: OrbitPoint) -> EqClass:
         c = eq_class(self.alpha, x, self.index)
@@ -339,17 +337,10 @@ def expected_fibre_size(x: OrbitPoint) -> int:
     return len(_chains(x))
 
 
-@dataclass(frozen=True)
-class FibreReport:
+class FibreReport(_Record):
     """Fibre search outcome; resolved when the truncation separates the fibre."""
 
-    point: OrbitPoint
-    K: int
-    L: int
-    threads: frozenset[Thread]
-    expected: int
-    min_K: int
-    min_L: int
+    __slots__ = ("point", "K", "L", "threads", "expected", "min_K", "min_L")
 
     @property
     def count(self) -> int:

@@ -12,31 +12,26 @@ the orbit into it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations, groupby, product
 from typing import TYPE_CHECKING
 
-from .quadratics import QuadraticIrrational, check_unit_interval
+from .quadratics import QuadraticIrrational, _Record, check_unit_interval
 from .words import Word, _orbit_point, _zero_word, language, recurrence_bound
 
 if TYPE_CHECKING:  # the witness and its check never touch the cover
     from .cover import Thread
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(_Record):
     """Groupoid arrow: target <- source with integer cocycle.
 
     The witness (k, l) certifies shift^k(target base) = shift^l(source
     base) and cocycle = k - l; the equation is checked exactly.
     """
 
-    target: Thread
-    cocycle: int
-    source: Thread
-    witness: tuple[int, int]
+    __slots__ = ("target", "cocycle", "source", "witness")  # Thread, int, Thread, (k, l)
 
-    def __post_init__(self):
+    def _check(self):
         k, l = self.witness
         if k < 0 or l < 0 or k - l != self.cocycle:
             raise ValueError("witness must consist of naturals with k - l = cocycle")
@@ -60,8 +55,7 @@ def compose(a: Arrow, b: Arrow) -> Arrow:
     return Arrow(a.target, a.cocycle + b.cocycle, b.source, (k + m, l + n))
 
 
-@dataclass(frozen=True)
-class BisectionReport:
+class BisectionReport(_Record):
     """The one-shift bisection on the isolated part of the cover.
 
     Arrows run from the section of each point nu.1.omega one step forward;
@@ -69,9 +63,7 @@ class BisectionReport:
     section of 1.omega.
     """
 
-    arrows: tuple[Arrow, ...]
-    sources_distinct: bool
-    range_omits_one_omega: bool
+    __slots__ = ("arrows", "sources_distinct", "range_omits_one_omega")  # tuple[Arrow, ...], bool, bool
 
     @property
     def cocycles_all_one(self) -> bool:
@@ -99,8 +91,7 @@ def bisection_arrows(
 # -- the two-set witness ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DadWitness:
+class DadWitness(_Record):
     """Data certifying the two-set cover used in the dimension bound.
 
     The first set is the preimage of the union of cylinders of the left
@@ -109,11 +100,7 @@ class DadWitness:
     and disjoint shift cylinders: mu[lbar-1:] is not in nu, nor nu[lbar-1:] in mu.
     """
 
-    cocycle_values: tuple[int, ...]
-    mu: Word
-    nu: Word
-    beta_mu: int
-    beta_nu: int
+    __slots__ = ("cocycle_values", "mu", "nu", "beta_mu", "beta_nu")
 
     @property
     def lbar(self) -> int:
@@ -165,17 +152,12 @@ def dad_witness(alpha: QuadraticIrrational, values) -> DadWitness:
     raise NoWitnessError("no disjoint witness words at this length")
 
 
-@dataclass(frozen=True)
-class WitnessCheck:
+class WitnessCheck(_Record):
     """Verification of the two-set chain bounds over every admissible window."""
 
-    witness: DadWitness
-    window: int
-    covered: bool
-    max_first_hit: int
-    max_chain_v: int
-    max_chain_u: int
-    cocycle_bound: int
+    __slots__ = (
+        "witness", "window", "covered", "max_first_hit", "max_chain_v", "max_chain_u", "cocycle_bound"
+    )
 
     @property
     def passed(self) -> bool:

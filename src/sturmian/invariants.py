@@ -10,10 +10,7 @@ have tail-equivalent continued fractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import ClassVar
-
-from .quadratics import QuadraticIrrational, _floor, _period, _reduced, check_unit_interval
+from .quadratics import QuadraticIrrational, _floor, _period, _Record, _reduced, check_unit_interval
 
 
 def conjugate(alpha: QuadraticIrrational, beta: QuadraticIrrational) -> bool:
@@ -43,16 +40,15 @@ def flow_equivalent(alpha: QuadraticIrrational, beta: QuadraticIrrational) -> bo
     return D == E and (P2, Q2) in _period(D, P, Q)
 
 
-@dataclass(frozen=True)
-class OrderedGroupDescriptor:
+class OrderedGroupDescriptor(_Record):
     """Z + alpha*Z as an ordered subgroup of the reals with order unit 1.
 
     Elements are pairs (n, m) standing for n + m*alpha; positivity is
     decided exactly.
     """
 
-    alpha: QuadraticIrrational
-    unit: ClassVar[tuple[int, int]] = (1, 0)
+    __slots__ = ("alpha",)
+    unit = (1, 0)
 
     def value_positive(self, n: int, m: int) -> bool:
         if m == 0:
@@ -65,14 +61,10 @@ class OrderedGroupDescriptor:
         return 1 if self.value_positive(a[0] - b[0], a[1] - b[1]) else -1
 
 
-@dataclass(frozen=True)
-class InvariantReport:
-    alpha: QuadraticIrrational
-    beta: QuadraticIrrational
-    conjugate: bool
-    flow_equivalent: bool
-    k0_description: ClassVar[str] = "Z+alphaZ"
-    k1_description: ClassVar[str] = "0"
+class InvariantReport(_Record):
+    __slots__ = ("alpha", "beta", "conjugate", "flow_equivalent")
+    k0_description = "Z+alphaZ"
+    k1_description = "0"
 
     def to_dict(self) -> dict:
         return {

@@ -11,8 +11,8 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterator, Optional, Union
 
 
@@ -78,9 +78,65 @@ def _floor(alpha: "QuadraticIrrational", a: int, k: int, c: int = 1, e: int = 0)
     return _surd_floor(num, math.isqrt(coef * coef * alpha.d), den)
 
 
+_store = object.__setattr__  # sets a field past the refusing __setattr__ of a record
+
+
+class _Record:
+    """An immutable value whose fields are its __slots__.
+
+    Equality and hash read one key, all fields unless the class sets `_key`,
+    and records of different classes are never equal.  A subclass with empty
+    __slots__ keeps its base's fields.  The positional constructor stores the
+    fields and validates them with `_check`; a copy or an unpickled record
+    gets its fields back unchecked.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        if cls.__slots__:
+            cls._fields = cls.__slots__
+            if "_key" not in cls.__dict__:
+                cls._key = attrgetter(*cls._fields)
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes {len(self._fields)} values, not {len(values)}")
+        self._fill(values)
+        self._check()
+
+    def _fill(self, values) -> None:
+        for name, value in zip(self._fields, values):
+            _store(self, name, value)
+
+    __setstate__ = _fill
+
+    def _check(self) -> None:
+        """Raise unless the fields make a valid record; any fields do by default."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return object.__new__, (type(self),), tuple(getattr(self, name) for name in self._fields)
+
+
 @functools.total_ordering
-@dataclass(frozen=True)
-class QuadraticIrrational:
+class QuadraticIrrational(_Record):
     """(p + q*sqrt(d))/r in canonical form.
 
     Canonical means: d squarefree (square factors absorbed into q), r > 0,
@@ -88,20 +144,17 @@ class QuadraticIrrational:
     they are structurally equal.
     """
 
-    p: int
-    q: int
-    d: int
-    r: int
+    __slots__ = ("p", "q", "d", "r")
 
-    def __post_init__(self):
-        if self.r == 0:
+    def __init__(self, p: int, q: int, d: int, r: int):
+        if r == 0:
             raise ZeroDivisionError("zero denominator")
-        if self.d <= 0:
+        if d <= 0:
             raise ValueError("radicand must be positive")
-        s, f = _squarefree_split(self.d)
-        if self.q == 0 or f == 1:
+        s, f = _squarefree_split(d)
+        if q == 0 or f == 1:
             raise RationalValueError("rational value, not a quadratic irrational")
-        self._set(self.p, self.q * s, f, self.r)
+        self._set(p, q * s, f, r)
 
     @classmethod
     def _at(cls, p: int, q: int, d: int, r: int) -> "QuadraticIrrational":
@@ -114,8 +167,10 @@ class QuadraticIrrational:
         if r < 0:
             p, q, r = -p, -q, -r
         g = math.gcd(p, q, r)
-        for name, value in zip("pqdr", (p // g, q // g, d, r // g)):
-            object.__setattr__(self, name, value)
+        _store(self, "p", p // g)
+        _store(self, "q", q // g)
+        _store(self, "d", d)
+        _store(self, "r", r // g)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -222,20 +277,18 @@ def _minimal_period(period: tuple[int, ...]) -> tuple[int, ...]:
     return next(period[:k] for k in divisors if period == period[:k] * (n // k))
 
 
-@dataclass(frozen=True)
-class ContinuedFraction:
+class ContinuedFraction(_Record):
     """Eventually periodic continued fraction [a0; a1, ..., (b1, ..., bk)].
 
     Canonical form: the period has minimal length and the preperiod is as
     short as possible, which determines the presentation uniquely.
     """
 
-    preperiod: tuple[int, ...]
-    period: tuple[int, ...]
+    __slots__ = ("preperiod", "period")
 
-    def __post_init__(self):
-        pre = tuple(self.preperiod)
-        per = tuple(self.period)
+    def __init__(self, preperiod, period):
+        pre = tuple(preperiod)
+        per = tuple(period)
         if not per:
             raise ValueError("period must be nonempty")
         if min(per) < 1 or min(pre[1:], default=1) < 1:
@@ -244,8 +297,8 @@ class ContinuedFraction:
         while pre and pre[-1] == per[-1]:
             pre = pre[:-1]
             per = per[-1:] + per[:-1]
-        object.__setattr__(self, "preperiod", pre)
-        object.__setattr__(self, "period", per)
+        _store(self, "preperiod", pre)
+        _store(self, "period", per)
 
     @classmethod
     def _at(cls, pre: tuple[int, ...], per: tuple[int, ...]) -> "ContinuedFraction":
@@ -256,8 +309,8 @@ class ContinuedFraction:
         Galois a complete quotient is purely periodic exactly when it is reduced.
         """
         cf = object.__new__(cls)
-        object.__setattr__(cf, "preperiod", pre)
-        object.__setattr__(cf, "period", per)
+        _store(cf, "preperiod", pre)
+        _store(cf, "period", per)
         return cf
 
     def __str__(self):
@@ -365,16 +418,12 @@ def cf_value(cf: ContinuedFraction) -> QuadraticIrrational:
 # -- the GL(2,Z) action ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Moebius:
+class Moebius(_Record):
     """Integer linear fractional transformation with determinant +-1."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ("a", "b", "c", "d")
 
-    def __post_init__(self):
+    def _check(self):
         if self.a * self.d - self.c * self.b not in (1, -1):
             raise ValueError("determinant must be +1 or -1")
 

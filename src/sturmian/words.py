@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from typing import Iterator, Literal, Optional, Union
 
-from .quadratics import QuadraticIrrational, _build, _floor, check_unit_interval
+from .quadratics import QuadraticIrrational, _build, _floor, _Record, _store, check_unit_interval
 
 CirclePoint = Union[Fraction, QuadraticIrrational]
 Variant = Literal["L", "R"]
@@ -32,8 +31,7 @@ def check_word(mu: Word) -> Word:
     return mu
 
 
-@dataclass(frozen=True, init=False)
-class _Point:
+class _Point(_Record):
     """A circle point (a + b*alpha)/c in [0, 1) with its coding variant.
 
     The triple is canonical: c > 0, gcd(a, b, c) = 1 and 0 <= a + b*alpha < c,
@@ -42,11 +40,7 @@ class _Point:
     an int, a Fraction or a QuadraticIrrational of alpha's field.
     """
 
-    alpha: QuadraticIrrational
-    a: int
-    b: int
-    c: int
-    variant: Variant
+    __slots__ = ("alpha", "a", "b", "c", "variant")
 
     def __init__(self, alpha: QuadraticIrrational, t: CirclePoint, variant: Variant = "L"):
         check_unit_interval(alpha)
@@ -71,9 +65,11 @@ class _Point:
             a, b, c = -a, -b, -c
         g = math.gcd(a, b, c)
         a, b, c = a // g, b // g, c // g
-        a -= _floor(alpha, a, b, c) * c
-        for name, value in zip(("alpha", "a", "b", "c", "variant"), (alpha, a, b, c, variant)):
-            object.__setattr__(self, name, value)
+        _store(self, "alpha", alpha)
+        _store(self, "a", a - _floor(alpha, a, b, c) * c)
+        _store(self, "b", b)
+        _store(self, "c", c)
+        _store(self, "variant", variant)
 
     @property
     def t(self) -> CirclePoint:
@@ -87,6 +83,8 @@ class _Point:
 
 class OrbitPoint(_Point):
     """An element of the one-sided subshift: circle point plus coding variant."""
+
+    __slots__ = ()
 
     def hits_coding_boundary(self) -> bool:
         """True iff the forward rotation orbit of t meets {0, 1-alpha}.
@@ -118,6 +116,8 @@ class OrbitPoint(_Point):
 
 class TwoSidedPoint(_Point):
     """A bi-infinite coding; same data as OrbitPoint, indices range over Z."""
+
+    __slots__ = ()
 
     def restrict(self) -> OrbitPoint:
         """The nonnegative-index part."""
@@ -196,8 +196,7 @@ def _precedes(x: _Point, y: _Point) -> bool:
     return _floor(x.alpha, x.a * y.c - y.a * x.c, x.b * y.c - y.b * x.c, x.c * y.c) < 0
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(_Record):
     """The half-open arc [-lo_tag*alpha, -hi_tag*alpha) (mod 1) between two cut points.
 
     The arc runs counterclockwise from lo to hi and wraps through 0 when
@@ -205,9 +204,7 @@ class Arc:
     the endpoints lo and hi are built as field elements on demand.
     """
 
-    alpha: QuadraticIrrational
-    lo_tag: int
-    hi_tag: int
+    __slots__ = ("alpha", "lo_tag", "hi_tag")
 
     @property
     def lo(self) -> CirclePoint:

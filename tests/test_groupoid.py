@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -17,6 +16,7 @@ from sturmian.words import (
 from sturmian.cover import thread_of
 from sturmian.groupoid import (
     Arrow,
+    DadWitness,
     NoWitnessError,
     bisection_arrows,
     check_witness,
@@ -270,11 +270,8 @@ def test_one_word_scan_matches_window_scan(data, alpha, values):
     except RuntimeError:  # no disjoint witness words for this F: not every F has a witness yet
         reject()
     assume(w.min_window <= 400)
-    lowered = dataclasses.replace(
-        w,
-        beta_mu=data.draw(st.integers(1, w.beta_mu)),
-        beta_nu=data.draw(st.integers(1, w.beta_nu)),
-    )
+    b_mu, b_nu = data.draw(st.integers(1, w.beta_mu)), data.draw(st.integers(1, w.beta_nu))
+    lowered = DadWitness(w.cocycle_values, w.mu, w.nu, b_mu, b_nu)
     jumps = [v for v in values if v >= 1]
     for v in (w, lowered):
         for window in (v.min_window, v.min_window + 1, v.min_window + data.draw(st.integers(2, 40))):

@@ -17,6 +17,24 @@ def test_no_assert_statements():
     assert SOURCES and not found, found
 
 
+def _imports_dataclasses(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[0] == "dataclasses" for a in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses"
+
+
+def test_no_dataclasses():
+    # the value classes are quadratics._Record subclasses: importing dataclasses
+    # would load inspect too, milliseconds on every CLI request
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if _imports_dataclasses(node)
+    ]
+    assert SOURCES and not found, found
+
+
 def _is_unbounded_cache(node) -> bool:
     if isinstance(node, ast.ImportFrom):
         return node.module == "functools" and any(a.name == "cache" for a in node.names)
