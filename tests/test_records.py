@@ -9,7 +9,7 @@ import pytest
 from sturmian.quadratics import Moebius, QuadraticIrrational, cf_expand
 from sturmian.words import OrbitPoint, TwoSidedPoint, branch_point, cylinder_arc
 from sturmian.cover import EqClass, eq_class, fibre_report, quotient, thread_of
-from sturmian.groupoid import bisection_arrows, check_witness, dad_witness, unit
+from sturmian.groupoid import DadWitness, bisection_arrows, check_witness, dad_witness, unit
 from sturmian.invariants import OrderedGroupDescriptor, compare_parameters
 
 FIB = QuadraticIrrational(3, -1, 5, 2)
@@ -159,9 +159,9 @@ def test_class_equality_ignores_the_representative():
     assert EqClass(c.index, c.prefix, c.past, OrbitPoint(FIB, HALF)) == c
 
 
-def test_positional_construction():
-    assert QuadraticIrrational(3, -1, 20, 4) == QuadraticIrrational(3, -2, 5, 4)
-    assert Moebius(1, 1, 0, 1).b == 1
-    with pytest.raises(ValueError, match="determinant"):
-        Moebius(1, 1, 1, 1)
-    assert OrderedGroupDescriptor(FIB).unit == (1, 0)
+def test_a_wrong_field_count_is_a_type_error():
+    w = dad_witness(FIB, {1, 2})
+    with pytest.raises(TypeError):
+        DadWitness(w.cocycle_values, w.mu, w.nu, w.beta_mu)
+    with pytest.raises(TypeError):
+        Moebius(1, 0, 0, 1, 0)
