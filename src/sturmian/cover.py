@@ -157,20 +157,21 @@ def shift_map(c: EqClass) -> EqClass:
 # -- threads ----------------------------------------------------------------
 
 
-class Thread:
+class Thread(_Record):
     """A compatible family of classes over the truncated grid k<=K, l<=L.
 
     The family is stored as one class `top` whose index dominates the grid;
-    every level is its projection under the connecting map.  Identity is
-    the projected family itself, so tops that differ only beyond the
-    truncation give equal threads; of the base point, the subshift element
-    the thread sits over, only its parameter enters equality.  The family
-    is compared on its row of classes at (k, L), k <= K: every level (k, l)
-    lies below (k, L) and the connecting maps compose, so the row fixes the
-    rest.
+    every level is its projection under the connecting map.  Threads are
+    immutable records compared on their parameter, K, L and the `row` of
+    classes at (k, L), k <= K, built once with the thread: every level
+    (k, l) lies below (k, L) and the connecting maps compose, so the row
+    fixes the rest.  Tops that differ only beyond the truncation therefore
+    give equal threads, and of the base point, the subshift element the
+    thread sits over, only its parameter enters equality.
     """
 
-    __slots__ = ("base", "K", "L", "top")
+    __slots__ = ("base", "K", "L", "top", "row")
+    _key = attrgetter("base.alpha", "K", "L", "row")
 
     def __init__(self, base: OrbitPoint, K: int, L: int, top: EqClass):
         if not 0 <= K <= L:
@@ -178,10 +179,7 @@ class Thread:
         k, l = top.index
         if k < K or l - k < L:
             raise ValueError(f"class at {top.index} does not dominate the grid K={K}, L={L}")
-        self.base = base
-        self.K = K
-        self.L = L
-        self.top = top
+        self._fill((base, K, L, top, tuple(q_map(top, IndexPair(k, L)) for k in range(K + 1))))
 
     def class_at(self, k: int, l: int) -> EqClass:
         if not (0 <= k <= min(self.K, l) and l <= self.L):
@@ -192,21 +190,6 @@ class Thread:
         for k in range(self.K + 1):
             for l in range(k, self.L + 1):
                 yield IndexPair(k, l), self.class_at(k, l)
-
-    def _family(self):
-        return self.base.alpha, self.K, self.L, tuple(self.class_at(k, self.L) for k in range(self.K + 1))
-
-    def __eq__(self, other):
-        if not isinstance(other, Thread):
-            return NotImplemented
-        return self._family() == other._family()
-
-    def __hash__(self):
-        return hash(self._family())
-
-    def __repr__(self):
-        c = self.class_at(self.K, self.L)
-        return f"Thread(K={self.K}, L={self.L}, top prefix={c.prefix!r}, past={sorted(c.past)})"
 
     def table(self) -> str:
         """Render the thread as a level -> (prefix, past) table."""

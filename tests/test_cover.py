@@ -661,6 +661,8 @@ class TestThreadIdentity:
         pool = [*fibre(alpha, x, K, L), thread_of(alpha, x, K, L)]
         pool.append(Thread(x, K, L, thread_of(alpha, x, K, L + 2).top))  # a deeper top
         pool += [thread_of(alpha, y, K, L) for y in (x.shift(), other[1]) if y.alpha == alpha]
+        if K < L:  # a top at (n0 - 1, 2n0), off the chain levels, equal to the thread over x.shift()
+            pool.append(shift_thread(thread_of(alpha, x, K + 1, L)))
         pos = x.orbit_position()
         if pos is not None:
             letters = "01" if pos[0] == "forward" else "0" if x.variant == "L" else "1"

@@ -61,6 +61,11 @@ RECORDS = {
         lambda: fibre_report(FIB, OrbitPoint(FIB, HALF), 2, 4),
         ("point", "K", "L", "threads", "expected", "min_K", "min_L"),
     ),
+    "Thread": (
+        lambda: thread_of(FIB, branch_point(FIB), 2, 4),
+        lambda: thread_of(FIB, OrbitPoint(FIB, HALF), 2, 4),
+        ("base", "K", "L", "top", "row"),
+    ),
     "Arrow": (
         lambda: unit(thread_of(FIB, branch_point(FIB), 2, 4)),
         lambda: unit(thread_of(FIB, OrbitPoint(FIB, HALF), 2, 4)),

@@ -35,6 +35,33 @@ def test_no_dataclasses():
     assert SOURCES and not found, found
 
 
+RECORD_METHODS = {"__eq__", "__hash__", "__repr__", "__setattr__"}
+
+
+def _binds(node: ast.ClassDef) -> set[str]:
+    """The names a class body binds by def or by plain assignment."""
+    names = set()
+    for stmt in node.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.add(stmt.name)
+        elif isinstance(stmt, ast.Assign):
+            names.update(t.id for t in stmt.targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_one_record_base():
+    # every value class takes equality, hash, repr and immutability from
+    # quadratics._Record, so no other class body defines them
+    found = [
+        f"{path.name}:{node.lineno} {node.name}.{name}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ClassDef) and (path.name, node.name) != ("quadratics.py", "_Record")
+        for name in sorted(RECORD_METHODS & _binds(node))
+    ]
+    assert SOURCES and found == [], found
+
+
 def _is_unbounded_cache(node) -> bool:
     if isinstance(node, ast.ImportFrom):
         return node.module == "functools" and any(a.name == "cache" for a in node.names)
