@@ -36,10 +36,6 @@ class UnresolvedTruncationError(RuntimeError):
     """The truncation grid is too small to decide the question asked."""
 
 
-class IncompleteEnumerationError(RuntimeError):
-    """A class that must be enumerated is missing from an exact enumeration."""
-
-
 def _check_index(idx) -> IndexPair:
     idx = IndexPair(*idx)
     if idx.k < 0 or idx.k > idx.l:
@@ -89,7 +85,7 @@ class FiniteQuotient(_Record):
     def class_of(self, x: OrbitPoint) -> EqClass:
         c = eq_class(self.alpha, x, self.index)
         if c not in self.classes:
-            raise IncompleteEnumerationError(f"class of {x} missing at {self.index}")
+            raise RuntimeError(f"class of {x} missing at {self.index}; enumeration bug")
         return c
 
     def __len__(self):
@@ -160,14 +156,14 @@ def shift_map(c: EqClass) -> EqClass:
 class Thread(_Record):
     """A compatible family of classes over the truncated grid k<=K, l<=L.
 
-    The family is stored as one class `top` whose index dominates the grid;
-    every level is its projection under the connecting map.  Threads are
-    immutable records compared on their parameter, K, L and the `row` of
-    classes at (k, L), k <= K, built once with the thread: every level
-    (k, l) lies below (k, L) and the connecting maps compose, so the row
-    fixes the rest.  Tops that differ only beyond the truncation therefore
-    give equal threads, and of the base point, the subshift element the
-    thread sits over, only its parameter enters equality.
+    The family is stored as one class `top` whose index dominates the grid,
+    and the `row` of its projections at (k, L), k <= K, built once with the
+    thread.  Every level (k, l) lies below (k, L) and the connecting maps
+    compose, so each level is projected from the row, and threads, immutable
+    records, are compared on their parameter, K, L and the row.  Tops that
+    differ only beyond the truncation therefore give equal threads, and of
+    the base point, the subshift element the thread sits over, only its
+    parameter enters equality.
     """
 
     __slots__ = ("base", "K", "L", "top", "row")
@@ -184,7 +180,7 @@ class Thread(_Record):
     def class_at(self, k: int, l: int) -> EqClass:
         if not (0 <= k <= min(self.K, l) and l <= self.L):
             raise KeyError(f"level {(k, l)} lies outside the truncation")
-        return q_map(self.top, IndexPair(k, l))
+        return q_map(self.row[k], IndexPair(k, l))
 
     def levels(self) -> Iterator[tuple[IndexPair, EqClass]]:
         for k in range(self.K + 1):
@@ -309,7 +305,7 @@ def fibre(alpha: QuadraticIrrational, x: OrbitPoint, K: int, L: int) -> set[Thre
     n0 = threads[0].top.index.k
     candidates = {c for c in _classes(alpha, n0, 2 * n0) if c.prefix == threads[0].top.prefix}
     if not tops <= candidates:
-        raise IncompleteEnumerationError("constructed elements missing from candidates")
+        raise RuntimeError("constructed elements missing from candidates; enumeration bug")
     if any(depth <= n0 for depth in _death_depths(x, n0, candidates - tops).values()):
         raise RuntimeError("a candidate died inside the chain level; arithmetic bug")
     return set(threads)

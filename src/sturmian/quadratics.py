@@ -88,7 +88,9 @@ class _Record:
     and records of different classes are never equal.  A subclass with empty
     __slots__ keeps its base's fields.  The positional constructor stores the
     fields and validates them with `_check`; a copy or an unpickled record
-    gets its fields back unchecked.
+    gets its fields back unchecked.  The trusted constructor `_at` takes the
+    fields as one tuple and skips `_check`; it stores them through `_set`,
+    which a class with a normal form overrides to put them in it.
     """
 
     __slots__ = ()
@@ -105,11 +107,18 @@ class _Record:
         self._fill(values)
         self._check()
 
+    @classmethod
+    def _at(cls, values: tuple):
+        """The record of the fields `values`, stored by `_set` and not checked."""
+        x = object.__new__(cls)
+        x._set(values)
+        return x
+
     def _fill(self, values) -> None:
         for name, value in zip(self._fields, values):
             _store(self, name, value)
 
-    __setstate__ = _fill
+    __setstate__ = _set = _fill
 
     def _check(self) -> None:
         """Raise unless the fields make a valid record; any fields do by default."""
@@ -154,16 +163,11 @@ class QuadraticIrrational(_Record):
         s, f = _squarefree_split(d)
         if q == 0 or f == 1:
             raise RationalValueError("rational value, not a quadratic irrational")
-        self._set(p, q * s, f, r)
+        self._set((p, q * s, f, r))
 
-    @classmethod
-    def _at(cls, p: int, q: int, d: int, r: int) -> "QuadraticIrrational":
-        """(p + q*sqrt(d))/r for q != 0 and r != 0; d is trusted to be squarefree, not 1."""
-        x = object.__new__(cls)
-        x._set(p, q, d, r)
-        return x
-
-    def _set(self, p: int, q: int, d: int, r: int) -> None:
+    def _set(self, values: tuple[int, int, int, int]) -> None:
+        """Store (p + q*sqrt(d))/r for q != 0 and r != 0; d is trusted to be squarefree, not 1."""
+        p, q, d, r = values
         if r < 0:
             p, q, r = -p, -q, -r
         g = math.gcd(p, q, r)
@@ -200,7 +204,7 @@ class QuadraticIrrational(_Record):
     __radd__ = __add__
 
     def __neg__(self):
-        return self._at(-self.p, -self.q, self.d, self.r)
+        return self._at((-self.p, -self.q, self.d, self.r))
 
     def __sub__(self, other):
         o = self._operand(other)
@@ -218,7 +222,7 @@ class QuadraticIrrational(_Record):
 
     def inverse(self) -> "QuadraticIrrational":
         norm = self.p * self.p - self.q * self.q * self.d
-        return self._at(self.r * self.p, -self.r * self.q, self.d, norm)
+        return self._at((self.r * self.p, -self.r * self.q, self.d, norm))
 
     def __truediv__(self, other):
         o = self._operand(other)
@@ -250,13 +254,13 @@ def _build(p: int, q: int, d: int, r: int) -> Union[Fraction, QuadraticIrrationa
     """(p + q*sqrt(d))/r in the field of squarefree d, a Fraction when q = 0."""
     if q == 0:
         return Fraction(p, r)
-    return QuadraticIrrational._at(p, q, d, r)
+    return QuadraticIrrational._at((p, q, d, r))
 
 
 def _image(A: int, B: int, C: int, E: int, u: int, v: int, f: int, w: int) -> QuadraticIrrational:
     """(A*y + B)/(C*y + E) for y = (u + v*sqrt(f))/w, AE != BC, rationalised at once."""
     n0, n1, m0, m1 = A * u + B * w, A * v, C * u + E * w, C * v
-    return QuadraticIrrational._at(n0 * m0 - n1 * m1 * f, n1 * m0 - n0 * m1, f, m0 * m0 - m1 * m1 * f)
+    return QuadraticIrrational._at((n0 * m0 - n1 * m1 * f, n1 * m0 - n0 * m1, f, m0 * m0 - m1 * m1 * f))
 
 
 def check_unit_interval(x: QuadraticIrrational) -> QuadraticIrrational:
@@ -297,21 +301,7 @@ class ContinuedFraction(_Record):
         while pre and pre[-1] == per[-1]:
             pre = pre[:-1]
             per = per[-1:] + per[:-1]
-        _store(self, "preperiod", pre)
-        _store(self, "period", per)
-
-    @classmethod
-    def _at(cls, pre: tuple[int, ...], per: tuple[int, ...]) -> "ContinuedFraction":
-        """pre + (per) unchecked, for `cf_expand`, whose output is canonical as built.
-
-        Its period closes at the first repeated state (P, Q), which fixes the
-        complete quotient; its preperiod ends at the first reduced state, and by
-        Galois a complete quotient is purely periodic exactly when it is reduced.
-        """
-        cf = object.__new__(cls)
-        _store(cf, "preperiod", pre)
-        _store(cf, "period", per)
-        return cf
+        self._fill((pre, per))
 
     def __str__(self):
         per = "(" + ",".join(map(str, self.period)) + ")"
@@ -364,7 +354,11 @@ def cf_expand(x: QuadraticIrrational) -> ContinuedFraction:
     """Continued fraction of x by the integer (P + sqrt(D))/Q recurrence.
 
     D is the discriminant of x's primitive minimal polynomial (`_reduced`).
-    One floor per digit, and the result is built canonical (`ContinuedFraction._at`).
+    One floor per digit.  The result is canonical as built, so the trusted
+    `_at` skips the constructor's normalisation: the period closes at the
+    first repeated state (P, Q), which fixes the complete quotient, and the
+    preperiod ends at the first reduced state; by Galois a complete quotient
+    is purely periodic exactly when it is reduced.
     """
     D, pre, P0, Q0 = _reduced(x)
     s, P, Q, per = math.isqrt(D), P0, Q0, []
@@ -374,7 +368,7 @@ def cf_expand(x: QuadraticIrrational) -> ContinuedFraction:
         P = a * Q - P
         Q = (D - P * P) // Q
         if P == P0 and Q == Q0:
-            return ContinuedFraction._at(tuple(pre), tuple(per))
+            return ContinuedFraction._at((tuple(pre), tuple(per)))
 
 
 _BLOCK = 32

@@ -51,16 +51,11 @@ class _Point(_Record):
             raise TypeError(f"circle point must be exact, not {type(t).__name__}")
         p, q, r = o
         # (p + q*sqrt(d))/r = (p*Q - q*P + q*R*alpha)/(r*Q) for alpha = (P + Q*sqrt(d))/R
-        self._set(alpha, p * alpha.q - q * alpha.p, q * alpha.r, r * alpha.q, variant)
+        self._set((alpha, p * alpha.q - q * alpha.p, q * alpha.r, r * alpha.q, variant))
 
-    @classmethod
-    def _at(cls, alpha: QuadraticIrrational, a: int, b: int, c: int, variant: Variant):
-        """The point (a + b*alpha)/c mod 1 for c != 0; alpha and variant are trusted."""
-        x = object.__new__(cls)
-        x._set(alpha, a, b, c, variant)
-        return x
-
-    def _set(self, alpha, a: int, b: int, c: int, variant: Variant) -> None:
+    def _set(self, values: tuple[QuadraticIrrational, int, int, int, Variant]) -> None:
+        """Store the point (a + b*alpha)/c mod 1 for c != 0; alpha and variant are trusted."""
+        alpha, a, b, c, variant = values
         if c < 0:
             a, b, c = -a, -b, -c
         g = math.gcd(a, b, c)
@@ -78,7 +73,7 @@ class _Point(_Record):
         return _build(self.a * al.r + self.b * al.p, self.b * al.q, al.d, self.c * al.r)
 
     def shift(self, k: int = 1):
-        return self._at(self.alpha, self.a, self.b + k * self.c, self.c, self.variant)
+        return self._at((self.alpha, self.a, self.b + k * self.c, self.c, self.variant))
 
 
 class OrbitPoint(_Point):
@@ -121,13 +116,13 @@ class TwoSidedPoint(_Point):
 
     def restrict(self) -> OrbitPoint:
         """The nonnegative-index part."""
-        return OrbitPoint._at(self.alpha, self.a, self.b, self.c, self.variant)
+        return OrbitPoint._at((self.alpha, self.a, self.b, self.c, self.variant))
 
 
 def _orbit_point(alpha: QuadraticIrrational, b: int, variant: Variant) -> OrbitPoint:
     """The point b*alpha (mod 1), sigma^(b-1)(omega) for b >= 1 and else 1 - b shifts
     behind omega: the inverse of `OrbitPoint.orbit_position`.  alpha and variant are trusted."""
-    return OrbitPoint._at(alpha, 0, b, 1, variant)
+    return OrbitPoint._at((alpha, 0, b, 1, variant))
 
 
 def _letters(alpha: QuadraticIrrational, variant: Variant, a: int, k: int, c: int) -> Iterator[str]:
@@ -231,10 +226,10 @@ class Arc(_Record):
         is not an integer and the point cannot land back on the orbit.
         """
         if self.is_full_circle():
-            return OrbitPoint._at(self.alpha, 1, 0, 2, "L")
+            return OrbitPoint._at((self.alpha, 1, 0, 2, "L"))
         lo, hi = (_orbit_point(self.alpha, -tag, "L") for tag in (self.lo_tag, self.hi_tag))
         m, wrap = 2 * abs(self.lo_tag - self.hi_tag) + 1, int(_precedes(hi, lo))
-        x = OrbitPoint._at(self.alpha, (m - 1) * lo.a + hi.a + wrap, (m - 1) * lo.b + hi.b, m, "L")
+        x = OrbitPoint._at((self.alpha, (m - 1) * lo.a + hi.a + wrap, (m - 1) * lo.b + hi.b, m, "L"))
         if x.orbit_position() is not None:
             raise RuntimeError("interior point landed on the orbit of 0; arithmetic bug")
         return x
@@ -284,8 +279,7 @@ def cylinder_arc(alpha: QuadraticIrrational, mu: Word) -> Optional[Arc]:
 
 
 def is_admissible(alpha: QuadraticIrrational, mu: Word) -> bool:
-    check_unit_interval(alpha)
-    return _word_tags(alpha, check_word(mu)) is not None
+    return cylinder_arc(alpha, mu) is not None
 
 
 def language(alpha: QuadraticIrrational, n: int) -> frozenset[Word]:

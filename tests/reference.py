@@ -47,7 +47,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 
-from sturmian.cover import EqClass, IndexPair, construct_fibre_element, eq_class, thread_of
+from sturmian.cover import EqClass, IndexPair, construct_fibre_element, eq_class, q_map, thread_of
 from sturmian.groupoid import WitnessCheck
 from sturmian.words import (
     OrbitPoint,
@@ -304,7 +304,8 @@ def partition_table(alpha, n):
 
 def thread_family(th):
     """A thread's identity as every level of its grid, each projected from the top."""
-    return th.K, th.L, tuple(th.levels())
+    levels = [IndexPair(k, l) for k in range(th.K + 1) for l in range(k, th.L + 1)]
+    return th.K, th.L, tuple((idx, q_map(th.top, idx)) for idx in levels)
 
 
 def two_sided_embed(alpha, x, K, L):
@@ -363,7 +364,7 @@ def classes(alpha, k, l):
         if j >= k:
             reps = [om.shift(j - k)]
         else:
-            reps = [OrbitPoint._at(alpha, 0, 1 - k + j, 1, v) for v in "LR"]
+            reps = [OrbitPoint._at((alpha, 0, 1 - k + j, 1, v)) for v in "LR"]
         out.update(eq_class(alpha, x, idx) for x in reps)
     return out
 

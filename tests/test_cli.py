@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sturmian
 from sturmian.cli import main
@@ -365,3 +369,67 @@ class TestOptimizedInterpreter:
             ]
             assert runs[0].returncode == 0 and runs[0].stdout
             assert (runs[1].returncode, runs[1].stdout) == (runs[0].returncode, runs[0].stdout)
+
+
+# -- the exit-code contract over the README grammar -------------------------
+
+# small parameters, so every window stays short, or as often a malformed
+# literal: rational, outside (0, 1), zero denominator, zero radicand, unparsable
+parameters = st.one_of(
+    st.sampled_from([FIB, "quad:-1,1,5,2", "quad:-1,1,2,1", "quad:2,-1,3,1", "quad:-2,1,7,3"]),
+    st.sampled_from(["quad:1,1,4,2", "quad:0,1,5,1", "quad:3,-1,5,0", "quad:1,1,0,2", "quad:nope", "1/3"]),
+)
+numbers = st.integers(-2, 9).map(str)
+point_specs = st.one_of(
+    st.sampled_from(["omega", "fwd:", "back:", "back:1:X", "x/y", "1/", "/2", "1/0", "quad:1,1,2,4"]),
+    st.builds("fwd:{}".format, numbers),
+    st.builds("back:{}".format, numbers),
+    st.builds("back:{}:{}".format, numbers, st.sampled_from("LR")),
+    st.builds("{}/{}".format, numbers, numbers),
+    st.builds("quad:{},{},5,{}".format, numbers, numbers, numbers),
+)
+cocycle_values = st.lists(st.integers(-1, 4), min_size=1, max_size=3).map(lambda v: ",".join(map(str, v)))
+COMMANDS = {
+    "word": {"--t": point_specs, "--n": numbers},
+    "omega": {"--n": numbers},
+    "language": {"--n": numbers},
+    "past": {"--t": point_specs, "--l": numbers},
+    "cover": {"--k": numbers, "--l": numbers},
+    "fibre": {"--point": point_specs, "--K": numbers, "--L": numbers},
+    "dad": {"--F": st.one_of(cocycle_values, st.just("1,a")), "--window": st.integers(-1, 300).map(str)},
+    "compare": {"--beta": parameters},
+    "report": {},
+}
+
+
+@st.composite
+def requests(draw):
+    """argv for one of the nine commands; an option is sometimes left out."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    argv = [command, "--alpha", draw(parameters)]
+    for option, values in COMMANDS[command].items():
+        if draw(st.integers(0, 9)):
+            argv += [option, draw(values)]
+    if command == "fibre" and draw(st.booleans()):
+        argv.append("--show-threads")
+    return argv + draw(st.sampled_from([[], ["-o", "json"], ["-o", "text"]]))
+
+
+class TestExitContract:
+    @settings(max_examples=300, deadline=None)
+    @given(requests())
+    def test_exit_code_and_streams(self, argv):
+        # every request exits 0, 1 or 2 and raises nothing else; argparse's
+        # own usage errors leave by SystemExit, with a usage line first
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as e:
+                code = e.code
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2), (argv, code)
+        if code == 0 and argv[-2:] == ["-o", "json"]:
+            assert out.count("\n") == 1 and isinstance(json.loads(out), dict), argv
+        if code == 2:
+            assert out == "" and "error:" in err.splitlines()[-1], (argv, out, err)

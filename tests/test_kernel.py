@@ -233,7 +233,7 @@ def lattice_ends(draw, alpha):
         a, b, c = 0, -draw(st.integers(0, 60)), 1
     else:
         a, b, c = draw(st.integers(-9, 9)), draw(st.integers(-9, 9)), draw(st.integers(1, 6))
-    return OrbitPoint._at(alpha, a, b, c, draw(st.sampled_from("LR")))
+    return OrbitPoint._at((alpha, a, b, c, draw(st.sampled_from("LR"))))
 
 
 @settings(max_examples=300, deadline=None)

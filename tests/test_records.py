@@ -133,8 +133,16 @@ def test_repr_names_the_fields(name):
 
 
 @CASES
-@pytest.mark.parametrize("round_trip", [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
-                         ids=["copy", "deepcopy", "pickle"])
+@pytest.mark.parametrize(
+    "round_trip",
+    [
+        copy.copy,
+        copy.deepcopy,
+        lambda x: pickle.loads(pickle.dumps(x)),
+        lambda r: type(r)._at(tuple(getattr(r, f) for f in r._fields)),
+    ],
+    ids=["copy", "deepcopy", "pickle", "trusted"],
+)
 def test_copies_are_equal(name, round_trip):
     make, _, fields = RECORDS[name]
     x = make()

@@ -35,7 +35,7 @@ def test_no_dataclasses():
     assert SOURCES and not found, found
 
 
-RECORD_METHODS = {"__eq__", "__hash__", "__repr__", "__setattr__"}
+RECORD_METHODS = {"__eq__", "__hash__", "__repr__", "__setattr__", "_at"}
 
 
 def _binds(node: ast.ClassDef) -> set[str]:
@@ -50,8 +50,8 @@ def _binds(node: ast.ClassDef) -> set[str]:
 
 
 def test_one_record_base():
-    # every value class takes equality, hash, repr and immutability from
-    # quadratics._Record, so no other class body defines them
+    # every value class takes equality, hash, repr, immutability and the
+    # trusted constructor from quadratics._Record, so no other class body defines them
     found = [
         f"{path.name}:{node.lineno} {node.name}.{name}"
         for path in SOURCES
@@ -179,28 +179,31 @@ def test_trusted_continued_fractions_built_in_one_place():
     assert builders == ["cf_expand"] and found == [], found
 
 
-HOMES = {
-    "QuadraticIrrational": "quadratics.py",
-    "ContinuedFraction": "quadratics.py",
-    "_Point": "words.py",
-    "OrbitPoint": "words.py",
-    "TwoSidedPoint": "words.py",
-}
+def _calls_away_from_home(trees: dict, homes: dict) -> list[str]:
+    """The calls X._at(...) in a module other than X's home."""
+    return [
+        f"{name}:{node.lineno}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) == "_at"
+        and homes.get(getattr(node.func.value, "id", None), name) != name
+    ]
 
 
 def test_trusted_constructors_stay_home():
     # X._at skips the checks of X's constructor, so only X's home module may
     # call it: the other layers build points through words' public makers or
-    # words._orbit_point, and field values through the field's arithmetic
-    found = [
-        f"{path.name}:{node.lineno}"
-        for path in SOURCES
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Call)
-        and getattr(node.func, "attr", None) == "_at"
-        and HOMES.get(getattr(node.func.value, "id", None), path.name) != path.name
-    ]
+    # words._orbit_point, and field values through the field's arithmetic.
+    # Every record inherits _at, so every class of the package has its home
+    # read from its ClassDef, and a call from elsewhere is caught for each.
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    homes = {node.name: name for name, tree in trees.items()
+             for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    found = _calls_away_from_home(trees, homes)
     assert SOURCES and found == [], found
+    planted = {"elsewhere.py": ast.parse("\n".join(f"{cls}._at(())" for cls in homes))}
+    assert len(_calls_away_from_home(planted, homes)) == len(homes)
 
 
 def test_word_length_bound_only_in_words():
