@@ -19,8 +19,7 @@ from .words import (
     Word,
     _first_entry,
     _orbit_point,
-    _word_tags,
-    _zero_word,
+    _zero_words,
     code_word,
     cylinder_arc,
     past_set,
@@ -107,8 +106,7 @@ def _classes(alpha: QuadraticIrrational, k: int, l: int) -> Iterator[EqClass]:
     They come one at a time, so a caller that keeps a few never holds them all.
     """
     idx = IndexPair(k, l)
-    w = _zero_word(alpha, l)  # letter i at w[l + i]
-    v = w[: l - 1] + w[l - 1 : l + 1][::-1] + w[l + 1 :]
+    w, v = _zero_words(alpha, l)  # letter i at w[l + i]
     for i in range(l + 1):
         yield EqClass(idx, w[i + l - k : i + l], frozenset({w[i : i + l]}))
     for j in range(l):
@@ -280,7 +278,8 @@ def _death_depths(x: OrbitPoint, n0: int, classes) -> dict[EqClass, int]:
     for c in classes:
         start = end = c.representative
         if start is None:  # B runs from (n0 - i)*alpha to (n0 - j)*alpha
-            i, j = _word_tags(alpha, min(c.past)[:n0])
+            arc = cylinder_arc(alpha, min(c.past)[:n0])
+            i, j = arc.lo_tag, arc.hi_tag
             start, end = (_orbit_point(alpha, n0 - t, v) for t, v in ((j, "R"), (i, "L")))
         depths[c] = max(_first_entry(start, x), _first_entry(x, end))
     return depths

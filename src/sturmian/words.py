@@ -155,8 +155,6 @@ def coding(x: _Point, i: int = 0) -> Iterator[str]:
 
 def code_word(x: OrbitPoint, n: int) -> Word:
     """First n letters of the coding of x."""
-    if n < 0:
-        raise ValueError("length must be nonnegative")
     return _word(coding(x), n)
 
 
@@ -168,19 +166,27 @@ def two_sided_word(x: TwoSidedPoint, m: int, n: int) -> Word:
 
 
 def _word(letters: Iterator[str], n: int) -> Word:
+    if n < 0:
+        raise ValueError("length must be nonnegative")
     if n > sys.maxsize:  # islice counts at most sys.maxsize letters
         raise ValueError(f"a coded word has at most sys.maxsize = {sys.maxsize} letters, not {n}")
     return "".join(islice(letters, n))
 
 
 def _zero_word(alpha: QuadraticIrrational, n: int) -> Word:
-    """The L coding of 0 at indices -n..n-1, letter i at w[n + i]; 2n + 1 floors.
-
-    The R coding of 0 is the same word with its letters at -1 and 0 swapped:
-    the two differ only where the orbit of 0 meets {0, 1 - alpha}.
-    """
+    """The L coding of 0 at indices -n..n-1, letter i at w[n + i]; 2n + 1 floors."""
     check_unit_interval(alpha)
     return _word(_letters(alpha, "L", 0, -n, 1), 2 * n)
+
+
+def _zero_words(alpha: QuadraticIrrational, n: int) -> tuple[Word, Word]:
+    """The L and R codings of 0 at indices -n..n-1, letter i at index n + i; 2n + 1 floors.
+
+    The R coding is the L coding with its letters at -1 and 0 swapped: the
+    two differ only where the orbit of 0 meets {0, 1 - alpha}.
+    """
+    w = _zero_word(alpha, n)
+    return w, w[: n - 1] + w[n - 1 : n + 1][::-1] + w[n + 1 :]
 
 
 # -- arcs and the cylinder structure ---------------------------------------
@@ -215,8 +221,14 @@ class Arc(_Record):
     def contains(self, t: CirclePoint) -> bool:
         """Whether the circle point t (read mod 1) lies on the arc."""
         x = OrbitPoint(self.alpha, t)
+        if self.is_full_circle():
+            return True
         lo, hi = (_orbit_point(self.alpha, -tag, "L") for tag in (self.lo_tag, self.hi_tag))
-        return self.is_full_circle() or _inside(x, lo, hi)
+        if x == lo:
+            return True
+        if _precedes(lo, hi):
+            return _precedes(lo, x) and _precedes(x, hi)
+        return _precedes(lo, x) or _precedes(x, hi)
 
     def interior_point_off_orbit(self) -> OrbitPoint:
         """An interior point whose rotation orbit avoids the orbit of 0.
@@ -235,47 +247,21 @@ class Arc(_Record):
         return x
 
 
-Tags = tuple[int, int]  # endpoint tags (lo, hi) of an arc; lo == hi is the full circle
-
-
-def _inside(x: _Point, lo: _Point, hi: _Point) -> bool:
-    """Whether x lies on the half-open arc [lo, hi), lo != hi, one floor per comparison."""
-    if x == lo:
-        return True
-    if _precedes(lo, hi):
-        return _precedes(lo, x) and _precedes(x, hi)
-    return _precedes(lo, x) or _precedes(x, hi)
-
-
-def _word_tags(alpha: QuadraticIrrational, mu: Word) -> Optional[Tags]:
-    """Tags of the cylinder arc of mu, walked once from the full circle; None if empty.
-
-    The arc of mu[:j] is a cell [lo, hi) cut by the points -i*alpha, i <= j,
-    and letter j is 0 exactly on [-j*alpha, -(j+1)*alpha).  So when the cut
-    point -(j+1)*alpha lies inside the cell it splits it into [lo, j+1),
-    which reads 0, and [j+1, hi), which reads 1; otherwise the whole cell
-    reads the letter of lo, which is 0 exactly when lo lies on [j, j+1).
-    """
-    lo = hi = 0
-    lo_pt = hi_pt = here = _orbit_point(alpha, 0, "L")  # here is the cut point -j*alpha
-    for j, letter in enumerate(mu):
-        nxt = _orbit_point(alpha, -j - 1, "L")
-        if lo == hi or _inside(nxt, lo_pt, hi_pt):
-            if letter == "0":
-                hi, hi_pt = j + 1, nxt
-            else:
-                lo, lo_pt = j + 1, nxt
-        elif (letter == "0") != _inside(lo_pt, here, nxt):
-            return None
-        here = nxt
-    return lo, hi
-
-
 def cylinder_arc(alpha: QuadraticIrrational, mu: Word) -> Optional[Arc]:
-    """The set of circle points whose coding begins with mu; None if empty."""
-    check_unit_interval(alpha)
-    tags = _word_tags(alpha, check_word(mu))
-    return None if tags is None else Arc(alpha, *tags)
+    """The set of circle points whose coding begins with mu; None if empty.
+
+    The cut points -i*alpha, i <= n = |mu|, split the circle into n+1 cells,
+    one per admissible length-n word, and the arc of mu is one cell
+    [-lo*alpha, -hi*alpha).  The cell holds its start, so mu is the L coding
+    of -lo*alpha, the window at n - lo of the L coding of 0 at indices
+    -n..n-1; its points approach its end from the left, so mu is the R coding
+    of -hi*alpha, the window at n - hi of the R coding.  Each word has n+1
+    distinct windows, so each find is unique; 2n + 1 floors in all.
+    """
+    n = len(check_word(mu))
+    w, v = _zero_words(alpha, n)
+    lo = w.find(mu)
+    return None if lo < 0 else Arc(alpha, n - lo, n - v.find(mu))
 
 
 def is_admissible(alpha: QuadraticIrrational, mu: Word) -> bool:
@@ -290,8 +276,6 @@ def language(alpha: QuadraticIrrational, n: int) -> frozenset[Word]:
     so its word is that point's L coding: the n+1 words are the length-n
     windows of the L coding of 0 at indices -n..n-1, 2n+1 floors in all.
     """
-    if n < 0:
-        raise ValueError("length must be nonnegative")
     w = _zero_word(alpha, n)
     words = frozenset(w[i : i + n] for i in range(n + 1))
     if len(words) != (n + 1 if n >= 1 else 1):

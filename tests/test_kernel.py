@@ -13,6 +13,7 @@ scan over j, and floors of a ratio of two lattice elements with the field
 arithmetic.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -182,6 +183,18 @@ def test_cells(alpha, n):
         assert reference.ends(cylinder_arc(alpha, w)) == reference.ends(arc)
 
 
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_every_short_word(alpha):
+    # every binary word of length <= 9, admissible or not
+    for n in range(10):
+        for letters in itertools.product("01", repeat=n):
+            w = "".join(letters)
+            arc, ref = cylinder_arc(alpha, w), reference.word_arc(alpha, w)
+            assert (arc is None) == (ref is None)
+            if arc is not None:
+                assert reference.ends(arc) == reference.ends(ref)
+
+
 digits = st.one_of(st.integers(1, 5), st.integers(1, 10**6))
 
 
@@ -291,7 +304,8 @@ class TestKernelObjectCounts:
     The language reads one coded word of 2n letters, one floor each plus one,
     and the witness check one more to reduce the word's point; the quotient
     at (k, l) reads the 2l-letter word and builds one point per branch-orbit
-    class; a cylinder arc walks its word once, at most seven floors a letter.
+    class; a cylinder arc finds its word in the two codings of 0, the same
+    2n + 1 floors as the language.
     """
 
     FIB = ALPHAS[0]
@@ -359,7 +373,7 @@ class TestKernelObjectCounts:
     def test_cylinder_arc_floors(self, floors):
         for n in (1, 2, 20, 200):
             for w in (self.WORD[:n], flip(self.WORD[:n], n - 1)):
-                assert self._count(floors, cylinder_arc, self.FIB, w) <= 7 * n + 2
+                assert self._count(floors, cylinder_arc, self.FIB, w) == 2 * n + 1
 
     def test_arc_contains(self, constructions):
         ts = [Fraction(2, 9), Fraction(-7, 3), self.FIB * Fraction(1, 3), 1 - self.FIB, self.FIB * -40]

@@ -1,7 +1,9 @@
 import ast
+import inspect
 from pathlib import Path
 
 import sturmian
+from sturmian import words
 
 SOURCES = sorted(Path(sturmian.__file__).parent.glob("*.py"))
 
@@ -217,3 +219,26 @@ def test_word_length_bound_only_in_words():
         if isinstance(node, ast.Attribute) and node.attr == "maxsize"
     ]
     assert SOURCES and found == [], found
+
+
+def _is_reversal(node) -> bool:
+    """Whether node is the slice of s[::-1]."""
+    return (
+        isinstance(node, ast.Slice)
+        and node.lower is node.upper is None
+        and node.step is not None
+        and ast.unparse(node.step) == "-1"
+    )
+
+
+def test_r_coding_of_zero_built_once():
+    # the R coding of 0 is its L coding with the letters at -1 and 0 swapped;
+    # words._zero_words alone makes that swap, for the arcs and the quotient
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if _is_reversal(node)
+    ]
+    assert len(found) == 1 and found[0].startswith("words.py:"), found
+    assert any(_is_reversal(node) for node in ast.walk(ast.parse(inspect.getsource(words._zero_words))))

@@ -347,9 +347,9 @@ class TestVariantAgreement:
 class TestArcImplementationsAgree:
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_incremental_cylinder_matches_partition_table(self, alpha):
-        # language reads windows of one coded word, cylinder_arc walks the
-        # letters; both must give the cells of the midpoint coded partition
-        # table, endpoint tags included
+        # language reads the windows of the L coding of 0, cylinder_arc finds
+        # its word in the L and R codings; both must give the cells of the
+        # midpoint coded partition table, endpoint tags included
         for n in [*range(0, 9), 100]:
             table = partition_table(alpha, n)
             assert language(alpha, n) == set(table)
