@@ -91,11 +91,11 @@ class FiniteQuotient(_Record):
         return len(self.classes)
 
 
-def _classes(alpha: QuadraticIrrational, k: int, l: int) -> Iterator[EqClass]:
-    """Every class at level (k, l), exactly and once, as windows of the two codings of 0.
+def _classes(alpha: QuadraticIrrational, k: int, l: int, prefix: Word = "") -> Iterator[EqClass]:
+    """Each class at level (k, l) whose prefix begins with `prefix`, once, from the codings of 0.
 
-    Let w be the L coding of 0 at indices -l..l-1 and v the R coding, w with
-    its letters at -1 and 0 swapped.  The k-th shift of x has one length-l
+    Let w be the L coding of 0 at indices -l..l-1 and v the R coding; they
+    differ only at -1 and 0.  The k-th shift of x has one length-l
     past unless it is sigma^j(omega), the point (1+j)*alpha, with j < l.  A
     unique past is one admissible length-l word, a window of w, whose last k
     letters are then the prefix; every such word occurs.  The other classes
@@ -103,17 +103,19 @@ def _classes(alpha: QuadraticIrrational, k: int, l: int) -> Iterator[EqClass]:
     and v ending at index j, and x's prefix is w's window of k letters ending
     there, or v's for x's R coding, another point when j < k.  Those classes
     carry x as their representative; the singleton classes carry none.
-    They come one at a time, so a caller that keeps a few never holds them all.
+    Each window is tested against `prefix` before its class is built; classes come one at a time.
     """
     idx = IndexPair(k, l)
     w, v = _zero_words(alpha, l)  # letter i at w[l + i]
     for i in range(l + 1):
-        yield EqClass(idx, w[i + l - k : i + l], frozenset({w[i : i + l]}))
+        if w.startswith(prefix, i + l - k):
+            yield EqClass(idx, w[i + l - k : i + l], frozenset({w[i : i + l]}))
     for j in range(l):
         e = l + 1 + j  # the windows end at index j, just before w[e]
-        past = frozenset({w[e - l : e], v[e - l : e]})
         for word, variant in ((w, "L"), (v, "R"))[: 1 + (j < k)]:
-            yield EqClass(idx, word[e - k : e], past, _orbit_point(alpha, 1 + j - k, variant))
+            if word.startswith(prefix, e - k):
+                past = frozenset({w[e - l : e], v[e - l : e]})
+                yield EqClass(idx, word[e - k : e], past, _orbit_point(alpha, 1 + j - k, variant))
 
 
 def quotient(alpha: QuadraticIrrational, idx) -> FiniteQuotient:
@@ -292,7 +294,7 @@ def fibre(alpha: QuadraticIrrational, x: OrbitPoint, K: int, L: int) -> set[Thre
     single class at the chain level (n0, 2n0) of `_thread`, and the families
     extending to arbitrarily deep levels are exactly the fibre of the
     projective limit.  The candidates are the classes at (n0, 2n0) with x's
-    prefix, read off the two codings of 0 (`_classes`); the tops of x's
+    prefix, found by prefix in the two codings of 0 (`_classes`); the tops of x's
     threads are among them, and each other class is certified dead at a
     first landing of the cut points: a singleton-past class survives exactly
     while its past window glued to x's prefix stays admissible, and a
@@ -302,7 +304,7 @@ def fibre(alpha: QuadraticIrrational, x: OrbitPoint, K: int, L: int) -> set[Thre
     threads = [_thread(alpha, x, K, L, v) for v in _chains(x)]
     tops = {th.top for th in threads}
     n0 = threads[0].top.index.k
-    candidates = {c for c in _classes(alpha, n0, 2 * n0) if c.prefix == threads[0].top.prefix}
+    candidates = set(_classes(alpha, n0, 2 * n0, threads[0].top.prefix))
     if not tops <= candidates:
         raise RuntimeError("constructed elements missing from candidates; enumeration bug")
     if any(depth <= n0 for depth in _death_depths(x, n0, candidates - tops).values()):

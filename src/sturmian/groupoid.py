@@ -16,7 +16,7 @@ from itertools import combinations, groupby, product
 from typing import TYPE_CHECKING
 
 from .quadratics import QuadraticIrrational, _Record, check_unit_interval
-from .words import Word, _orbit_point, _zero_word, language, recurrence_bound
+from .words import Word, _orbit_point, _zero_words, language, recurrence_bound
 
 if TYPE_CHECKING:  # the witness and its check never touch the cover
     from .cover import Thread
@@ -73,7 +73,8 @@ class BisectionReport(_Record):
 def bisection_arrows(
     alpha: QuadraticIrrational, K: int, L: int, nu_len_max: int
 ) -> BisectionReport:
-    """Truncated arrow family of the bisection, with its range report."""
+    """Truncated arrow family of the bisection; the report checks that the sources are
+    distinct and that no target, a section of nu.1.omega with |nu| >= 1, is that of 1.omega."""
     from .cover import thread_of
 
     check_unit_interval(alpha)
@@ -82,10 +83,8 @@ def bisection_arrows(
     chain = [thread_of(alpha, _orbit_point(alpha, -j, "R"), K, L) for j in range(nu_len_max + 1)]
     arrows = [Arrow(chain[j], 1, chain[j - 1], (1, 0)) for j in range(1, nu_len_max + 1)]
     sources = [a.source for a in arrows]
-    targets = {a.target for a in arrows}
     distinct = len(set(sources)) == len(sources)
-    omits = chain[0] not in targets and targets == set(chain[1:])
-    return BisectionReport(tuple(arrows), distinct, omits)
+    return BisectionReport(tuple(arrows), distinct, chain[0] not in {a.target for a in arrows})
 
 
 # -- the two-set witness ----------------------------------------------------
@@ -221,7 +220,7 @@ def check_witness(alpha: QuadraticIrrational, w: DadWitness, window: int) -> Wit
     """
     if window < w.min_window:
         raise ValueError(f"window must be at least {w.min_window}")
-    word = _zero_word(alpha, window)
+    word = _zero_words(alpha, window)[0]
     limit = window - 2 * w.lbar
     jumps = [v for v in w.cocycle_values if v >= 1]
     upos = _u_positions(w, word, window + limit)

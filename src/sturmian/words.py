@@ -168,25 +168,22 @@ def two_sided_word(x: TwoSidedPoint, m: int, n: int) -> Word:
 def _word(letters: Iterator[str], n: int) -> Word:
     if n < 0:
         raise ValueError("length must be nonnegative")
-    if n > sys.maxsize:  # islice counts at most sys.maxsize letters
-        raise ValueError(f"a coded word has at most sys.maxsize = {sys.maxsize} letters, not {n}")
+    if n > sys.maxsize // 2:  # the codings of 0 double their coded half; a str holds sys.maxsize
+        raise ValueError(f"a coded word has at most {sys.maxsize // 2} letters, not {n}")
     return "".join(islice(letters, n))
 
 
-def _zero_word(alpha: QuadraticIrrational, n: int) -> Word:
-    """The L coding of 0 at indices -n..n-1, letter i at w[n + i]; 2n + 1 floors."""
-    check_unit_interval(alpha)
-    return _word(_letters(alpha, "L", 0, -n, 1), 2 * n)
-
-
 def _zero_words(alpha: QuadraticIrrational, n: int) -> tuple[Word, Word]:
-    """The L and R codings of 0 at indices -n..n-1, letter i at index n + i; 2n + 1 floors.
+    """The L and R codings of 0 at indices -n..n-1, letter i at index n + i; n + 1 floors.
 
-    The R coding is the L coding with its letters at -1 and 0 swapped: the
-    two differ only where the orbit of 0 meets {0, 1 - alpha}.
+    Only c, letters 1..n of the L coding (the branch point's own coding), is
+    coded: off the orbit of 0 lower and upper letters agree, so letter -1-i is
+    letter i for i >= 1, and letters -1, 0 read 10 in L and 01 in R (Lothaire, ch. 2).
     """
-    w = _zero_word(alpha, n)
-    return w, w[: n - 1] + w[n - 1 : n + 1][::-1] + w[n + 1 :]
+    check_unit_interval(alpha)
+    c = _word(_letters(alpha, "L", 0, 1, 1), n)
+    m = c[::-1]
+    return (m + "10" + c)[1:-1], (m + "01" + c)[1:-1]
 
 
 # -- arcs and the cylinder structure ---------------------------------------
@@ -256,7 +253,7 @@ def cylinder_arc(alpha: QuadraticIrrational, mu: Word) -> Optional[Arc]:
     of -lo*alpha, the window at n - lo of the L coding of 0 at indices
     -n..n-1; its points approach its end from the left, so mu is the R coding
     of -hi*alpha, the window at n - hi of the R coding.  Each word has n+1
-    distinct windows, so each find is unique; 2n + 1 floors in all.
+    distinct windows, so each find is unique; n + 1 floors in all.
     """
     n = len(check_word(mu))
     w, v = _zero_words(alpha, n)
@@ -274,9 +271,9 @@ def language(alpha: QuadraticIrrational, n: int) -> frozenset[Word]:
     The points -i*alpha (mod 1), 0 <= i <= n, cut the circle into n+1 cells,
     each the cylinder arc of one length-n word.  A cell holds its start point,
     so its word is that point's L coding: the n+1 words are the length-n
-    windows of the L coding of 0 at indices -n..n-1, 2n+1 floors in all.
+    windows of the L coding of 0 at indices -n..n-1, n+1 floors in all.
     """
-    w = _zero_word(alpha, n)
+    w = _zero_words(alpha, n)[0]
     words = frozenset(w[i : i + n] for i in range(n + 1))
     if len(words) != (n + 1 if n >= 1 else 1):
         raise RuntimeError("factor complexity violated; arithmetic bug")

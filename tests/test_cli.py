@@ -339,6 +339,9 @@ class TestNumericUsageErrors:
             ("F", ("dad", "--F", str(sys.maxsize))),
             ("window", ("dad", "--F", "1", "--window", str(sys.maxsize))),
             ("L", ("fibre", "--point", "omega", "--K", "0", "--L", str(sys.maxsize // 2 + 1))),
+            # a word longer than the half that the codings of 0 are built from
+            ("n", ("omega", "--n", str(sys.maxsize // 2 + 1))),
+            ("l", ("past", "--t", "omega", "--l", str(sys.maxsize // 2 + 1))),
         ],
     )
     def test_out_of_range_exits_2(self, capsys, field, argv):

@@ -422,6 +422,20 @@ class TestFibre:
             tracemalloc.stop()
         assert peak < 10**6, peak
 
+    def test_candidates_found_by_prefix(self, monkeypatch):
+        # only the classes with x's prefix are built: seven here, where
+        # building every class at (n0, 2n0) made 5*n0 + 1 = 5,001 of them
+        built, real = [], cover._classes
+
+        def counted(*args):
+            for c in real(*args):
+                built.append(c)
+                yield c
+
+        monkeypatch.setattr(cover, "_classes", counted)
+        assert len(fibre(FIB, OM.shift(2), 10, 1000)) == 3
+        assert 3 <= len(built) <= 8, len(built)
+
 
 class TestFibreFloorCounts:
     """The fibre's work counted in calls of the kernel floor, which every
@@ -552,15 +566,23 @@ class TestChainConnectingMap:
                         assert q_map(c, lo) == eq_class(FIB, c.representative, lo)
 
     def test_candidate_enumeration_matches_quotient(self):
-        # the fibre's candidates are the prefix-filtered classes at (n, 2n);
-        # they must be the left extensions of the prefix plus the
+        # the classes at (n, 2n) asked for by a prefix are the prefix-filtered
+        # classes, each once; the fibre's candidates, asked for by x's whole
+        # prefix, must be the left extensions of the prefix plus the
         # branch-orbit classes, each with the same orbit point
+        def table(classes):
+            return {(c.prefix, c.past): c.representative for c in classes}
+
         for alpha in (FIB, SQRT2M1):
             for n in range(1, 7):
                 classes = set(_classes(alpha, n, 2 * n))
-                for prefix in sorted(language(alpha, n)):
-                    got = {(c.prefix, c.past): c.representative for c in classes if c.prefix == prefix}
-                    assert got == chain_candidates(alpha, prefix, n)
+                for m in range(n + 1):
+                    for prefix in sorted(language(alpha, m)):
+                        got = list(_classes(alpha, n, 2 * n, prefix))
+                        assert len(set(got)) == len(got)
+                        assert table(got) == table(c for c in classes if c.prefix.startswith(prefix))
+                        if m == n:
+                            assert table(got) == chain_candidates(alpha, prefix, n)
 
 
 class TestUniquePastLifts:

@@ -301,11 +301,11 @@ def floors(monkeypatch):
 class TestKernelObjectCounts:
     """Coding and pasts build O(1) field elements, not O(length); arcs build none.
 
-    The language reads one coded word of 2n letters, one floor each plus one,
-    and the witness check one more to reduce the word's point; the quotient
-    at (k, l) reads the 2l-letter word and builds one point per branch-orbit
-    class; a cylinder arc finds its word in the two codings of 0, the same
-    2n + 1 floors as the language.
+    The language reads the L coding of 0 at indices -n..n-1, mirrored from
+    its n letters 1..n at one floor each plus one, and the witness check the
+    same; the quotient at (k, l) reads the codings of 0 at l + 1 floors and
+    builds one point, one floor, per branch-orbit class; a cylinder arc finds
+    its word in the two codings of 0, the same n + 1 floors as the language.
     """
 
     FIB = ALPHAS[0]
@@ -334,7 +334,7 @@ class TestKernelObjectCounts:
 
     def test_language(self, constructions, floors):
         for n in (1, 2, 20, 200):
-            assert self._count(floors, language, self.FIB, n) == 2 * n + 1
+            assert self._count(floors, language, self.FIB, n) == n + 1
             assert self._count(constructions, language, self.FIB, n) == 0
 
     def test_check_witness_reads_one_coded_word(self, floors, monkeypatch):
@@ -344,7 +344,7 @@ class TestKernelObjectCounts:
             monkeypatch.setattr(module, "language", lambda *args: languages.append(args))
         for w in witnesses:
             for window in (w.min_window, 3 * w.min_window):
-                assert self._count(floors, check_witness, self.FIB, w, window) <= 2 * window + 2
+                assert self._count(floors, check_witness, self.FIB, w, window) == window + 1
         assert languages == []
 
     def test_dad_witness_reads_one_language(self, monkeypatch):
@@ -365,15 +365,16 @@ class TestKernelObjectCounts:
             assert languages == [(2 * max(values),)]
 
     def test_quotient_reads_one_coded_word(self, floors):
-        # 2l + 1 floors for the coding of 0, one per branch-orbit representative
+        # l + 1 floors for the codings of 0, one per branch-orbit representative:
+        # l + k of them for k <= l, and the codings of 0 at l = 0 cost none
         for alpha in (self.FIB, ALPHAS[3]):
             for k, l in [(0, 0), (0, 1), (1, 1), (2, 5), (20, 40), (80, 160)]:
-                assert self._count(floors, quotient, alpha, (k, l)) <= 3 * l + k + 1
+                assert self._count(floors, quotient, alpha, (k, l)) == (2 * l + k + 1 if l else 0)
 
     def test_cylinder_arc_floors(self, floors):
         for n in (1, 2, 20, 200):
             for w in (self.WORD[:n], flip(self.WORD[:n], n - 1)):
-                assert self._count(floors, cylinder_arc, self.FIB, w) == 2 * n + 1
+                assert self._count(floors, cylinder_arc, self.FIB, w) == n + 1
 
     def test_arc_contains(self, constructions):
         ts = [Fraction(2, 9), Fraction(-7, 3), self.FIB * Fraction(1, 3), 1 - self.FIB, self.FIB * -40]

@@ -209,8 +209,9 @@ def test_trusted_constructors_stay_home():
 
 
 def test_word_length_bound_only_in_words():
-    # islice counts at most sys.maxsize letters; words._word alone checks a
-    # length against that bound, and every caller reports its ValueError
+    # a str holds at most sys.maxsize letters, and the codings of 0 twice
+    # their coded half; words._word alone checks a length against that
+    # bound, and every caller reports its ValueError
     found = [
         f"{path.name}:{node.lineno}"
         for path in SOURCES
@@ -232,8 +233,8 @@ def _is_reversal(node) -> bool:
 
 
 def test_r_coding_of_zero_built_once():
-    # the R coding of 0 is its L coding with the letters at -1 and 0 swapped;
-    # words._zero_words alone makes that swap, for the arcs and the quotient
+    # both codings of 0 are mirrored from one coded half, letters 1..n;
+    # words._zero_words alone reverses it, for the arcs and the quotient
     found = [
         f"{path.name}:{node.lineno}"
         for path in SOURCES
