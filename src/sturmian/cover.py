@@ -75,7 +75,8 @@ def _check_point(alpha: QuadraticIrrational, x: OrbitPoint) -> None:
 def eq_class(alpha: QuadraticIrrational, x: OrbitPoint, idx) -> EqClass:
     _check_point(alpha, x)
     idx = _check_index(idx)
-    return EqClass(idx, code_word(x, idx.k), past_set(x.shift(idx.k), idx.l), x)
+    past = past_set(x.shift(idx.k), idx.l)  # first, so a level past the length bound codes nothing
+    return EqClass(idx, code_word(x, idx.k), past, x)
 
 
 class FiniteQuotient(_Record):
@@ -212,18 +213,17 @@ def _chains(x: OrbitPoint) -> list[Optional[str]]:
 def _thread(alpha: QuadraticIrrational, x: OrbitPoint, K: int, L: int, chain: Optional[str]) -> Thread:
     """The thread over x along one of its chains (`_chains`): None is iota(x).
 
-    Its top is the class at the chain level (n, 2n), n = max(L, 1): x's
-    prefix, with x's own past set for the section and otherwise the coding
-    of the point n steps behind x on the side chain.
+    Its top is a class at the chain level (n, 2n), n = max(L, 1): x's own
+    class for the section, and otherwise one coded window, letters -n..n-1
+    of x on the chain's side, whose last n letters are x's prefix: the two
+    sides agree from index 1 on, and a backward point's only chain is its own.
     """
-    _check_point(alpha, x)
     n = max(L, 1)
     if chain is None:
-        past = past_set(x.shift(n), 2 * n)
-    else:  # chains exist only on the orbit of 0, where x is x.b*alpha
-        past = frozenset({code_word(_orbit_point(alpha, x.b - n, chain), 2 * n)})
-    top = EqClass(IndexPair(n, 2 * n), code_word(x, n), past, None if chain else x)
-    return Thread(x, K, L, top)
+        return Thread(x, K, L, eq_class(alpha, x, (n, 2 * n)))
+    _check_point(alpha, x)  # chains exist only on the orbit of 0, where x is x.b*alpha
+    past = code_word(_orbit_point(alpha, x.b - n, chain), 2 * n)
+    return Thread(x, K, L, EqClass(IndexPair(n, 2 * n), past[n:], frozenset({past})))
 
 
 def thread_of(alpha: QuadraticIrrational, x: OrbitPoint, K: int, L: int) -> Thread:

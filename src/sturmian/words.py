@@ -304,16 +304,14 @@ def past_set(x: OrbitPoint, l: int) -> frozenset[Word]:
     """Length-l words mu with mu+x admissible: letters -l..-1 of x's coding.
 
     Walking back from x meets the branch point, whose preimages are the two
-    codings of 0, exactly when x = sigma^j(omega) with j < l; then both
-    variants of the point l steps back give a past, else x's own variant.
+    codings of 0, exactly when x = b*alpha = sigma^(b-1)(omega) with b <= l;
+    then the pasts are letters b-l..b-1 of both codings of 0, else x's own.
     """
     if l < 0:
         raise ValueError("past depth must be nonnegative")
-    pos = x.orbit_position()
-    variants = "LR" if pos is not None and pos[0] == "forward" and pos[1] < l else x.variant
-    return frozenset(
-        _word(_letters(x.alpha, v, x.a, x.b - l * x.c, x.c), l) for v in variants
-    )
+    if x.c == 1 and 1 <= x.b <= l:
+        return frozenset(w[x.b : x.b + l] for w in _zero_words(x.alpha, l))
+    return frozenset({_word(_letters(x.alpha, x.variant, x.a, x.b - l * x.c, x.c), l)})
 
 
 def _first_entry(p: OrbitPoint, q: OrbitPoint) -> int:

@@ -342,6 +342,11 @@ class TestNumericUsageErrors:
             # a word longer than the half that the codings of 0 are built from
             ("n", ("omega", "--n", str(sys.maxsize // 2 + 1))),
             ("l", ("past", "--t", "omega", "--l", str(sys.maxsize // 2 + 1))),
+            # the chain level (L, 2L) is past the bound, so no coding starts
+            *(
+                ("L", ("fibre", "--point", p, "--K", "0", "--L", str(sys.maxsize // 4 + 1)))
+                for p in ("omega", "fwd:2", "back:2:R", "1/2")
+            ),
         ],
     )
     def test_out_of_range_exits_2(self, capsys, field, argv):

@@ -638,11 +638,13 @@ def reference_levels(alpha, x, K, L, chain_variant=None):
 
 
 CF_0_2_3 = cf_value(parse_cf("cf:[0;2,(3)]"))
+GOLDEN = QuadraticIrrational(-1, 1, 5, 2)  # (sqrt(5) - 1)/2 > 1/2
+D1E6 = parse_quad("quad:-999,1,1000003,2")  # partial quotients 332, 999 and 2000
 
 
 @st.composite
 def points_and_grids(draw):
-    alpha = draw(st.sampled_from([FIB, CF_0_2_3]))
+    alpha = draw(st.sampled_from([FIB, CF_0_2_3, GOLDEN, D1E6]))
     kind = draw(st.sampled_from(["forward", "backward", "generic"]))
     if kind == "forward":
         x = branch_point(alpha).shift(draw(st.integers(0, 4)))

@@ -21,7 +21,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sturmian.cover import eq_class, fibre, property_star_witness, quotient, thread_of
+from sturmian.cover import (
+    construct_fibre_element,
+    eq_class,
+    fibre,
+    property_star_witness,
+    quotient,
+    thread_of,
+)
 from sturmian.groupoid import check_witness, dad_witness
 from sturmian.quadratics import ContinuedFraction, QuadraticIrrational, cf_value
 from sturmian.words import (
@@ -120,6 +127,20 @@ def test_two_sided_word(x, m, length):
         assert code_letter(x, m) == reference.code_letter(x, m)
 
 
+def _at_slice_edges(test):
+    """Examples b*alpha at the edges of the two-past slice w[b : b + l] of the codings of 0.
+
+    b = 1 is omega; at b = l the window starts at index 0, where only letter 0
+    differs; at b = l + 1 the point has one past again.  Either side, two parameters.
+    """
+    for alpha in (ALPHAS[0], ALPHAS[3]):
+        for b, l in ((1, 60), (12, 12), (13, 12), (1, 1)):
+            for v in "LR":
+                test = example(x=OrbitPoint(alpha, alpha * b, v), l=l)(test)
+    return test
+
+
+@_at_slice_edges
 @settings(max_examples=100, deadline=None)
 @given(x=points(), l=st.integers(0, 60))
 def test_past_set(x, l):
@@ -306,6 +327,10 @@ class TestKernelObjectCounts:
     same; the quotient at (k, l) reads the codings of 0 at l + 1 floors and
     builds one point, one floor, per branch-orbit class; a cylinder arc finds
     its word in the two codings of 0, the same n + 1 floors as the language.
+    A past set of length l costs l + 1 floors, on the branch orbit too, where
+    its two pasts are windows of the codings of 0.  At truncation L a chain
+    thread codes one window of 2L letters, 2L + 2 floors with the chain
+    point, and a section codes its point's prefix and past, 3L + 3.
     """
 
     FIB = ALPHAS[0]
@@ -327,6 +352,24 @@ class TestKernelObjectCounts:
             short = self._count(constructions, past_set, x, 2)
             assert short <= 2
             assert self._count(constructions, past_set, x, 12) == short
+
+    def test_past_set_floors(self, floors):
+        # sigma^j(omega), j < l, reads letters j+1-l..j of both codings of 0; any other point codes its own
+        om = branch_point(self.FIB)
+        other = OrbitPoint(self.FIB, Fraction(1, 7), "R")
+        for l in (1, 2, 12, 200):
+            for x in (om, om.shift(l // 2), om.shift(l - 1), om.shift(l), other):
+                assert self._count(floors, past_set, x, l) == l + 1
+
+    def test_thread_floors(self, floors):
+        # a chain top is one coded window of 2L letters; a section top codes its
+        # point's past (2L letters) and prefix (L letters) and shifts it once
+        x, off = branch_point(self.FIB).shift(2), OrbitPoint(self.FIB, Fraction(1, 2))
+        for L in (3, 10, 100):
+            for letter in "01":
+                assert self._count(floors, construct_fibre_element, self.FIB, x, letter, 3, L) == 2 * L + 2
+            for y in (x, off):
+                assert self._count(floors, thread_of, self.FIB, y, 3, L) == 3 * L + 3
 
     def test_word_arc(self, constructions):
         for n in (0, 1, 20, 200):

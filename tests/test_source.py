@@ -138,8 +138,9 @@ def _thread_calls(node) -> list[int]:
 
 
 def test_threads_built_in_one_place():
-    # a thread's top is coded in cover._thread alone, for every chain of every
-    # entry point; cover.shift_thread maps the top of a thread it is given
+    # a thread's top is built in cover._thread alone, for every chain of every
+    # entry point: the section's is its point's eq_class, a chain's one coded
+    # window; cover.shift_thread maps the top of a thread it is given
     builders, found = [], []
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
