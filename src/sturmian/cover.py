@@ -92,11 +92,11 @@ class FiniteQuotient(_Record):
         return len(self.classes)
 
 
-def _classes(alpha: QuadraticIrrational, k: int, l: int, prefix: Word = "") -> Iterator[EqClass]:
+def _classes(alpha: QuadraticIrrational, k: int, w: Word, v: Word, prefix: Word = "") -> Iterator[EqClass]:
     """Each class at level (k, l) whose prefix begins with `prefix`, once, from the codings of 0.
 
-    Let w be the L coding of 0 at indices -l..l-1 and v the R coding; they
-    differ only at -1 and 0.  The k-th shift of x has one length-l
+    w is the L coding of 0 at indices -l..l-1, l = len(w) // 2, and v the R
+    coding; they differ only at -1 and 0.  The k-th shift of x has one length-l
     past unless it is sigma^j(omega), the point (1+j)*alpha, with j < l.  A
     unique past is one admissible length-l word, a window of w, whose last k
     letters are then the prefix; every such word occurs.  The other classes
@@ -106,8 +106,8 @@ def _classes(alpha: QuadraticIrrational, k: int, l: int, prefix: Word = "") -> I
     carry x as their representative; the singleton classes carry none.
     Each window is tested against `prefix` before its class is built; classes come one at a time.
     """
+    l = len(w) // 2  # letter i at w[l + i]
     idx = IndexPair(k, l)
-    w, v = _zero_words(alpha, l)  # letter i at w[l + i]
     for i in range(l + 1):
         if w.startswith(prefix, i + l - k):
             yield EqClass(idx, w[i + l - k : i + l], frozenset({w[i : i + l]}))
@@ -122,7 +122,7 @@ def _classes(alpha: QuadraticIrrational, k: int, l: int, prefix: Word = "") -> I
 def quotient(alpha: QuadraticIrrational, idx) -> FiniteQuotient:
     """All equivalence classes at idx, by exact enumeration."""
     idx = _check_index(idx)
-    return FiniteQuotient(alpha, idx, frozenset(_classes(alpha, idx.k, idx.l)))
+    return FiniteQuotient(alpha, idx, frozenset(_classes(alpha, idx.k, *_zero_words(alpha, idx.l))))
 
 
 def q_map(c: EqClass, idx1) -> EqClass:
@@ -269,20 +269,19 @@ def construct_fibre_element(
     return _thread(alpha, x, K, L, chain_variant)
 
 
-def _death_depths(x: OrbitPoint, n0: int, classes) -> dict[EqClass, int]:
+def _death_depths(x: OrbitPoint, n0: int, classes, w: Word, v: Word) -> dict[EqClass, int]:
     """For each class at (n0, 2n0), the length of the shortest prefix of x it cannot carry.
 
     The cells of x's prefixes are cut by the points -j*alpha (mod 1); a class
     dies once cut points have landed on both arcs between x and its
-    representative, or B = arc(w[:n0]) + n0*alpha if it has none and past {w}.
+    representative, or B = arc(u) + n0*alpha if it has none and past {u + prefix}.
     """
     alpha, depths = x.alpha, {}
     for c in classes:
         start = end = c.representative
-        if start is None:  # B runs from (n0 - i)*alpha to (n0 - j)*alpha
-            arc = cylinder_arc(alpha, min(c.past)[:n0])
-            i, j = arc.lo_tag, arc.hi_tag
-            start, end = (_orbit_point(alpha, n0 - t, v) for t, v in ((j, "R"), (i, "L")))
+        if start is None:  # w[n0:3n0] and v[n0:3n0] are the codings of 0 that cylinder_arc reads
+            u = min(c.past)[:n0]  # one window in each: B runs from v's, side R, to w's, side L
+            start, end = (_orbit_point(alpha, z.find(u, n0, 3 * n0) - n0, s) for z, s in ((v, "R"), (w, "L")))
         depths[c] = max(_first_entry(start, x), _first_entry(x, end))
     return depths
 
@@ -294,20 +293,21 @@ def fibre(alpha: QuadraticIrrational, x: OrbitPoint, K: int, L: int) -> set[Thre
     single class at the chain level (n0, 2n0) of `_thread`, and the families
     extending to arbitrarily deep levels are exactly the fibre of the
     projective limit.  The candidates are the classes at (n0, 2n0) with x's
-    prefix, found by prefix in the two codings of 0 (`_classes`); the tops of x's
-    threads are among them, and each other class is certified dead at a
-    first landing of the cut points: a singleton-past class survives exactly
-    while its past window glued to x's prefix stays admissible, and a
+    prefix, found in the two codings of 0 at 2n0 (`_classes`); the tops of x's
+    threads are among them, and each other class is certified dead, off the same
+    pair, at a first landing of the cut points: a singleton-past class survives
+    exactly while its past window glued to x's prefix stays admissible, and a
     two-past class belongs to one concrete branch-orbit point and survives
     only while that point's coding agrees with x.  Every depth is finite.
     """
     threads = [_thread(alpha, x, K, L, v) for v in _chains(x)]
     tops = {th.top for th in threads}
     n0 = threads[0].top.index.k
-    candidates = set(_classes(alpha, n0, 2 * n0, threads[0].top.prefix))
+    w, v = _zero_words(alpha, 2 * n0)
+    candidates = set(_classes(alpha, n0, w, v, threads[0].top.prefix))
     if not tops <= candidates:
         raise RuntimeError("constructed elements missing from candidates; enumeration bug")
-    if any(depth <= n0 for depth in _death_depths(x, n0, candidates - tops).values()):
+    if any(depth <= n0 for depth in _death_depths(x, n0, candidates - tops, w, v).values()):
         raise RuntimeError("a candidate died inside the chain level; arithmetic bug")
     return set(threads)
 

@@ -38,6 +38,7 @@ from sturmian.cover import (
     two_sided_embed,
 )
 from sturmian.cover import _classes, _death_depths
+from sturmian.words import _zero_words
 
 import reference
 from reference import chain_candidates, death_depths_by_walk, sampled_quotient, thread_family
@@ -174,7 +175,7 @@ class TestQuotient:
         levels = [(k, l) for l in range(26) for k in range(l + 1)]
         levels += [(80, 160)] if alpha == FIB else []
         for k, l in levels:
-            classes = list(_classes(alpha, k, l))
+            classes = list(_classes(alpha, k, *_zero_words(alpha, l)))
             assert len(set(classes)) == len(classes)  # each class comes once
             assert table(classes) == table(reference.classes(alpha, k, l))
 
@@ -575,10 +576,11 @@ class TestChainConnectingMap:
 
         for alpha in (FIB, SQRT2M1):
             for n in range(1, 7):
-                classes = set(_classes(alpha, n, 2 * n))
+                zero = _zero_words(alpha, 2 * n)
+                classes = set(_classes(alpha, n, *zero))
                 for m in range(n + 1):
                     for prefix in sorted(language(alpha, m)):
-                        got = list(_classes(alpha, n, 2 * n, prefix))
+                        got = list(_classes(alpha, n, *zero, prefix))
                         assert len(set(got)) == len(got)
                         assert table(got) == table(c for c in classes if c.prefix.startswith(prefix))
                         if m == n:
@@ -722,8 +724,9 @@ class TestProjectedLevels:
 
 @st.composite
 def fibre_points(draw):
-    """A base point of every kind on a small parameter, with a chain level n0."""
-    alpha = draw(st.sampled_from([FIB, SQRT2M1, CF_0_2_3]))
+    """A base point of every kind, with a chain level n0, on a parameter with small
+    partial quotients, one above 1/2 or one with partial quotients in the hundreds."""
+    alpha = draw(st.sampled_from([FIB, SQRT2M1, CF_0_2_3, GOLDEN, parse_quad("quad:-7,1,61,3"), D1E6]))
     kind = draw(st.sampled_from(["forward", "backward", "rational", "quadratic"]))
     if kind == "forward":
         x = branch_point(alpha).shift(draw(st.integers(0, 9)))
@@ -747,7 +750,7 @@ class TestDeathDepths:
         walked = death_depths_by_walk(alpha, x, n0, candidates, 400)
         idx = IndexPair(n0, 2 * n0)
         want = {EqClass(idx, *data, candidates[data]): depth for data, depth in walked.items()}
-        assert _death_depths(x, n0, want) == want
+        assert _death_depths(x, n0, want, *_zero_words(alpha, 2 * n0)) == want
 
 
 class TestForeignPoint:

@@ -44,7 +44,7 @@ from sturmian.words import (
     preimages,
     two_sided_word,
 )
-from sturmian import groupoid, words
+from sturmian import cover, groupoid, words
 from sturmian.words import _first_entry, _floor
 
 import reference
@@ -330,7 +330,9 @@ class TestKernelObjectCounts:
     A past set of length l costs l + 1 floors, on the branch orbit too, where
     its two pasts are windows of the codings of 0.  At truncation L a chain
     thread codes one window of 2L letters, 2L + 2 floors with the chain
-    point, and a section codes its point's prefix and past, 3L + 3.
+    point, and a section codes its point's prefix and past, 3L + 3.  A fibre
+    at chain level n0 codes the codings of 0 at 2n0 once: its candidates and
+    the arcs of its singleton-past certificates are read off that one pair.
     """
 
     FIB = ALPHAS[0]
@@ -413,6 +415,26 @@ class TestKernelObjectCounts:
         for alpha in (self.FIB, ALPHAS[3]):
             for k, l in [(0, 0), (0, 1), (1, 1), (2, 5), (20, 40), (80, 160)]:
                 assert self._count(floors, quotient, alpha, (k, l)) == (2 * l + k + 1 if l else 0)
+
+    D1E6 = QuadraticIrrational(-999, 1, 1000003, 2)
+    FIBRES = [  # (floors, fibre size, fibre arguments)
+        (2740, 3, (D1E6, branch_point(D1E6), 10, 100)),
+        (9274, 3, (FIB, branch_point(FIB).shift(2), 10, 1000)),
+        (2245, 1, (FIB, OrbitPoint(FIB, Fraction(2, 9)), 5, 400)),
+    ]
+
+    def test_fibre_floors(self, floors):
+        for count, _, args in self.FIBRES:
+            assert self._count(floors, fibre, *args) == count
+
+    def test_fibre_codes_no_cylinder_arc(self, monkeypatch):
+        # a death certificate reads its singleton's arc off the candidates' codings of 0
+        def refused(*args):
+            raise AssertionError("a cylinder arc codes the codings of 0 again")
+
+        monkeypatch.setattr(cover, "cylinder_arc", refused)
+        for _, size, args in self.FIBRES:
+            assert len(fibre(*args)) == size
 
     def test_cylinder_arc_floors(self, floors):
         for n in (1, 2, 20, 200):

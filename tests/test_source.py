@@ -3,7 +3,7 @@ import inspect
 from pathlib import Path
 
 import sturmian
-from sturmian import words
+from sturmian import cover, words
 
 SOURCES = sorted(Path(sturmian.__file__).parent.glob("*.py"))
 
@@ -244,3 +244,22 @@ def test_r_coding_of_zero_built_once():
     ]
     assert len(found) == 1 and found[0].startswith("words.py:"), found
     assert any(_is_reversal(node) for node in ast.walk(ast.parse(inspect.getsource(words._zero_words))))
+
+
+def _zero_words_calls(node) -> int:
+    return sum(
+        isinstance(n, ast.Call) and "_zero_words" in (getattr(n.func, "id", None), getattr(n.func, "attr", None))
+        for n in ast.walk(node)
+    )
+
+
+def test_cover_codes_zero_once_per_entry_point():
+    # the cover codes the codings of 0 where a quotient or a fibre begins, once:
+    # the classes, and a fibre's death certificates, read the pair they are given
+    tree = ast.parse(inspect.getsource(cover))
+    callers = {
+        node.name: _zero_words_calls(node)
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and _zero_words_calls(node)
+    }
+    assert callers == {"quotient": 1, "fibre": 1} and _zero_words_calls(tree) == 2, callers
