@@ -139,7 +139,7 @@ def _run_fibre(args: argparse.Namespace) -> int:
         f"expected={rep.expected} resolved={rep.resolved} (bound used: K>={rep.min_K}, L>={rep.min_L})"
     ]
     if args.show_threads:
-        tables = [table.splitlines() for table in sorted(th.table() for th in rep.threads)]
+        tables = sorted(th.table() for th in rep.threads)
         payload["threads"] = tables
         for i, rows in enumerate(tables):
             lines.append(f"thread {i}:")

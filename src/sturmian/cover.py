@@ -188,13 +188,13 @@ class Thread(_Record):
             for l in range(k, self.L + 1):
                 yield IndexPair(k, l), self.class_at(k, l)
 
-    def table(self) -> str:
-        """Render the thread as a level -> (prefix, past) table."""
-        lines = []
+    def table(self) -> list[str]:
+        """The thread's rows of a level -> (prefix, past) table."""
+        rows = []
         for (k, l), c in self.levels():
             past = ",".join(w or "-" for w in sorted(c.past))
-            lines.append(f"({k},{l}): prefix={c.prefix or '-'} past={{{past}}}")
-        return "\n".join(lines)
+            rows.append(f"({k},{l}): prefix={c.prefix or '-'} past={{{past}}}")
+        return rows
 
 
 def _chains(x: OrbitPoint) -> list[Optional[str]]:

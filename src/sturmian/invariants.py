@@ -33,11 +33,12 @@ def flow_equivalent(alpha: QuadraticIrrational, beta: QuadraticIrrational) -> bo
     decides Morita equivalence of the associated algebras and ordered-group
     isomorphism of Z + alpha*Z without the unit.  Equivalent irrationals
     share the discriminant D of `quadratics._reduced`, and then their tails
-    agree exactly when beta's first reduced state (P, Q) is in alpha's period.
+    agree exactly when the walk of alpha's period (`quadratics._period`) meets
+    beta's first reduced state (P, Q); only its flag is read here.
     """
     D, _, P, Q = _reduced(alpha)
     E, _, P2, Q2 = _reduced(beta)
-    return D == E and (P2, Q2) in _period(D, P, Q)
+    return D == E and _period(D, P, Q, (P2, Q2))[1]
 
 
 class OrderedGroupDescriptor(_Record):

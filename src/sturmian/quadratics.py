@@ -13,7 +13,7 @@ import math
 import re
 from fractions import Fraction
 from operator import attrgetter
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 
 class RationalValueError(ValueError):
@@ -338,37 +338,35 @@ def _reduced(x: QuadraticIrrational) -> tuple[int, list[int], int, int]:
     return D, digits, P, Q
 
 
-def _period(D: int, P: int, Q: int) -> Iterator[tuple[int, int]]:
-    """The states (P, Q) of the period from the reduced state (P, Q)."""
-    s = math.isqrt(D)
-    P0, Q0 = P, Q
-    while True:
-        yield P, Q
-        P = (P + s) // Q * Q - P  # a*Q - P for the digit a; Q > 0 on reduced states
-        Q = (D - P * P) // Q
-        if P == P0 and Q == Q0:
-            return
+def _period(D: int, P: int, Q: int, stop: tuple[int, int] = (0, 0)) -> tuple[list[int], bool]:
+    """The period's digits from the reduced state (P, Q), one floor each, and whether it met `stop`.
 
-
-def cf_expand(x: QuadraticIrrational) -> ContinuedFraction:
-    """Continued fraction of x by the integer (P + sqrt(D))/Q recurrence.
-
-    D is the discriminant of x's primitive minimal polynomial (`_reduced`).
-    One floor per digit.  The result is canonical as built, so the trusted
-    `_at` skips the constructor's normalisation: the period closes at the
-    first repeated state (P, Q), which fixes the complete quotient, and the
-    preperiod ends at the first reduced state; by Galois a complete quotient
-    is purely periodic exactly when it is reduced.
+    It ends before the digit of the state `stop` or where the cycle closes.
+    `cf_expand` reads the digits of the whole period, as (0, 0) is no reduced
+    state; `invariants.flow_equivalent` reads the flag.
     """
-    D, pre, P0, Q0 = _reduced(x)
-    s, P, Q, per = math.isqrt(D), P0, Q0, []
-    while True:
+    s, P0, Q0, (P1, Q1), digits = math.isqrt(D), P, Q, stop, []
+    while P != P1 or Q != Q1:
         a = (P + s) // Q  # Q > 0 on reduced states
-        per.append(a)
+        digits.append(a)
         P = a * Q - P
         Q = (D - P * P) // Q
         if P == P0 and Q == Q0:
-            return ContinuedFraction._at((tuple(pre), tuple(per)))
+            return digits, False
+    return digits, True
+
+
+def cf_expand(x: QuadraticIrrational) -> ContinuedFraction:
+    """Continued fraction of x: the preperiod of `_reduced`, then the period of `_period`.
+
+    The result is canonical as built, so the trusted `_at` skips the
+    constructor's normalisation: the preperiod ends at the first reduced
+    state (by Galois a complete quotient is purely periodic exactly when it
+    is reduced), and the period closes at the first repeated state (P, Q),
+    which fixes the complete quotient.
+    """
+    D, pre, P, Q = _reduced(x)
+    return ContinuedFraction._at((tuple(pre), tuple(_period(D, P, Q)[0])))
 
 
 _BLOCK = 32

@@ -34,6 +34,8 @@ three enumerations of the same object:
   rescanning the language for every suffix;
 - the witness window scan testing every start position of every shift and
   taking the longest chain over a dict;
+- continued fractions by iterating complete quotients as field elements
+  until one repeats;
 - the minimal period of a continued fraction by trying every length, and
   tail equivalence of two continued fractions by finding one period among
   the rotations of the other, written as digit strings.
@@ -49,6 +51,7 @@ from itertools import islice
 
 from sturmian.cover import EqClass, IndexPair, construct_fibre_element, eq_class, q_map, thread_of
 from sturmian.groupoid import WitnessCheck
+from sturmian.quadratics import ContinuedFraction
 from sturmian.words import (
     OrbitPoint,
     branch_point,
@@ -513,6 +516,34 @@ def check_witness(alpha, w, window):
 
 
 # -- continued fractions ----------------------------------------------------------
+
+
+def field_floor(y):
+    """floor(y) from an isqrt estimate corrected by exact comparisons."""
+    q2d = y.q * y.q * y.d
+    fs = math.isqrt(q2d) if y.q > 0 else -math.isqrt(q2d) - 1
+    n = (y.p + fs) // y.r
+    while y > n + 1:
+        n += 1
+    while y < n:
+        n -= 1
+    return n
+
+
+def cf_expand(x, max_steps=5000):
+    """Continued fraction by iterating complete quotients as field elements."""
+    digits = []
+    seen = {}
+    y = x
+    for step in range(max_steps):
+        if y in seen:
+            f = seen[y]
+            return ContinuedFraction(tuple(digits[:f]), tuple(digits[f:]))
+        seen[y] = step
+        a = field_floor(y)
+        digits.append(a)
+        y = (y - a).inverse()
+    raise AssertionError(f"no period within {max_steps} steps")
 
 
 def minimal_period(period):

@@ -388,6 +388,7 @@ class TestOperands:
             lambda x: 1.5 / x,
             lambda x: "a" / x,
             lambda x: x < "a",
+            lambda x: x / 1.5,
         ],
     )
     def test_foreign_operands_raise_type_error(self, op):
@@ -399,32 +400,14 @@ class TestOperands:
             assert type(z) is Fraction and z == 0
 
 
-def reference_floor(y: QuadraticIrrational) -> int:
-    """floor(y) from an isqrt estimate corrected by exact comparisons."""
-    q2d = y.q * y.q * y.d
-    fs = math.isqrt(q2d) if y.q > 0 else -math.isqrt(q2d) - 1
-    n = (y.p + fs) // y.r
-    while y > n + 1:
-        n += 1
-    while y < n:
-        n -= 1
-    return n
-
-
-def reference_cf_expand(x: QuadraticIrrational, max_steps: int = 5000) -> ContinuedFraction:
-    """Continued fraction by iterating complete quotients as field elements."""
-    digits: list[int] = []
-    seen: dict[QuadraticIrrational, int] = {}
-    y = x
-    for step in range(max_steps):
-        if y in seen:
-            f = seen[y]
-            return ContinuedFraction(tuple(digits[:f]), tuple(digits[f:]))
-        seen[y] = step
-        a = reference_floor(y)
-        digits.append(a)
-        y = (y - a).inverse()
-    raise AssertionError(f"no period within {max_steps} steps")
+def test_period_walk_stops_at_its_stop_state():
+    # sqrt 7 - 2 = [0; (1,1,1,4)]: D = 28, first reduced state (4, 6), last (4, 2)
+    D, pre, P, Q = quadratics._reduced(parse_quad("quad:-2,1,7,1"))
+    assert (D, pre, P, Q) == (28, [0], 4, 6)
+    assert quadratics._period(D, P, Q) == ([1, 1, 1, 4], False)
+    assert quadratics._period(D, P, Q, (4, 6)) == ([], True)
+    assert quadratics._period(D, P, Q, (4, 2)) == ([1, 1, 1], True)
+    assert quadratics._period(D, P, Q, (2, 4)) == ([1], True)
 
 
 def reference_tail_equivalent(a: ContinuedFraction, b: ContinuedFraction) -> bool:
@@ -501,7 +484,7 @@ def test_cf_expand_matches_object_iteration(p, q, d, r):
     assume(math.isqrt(d) ** 2 != d)
     x = QuadraticIrrational(p, q, d, r)
     cf = cf_expand(x)
-    assert cf == reference_cf_expand(x)
+    assert cf == reference.cf_expand(x)
     assert cf_value(cf) == x
 
 
@@ -617,7 +600,7 @@ def test_expansion_is_canonical_as_built(x, n):
     # searches every divisor of the period length, must leave it unchanged
     cf = cf_expand(x)
     assert len(cf.period) == n
-    assert cf == ContinuedFraction(cf.preperiod, cf.period) == reference_cf_expand(x)
+    assert cf == ContinuedFraction(cf.preperiod, cf.period) == reference.cf_expand(x)
     assert type(cf.preperiod) is type(cf.period) is tuple
 
 

@@ -246,9 +246,10 @@ def test_r_coding_of_zero_built_once():
     assert any(_is_reversal(node) for node in ast.walk(ast.parse(inspect.getsource(words._zero_words))))
 
 
-def _zero_words_calls(node) -> int:
+def _calls(node, name: str) -> int:
+    """The calls of the function called name under node."""
     return sum(
-        isinstance(n, ast.Call) and "_zero_words" in (getattr(n.func, "id", None), getattr(n.func, "attr", None))
+        isinstance(n, ast.Call) and name in (getattr(n.func, "id", None), getattr(n.func, "attr", None))
         for n in ast.walk(node)
     )
 
@@ -258,8 +259,29 @@ def test_cover_codes_zero_once_per_entry_point():
     # the classes, and a fibre's death certificates, read the pair they are given
     tree = ast.parse(inspect.getsource(cover))
     callers = {
-        node.name: _zero_words_calls(node)
+        node.name: _calls(node, "_zero_words")
         for node in tree.body
-        if isinstance(node, ast.FunctionDef) and _zero_words_calls(node)
+        if isinstance(node, ast.FunctionDef) and _calls(node, "_zero_words")
     }
-    assert callers == {"quotient": 1, "fibre": 1} and _zero_words_calls(tree) == 2, callers
+    assert callers == {"quotient": 1, "fibre": 1} and _calls(tree, "_zero_words") == 2, callers
+
+
+def _recurrences(node) -> int:
+    """The steps Q = (D - P*P)/Q of the reduced-cycle recurrence under node."""
+    return sum(isinstance(n, ast.Assign) and ast.unparse(n) == "Q = (D - P * P) // Q" for n in ast.walk(node))
+
+
+def test_one_period_walk():
+    # the recurrence steps through _reduced's preperiod and through _period's
+    # walk of the cycle, a plain function; cf_expand reads its digits and
+    # flow_equivalent its flag, and neither walks the cycle on its own
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    functions = {
+        (name, node.name): node for name, tree in trees.items() for node in tree.body if isinstance(node, ast.FunctionDef)
+    }
+    walkers = {key: _recurrences(node) for key, node in functions.items() if _recurrences(node)}
+    assert walkers == {("quadratics.py", "_reduced"): 1, ("quadratics.py", "_period"): 1}, walkers
+    assert sum(map(_recurrences, trees.values())) == 2
+    assert not any(isinstance(n, (ast.Yield, ast.YieldFrom)) for n in ast.walk(trees["quadratics.py"]))
+    assert _calls(functions["quadratics.py", "cf_expand"], "_period")
+    assert _calls(functions["invariants.py", "flow_equivalent"], "_period")
