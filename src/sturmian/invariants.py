@@ -33,8 +33,10 @@ def flow_equivalent(alpha: QuadraticIrrational, beta: QuadraticIrrational) -> bo
     decides Morita equivalence of the associated algebras and ordered-group
     isomorphism of Z + alpha*Z without the unit.  Equivalent irrationals
     share the discriminant D of `quadratics._reduced`, and then their tails
-    agree exactly when the walk of alpha's period (`quadratics._period`) meets
-    beta's first reduced state (P, Q); only its flag is read here.
+    agree exactly when beta's first reduced state (P, Q) lies on alpha's
+    cycle.  `quadratics._period` decides that from at most half of a
+    symmetric cycle, where the reverse of a walked state is on it too; only
+    its flag is read here.
     """
     D, _, P, Q = _reduced(alpha)
     E, _, P2, Q2 = _reduced(beta)

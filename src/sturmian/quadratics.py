@@ -338,22 +338,46 @@ def _reduced(x: QuadraticIrrational) -> tuple[int, list[int], int, int]:
     return D, digits, P, Q
 
 
-def _period(D: int, P: int, Q: int, stop: tuple[int, int] = (0, 0)) -> tuple[list[int], bool]:
-    """The period's digits from the reduced state (P, Q), one floor each, and whether it met `stop`.
+def _period(D: int, P: int, Q: int, stop: tuple[int, int] = (0, 1)) -> tuple[Optional[list[int]], bool]:
+    """(the period's digits from the reduced state (P, Q), False), or (None, True) once it meets `stop`.
 
-    It ends before the digit of the state `stop` or where the cycle closes.
-    `cf_expand` reads the digits of the whole period, as (0, 0) is no reduced
-    state; `invariants.flow_equivalent` reads the flag.
+    By Galois the reverse (P_i, Q_{i-1}) of the state (P_i, Q_i) walks the
+    cycle backwards.  So a cycle that meets an axis state, where
+    Q_i == Q_{i-1} or P_{i+1} == P_i, is its own mirror image, with a second
+    axis half a period away.  The walk goes forward until the cycle closes
+    or it meets an axis; then it walks from the start's reverse, backwards
+    along the cycle, to the other axis.  A symmetric period of k digits costs
+    about k/2 floors and is two palindromes: each walked half and its mirror,
+    sliced from the axis back.  Every walked state is checked against `stop`;
+    one walked backwards is a reverse, so it counts as stop or as stop's
+    reverse, and a forward state equal to stop's reverse counts once an axis
+    shows the cycle symmetric.  `cf_expand` reads the digits, as (0, 1) is no
+    reduced state; `invariants.flow_equivalent` reads the flag.
     """
-    s, P0, Q0, (P1, Q1), digits = math.isqrt(D), P, Q, stop, []
-    while P != P1 or Q != Q1:
-        a = (P + s) // Q  # Q > 0 on reduced states
-        digits.append(a)
-        P = a * Q - P
-        Q = (D - P * P) // Q
-        if P == P0 and Q == Q0:
-            return digits, False
-    return digits, True
+    s, (P1, Q1), halves = math.isqrt(D), stop, []
+    Q2, R = (D - P1 * P1) // Q1, (D - P * P) // Q  # (P1, Q2) reverses stop, (P, R) the start
+    if P == P1 and Q == Q1:
+        return None, True
+    mirrored = P == P1 and Q == Q2  # stop's reverse is on the cycle: stop is, if the cycle is symmetric
+    for P, Q, Qp in ((P, Q, R), (P, R, 0)):  # forward from the start, axis or not, then back from its reverse
+        P0, Q0, Pp, digits = P, Q, 0, []
+        while P != Pp and Q != Qp:  # an axis ends the walk
+            a = (P + s) // Q  # Q > 0 on reduced states
+            digits.append(a)
+            Pp, Qp, P = P, Q, a * Q - P
+            Q = (D - P * P) // Q
+            if P == P1 and (Q == Q1 or Q == Q2):
+                if Q == Q1 or halves:  # a state walked back is the reverse of one on the cycle
+                    return None, True
+                mirrored = True
+            if P == P0 and Q == Q0 and P != Pp:  # closed, at no axis unless the period is one digit
+                if halves:
+                    raise RuntimeError("the backward walk closed without meeting an axis")
+                return digits, False
+        if mirrored:
+            return None, True
+        halves.append(digits + digits[-1 - (P == Pp) :: -1])  # its centre digit once if P == Pp
+    return halves[0] + halves[1], False
 
 
 def cf_expand(x: QuadraticIrrational) -> ContinuedFraction:
@@ -362,8 +386,9 @@ def cf_expand(x: QuadraticIrrational) -> ContinuedFraction:
     The result is canonical as built, so the trusted `_at` skips the
     constructor's normalisation: the preperiod ends at the first reduced
     state (by Galois a complete quotient is purely periodic exactly when it
-    is reduced), and the period closes at the first repeated state (P, Q),
-    which fixes the complete quotient.
+    is reduced), and the period ends where the cycle of states (P, Q), each
+    fixing its complete quotient, closes, or at the second axis of a
+    symmetric cycle, half a period away; so it is minimal.
     """
     D, pre, P, Q = _reduced(x)
     return ContinuedFraction._at((tuple(pre), tuple(_period(D, P, Q)[0])))
@@ -389,16 +414,51 @@ def _matrix(digits: tuple[int, ...]) -> tuple[int, int, int, int]:
     return a, b, c, e
 
 
+def _palindrome(w: tuple[int, ...]) -> tuple[int, int, int, int]:
+    """`_matrix(w)` for a palindrome w = u + (x,) + reversed(u) or u + reversed(u), from u alone.
+
+    Every digit's matrix (x, 1; 1, 0) is symmetric, so M(reversed u) = M(u)^T.
+    """
+    n = len(w) // 2
+    a, b, c, e = _matrix(w[:n])
+    f, g, h, k = (a, b, c, e) if len(w) == 2 * n else (a * w[n] + b, a, c * w[n] + e, c)  # M(u x)
+    return f * a + g * b, f * c + g * e, h * a + k * b, h * c + k * e  # M(u x) M(u)^T
+
+
+def _fold(w: tuple[int, ...]) -> tuple[int, int, int, int]:
+    """`_matrix(w)`, from half the digits of a long w that is two palindromes w[:j] + w[j:].
+
+    Those are the periods of symmetric cycles (`_period`), and w is one exactly
+    when reversed(w) == w[j:] + w[:j].  Only w of at least 4*_BLOCK digits
+    looks for j, and only at the first four places where the largest digit v
+    of the first block stands in reversed(w); otherwise w folds whole.
+    """
+    k = len(w)
+    if k >= 4 * _BLOCK:
+        back, v, i = w[::-1], max(w[:_BLOCK]), -1
+        for _ in range(4):
+            try:
+                i = back.index(v, i + 1)
+            except ValueError:
+                break
+            j = (w.index(v) - i) % k
+            if back[: k - j] == w[j:] and back[k - j :] == w[:j]:
+                (a, b, c, e), (f, g, h, m) = _palindrome(w[:j]), _palindrome(w[j:])
+                return a * f + b * h, a * g + b * m, c * f + e * h, c * g + e * m
+    return _matrix(w)
+
+
 def cf_value(cf: ContinuedFraction) -> QuadraticIrrational:
     """Fold a continued fraction back into its exact value.
 
-    The period folds in blocks (`_matrix`) into (a, b; c, e): the tail
-    y = (a*y + b)/(c*y + e) is a root of c*y^2 + (e - a)*y - b over its
-    content, whose discriminant is small however long the period is; its
-    squarefree part is the one radicand factored here.  The preperiod folds
-    into one matrix (A, B; C, E), and x = (A*y + B)/(C*y + E) is rationalised once.
+    The period folds in blocks (`_fold`, from half its digits when it is long
+    and two palindromes) into (a, b; c, e): the tail y = (a*y + b)/(c*y + e)
+    is a root of c*y^2 + (e - a)*y - b over its content, whose discriminant is
+    small however long the period is; its squarefree part is the one radicand
+    factored here.  The preperiod folds into one matrix (A, B; C, E) by
+    `_matrix`, and x = (A*y + B)/(C*y + E) is rationalised once.
     """
-    a, b, c, e = _matrix(cf.period)
+    a, b, c, e = _fold(cf.period)
     g = math.gcd(a - e, b, c)
     u, b, c = (a - e) // g, b // g, c // g
     s, f = _squarefree_split(u * u + 4 * b * c)

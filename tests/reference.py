@@ -35,7 +35,8 @@ three enumerations of the same object:
 - the witness window scan testing every start position of every shift and
   taking the longest chain over a dict;
 - continued fractions by iterating complete quotients as field elements
-  until one repeats;
+  until one repeats, and the period of a reduced state (P, Q) walked
+  forward only, over every reduced state of its discriminant;
 - the minimal period of a continued fraction by trying every length, and
   tail equivalence of two continued fractions by finding one period among
   the rotations of the other, written as digit strings.
@@ -567,3 +568,20 @@ def cf_tail_equivalent(a, b):
     in a's period written twice.
     """
     return len(a.period) == len(b.period) and _delimited(b.period) in _delimited(a.period * 2)
+
+
+def reduced_states(D):
+    """Every reduced state (P, Q) of discriminant D: (P + sqrt D)/Q > 1 with conjugate in (-1, 0)."""
+    s = math.isqrt(D)
+    return [(P, Q) for P in range(1, s + 1) for Q in range(s - P + 1, s + P + 1) if (D - P * P) % Q == 0]
+
+
+def period_walk(D, P, Q):
+    """The digits and states of the cycle through the reduced state (P, Q), walked forward only."""
+    s, start, digits, states = math.isqrt(D), (P, Q), [], []
+    while not states or (P, Q) != start:
+        states.append((P, Q))
+        a = (P + s) // Q
+        digits.append(a)
+        P, Q = a * Q - P, (D - (a * Q - P) ** 2) // Q
+    return digits, states

@@ -253,6 +253,11 @@ SQRT7M2 = parse_quad("quad:-2,1,7,1")  # sqrt 7 - 2 = [0; (1,1,1,4)], D = 28
 # beta = 2 + sqrt 7 = [(4,1,1,1)], the complete quotient at alpha's last period
 # state (4, 2): met one step before the cycle closes
 @example(pair=(SQRT7M2, SQRT7M2 + 4, "det+1"))
+# beta = (1 + sqrt 7)/3, alpha's state (2, 6), the reverse of (2, 4), past the axis at digit 1
+@example(pair=(SQRT7M2, parse_quad("quad:1,1,7,3"), "same_field"))
+# D = 148: [0; (3,1,2)] and [0; (3,2,1)], mirror images; beta's state (8, 6) reverses to
+# (8, 14) on alpha's cycle, which has no axis, so they are not equivalent
+@example(pair=(parse_quad("quad:-5,1,37,4"), parse_quad("quad:-4,1,37,7"), "same_field"))
 def test_flow_equivalent_matches_tail_equivalence(pair):
     a, b, relation = pair
     want = cf_tail_equivalent(reference.cf_expand(a), reference.cf_expand(b))

@@ -24,6 +24,7 @@ from sturmian.quadratics import (
 
 import reference
 from reference import cf_tail_equivalent
+from test_kernel import cf_parameters
 
 FIB = QuadraticIrrational(3, -1, 5, 2)  # (3 - sqrt 5)/2
 GOLDEN_CONJ = QuadraticIrrational(-1, 1, 5, 2)  # (sqrt 5 - 1)/2
@@ -118,7 +119,7 @@ class TestFloor:
             (SQRT2, 1),
             (QuadraticIrrational(1, 1, 5, 1), 3),  # 1 + sqrt5 = 3.23..
             (QuadraticIrrational(0, -1, 2, 1), -2),  # -sqrt2
-            (QuadraticIrrational(-7, -3, 5, 2), -7),  # (-7 - 3 sqrt5)/2 = -6.85.. -> -7? no: -6.854 -> -7
+            (QuadraticIrrational(-7, -3, 5, 2), -7),  # (-7 - 3 sqrt5)/2 = -6.854..
         ],
     )
     def test_floor(self, x, expected):
@@ -401,13 +402,50 @@ class TestOperands:
 
 
 def test_period_walk_stops_at_its_stop_state():
-    # sqrt 7 - 2 = [0; (1,1,1,4)]: D = 28, first reduced state (4, 6), last (4, 2)
+    # sqrt 7 - 2 = [0; (1,1,1,4)]: D = 28, first reduced state (4, 6); the walk
+    # meets an axis at digit 1 (P_2 == P_1 == 2), then walks back from the
+    # start's reverse (4, 2) to the axis at the digit 4
     D, pre, P, Q = quadratics._reduced(parse_quad("quad:-2,1,7,1"))
     assert (D, pre, P, Q) == (28, [0], 4, 6)
     assert quadratics._period(D, P, Q) == ([1, 1, 1, 4], False)
-    assert quadratics._period(D, P, Q, (4, 6)) == ([], True)
-    assert quadratics._period(D, P, Q, (4, 2)) == ([1, 1, 1], True)
-    assert quadratics._period(D, P, Q, (2, 4)) == ([1], True)
+    assert quadratics._period(D, P, Q, (4, 6)) == (None, True)  # the start
+    assert quadratics._period(D, P, Q, (2, 4)) == (None, True)  # just ahead
+    assert quadratics._period(D, P, Q, (2, 6)) == (None, True)  # the reverse of (2, 4), in the mirrored half
+    assert quadratics._period(D, P, Q, (4, 2)) == (None, True)  # one step behind
+    assert quadratics._period(D, P, Q, (5, 1)) == ([1, 1, 1, 4], False)  # D = 28's other cycle, (10, 3, 2, 3)
+
+
+def test_period_walk_counts_a_mirror_only_past_an_axis():
+    # [0; (3,1,2)] and [0; (3,2,1)] share D = 148, and each cycle is the other's
+    # mirror: beta's first reduced state (8, 6) reverses to (8, 14), a state of
+    # alpha's cycle, yet the cycle has no axis, so beta's state is not on it
+    D, _, P, Q = quadratics._reduced(parse_quad("quad:-5,1,37,4"))
+    E, _, P2, Q2 = quadratics._reduced(parse_quad("quad:-4,1,37,7"))
+    assert (D, P, Q, E, P2, Q2) == (148, 10, 6, 148, 8, 6)
+    assert quadratics._period(D, P, Q, (P2, Q2)) == ([3, 1, 2], False)
+    assert quadratics._period(D, P, Q, (8, 14)) == (None, True)
+    assert quadratics._period(E, P2, Q2, (P, Q)) == ([3, 2, 1], False)
+
+
+@st.composite
+def reduced_walks(draw):
+    """(D, start, stop): two reduced states of one D, on one cycle or on two."""
+    D = draw(st.integers(5, 3000).filter(lambda D: math.isqrt(D) ** 2 != D))
+    states = reference.reduced_states(D)
+    return D, draw(st.sampled_from(states)), draw(st.sampled_from(states))
+
+
+@settings(max_examples=300, deadline=None)
+@given(walk=reduced_walks())
+@example(walk=(5, (1, 2), (1, 2)))  # [(1)]: every state is an axis
+@example(walk=(8, (2, 4), (2, 2)))  # [(1, 4)], and (2, 2) on the cycle [(2)]
+@example(walk=(28, (4, 6), (4, 2)))  # sqrt 7 - 2's cycle, one step behind
+@example(walk=(148, (10, 6), (8, 6)))  # the mirror of beta's state on a cycle with no axis
+def test_period_matches_one_direction_walk(walk):
+    D, start, stop = walk
+    digits, states = reference.period_walk(D, *start)
+    assert quadratics._period(D, *start) == (digits, False)
+    assert quadratics._period(D, *start, stop) == ((None, True) if stop in states else (digits, False))
 
 
 def reference_tail_equivalent(a: ContinuedFraction, b: ContinuedFraction) -> bool:
@@ -579,9 +617,30 @@ def test_blocked_fold_matches_one_digit_fold():
     for n in range(3 * quadratics._BLOCK + 2):
         for a0 in (-7, 0, 3):
             digits = (a0, *(rng.randint(1, 3000) for _ in range(n - 1)))[:n]
-            assert quadratics._matrix(digits) == reference_matrix(digits)
+            assert quadratics._matrix(digits) == quadratics._fold(digits) == reference_matrix(digits)
         digits = tuple(rng.randint(-3000, 3000) for _ in range(n))
-        assert quadratics._matrix(digits) == reference_matrix(digits)
+        assert quadratics._matrix(digits) == quadratics._fold(digits) == reference_matrix(digits)
+    # past the length floor of the palindrome fold: w = p1 + p2 for palindromes
+    # with odd and even halves, p1 empty (j = 0), one digit or led by a0 <= 0,
+    # folds from at most half its digits; a near miss, one digit changed, folds
+    # to the product of its digits too
+    floor = 4 * quadratics._BLOCK
+
+    def palindrome(n, a0):
+        half = [a0, *(rng.randint(1, 3000) for _ in range(n // 2 - 1))][: n // 2]
+        return (*half, *(rng.randint(1, 3000) for _ in range(n % 2)), *reversed(half))
+
+    for n1 in (0, 1, 2, 3, 75, 76, floor, 3 * floor + 1):
+        for n2 in sorted({n for n in (1, 2, floor - n1, floor + 1 - n1, 2 * floor - n1) if n > 0}):
+            for a0 in (-7, 0, 3):
+                w = palindrome(n1, a0) + palindrome(n2, rng.randint(1, 3000))
+                with mock.patch.object(quadratics, "_matrix", wraps=quadratics._matrix) as fold:
+                    assert quadratics._fold(w) == reference_matrix(w)
+                folded = sum(len(call.args[0]) for call in fold.call_args_list)
+                assert folded <= len(w) // 2 if len(w) >= floor else folded == len(w)
+                i = rng.randrange(len(w))
+                near = (*w[:i], w[i] + rng.choice((-1, 1)), *w[i + 1 :])
+                assert quadratics._fold(near) == reference_matrix(near)
 
 
 @pytest.mark.parametrize("x", TAILS, ids=str)
@@ -602,6 +661,37 @@ def test_expansion_is_canonical_as_built(x, n):
     assert len(cf.period) == n
     assert cf == ContinuedFraction(cf.preperiod, cf.period) == reference.cf_expand(x)
     assert type(cf.preperiod) is type(cf.period) is tuple
+
+
+class TestFoldedDigitCounts:
+    """The digits `_matrix` folds in one round trip, counted by wrapping it.
+
+    A period of at least 4*_BLOCK digits that is two palindromes, as every
+    symmetric cycle's is, folds half of each; any other period folds whole,
+    and the preperiod folds once after it.
+    """
+
+    @pytest.mark.parametrize(
+        "x, counts",
+        [
+            (LONG_PERIOD, [217, 0, 1]),  # 436 digits: palindromes of 435 and 1
+            (LONGEST, [999, 497, 2]),  # 2,994 digits: palindromes of 1,999 and 995
+            (parse_quad("quad:-3,1,2609,9"), [150, 1]),  # 150 digits, no axis
+            (parse_quad("quad:-5,1,37,4"), [3, 1]),  # [0; (3,1,2)], no axis
+        ],
+        ids=["436", "2994", "150-asymmetric", "148-asymmetric"],
+    )
+    def test_digits_folded(self, x, counts):
+        with mock.patch.object(quadratics, "_matrix", wraps=quadratics._matrix) as fold:
+            assert cf_value(cf_expand(x)) == x
+        assert [len(call.args[0]) for call in fold.call_args_list] == counts
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=cf_parameters(period_digits=st.integers(1, 40)))
+def test_cf_round_trip_over_cf_parameters(x):
+    # small period digits keep the tail's discriminant, which cf_value factors, small
+    assert cf_value(cf_expand(x)) == x
 
 
 @settings(max_examples=300, deadline=None)

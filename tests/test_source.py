@@ -3,7 +3,7 @@ import inspect
 from pathlib import Path
 
 import sturmian
-from sturmian import cover, words
+from sturmian import cover, quadratics, words
 
 SOURCES = sorted(Path(sturmian.__file__).parent.glob("*.py"))
 
@@ -236,14 +236,27 @@ def _is_reversal(node) -> bool:
 def test_r_coding_of_zero_built_once():
     # both codings of 0 are mirrored from one coded half, letters 1..n;
     # words._zero_words alone reverses it, for the arcs and the quotient
-    found = [
-        f"{path.name}:{node.lineno}"
-        for path in SOURCES
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if _is_reversal(node)
-    ]
-    assert len(found) == 1 and found[0].startswith("words.py:"), found
+    tree = ast.parse(inspect.getsource(words))
+    found = [node.lineno for node in ast.walk(tree) if _is_reversal(node)]
+    assert len(found) == 1, found
     assert any(_is_reversal(node) for node in ast.walk(ast.parse(inspect.getsource(words._zero_words))))
+
+
+def _stepped_slices(node) -> list[str]:
+    return [ast.unparse(n) for n in ast.walk(node) if isinstance(n, ast.Slice) and n.step is not None]
+
+
+def test_quadratics_reverses_digits_only_to_test_symmetry():
+    # the fold's symmetry test, reversed(w) == w[j:] + w[:j], is the one
+    # reversal of a digit tuple; _period mirrors each walked half by one slice
+    # from its axis back, and no other slice in quadratics has a step
+    tree = ast.parse(inspect.getsource(quadratics))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert [n for n in ast.walk(tree) if _is_reversal(n)] == [
+        n for n in ast.walk(functions["_fold"]) if _is_reversal(n)
+    ] != []
+    assert len(_stepped_slices(tree)) == 2
+    assert len(_stepped_slices(functions["_fold"])) == len(_stepped_slices(functions["_period"])) == 1
 
 
 def _calls(node, name: str) -> int:
