@@ -17,19 +17,16 @@ _EXPORTS = {
         "RationalValueError", "cf_expand", "cf_value", "format_quad", "parse_cf", "parse_quad",
     ),
     "words": (
-        "Arc", "OrbitPoint", "TwoSidedPoint", "branch_point", "code_letter", "code_word",
-        "cylinder_arc", "is_admissible", "language", "left_extensions", "past_set", "preimages",
-        "recurrence_bound", "two_sided_word",
+        "Arc", "OrbitPoint", "branch_point", "code_letter", "code_word", "cylinder_arc",
+        "language", "past_set", "preimages", "recurrence_bound",
     ),
     "cover": (
         "EqClass", "FiniteQuotient", "IndexPair", "Thread", "construct_fibre_element", "eq_class",
-        "expected_fibre_size", "fibre", "fibre_report", "index_leq", "is_isolated",
-        "property_star_witness", "q_map", "quotient", "shift_map", "shift_thread", "thread_of",
-        "two_sided_embed",
+        "expected_fibre_size", "fibre", "fibre_report", "index_leq", "property_star_witness",
+        "q_map", "quotient", "shift_map", "shift_thread", "thread_of",
     ),
     "groupoid": (
-        "Arrow", "DadWitness", "NoWitnessError", "bisection_arrows", "check_witness", "compose",
-        "dad_witness", "degenerate_cover_chain", "unit",
+        "DadWitness", "NoWitnessError", "check_witness", "dad_witness", "degenerate_cover_chain",
     ),
     "invariants": (
         "InvariantReport", "OrderedGroupDescriptor", "compare_parameters", "conjugate",

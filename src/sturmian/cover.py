@@ -15,7 +15,6 @@ from typing import Iterator, NamedTuple, Optional
 from .quadratics import QuadraticIrrational, _Record, _store
 from .words import (
     OrbitPoint,
-    TwoSidedPoint,
     Word,
     _first_entry,
     _orbit_point,
@@ -29,10 +28,6 @@ from .words import (
 class IndexPair(NamedTuple):
     k: int
     l: int
-
-
-class UnresolvedTruncationError(RuntimeError):
-    """The truncation grid is too small to decide the question asked."""
 
 
 def _check_index(idx) -> IndexPair:
@@ -338,37 +333,3 @@ def fibre_report(alpha: QuadraticIrrational, x: OrbitPoint, K: int, L: int) -> F
     threads = fibre(alpha, x, K, L)
     return FibreReport(x, K, L, frozenset(threads), expected_fibre_size(x), min_K, min_L)
 
-
-def is_isolated(alpha: QuadraticIrrational, th: Thread) -> bool:
-    """Whether the thread is the section of a branch-orbit point.
-
-    Uses the singleton basic sets: iota(sigma^k omega) is cut out at level
-    (0, k+1) and iota(mu.omega) at level (|mu|, |mu|).
-    """
-    x = th.base
-    _check_point(alpha, x)
-    pos = x.orbit_position()
-    if pos is None:
-        return False
-    kind, n = pos
-    if kind == "forward":
-        k, l = 0, n + 1
-    else:
-        k, l = n, n
-    if l > th.L or k > th.K:
-        raise UnresolvedTruncationError(f"need level {(k, l)} inside the truncation")
-    return th.class_at(k, l) == eq_class(alpha, x, IndexPair(k, l))
-
-
-def two_sided_embed(alpha: QuadraticIrrational, x: TwoSidedPoint, K: int, L: int) -> Thread:
-    """The non-isolated thread over the truncation of a two-sided point.
-
-    The negative coordinates select the fibre element, which is exactly how
-    the two-sided system sits inside the cover.  On the orbit of the branch
-    point they are the backward chain on x's own side (the letter at the
-    point 0 is 0 for L and 1 for R), so the thread follows chain x.variant;
-    off the orbit it is the section.
-    """
-    plus = x.restrict()
-    chain = x.variant if len(_chains(plus)) > 1 else None
-    return _thread(alpha, plus, K, L, chain)

@@ -1,93 +1,20 @@
-"""Arrows over the cover and the two-set chain bound behind dimension one.
+"""The two-set chain bound behind dynamic asymptotic dimension one.
 
-Arrows are triples (range thread, cocycle, source thread) with an exact
-witness equation on base points.  The witness construction for dynamic
-asymptotic dimension one picks two words, covers the unit space by the
+The witness construction picks two words, covers the unit space by the
 shifted cylinders of one word and the complement, and bounds how many
 cocycle jumps a chain can make while staying on one side: the cylinder
 union forms a barrier wider than any single jump, and recurrence forces
-the orbit into it.
+the orbit into it.  The witness and its check read words alone and never
+touch the cover.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import combinations, groupby, product
-from typing import TYPE_CHECKING
 
-from .quadratics import QuadraticIrrational, _Record, check_unit_interval
-from .words import Word, _orbit_point, _zero_words, language, recurrence_bound
-
-if TYPE_CHECKING:  # the witness and its check never touch the cover
-    from .cover import Thread
-
-
-class Arrow(_Record):
-    """Groupoid arrow: target <- source with integer cocycle.
-
-    The witness (k, l) certifies shift^k(target base) = shift^l(source
-    base) and cocycle = k - l; the equation is checked exactly.
-    """
-
-    __slots__ = ("target", "cocycle", "source", "witness")  # Thread, int, Thread, (k, l)
-
-    def _check(self):
-        k, l = self.witness
-        if k < 0 or l < 0 or k - l != self.cocycle:
-            raise ValueError("witness must consist of naturals with k - l = cocycle")
-        if not self.target.base.shift(k).denotes_same(self.source.base.shift(l)):
-            raise ValueError("witness equation fails on base points")
-
-    def inverse(self) -> "Arrow":
-        k, l = self.witness
-        return Arrow(self.source, -self.cocycle, self.target, (l, k))
-
-
-def unit(th: Thread) -> Arrow:
-    return Arrow(th, 0, th, (0, 0))
-
-
-def compose(a: Arrow, b: Arrow) -> Arrow:
-    """(x, p, y)(y, q, z) = (x, p + q, z); the middle threads must agree."""
-    if a.source != b.target:
-        raise ValueError("arrows are not composable")
-    (k, l), (m, n) = a.witness, b.witness
-    return Arrow(a.target, a.cocycle + b.cocycle, b.source, (k + m, l + n))
-
-
-class BisectionReport(_Record):
-    """The one-shift bisection on the isolated part of the cover.
-
-    Arrows run from the section of each point nu.1.omega one step forward;
-    sources exhaust those sections while the range misses exactly the
-    section of 1.omega.
-    """
-
-    __slots__ = ("arrows", "sources_distinct", "range_omits_one_omega")  # tuple[Arrow, ...], bool, bool
-
-    @property
-    def cocycles_all_one(self) -> bool:
-        return all(a.cocycle == 1 for a in self.arrows)
-
-
-def bisection_arrows(
-    alpha: QuadraticIrrational, K: int, L: int, nu_len_max: int
-) -> BisectionReport:
-    """Truncated arrow family of the bisection; the report checks that the sources are
-    distinct and that no target, a section of nu.1.omega with |nu| >= 1, is that of 1.omega."""
-    from .cover import thread_of
-
-    check_unit_interval(alpha)
-    if nu_len_max < 1:
-        raise ValueError("need nu_len_max >= 1")
-    chain = [thread_of(alpha, _orbit_point(alpha, -j, "R"), K, L) for j in range(nu_len_max + 1)]
-    arrows = [Arrow(chain[j], 1, chain[j - 1], (1, 0)) for j in range(1, nu_len_max + 1)]
-    sources = [a.source for a in arrows]
-    distinct = len(set(sources)) == len(sources)
-    return BisectionReport(tuple(arrows), distinct, chain[0] not in {a.target for a in arrows})
-
-
-# -- the two-set witness ----------------------------------------------------
+from .quadratics import QuadraticIrrational, _Record
+from .words import Word, _zero_words, language, recurrence_bound
 
 
 class DadWitness(_Record):

@@ -31,13 +31,14 @@ def check_word(mu: Word) -> Word:
     return mu
 
 
-class _Point(_Record):
-    """A circle point (a + b*alpha)/c in [0, 1) with its coding variant.
+class OrbitPoint(_Record):
+    """An element of the one-sided subshift: a circle point in [0, 1) with its coding variant.
 
-    The triple is canonical: c > 0, gcd(a, b, c) = 1 and 0 <= a + b*alpha < c,
-    so equal points have equal fields.  The constructor reads the circle
-    point t as the field reads an operand (`QuadraticIrrational._operand`):
-    an int, a Fraction or a QuadraticIrrational of alpha's field.
+    The point is (a + b*alpha)/c, and the triple is canonical: c > 0,
+    gcd(a, b, c) = 1 and 0 <= a + b*alpha < c, so equal points have equal
+    fields.  The constructor reads the circle point t as the field reads an
+    operand (`QuadraticIrrational._operand`): an int, a Fraction or a
+    QuadraticIrrational of alpha's field.
     """
 
     __slots__ = ("alpha", "a", "b", "c", "variant")
@@ -75,12 +76,6 @@ class _Point(_Record):
     def shift(self, k: int = 1):
         return self._at((self.alpha, self.a, self.b + k * self.c, self.c, self.variant))
 
-
-class OrbitPoint(_Point):
-    """An element of the one-sided subshift: circle point plus coding variant."""
-
-    __slots__ = ()
-
     def hits_coding_boundary(self) -> bool:
         """True iff the forward rotation orbit of t meets {0, 1-alpha}.
 
@@ -109,16 +104,6 @@ class OrbitPoint(_Point):
         return "backward", 1 - self.b
 
 
-class TwoSidedPoint(_Point):
-    """A bi-infinite coding; same data as OrbitPoint, indices range over Z."""
-
-    __slots__ = ()
-
-    def restrict(self) -> OrbitPoint:
-        """The nonnegative-index part."""
-        return OrbitPoint._at((self.alpha, self.a, self.b, self.c, self.variant))
-
-
 def _orbit_point(alpha: QuadraticIrrational, b: int, variant: Variant) -> OrbitPoint:
     """The point b*alpha (mod 1), sigma^(b-1)(omega) for b >= 1 and else 1 - b shifts
     behind omega: the inverse of `OrbitPoint.orbit_position`.  alpha and variant are trusted."""
@@ -141,14 +126,14 @@ def _letters(alpha: QuadraticIrrational, variant: Variant, a: int, k: int, c: in
         edge = nxt
 
 
-def code_letter(x: _Point, i: int) -> str:
-    """Letter of the coding at index i (i >= 0 for one-sided points)."""
-    if isinstance(x, OrbitPoint) and i < 0:
+def code_letter(x: OrbitPoint, i: int) -> str:
+    """Letter of the coding at index i >= 0."""
+    if i < 0:
         raise ValueError("one-sided codings have nonnegative indices")
     return next(coding(x, i))
 
 
-def coding(x: _Point, i: int = 0) -> Iterator[str]:
+def coding(x: OrbitPoint, i: int = 0) -> Iterator[str]:
     """The letters of the coding of x from index i on, one floor each."""
     return _letters(x.alpha, x.variant, x.a, x.b + i * x.c, x.c)
 
@@ -156,13 +141,6 @@ def coding(x: _Point, i: int = 0) -> Iterator[str]:
 def code_word(x: OrbitPoint, n: int) -> Word:
     """First n letters of the coding of x."""
     return _word(coding(x), n)
-
-
-def two_sided_word(x: TwoSidedPoint, m: int, n: int) -> Word:
-    """Letters of the bi-infinite coding at indices m..n-1."""
-    if m > n:
-        raise ValueError("need m <= n")
-    return _word(coding(x, m), n - m)
 
 
 def _word(letters: Iterator[str], n: int) -> Word:
@@ -189,7 +167,7 @@ def _zero_words(alpha: QuadraticIrrational, n: int) -> tuple[Word, Word]:
 # -- arcs and the cylinder structure ---------------------------------------
 
 
-def _precedes(x: _Point, y: _Point) -> bool:
+def _precedes(x: OrbitPoint, y: OrbitPoint) -> bool:
     """Whether x < y in [0, 1) for two points of one parameter: the sign of x - y, one floor."""
     return _floor(x.alpha, x.a * y.c - y.a * x.c, x.b * y.c - y.b * x.c, x.c * y.c) < 0
 
@@ -261,10 +239,6 @@ def cylinder_arc(alpha: QuadraticIrrational, mu: Word) -> Optional[Arc]:
     return None if lo < 0 else Arc(alpha, n - lo, n - v.find(mu))
 
 
-def is_admissible(alpha: QuadraticIrrational, mu: Word) -> bool:
-    return cylinder_arc(alpha, mu) is not None
-
-
 def language(alpha: QuadraticIrrational, n: int) -> frozenset[Word]:
     """All admissible words of length n; always n+1 of them for n >= 1.
 
@@ -278,13 +252,6 @@ def language(alpha: QuadraticIrrational, n: int) -> frozenset[Word]:
     if len(words) != (n + 1 if n >= 1 else 1):
         raise RuntimeError("factor complexity violated; arithmetic bug")
     return words
-
-
-def left_extensions(alpha: QuadraticIrrational, w: Word) -> frozenset[str]:
-    """Letters a with a+w admissible; w itself must be admissible."""
-    if not is_admissible(alpha, w):
-        raise ValueError(f"word is not admissible: {w!r}")
-    return frozenset(a for a in "01" if is_admissible(alpha, a + w))
 
 
 def branch_point(alpha: QuadraticIrrational) -> OrbitPoint:

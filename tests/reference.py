@@ -19,8 +19,6 @@ three enumerations of the same object:
 - the partition table, which sorts the cut points -i*alpha and codes the
   midpoint of every cell;
 - thread identity as the whole projected family over the truncated grid;
-- the two-sided embedding choosing its fibre element by the letter read
-  at the point 0 behind an orbit point;
 - the quotient built from representatives of that partition plus the
   branch orbit, cross-checked by seeded random samples, and built from
   the language plus one class per coded branch-orbit point;
@@ -50,15 +48,10 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 
-from sturmian.cover import EqClass, IndexPair, construct_fibre_element, eq_class, q_map, thread_of
+from sturmian.cover import EqClass, IndexPair, eq_class, q_map
 from sturmian.groupoid import WitnessCheck
 from sturmian.quadratics import ContinuedFraction
-from sturmian.words import (
-    OrbitPoint,
-    branch_point,
-    is_admissible,
-    language,
-)
+from sturmian.words import OrbitPoint, branch_point, cylinder_arc, language
 from sturmian.words import coding as letters
 
 
@@ -140,10 +133,6 @@ def code_word(x, n):
 
 def code_letter(x, i):
     return letter(x.alpha, shift(x, i), x.variant)
-
-
-def two_sided_word(x, m, n):
-    return code_word(OrbitPoint(x.alpha, shift(x, m), x.variant), n - m)
 
 
 def past_set(x, l):
@@ -312,23 +301,6 @@ def thread_family(th):
     return th.K, th.L, tuple((idx, q_map(th.top, idx)) for idx in levels)
 
 
-def two_sided_embed(alpha, x, K, L):
-    """The thread over a two-sided point, its fibre element picked by letters.
-
-    On the forward orbit, sigma^n(omega) with omega = alpha, the letter at
-    index -(n + 1) codes the point 0 and selects the backward chain; on the
-    backward orbit the chain is forced by the variant.
-    """
-    plus = x.restrict()
-    pos = orbit_position(alpha, x.t)
-    if pos is None:
-        return thread_of(alpha, plus, K, L)
-    kind, n = pos
-    if kind == "forward":
-        return construct_fibre_element(alpha, plus, code_letter(x, -(n + 1)), K, L)
-    return construct_fibre_element(alpha, plus, "0" if x.variant == "L" else "1", K, L)
-
-
 def sampled_quotient(alpha, idx):
     """Classes of partition and branch-orbit representatives at idx.
 
@@ -378,7 +350,7 @@ def chain_candidates(alpha, prefix, n):
     branch-orbit point, or to None for a singleton past."""
     singles = {prefix}
     for _ in range(n):
-        singles = {a + w for w in singles for a in "01" if is_admissible(alpha, a + w)}
+        singles = {a + w for w in singles for a in "01" if cylinder_arc(alpha, a + w) is not None}
     out = {(prefix, frozenset({w})): None for w in singles}
     om = branch_point(alpha)
     window = code_word(om, 2 * n)

@@ -27,11 +27,13 @@ from sturmian.words import (
 from sturmian.cover import (
     IndexPair,
     eq_class,
+    fibre,
     fibre_report,
     index_leq,
     property_star_witness,
     q_map,
     quotient,
+    shift_thread,
 )
 from sturmian.groupoid import check_witness, dad_witness, degenerate_cover_chain
 from sturmian.invariants import conjugate, flow_equivalent
@@ -206,3 +208,15 @@ def test_criterion_10_deciders():
             for b in corpus:
                 if conjugate(a, b):
                     assert flow_equivalent(a, b)
+
+
+def test_criterion_11_shift_carries_fibres():
+    with criterion(11, "shift_thread maps the fibres over preimages(y) onto the fibre over y, (K,L)=(4,10)", 5.0):
+        for alpha in TWO_PARAMETERS:
+            om = branch_point(alpha)
+            points = [om.shift(j) for j in range(4)]
+            points += [OrbitPoint(alpha, alpha * (1 - m), var) for m in range(1, 4) for var in ("L", "R")]
+            points += [OrbitPoint(alpha, t, "L") for t in (Fraction(1, 2), Fraction(2, 5))]
+            for y in points:
+                image = {shift_thread(th) for x in preimages(y) for th in fibre(alpha, x, 5, 10)}
+                assert image == fibre(alpha, y, 4, 10)

@@ -11,18 +11,8 @@ from fractions import Fraction
 import pytest
 
 from sturmian.cover import EqClass, IndexPair, Thread, construct_fibre_element, shift_thread, thread_of
-from sturmian.groupoid import bisection_arrows
 from sturmian.quadratics import QuadraticIrrational
-from sturmian.words import (
-    OrbitPoint,
-    TwoSidedPoint,
-    _first_entry,
-    branch_point,
-    code_word,
-    language,
-    past_set,
-    two_sided_word,
-)
+from sturmian.words import OrbitPoint, _first_entry, branch_point, code_word, language, past_set
 
 FIB = QuadraticIrrational(3, -1, 5, 2)
 OM = branch_point(FIB)
@@ -39,11 +29,9 @@ CHECKS = {
     "past letter": (lambda: construct_fibre_element(FIB, OM, "2", 1, 3), ValueError, "'0' or '1'"),
     "variant": (lambda: OrbitPoint(FIB, Fraction(1, 2), "X"), ValueError, "variant must be"),
     "code_word length": (lambda: code_word(OM, -1), ValueError, "nonnegative"),
-    "two_sided_word order": (lambda: two_sided_word(TwoSidedPoint(FIB, 0), 2, 1), ValueError, "m <= n"),
     "language length": (lambda: language(FIB, -1), ValueError, "nonnegative"),
     "past_set depth": (lambda: past_set(OM, -1), ValueError, "nonnegative"),
     "empty arc": (lambda: _first_entry(HALF, HALF), ValueError, "no cut point"),
-    "nu_len_max": (lambda: bisection_arrows(FIB, 1, 3, 0), ValueError, "nu_len_max >= 1"),
     "radicand": (lambda: QuadraticIrrational(1, 1, -5, 2), ValueError, "radicand must be positive"),
 }
 

@@ -10,9 +10,9 @@ from sturmian import cover, words
 from sturmian.quadratics import QuadraticIrrational, cf_value, parse_cf, parse_quad
 from sturmian.words import (
     OrbitPoint,
-    TwoSidedPoint,
     branch_point,
     code_word,
+    cylinder_arc,
     language,
     past_set,
     recurrence_bound,
@@ -21,27 +21,25 @@ from sturmian.cover import (
     EqClass,
     IndexPair,
     Thread,
-    UnresolvedTruncationError,
     construct_fibre_element,
     eq_class,
     expected_fibre_size,
     fibre,
     fibre_report,
     index_leq,
-    is_isolated,
     property_star_witness,
     q_map,
     quotient,
     shift_map,
     shift_thread,
     thread_of,
-    two_sided_embed,
 )
 from sturmian.cover import _classes, _death_depths
 from sturmian.words import _zero_words
 
 import reference
 from reference import chain_candidates, death_depths_by_walk, sampled_quotient, thread_family
+from test_kernel import cf_parameters
 
 FIB = QuadraticIrrational(3, -1, 5, 2)
 SQRT2M1 = QuadraticIrrational(-1, 1, 2, 1)
@@ -202,15 +200,13 @@ class TestQuotient:
         # [0, k): every past word is admissible, and the branch the point
         # actually came through agrees with the prefix on the overlap
         # (the other branch's word may differ there)
-        from sturmian.words import is_admissible
-
         for idx in [(1, 2), (2, 4), (3, 3)]:
             k, l = idx
             m = min(k, l)
             for c in quotient(FIB, idx).classes:
                 assert 1 <= len(c.past) <= 2
-                assert is_admissible(FIB, c.prefix)
-                assert all(is_admissible(FIB, w) for w in c.past)
+                assert cylinder_arc(FIB, c.prefix) is not None
+                assert all(cylinder_arc(FIB, w) is not None for w in c.past)
                 assert any(w[l - m :] == c.prefix[k - m :] for w in c.past)
 
 
@@ -410,6 +406,24 @@ class TestFibre:
         r = fibre_report(FIB, OM, 2, 6)
         assert r.resolved and r.count == 3
 
+    @settings(max_examples=45, deadline=2000)
+    @given(
+        alpha=cf_parameters(period_digits=st.integers(1, 40)),
+        j=st.integers(0, 7),
+        m=st.integers(1, 3),
+        t=st.fractions(0, 1, max_denominator=50).filter(lambda t: t.denominator > 1),
+    )
+    def test_counts_over_cf_parameters(self, alpha, j, m, t):
+        # the cover theorem's 3/2/1 for sigma^j(omega), both codings of a point m
+        # shifts behind omega, and a rational point, off the orbit of 0; (3, 8)
+        # separates the fibres of the points with j < L = 8 and m <= K = 3
+        om = branch_point(alpha)
+        cases = [(om.shift(j), 3), (OrbitPoint(alpha, t), 1)]
+        cases += [(OrbitPoint(alpha, alpha * (1 - m), var), 2) for var in "LR"]
+        for x, count in cases:
+            r = fibre_report(alpha, x, 3, 8)
+            assert r.count == r.expected == count and r.resolved
+
     def test_candidates_streamed(self):
         # the classes at (n0, 2n0) without x's prefix are dropped as they are
         # built: holding all 5*n0 + 1 of them peaked at about 20 MB here; a
@@ -466,26 +480,6 @@ class TestFibreFloorCounts:
         assert counts[1] <= 2 * counts[0]
 
 
-class TestIsolation:
-    def test_section_of_branch_orbit_is_isolated(self):
-        assert is_isolated(FIB, thread_of(FIB, OM, 2, 6))
-        assert is_isolated(FIB, thread_of(FIB, OM.shift(2), 2, 6))
-        assert is_isolated(FIB, thread_of(FIB, OrbitPoint(FIB, 0, "R"), 2, 6))
-
-    def test_constructed_elements_are_not(self):
-        assert not is_isolated(FIB, construct_fibre_element(FIB, OM, "0", 2, 6))
-        zero = OrbitPoint(FIB, 0, "L")
-        assert not is_isolated(FIB, construct_fibre_element(FIB, zero, "0", 2, 6))
-
-    def test_generic_is_not(self):
-        assert not is_isolated(FIB, thread_of(FIB, HALF, 2, 6))
-
-    def test_truncation_too_small(self):
-        th = thread_of(FIB, OM.shift(4), 1, 3)
-        with pytest.raises(UnresolvedTruncationError):
-            is_isolated(FIB, th)
-
-
 class TestIsolatedDensity:
     def test_every_class_has_branch_orbit_representative(self):
         idx = IndexPair(2, 4)
@@ -497,54 +491,6 @@ class TestIsolatedDensity:
             orbit.append(OrbitPoint(FIB, FIB * (-i), "R"))
         for c in q.classes:
             assert any(eq_class(FIB, z, idx) == c for z in orbit)
-
-
-class TestTwoSidedEmbed:
-    def test_generic(self):
-        x = TwoSidedPoint(FIB, Fraction(1, 2), "L")
-        assert two_sided_embed(FIB, x, 2, 6) == thread_of(FIB, HALF, 2, 6)
-
-    def test_branch_with_zero_past(self):
-        x = TwoSidedPoint(FIB, FIB, "L")
-        assert two_sided_embed(FIB, x, 2, 6) == construct_fibre_element(FIB, OM, "0", 2, 6)
-
-    def test_branch_with_one_past(self):
-        x = TwoSidedPoint(FIB, FIB, "R")
-        assert two_sided_embed(FIB, x, 2, 6) == construct_fibre_element(FIB, OM, "1", 2, 6)
-
-    def test_backward_orbit(self):
-        x = TwoSidedPoint(FIB, 0, "R")
-        plus = OrbitPoint(FIB, 0, "R")
-        assert two_sided_embed(FIB, x, 2, 6) == construct_fibre_element(FIB, plus, "1", 2, 6)
-
-    def test_shift_equivariance(self):
-        for t, var in [(Fraction(3, 8), "L"), (FIB, "L"), (Fraction(0), "R")]:
-            x = TwoSidedPoint(FIB, t, var)
-            left = two_sided_embed(FIB, x.shift(), 2, 6)
-            right = shift_thread(two_sided_embed(FIB, x, 3, 6))
-            assert left == right
-
-    def test_never_isolated(self):
-        for t, var in [(Fraction(1, 5), "L"), (FIB, "L"), (Fraction(0), "L")]:
-            th = two_sided_embed(FIB, TwoSidedPoint(FIB, t, var), 2, 6)
-            assert not is_isolated(FIB, th)
-
-    @pytest.mark.parametrize(
-        "alpha",
-        [FIB, QuadraticIrrational(-7, 1, 61, 3), CF_2_3, QuadraticIrrational(-999, 1, 1000003, 2)],
-    )
-    def test_chain_rule_matches_letter_reading(self, alpha):
-        # the fibre element follows chain x.variant on the orbit; the oracle
-        # reads the letter at the point 0 behind the point instead
-        points = [alpha * b for b in range(-8, 9)]
-        points += [Fraction(1, 2), Fraction(3, 7), Fraction(1, 3) + alpha / 2, 1 - alpha / 5]
-        for t in points:
-            for var in "LR":
-                x = TwoSidedPoint(alpha, t, var)
-                for K, L in [(0, 1), (2, 6), (4, 9)]:
-                    th = two_sided_embed(alpha, x, K, L)
-                    old = reference.two_sided_embed(alpha, x, K, L)
-                    assert th == old and th.top == old.top
 
 
 class TestChainConnectingMap:
@@ -759,10 +705,8 @@ class TestForeignPoint:
     CALLS = {
         "eq_class": lambda x: eq_class(SQRT2M1, x, (1, 2)),
         "thread_of": lambda x: thread_of(SQRT2M1, x, 3, 6),
-        "two_sided_embed": lambda x: two_sided_embed(SQRT2M1, TwoSidedPoint(FIB, x.t, x.variant), 3, 6),
         "fibre": lambda x: fibre(SQRT2M1, x, 3, 6),
         "fibre_report": lambda x: fibre_report(SQRT2M1, x, 3, 6),
-        "is_isolated": lambda x: is_isolated(SQRT2M1, thread_of(FIB, x, 3, 6)),
         "class_of": lambda x: quotient(SQRT2M1, (1, 2)).class_of(x),
     }
 

@@ -1,5 +1,4 @@
 import json
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -7,23 +6,13 @@ from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from sturmian.quadratics import QuadraticIrrational, parse_quad
-from sturmian.words import (
-    OrbitPoint,
-    branch_point,
-    language,
-    recurrence_bound,
-)
-from sturmian.cover import thread_of
+from sturmian.words import language, recurrence_bound
 from sturmian.groupoid import (
-    Arrow,
     DadWitness,
     NoWitnessError,
-    bisection_arrows,
     check_witness,
-    compose,
     dad_witness,
     degenerate_cover_chain,
-    unit,
 )
 
 import reference
@@ -38,75 +27,6 @@ SEARCHED = [FIB, SQRT2M1, QuadraticIrrational(-1, 1, 13, 6), QuadraticIrrational
 # (mu, nu, beta_mu, beta_nu) or null for no witness; recorded from the search before it took
 # two substring tests per pair
 PINNED = json.loads((Path(__file__).parent / "dad_pinned.json").read_text())
-OM = branch_point(FIB)
-
-
-def orbit_arrow(j, K=2, L=5):
-    """Cocycle-one arrow with range iota(sigma^j omega), source one step on."""
-    rng = thread_of(FIB, OM.shift(j), K, L)
-    src = thread_of(FIB, OM.shift(j + 1), K, L)
-    return Arrow(rng, 1, src, (1, 0))
-
-
-class TestArrows:
-    def test_witness_validation(self):
-        th = thread_of(FIB, OM, 2, 5)
-        with pytest.raises(ValueError):
-            Arrow(th, 1, th, (1, 0))  # omega is aperiodic
-        with pytest.raises(ValueError):
-            Arrow(th, 2, th, (1, 0))  # cocycle mismatch
-
-    def test_inverse_cancels(self):
-        g = orbit_arrow(0)
-        assert compose(g, g.inverse()) == Arrow(g.target, 0, g.target, (1, 1))
-        assert compose(g.inverse(), g) == Arrow(g.source, 0, g.source, (1, 1))
-
-    def test_units(self):
-        g = orbit_arrow(0)
-        assert compose(g, unit(g.source)) == g
-        assert compose(unit(g.target), g) == g
-
-    def test_cocycle_additivity(self):
-        assert compose(orbit_arrow(0), orbit_arrow(1)).cocycle == 2
-
-    def test_associativity(self):
-        g, h, k = orbit_arrow(0), orbit_arrow(1), orbit_arrow(2)
-        assert compose(compose(g, h), k) == compose(g, compose(h, k))
-
-    def test_composability_check(self):
-        g = orbit_arrow(0)
-        with pytest.raises(ValueError):
-            compose(g, g)
-
-    def test_threads_of_two_parameters_do_not_compose(self):
-        fib, s2 = (thread_of(alpha, branch_point(alpha), 2, 3) for alpha in (FIB, SQRT2M1))
-        with pytest.raises(ValueError, match="arrows are not composable"):
-            compose(unit(fib), unit(s2))
-
-    def test_principal_on_units(self):
-        # an arrow with equal source and target must have cocycle zero:
-        # any nonzero witness fails the aperiodicity of base points
-        th = thread_of(FIB, OrbitPoint(FIB, Fraction(1, 2)), 2, 5)
-        assert unit(th).cocycle == 0
-        for k, l in [(1, 0), (2, 1), (3, 1)]:
-            if k != l:
-                with pytest.raises(ValueError):
-                    Arrow(th, k - l, th, (k, l))
-
-
-class TestBisection:
-    def test_report(self):
-        rep = bisection_arrows(FIB, 2, 5, 6)
-        assert len(rep.arrows) == 6
-        assert rep.sources_distinct
-        assert rep.range_omits_one_omega
-        assert rep.cocycles_all_one
-
-    def test_sources_cover_the_chain(self):
-        rep = bisection_arrows(FIB, 2, 5, 4)
-        sources = {a.source for a in rep.arrows}
-        chain = {thread_of(FIB, OrbitPoint(FIB, FIB * (-j), "R"), 2, 5) for j in range(4)}
-        assert sources == chain
 
 
 class TestDadWitness:
@@ -282,12 +202,3 @@ def test_one_word_scan_matches_window_scan(data, alpha, values):
             set(range(limit + 1)), jumps
         )
 
-
-class TestChainModelSpotCheck:
-    def test_thread_level_concatenation_matches_word_model(self):
-        # compose three cocycle-one arrows along the branch orbit and check
-        # the accumulated cocycle equals the word-model jump total
-        g = compose(compose(orbit_arrow(0), orbit_arrow(1)), orbit_arrow(2))
-        assert g.cocycle == 3
-        assert g.target.base.denotes_same(OM)
-        assert g.source.base.denotes_same(OM.shift(3))

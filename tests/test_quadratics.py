@@ -641,6 +641,14 @@ def test_blocked_fold_matches_one_digit_fold():
                 i = rng.randrange(len(w))
                 near = (*w[:i], w[i] + rng.choice((-1, 1)), *w[i + 1 :])
                 assert quadratics._fold(near) == reference_matrix(near)
+    # periods whose split stands late among the places of their largest digit,
+    # and a rotation of each, whose split moves
+    for lit in ("quad:-1957,2,959929,4", "quad:2941,-3,959558,3", "quad:-705,3,55657,4"):
+        w = cf_expand(parse_quad(lit)).period
+        for v in (w, w[7:] + w[:7]):
+            with mock.patch.object(quadratics, "_matrix", wraps=quadratics._matrix) as fold:
+                assert quadratics._fold(v) == reference_matrix(v)
+            assert sum(len(call.args[0]) for call in fold.call_args_list) <= len(v) // 2
 
 
 @pytest.mark.parametrize("x", TAILS, ids=str)
@@ -678,8 +686,13 @@ class TestFoldedDigitCounts:
             (LONGEST, [999, 497, 2]),  # 2,994 digits: palindromes of 1,999 and 995
             (parse_quad("quad:-3,1,2609,9"), [150, 1]),  # 150 digits, no axis
             (parse_quad("quad:-5,1,37,4"), [3, 1]),  # [0; (3,1,2)], no axis
+            # splits past the first four places of the largest digit: the 15th, 5th and 9th
+            (parse_quad("quad:-1957,2,959929,4"), [446, 445, 1]),  # 1,784 digits: 893 and 891
+            (parse_quad("quad:2941,-3,959558,3"), [190, 381, 3]),  # 1,144 digits: 381 and 763
+            (parse_quad("quad:-705,3,55657,4"), [69, 78, 1]),  # 296 digits: 139 and 157
         ],
-        ids=["436", "2994", "150-asymmetric", "148-asymmetric"],
+        ids=["436", "2994", "150-asymmetric", "148-asymmetric", "1784-late-split", "1144-late-split",
+             "296-late-split"],
     )
     def test_digits_folded(self, x, counts):
         with mock.patch.object(quadratics, "_matrix", wraps=quadratics._matrix) as fold:

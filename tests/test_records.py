@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 
 from sturmian.quadratics import Moebius, QuadraticIrrational, cf_expand
-from sturmian.words import OrbitPoint, TwoSidedPoint, branch_point, cylinder_arc
+from sturmian.words import OrbitPoint, branch_point, cylinder_arc
 from sturmian.cover import EqClass, eq_class, fibre_report, quotient, thread_of
-from sturmian.groupoid import DadWitness, bisection_arrows, check_witness, dad_witness, unit
+from sturmian.groupoid import DadWitness, check_witness, dad_witness
 from sturmian.invariants import OrderedGroupDescriptor, compare_parameters
 
 FIB = QuadraticIrrational(3, -1, 5, 2)
@@ -40,11 +40,6 @@ RECORDS = {
         lambda: OrbitPoint(FIB, HALF, "R"),
         ("alpha", "a", "b", "c", "variant"),
     ),
-    "TwoSidedPoint": (
-        lambda: TwoSidedPoint(FIB, HALF),
-        lambda: TwoSidedPoint(FIB, Fraction(1, 3)),
-        ("alpha", "a", "b", "c", "variant"),
-    ),
     "Arc": (lambda: cylinder_arc(FIB, "01"), lambda: cylinder_arc(FIB, "10"), ("alpha", "lo_tag", "hi_tag")),
     "EqClass": (
         lambda: eq_class(FIB, branch_point(FIB), (2, 4)),
@@ -65,16 +60,6 @@ RECORDS = {
         lambda: thread_of(FIB, branch_point(FIB), 2, 4),
         lambda: thread_of(FIB, OrbitPoint(FIB, HALF), 2, 4),
         ("base", "K", "L", "top", "row"),
-    ),
-    "Arrow": (
-        lambda: unit(thread_of(FIB, branch_point(FIB), 2, 4)),
-        lambda: unit(thread_of(FIB, OrbitPoint(FIB, HALF), 2, 4)),
-        ("target", "cocycle", "source", "witness"),
-    ),
-    "BisectionReport": (
-        lambda: bisection_arrows(FIB, 2, 4, 2),
-        lambda: bisection_arrows(FIB, 2, 4, 3),
-        ("arrows", "sources_distinct", "range_omits_one_omega"),
     ),
     "DadWitness": (
         lambda: dad_witness(FIB, {1, 2}),
@@ -155,13 +140,6 @@ def test_copies_are_equal(name, round_trip):
 
 def test_quadratic_repr():
     assert repr(QuadraticIrrational(3, -1, 5, 2)) == "QuadraticIrrational(p=3, q=-1, d=5, r=2)"
-
-
-def test_one_sided_and_two_sided_points_differ():
-    x, y = OrbitPoint(FIB, HALF), TwoSidedPoint(FIB, HALF)
-    assert [getattr(x, f) for f in RECORDS["OrbitPoint"][2]] == [getattr(y, f) for f in RECORDS["OrbitPoint"][2]]
-    assert x != y and y != x
-    assert y.restrict() == x and hash(y.restrict()) == hash(x)
 
 
 def test_class_equality_ignores_the_representative():

@@ -3,7 +3,7 @@ import inspect
 from pathlib import Path
 
 import sturmian
-from sturmian import cover, quadratics, words
+from sturmian import cover, groupoid, quadratics, words
 
 SOURCES = sorted(Path(sturmian.__file__).parent.glob("*.py"))
 
@@ -298,3 +298,28 @@ def test_one_period_walk():
     assert not any(isinstance(n, (ast.Yield, ast.YieldFrom)) for n in ast.walk(trees["quadratics.py"]))
     assert _calls(functions["quadratics.py", "cf_expand"], "_period")
     assert _calls(functions["invariants.py", "flow_equivalent"], "_period")
+
+
+def _imports_cover(node) -> bool:
+    """Whether node imports sturmian.cover: `from .cover import ...`, `from . import cover`
+    or `import sturmian.cover`."""
+    if isinstance(node, ast.Import):
+        return any(a.name == "sturmian.cover" for a in node.names)
+    if not isinstance(node, ast.ImportFrom):
+        return False
+    module = ("." * node.level) + (node.module or "")
+    if module in (".cover", "sturmian.cover"):
+        return True
+    return module in (".", "sturmian") and any(a.name == "cover" for a in node.names)
+
+
+def test_groupoid_never_imports_the_cover():
+    # `dad` loads quadratics, words and groupoid alone: the witness and its
+    # check read words, so no import of the cover may stand anywhere in
+    # groupoid.py, at module level, inside a function or under TYPE_CHECKING
+    tree = ast.parse(inspect.getsource(groupoid))
+    found = [node.lineno for node in ast.walk(tree) if _imports_cover(node)]
+    assert found == [], found
+    planted = ["from .cover import thread_of", "from . import cover", "import sturmian.cover",
+               "from sturmian.cover import Thread"]
+    assert all(_imports_cover(ast.parse(line).body[0]) for line in planted)

@@ -8,18 +8,15 @@ from sturmian.quadratics import QuadraticIrrational, parse_quad
 from sturmian.words import (
     Arc,
     OrbitPoint,
-    TwoSidedPoint,
     _orbit_point,
     branch_point,
     code_letter,
     code_word,
     cylinder_arc,
     language,
-    left_extensions,
     past_set,
     preimages,
     recurrence_bound,
-    two_sided_word,
 )
 
 import reference
@@ -144,27 +141,13 @@ class TestLanguage:
 
 
 class TestLeftExtensions:
-    def test_examples(self):
-        assert left_extensions(FIB, "01") == {"0", "1"}
-        assert left_extensions(FIB, "00") == {"1"}
-        assert left_extensions(FIB, "") == {"0", "1"}
-
-    def test_inadmissible_errors(self):
-        with pytest.raises(ValueError):
-            left_extensions(FIB, "11")
-
-    @pytest.mark.parametrize("alpha", ALPHAS)
-    def test_matches_language_oracle(self, alpha):
-        for n in range(1, 7):
-            lang_next = language(alpha, n + 1)
-            for w in language(alpha, n):
-                assert left_extensions(alpha, w) == {a for a in "01" if a + w in lang_next}
-
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_unique_left_special_factor(self, alpha):
+        # the left extensions of w are the letters a with a + w in the next language
         om = branch_point(alpha)
         for n in range(1, 25):
-            special = [w for w in language(alpha, n) if len(left_extensions(alpha, w)) == 2]
+            lang_next = language(alpha, n + 1)
+            special = [w for w in language(alpha, n) if {"0" + w, "1" + w} <= lang_next]
             assert special == [code_word(om, n)]
 
 
@@ -286,30 +269,11 @@ class TestRecurrence:
                     assert any(mu not in w for w in language(FIB, beta - 1))
 
 
-class TestTwoSided:
-    def test_restriction_matches_code_word(self):
-        x = TwoSidedPoint(FIB, Fraction(1, 2), "L")
-        assert two_sided_word(x, 0, 12) == code_word(x.restrict(), 12)
-
-    def test_shift_commutes(self):
-        x = TwoSidedPoint(FIB, Fraction(3, 8), "L")
-        assert two_sided_word(x.shift(), -3, 5) == two_sided_word(x, -2, 6)
-
-    def test_negative_window_at_branch(self):
-        x = TwoSidedPoint(FIB, FIB, "L")
-        assert two_sided_word(x, -2, 0) == "10"
-        assert two_sided_word(x, -2, 0) == code_letter(x, -2) + code_letter(x, -1)
-
-    def test_empty_window(self):
-        assert two_sided_word(TwoSidedPoint(FIB, Fraction(1, 3)), 4, 4) == ""
-
-
 class TestPointConstruction:
-    @pytest.mark.parametrize("cls", [OrbitPoint, TwoSidedPoint])
     @pytest.mark.parametrize("t", [0.5, 0.25])
-    def test_inexact_point_rejected(self, cls, t):
+    def test_inexact_point_rejected(self, t):
         with pytest.raises(TypeError):
-            cls(FIB, t)
+            OrbitPoint(FIB, t)
 
 
 class TestCodingArcConsistency:
