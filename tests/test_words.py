@@ -270,10 +270,11 @@ class TestRecurrence:
 
 
 class TestPointConstruction:
+    @pytest.mark.parametrize("cls", [OrbitPoint])
     @pytest.mark.parametrize("t", [0.5, 0.25])
-    def test_inexact_point_rejected(self, t):
+    def test_inexact_point_rejected(self, cls, t):
         with pytest.raises(TypeError):
-            OrbitPoint(FIB, t)
+            cls(FIB, t)
 
 
 class TestCodingArcConsistency:
