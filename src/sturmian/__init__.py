@@ -25,9 +25,7 @@ _EXPORTS = {
         "expected_fibre_size", "fibre", "fibre_report", "index_leq", "property_star_witness",
         "q_map", "quotient", "shift_map", "shift_thread", "thread_of",
     ),
-    "groupoid": (
-        "DadWitness", "NoWitnessError", "check_witness", "dad_witness", "degenerate_cover_chain",
-    ),
+    "groupoid": ("DadWitness", "check_witness", "dad_witness", "degenerate_cover_chain"),
     "invariants": (
         "InvariantReport", "OrderedGroupDescriptor", "compare_parameters", "conjugate",
         "flow_equivalent",

@@ -149,13 +149,9 @@ def _run_fibre(args: argparse.Namespace) -> int:
 
 
 def _run_dad(args: argparse.Namespace) -> int:
-    from .groupoid import NoWitnessError, check_witness, dad_witness, degenerate_cover_chain
+    from .groupoid import check_witness, dad_witness, degenerate_cover_chain
 
-    try:
-        w = _blame("F", dad_witness, args.alpha, args.F)
-    except NoWitnessError as e:  # a verification failure, not a usage error
-        print(f"error: F: {e}", file=sys.stderr)
-        return 1
+    w = _blame("F", dad_witness, args.alpha, args.F)
     window = w.min_window if args.window is None else args.window
     chk = _blame("window", check_witness, args.alpha, w, window)
     degenerate = degenerate_cover_chain(args.alpha, args.F, window)

@@ -327,9 +327,12 @@ class FibreReport(_Record):
 
 
 def fibre_report(alpha: QuadraticIrrational, x: OrbitPoint, K: int, L: int) -> FibreReport:
-    pos = x.orbit_position()
-    dist = 0 if pos is None else pos[1]
-    min_K, min_L = dist + 1, dist + 3
+    """The fibre over x and the least truncation (min_K, min_L) that resolves it: for
+    x = b*alpha (mod 1) the chains split from the section at a level (k, L), k <= K,
+    where the section's past has two words, 1 <= b + k <= L."""
+    side, n = x.orbit_position() or ("off", -1)
+    # (0, j + 1) for sigma^j(omega), (m, m) m shifts behind it, (0, 0) off the orbit
+    min_K, min_L = (n, n) if side == "backward" else (0, n + 1)
     threads = fibre(alpha, x, K, L)
     return FibreReport(x, K, L, frozenset(threads), expected_fibre_size(x), min_K, min_L)
 

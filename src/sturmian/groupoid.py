@@ -11,7 +11,7 @@ touch the cover.
 from __future__ import annotations
 
 import math
-from itertools import combinations, groupby, product
+from itertools import combinations, count, groupby, product
 
 from .quadratics import QuadraticIrrational, _Record
 from .words import Word, _zero_words, language, recurrence_bound
@@ -22,8 +22,9 @@ class DadWitness(_Record):
 
     The first set is the preimage of the union of cylinders of the left
     shifts sigma^j(mu) for j < lbar; the second is its complement.  The
-    words mu and nu have length 2*lbar with distinct length-lbar suffixes
-    and disjoint shift cylinders: mu[lbar-1:] is not in nu, nor nu[lbar-1:] in mu.
+    words mu and nu have one length m >= 2*lbar, distinct suffixes mu[lbar:]
+    and nu[lbar:], and disjoint shift cylinders: mu[lbar-1:] is not in nu,
+    nor nu[lbar-1:] in mu.
     """
 
     __slots__ = ("cocycle_values", "mu", "nu", "beta_mu", "beta_nu")
@@ -39,11 +40,7 @@ class DadWitness(_Record):
     @property
     def min_window(self) -> int:
         """The shortest window check_witness accepts."""
-        return 2 * self.lbar * max(self.beta_mu, self.beta_nu)
-
-
-class NoWitnessError(RuntimeError):
-    """No pair of words of length 2*lbar has disjoint shift cylinders."""
+        return len(self.mu) * max(self.beta_mu, self.beta_nu)
 
 
 def _cocycle_values(values) -> tuple[int, ...]:
@@ -57,25 +54,31 @@ def _cocycle_values(values) -> tuple[int, ...]:
 def dad_witness(alpha: QuadraticIrrational, values) -> DadWitness:
     """Build the deterministic two-set witness for the given cocycle values.
 
-    The words are the lexicographically first pair (suffixes, then their
-    left-extensions to length m = 2*lbar, grouped from the one language of
-    length m) whose shifted cylinders are disjoint; not every suffix pair
-    admits disjoint extensions.  For any m >= lbar, a pair is disjoint
+    The words have the least length m >= 2*lbar at which two words of the
+    language have disjoint shifted cylinders, and are the first such pair
+    in the order of their suffixes mu[lbar:], then of the words; each
+    length reads one language.  For any m >= lbar, a pair is disjoint
     exactly when mu[lbar-1:] is not in nu and nu[lbar-1:] is not in mu.
     Proof: for j >= i the cylinders of mu[j:] and nu[i:] meet exactly when
     mu[j:] occurs in nu at i, and then so does its suffix t = mu[lbar-1:];
     conversely t has m - lbar + 1 letters, so it occurs only at some
     p <= lbar - 1, the pair (lbar - 1, p).  The case i >= j is symmetric.
+
+    The search ends: a nu excluded for mu shares mu[lbar:], contains
+    mu[lbar-1:] or has nu[lbar-1:] in mu, so it extends one of at most lbar
+    factors of mu by at most lbar letters.  A factor has at most r + 1
+    extensions by r letters, so the excluded nu are bounded in lbar alone,
+    while the language of length m has m + 1 words.
     """
     values = _cocycle_values(values)
     lbar = values[-1]
-    words = sorted(language(alpha, 2 * lbar), key=lambda w: (w[lbar:], w))
-    extensions = [list(group) for _, group in groupby(words, lambda w: w[lbar:])]
-    for mus, nus in combinations(extensions, 2):
-        for mu, nu in product(mus, nus):
-            if mu[lbar - 1 :] not in nu and nu[lbar - 1 :] not in mu:
-                return DadWitness(values, mu, nu, recurrence_bound(alpha, mu), recurrence_bound(alpha, nu))
-    raise NoWitnessError("no disjoint witness words at this length")
+    for m in count(2 * lbar):
+        words = sorted(language(alpha, m), key=lambda w: (w[lbar:], w))
+        extensions = [list(group) for _, group in groupby(words, lambda w: w[lbar:])]
+        for mus, nus in combinations(extensions, 2):
+            for mu, nu in product(mus, nus):
+                if mu[lbar - 1 :] not in nu and nu[lbar - 1 :] not in mu:
+                    return DadWitness(values, mu, nu, recurrence_bound(alpha, mu), recurrence_bound(alpha, nu))
 
 
 class WitnessCheck(_Record):
@@ -141,14 +144,14 @@ def check_witness(alpha: QuadraticIrrational, w: DadWitness, window: int) -> Wit
     longer than beta_mu on the complement side and beta_nu on the cylinder
     side.  The windows are those of the coding of 0 at indices
     -window..window-1, as in `language`; each reads its starts i..i + limit,
-    limit = window - 2*lbar, so the word is flagged once.  A chain spanning
+    limit = window - |mu|, so the word is flagged once.  A chain spanning
     at most limit positions lies in the window starting at its first
     position, or in the last one.
     """
     if window < w.min_window:
         raise ValueError(f"window must be at least {w.min_window}")
     word = _zero_words(alpha, window)[0]
-    limit = window - 2 * w.lbar
+    limit = window - len(w.mu)
     jumps = [v for v in w.cocycle_values if v >= 1]
     upos = _u_positions(w, word, window + limit)
     max_first, nxt = 0, len(upos)  # nxt: the first flag at or after s

@@ -87,10 +87,11 @@ class _Record:
     Equality and hash read one key, all fields unless the class sets `_key`,
     and records of different classes are never equal.  A subclass with empty
     __slots__ keeps its base's fields.  The positional constructor stores the
-    fields and validates them with `_check`; a copy or an unpickled record
+    fields; a class whose fields must be validated gives its own `__init__`,
+    which checks them and then calls `_fill`.  A copy or an unpickled record
     gets its fields back unchecked.  The trusted constructor `_at` takes the
-    fields as one tuple and skips `_check`; it stores them through `_set`,
-    which a class with a normal form overrides to put them in it.
+    fields as one tuple; it stores them through `_set`, which a class with a
+    normal form overrides to put them in it.
     """
 
     __slots__ = ()
@@ -105,7 +106,6 @@ class _Record:
         if len(values) != len(self._fields):
             raise TypeError(f"{type(self).__name__} takes {len(self._fields)} values, not {len(values)}")
         self._fill(values)
-        self._check()
 
     @classmethod
     def _at(cls, values: tuple):
@@ -119,9 +119,6 @@ class _Record:
             _store(self, name, value)
 
     __setstate__ = _set = _fill
-
-    def _check(self) -> None:
-        """Raise unless the fields make a valid record; any fields do by default."""
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -478,9 +475,10 @@ class Moebius(_Record):
 
     __slots__ = ("a", "b", "c", "d")
 
-    def _check(self):
-        if self.a * self.d - self.c * self.b not in (1, -1):
+    def __init__(self, a: int, b: int, c: int, d: int):
+        if a * d - c * b not in (1, -1):
             raise ValueError("determinant must be +1 or -1")
+        self._fill((a, b, c, d))
 
     def __matmul__(self, other: "Moebius") -> "Moebius":
         return Moebius(

@@ -29,7 +29,7 @@ three enumerations of the same object:
   recurrence bounds by scanning window lengths over the whole language;
 - disjointness of the witness words' shift cylinders by comparing every
   shift of one word with every shift of the other, and the witness search
-  rescanning the language for every suffix;
+  rescanning the language for every suffix, one length after another;
 - the witness window scan testing every start position of every shift and
   taking the longest chain over a dict;
 - continued fractions by iterating complete quotients as field elements
@@ -46,7 +46,7 @@ from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
+from itertools import count, islice
 
 from sturmian.cover import EqClass, IndexPair, eq_class, q_map
 from sturmian.groupoid import WitnessCheck
@@ -434,24 +434,33 @@ def shifts(word, lbar):
     return [word[j:] for j in range(lbar)]
 
 
+@lru_cache(maxsize=64)
+def _shift_pairs(lbar):
+    """Every (j, i) with j, i < lbar, those with the shortest shifts first: a pair of
+    words whose cylinders meet shows it there, so the sweep over lengths stays quick."""
+    return sorted(((j, i) for j in range(lbar) for i in range(lbar)), key=max, reverse=True)
+
+
 def shift_cylinders_disjoint(mu, nu, lbar):
     """No shift mu[j:] is a prefix of a shift nu[i:], or the other way, for j, i < lbar."""
     return not any(
-        x.startswith(y) or y.startswith(x) for x in shifts(mu, lbar) for y in shifts(nu, lbar)
+        mu[j:].startswith(nu[i:]) or nu[i:].startswith(mu[j:]) for j, i in _shift_pairs(lbar)
     )
 
 
 def witness_words(alpha, lbar):
-    """dad_witness's first pair (mu, nu) by scanning the language for each suffix; None if none."""
-    short_words = sorted(language(alpha, lbar))
-    long_words = sorted(language(alpha, 2 * lbar))
-    for i, s1 in enumerate(short_words):
-        for s2 in short_words[i + 1 :]:
-            for mu in (w for w in long_words if w.endswith(s1)):
-                for nu in (w for w in long_words if w.endswith(s2)):
-                    if shift_cylinders_disjoint(mu, nu, lbar):
-                        return mu, nu
-    return None
+    """dad_witness's first pair (mu, nu) at the least length m >= 2*lbar that has one, by
+    scanning the language for each suffix of m - lbar letters."""
+    for m in count(2 * lbar):
+        suffixes = sorted(language(alpha, m - lbar))
+        words = sorted(language(alpha, m))
+        ending = {s: [w for w in words if w.endswith(s)] for s in suffixes}
+        for i, s1 in enumerate(suffixes):
+            for s2 in suffixes[i + 1 :]:
+                for mu in ending[s1]:
+                    for nu in ending[s2]:
+                        if shift_cylinders_disjoint(mu, nu, lbar):
+                            return mu, nu
 
 
 # -- the witness window scan ------------------------------------------------------
@@ -474,7 +483,7 @@ def longest_chain(allowed, jumps):
 
 def check_witness(alpha, w, window):
     """The window scan with the position set and chain dict above."""
-    limit = window - 2 * w.lbar
+    limit = window - len(w.mu)
     jumps = [v for v in w.cocycle_values if v >= 1]
     covered = True
     max_first = max_v = max_u = 0

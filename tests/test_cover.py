@@ -424,6 +424,33 @@ class TestFibre:
             r = fibre_report(alpha, x, 3, 8)
             assert r.count == r.expected == count and r.resolved
 
+    @settings(max_examples=45, deadline=2000)
+    @given(
+        alpha=cf_parameters(period_digits=st.integers(1, 40)),
+        data=st.data(),
+        L=st.integers(0, 8),
+        point=st.one_of(
+            st.tuples(st.just("fwd"), st.integers(0, 10)),
+            st.tuples(st.sampled_from(["L", "R"]), st.integers(1, 10)),
+            st.fractions(0, 1, max_denominator=50).filter(lambda t: t.denominator > 1),
+        ),
+    )
+    def test_least_resolving_truncation(self, alpha, data, L, point):
+        # (min_K, min_L) is the least truncation that resolves the fibre: (0, j + 1)
+        # for sigma^j(omega), (m, m) m shifts behind omega, (0, 0) off the orbit
+        K = data.draw(st.integers(0, L))
+        if isinstance(point, tuple):
+            side, n = point
+            x = branch_point(alpha).shift(n) if side == "fwd" else OrbitPoint(alpha, alpha * (1 - n), side)
+        else:
+            x = OrbitPoint(alpha, point)
+        rep = fibre_report(alpha, x, K, L)
+        assert rep.resolved == (K >= rep.min_K and L >= rep.min_L), (rep.min_K, rep.min_L, rep.count)
+        assert fibre_report(alpha, x, rep.min_K, rep.min_L).resolved
+        for k, l in [(rep.min_K - 1, rep.min_L), (rep.min_K, rep.min_L - 1)]:
+            if 0 <= k <= l:  # one level less on either side does not resolve
+                assert not fibre_report(alpha, x, k, l).resolved, (k, l)
+
     def test_candidates_streamed(self):
         # the classes at (n0, 2n0) without x's prefix are dropped as they are
         # built: holding all 5*n0 + 1 of them peaked at about 20 MB here; a

@@ -2,18 +2,12 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, reject, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sturmian.quadratics import QuadraticIrrational, parse_quad
 from sturmian.words import language, recurrence_bound
-from sturmian.groupoid import (
-    DadWitness,
-    NoWitnessError,
-    check_witness,
-    dad_witness,
-    degenerate_cover_chain,
-)
+from sturmian.groupoid import DadWitness, check_witness, dad_witness, degenerate_cover_chain
 
 import reference
 from test_kernel import cf_parameters
@@ -24,8 +18,9 @@ GOLDEN_CONJ = QuadraticIrrational(-1, 1, 5, 2)
 # the witness search's parameters: FIB, sqrt(2) - 1, (sqrt(13) - 1)/6, (sqrt(61) - 7)/3
 SEARCHED = [FIB, SQRT2M1, QuadraticIrrational(-1, 1, 13, 6), QuadraticIrrational(-7, 1, 61, 3)]
 # dad_witness on those four for F = {1..lbar}, lbar <= 40, and F = {lbar} at 100 and 200, as
-# (mu, nu, beta_mu, beta_nu) or null for no witness; recorded from the search before it took
-# two substring tests per pair
+# (mu, nu, beta_mu, beta_nu); the rows with a pair of length 2*lbar were recorded from the
+# search before it took two substring tests per pair, the others from reference.witness_words
+# and reference.recurrence_bound
 PINNED = json.loads((Path(__file__).parent / "dad_pinned.json").read_text())
 
 
@@ -45,21 +40,17 @@ class TestDadWitness:
                 degenerate_cover_chain(FIB, values, 44)
             assert str(chain_error.value) == str(witness_error.value)
 
-    def test_no_witness(self):
-        # the RuntimeError that the CLI reports as a verification failure
-        assert issubclass(NoWitnessError, RuntimeError)
-        with pytest.raises(NoWitnessError, match="^no disjoint witness words at this length$"):
-            dad_witness(FIB, [11])
+    def test_longer_words_without_a_pair_at_2lbar(self):
+        # no two words of length 22 have disjoint shift cylinders, so the search takes 23
+        w = dad_witness(FIB, [11])
+        assert (len(w.mu), len(w.nu)) == (23, 23)
+        assert reference.shift_cylinders_disjoint(w.mu, w.nu, w.lbar)
+        assert check_witness(FIB, w, w.min_window).passed
 
     def test_pinned_sweep(self):
         for row in PINNED:
-            alpha = parse_quad(row["alpha"])
-            try:
-                w = dad_witness(alpha, row["F"])
-                got = [w.mu, w.nu, w.beta_mu, w.beta_nu]
-            except NoWitnessError:
-                got = None
-            assert got == row["witness"], (row["alpha"], row["F"])
+            w = dad_witness(parse_quad(row["alpha"]), row["F"])
+            assert [w.mu, w.nu, w.beta_mu, w.beta_nu] == row["witness"], (row["alpha"], row["F"])
 
     @pytest.mark.parametrize("alpha", [FIB, SQRT2M1])
     @pytest.mark.parametrize("values", [(1,), (1, 2), (1, 2, 3)])
@@ -75,8 +66,8 @@ class TestDadWitness:
     def test_words_admissible_with_distinct_suffixes(self):
         for values in [(1,), (2,), (1, 3)]:
             w = dad_witness(FIB, values)
-            assert w.mu in language(FIB, 2 * w.lbar)
-            assert w.nu in language(FIB, 2 * w.lbar)
+            assert w.mu in language(FIB, len(w.mu))
+            assert w.nu in language(FIB, len(w.nu))
             assert w.mu[w.lbar :] != w.nu[w.lbar :]
 
 
@@ -98,11 +89,8 @@ def test_two_substring_tests_match_every_shift_pair(alpha, lbar):
                 assert two_substring_tests(mu, nu, lbar) == reference.shift_cylinders_disjoint(
                     mu, nu, lbar
                 ), (mu, nu)
-    try:
-        w = dad_witness(alpha, [lbar])
-        assert (w.mu, w.nu) == reference.witness_words(alpha, lbar)
-    except NoWitnessError:
-        assert reference.witness_words(alpha, lbar) is None
+    w = dad_witness(alpha, [lbar])
+    assert (w.mu, w.nu) == reference.witness_words(alpha, lbar)
 
 
 class TestCheckWitness:
@@ -114,7 +102,7 @@ class TestCheckWitness:
     @pytest.mark.parametrize("values", [(1,), (1, 2), (1, 2, 3)])
     def test_min_window(self, values):
         w = dad_witness(FIB, values)
-        assert w.min_window == 2 * w.lbar * max(w.beta_mu, w.beta_nu)
+        assert w.min_window == len(w.mu) * max(w.beta_mu, w.beta_nu)
         with pytest.raises(ValueError, match=f"^window must be at least {w.min_window}$"):
             check_witness(FIB, w, w.min_window - 1)
         assert check_witness(FIB, w, w.min_window).window == w.min_window
@@ -185,10 +173,7 @@ class TestWindowScanMatchesReference:
 def test_one_word_scan_matches_window_scan(data, alpha, values):
     # tiny and huge partial quotients; lowered betas make the check fail and
     # shrink the window below the chains' spans
-    try:
-        w = dad_witness(alpha, values)
-    except RuntimeError:  # no disjoint witness words for this F: not every F has a witness yet
-        reject()
+    w = dad_witness(alpha, values)
     assume(w.min_window <= 400)
     b_mu, b_nu = data.draw(st.integers(1, w.beta_mu)), data.draw(st.integers(1, w.beta_nu))
     lowered = DadWitness(w.cocycle_values, w.mu, w.nu, b_mu, b_nu)
@@ -202,3 +187,19 @@ def test_one_word_scan_matches_window_scan(data, alpha, values):
             set(range(limit + 1)), jumps
         )
 
+
+@settings(max_examples=40, deadline=5000)
+@given(
+    # period digits up to 10 keep each check under a second; with digits up to 40
+    # one draw took 5.6 s on a 2-core VM
+    alpha=cf_parameters(period_digits=st.integers(1, 10)),
+    values=st.builds(lambda v, rest: {v} | rest, st.integers(1, 12), st.sets(st.integers(0, 12))),
+)
+def test_dad_over_cf_parameters(alpha, values):
+    # every F has a witness, of length at least 2*lbar, and it passes its own check
+    w = dad_witness(alpha, values)
+    assert len(w.mu) == len(w.nu) >= 2 * w.lbar
+    assert reference.shift_cylinders_disjoint(w.mu, w.nu, w.lbar)
+    # a huge preperiod digit gives betas near 10^6 and windows of 10^7 letters
+    assume(w.min_window <= 4000)
+    assert check_witness(alpha, w, w.min_window).passed

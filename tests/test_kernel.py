@@ -377,7 +377,7 @@ class TestKernelObjectCounts:
         assert languages == []
 
     def test_dad_witness_reads_one_language(self, monkeypatch):
-        # the search reads one language, of length 2*lbar, and no other
+        # the search reads one language per length it tries, from 2*lbar up to |mu|, and no other
         languages = []
 
         def counted(*args):
@@ -385,13 +385,13 @@ class TestKernelObjectCounts:
             return language(*args)
 
         monkeypatch.setattr(groupoid, "language", counted)
+        tried = {}
         for values in [(1,), (1, 2, 3), (11,), (0, 40), (100,)]:
             del languages[:]
-            try:
-                dad_witness(self.FIB, values)
-            except groupoid.NoWitnessError:
-                pass
-            assert languages == [(2 * max(values),)]
+            w = dad_witness(self.FIB, values)
+            assert languages == [(m,) for m in range(2 * w.lbar, len(w.mu) + 1)]
+            tried[values] = languages[:]
+        assert tried[(11,)] == [(22,), (23,)]
 
     def test_quotient_reads_one_coded_word(self, floors):
         # l + 1 floors for the codings of 0, one per branch-orbit representative:

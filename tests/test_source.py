@@ -3,7 +3,7 @@ import inspect
 from pathlib import Path
 
 import sturmian
-from sturmian import cover, groupoid, quadratics, words
+from sturmian import cli, cover, groupoid, quadratics, words
 
 SOURCES = sorted(Path(sturmian.__file__).parent.glob("*.py"))
 
@@ -323,3 +323,26 @@ def test_groupoid_never_imports_the_cover():
     planted = ["from .cover import thread_of", "from . import cover", "import sturmian.cover",
                "from sturmian.cover import Thread"]
     assert all(_imports_cover(ast.parse(line).body[0]) for line in planted)
+
+
+USAGE_ERRORS = {"ValueError", "ZeroDivisionError", "UsageError"}
+
+
+def _caught(handler: ast.ExceptHandler) -> set[str]:
+    """The exception names an except clause catches; a bare except catches everything."""
+    if handler.type is None:
+        return {"BaseException"}
+    types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return {ast.unparse(t) for t in types}
+
+
+def test_cli_catches_only_usage_errors():
+    # every handler in the CLI turns a usage error into exit 2, so exit 1 comes
+    # only from a printed report, never from a caught exception
+    handlers = [n for n in ast.walk(ast.parse(inspect.getsource(cli))) if isinstance(n, ast.ExceptHandler)]
+    caught = set().union(*map(_caught, handlers))
+    assert handlers and caught <= USAGE_ERRORS, caught
+    planted = ["except RuntimeError", "except", "except (ValueError, KeyError) as e"]
+    for line in planted:
+        (handler,) = ast.parse(f"try:\n    pass\n{line}:\n    pass").body[0].handlers
+        assert not _caught(handler) <= USAGE_ERRORS, line
