@@ -22,8 +22,8 @@ def conjugate(alpha: QuadraticIrrational, beta: QuadraticIrrational) -> bool:
     """
     check_unit_interval(alpha)
     check_unit_interval(beta)
-    # 1 - beta = (r - p - q*sqrt(d))/r is canonical, as alpha and beta are
-    return alpha == beta or (alpha.p, alpha.q, alpha.d, alpha.r) == (beta.r - beta.p, -beta.q, beta.d, beta.r)
+    D, P, Q = alpha._key(alpha)  # 1 - alpha = (P - Q + sqrt(D))/(-Q) has the key (D, P - Q, -Q)
+    return beta._key(beta) in ((D, P, Q), (D, P - Q, -Q))
 
 
 def flow_equivalent(alpha: QuadraticIrrational, beta: QuadraticIrrational) -> bool:

@@ -1,9 +1,9 @@
 """Exact arithmetic for quadratic irrationals, continued fractions and GL(2,Z).
 
 Values of the form (p + q*sqrt(d))/r with integer p, q, r and d a positive
-nonsquare are kept in a canonical form so that structural equality is value
-equality.  All arithmetic is integer arithmetic; there is no floating point
-anywhere in this module.
+nonsquare compare by one value key, the state of their primitive minimal
+polynomial, so no radicand is factored to decide equality.  All arithmetic is
+integer arithmetic; there is no floating point anywhere in this module.
 """
 
 from __future__ import annotations
@@ -143,11 +143,10 @@ class _Record:
 
 @functools.total_ordering
 class QuadraticIrrational(_Record):
-    """(p + q*sqrt(d))/r in canonical form.
+    """(p + q*sqrt(d))/r with r > 0, gcd(p, q, r) = 1, q != 0 and d a positive nonsquare.
 
-    Canonical means: d squarefree (square factors absorbed into q), r > 0,
-    gcd(p, q, r) = 1 and q != 0.  Two instances are numerically equal iff
-    they are structurally equal.
+    The radicand is kept as given, so one value has many field tuples; two
+    instances are equal exactly when their values are, by `_key`.
     """
 
     __slots__ = ("p", "q", "d", "r")
@@ -157,13 +156,25 @@ class QuadraticIrrational(_Record):
             raise ZeroDivisionError("zero denominator")
         if d <= 0:
             raise ValueError("radicand must be positive")
-        s, f = _squarefree_split(d)
-        if q == 0 or f == 1:
+        if q == 0 or math.isqrt(d) ** 2 == d:
             raise RationalValueError("rational value, not a quadratic irrational")
-        self._set((p, q * s, f, r))
+        self._set((p, q, d, r))
+
+    @staticmethod
+    def _key(x: "QuadraticIrrational") -> tuple[int, int, int]:
+        """(D, P, Q) with x = (P + sqrt(D))/Q, one per value, from one gcd and no factoring.
+
+        x = (p + q*sqrt(d))/r is a root of (r^2 X^2 - 2pr X + p^2 - q^2 d)/g for
+        g = gcd(r^2, 2pr, p^2 - q^2 d), its primitive minimal polynomial, unique up to
+        sign, whose discriminant D = 4 r^2 q^2 d / g^2 every GL(2,Z) image of x shares.
+        So x = (P + sqrt(D))/Q for P = 2pr/g and Q = 2r^2/g, both negated when q < 0.
+        """
+        p, q, d, r = x.p, x.q, x.d, x.r
+        g = math.gcd(r * r, 2 * p * r, p * p - q * q * d) * (1 if q > 0 else -1)  # the sign of P and Q
+        return 4 * r * r * q * q * d // (g * g), 2 * p * r // g, 2 * r * r // g
 
     def _set(self, values: tuple[int, int, int, int]) -> None:
-        """Store (p + q*sqrt(d))/r for q != 0 and r != 0; d is trusted to be squarefree, not 1."""
+        """Store (p + q*sqrt(d))/r for q != 0 and r != 0; d is trusted to be a positive nonsquare."""
         p, q, d, r = values
         if r < 0:
             p, q, r = -p, -q, -r
@@ -176,14 +187,19 @@ class QuadraticIrrational(_Record):
     # -- arithmetic --------------------------------------------------------
 
     def _operand(self, other) -> Optional[tuple[int, int, int]]:
-        """other as (p, q, r), the value (p + q*sqrt(d))/r over self's field d.
+        """other as (p, q, r), the value (p + q*sqrt(d))/r over self's radicand d.
 
-        None for a type outside int, Fraction and QuadraticIrrational.
+        A value (p + q*sqrt(d2))/r is in the field exactly when d*d2 = s*s, as
+        (p*d + q*s*sqrt(d))/(r*d).  None for a type outside int, Fraction and QuadraticIrrational.
         """
         if isinstance(other, QuadraticIrrational):
-            if other.d != self.d:
+            d, d2 = self.d, other.d
+            if d2 == d:
+                return other.p, other.q, other.r
+            s = math.isqrt(d * d2)
+            if s * s != d * d2:
                 raise ValueError("values live in different quadratic fields")
-            return other.p, other.q, other.r
+            return other.p * d, other.q * s, other.r * d
         if isinstance(other, (int, Fraction)):
             return other.numerator, 0, other.denominator
         return None
@@ -248,7 +264,7 @@ class QuadraticIrrational(_Record):
 
 
 def _build(p: int, q: int, d: int, r: int) -> Union[Fraction, QuadraticIrrational]:
-    """(p + q*sqrt(d))/r in the field of squarefree d, a Fraction when q = 0."""
+    """(p + q*sqrt(d))/r for a nonsquare d, a Fraction when q = 0."""
     if q == 0:
         return Fraction(p, r)
     return QuadraticIrrational._at((p, q, d, r))
@@ -311,20 +327,14 @@ class ContinuedFraction(_Record):
 def _reduced(x: QuadraticIrrational) -> tuple[int, list[int], int, int]:
     """(D, digits, P, Q): x's preperiod digits and first reduced state.
 
-    x = (p + q*sqrt(d))/r is a root of (r^2 X^2 - 2pr X + p^2 - q^2 d)/g for
-    g = gcd(r^2, 2pr, p^2 - q^2 d), its primitive minimal polynomial, whose
-    discriminant D = 4 r^2 q^2 d / g^2 every GL(2,Z) image of x shares.  So
-    x = (P + sqrt(D))/Q for P = 2pr/g and Q = 2r^2/g, both negated when
-    q < 0, with Q dividing D - P*P; the recurrence P <- a*Q - P,
-    Q <- (D - P*P)/Q keeps that so, and for this D the state (P, Q) fixes the
-    complete quotient.  By Galois' theorem a complete quotient is purely
-    periodic exactly when it is reduced: 0 < P <= s and s - P < Q <= s + P
-    for s = isqrt(D).  Lagrange's theorem says one comes.
+    The walk starts at x = (P + sqrt(D))/Q, its key (`QuadraticIrrational._key`),
+    with Q dividing D - P*P; the recurrence P <- a*Q - P, Q <- (D - P*P)/Q keeps
+    that so, and for this D the state (P, Q) fixes the complete quotient.  By
+    Galois' theorem a complete quotient is purely periodic exactly when it is
+    reduced: 0 < P <= s and s - P < Q <= s + P for s = isqrt(D).  Lagrange's
+    theorem says one comes.
     """
-    p, q, d, r = x.p, x.q, x.d, x.r
-    g = math.gcd(r * r, 2 * p * r, p * p - q * q * d)
-    sign = 1 if q > 0 else -1
-    P, D, Q = sign * 2 * p * r // g, 4 * r * r * q * q * d // (g * g), sign * 2 * r * r // g
+    D, P, Q = x._key(x)
     s = math.isqrt(D)
     digits: list[int] = []
     while not (0 < P <= s and s - P < Q <= s + P):

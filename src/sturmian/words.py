@@ -130,17 +130,12 @@ def code_letter(x: OrbitPoint, i: int) -> str:
     """Letter of the coding at index i >= 0."""
     if i < 0:
         raise ValueError("one-sided codings have nonnegative indices")
-    return next(coding(x, i))
-
-
-def coding(x: OrbitPoint, i: int = 0) -> Iterator[str]:
-    """The letters of the coding of x from index i on, one floor each."""
-    return _letters(x.alpha, x.variant, x.a, x.b + i * x.c, x.c)
+    return next(_letters(x.alpha, x.variant, x.a, x.b + i * x.c, x.c))
 
 
 def code_word(x: OrbitPoint, n: int) -> Word:
     """First n letters of the coding of x."""
-    return _word(coding(x), n)
+    return _word(_letters(x.alpha, x.variant, x.a, x.b, x.c), n)
 
 
 def _word(letters: Iterator[str], n: int) -> Word:

@@ -51,8 +51,7 @@ from itertools import count, islice
 from sturmian.cover import EqClass, IndexPair, eq_class, q_map
 from sturmian.groupoid import WitnessCheck
 from sturmian.quadratics import ContinuedFraction
-from sturmian.words import OrbitPoint, branch_point, cylinder_arc, language
-from sturmian.words import coding as letters
+from sturmian.words import OrbitPoint, _letters, branch_point, cylinder_arc, language
 
 
 # -- circle points as field elements ----------------------------------------------
@@ -380,8 +379,8 @@ def death_depths_by_walk(alpha, x, n0, candidates, max_depth):
             (w,) = data[1]
             arcs[data] = word_arc(alpha, w)
         else:
-            codings[data] = letters(y)
-    for i, letter in enumerate(islice(letters(x), max_depth)):
+            codings[data] = _letters(y.alpha, y.variant, y.a, y.b, y.c)
+    for i, letter in enumerate(islice(_letters(x.alpha, x.variant, x.a, x.b, x.c), max_depth)):
         for data, other in list(codings.items()):
             if next(other) != letter:
                 del codings[data]

@@ -8,9 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sturmian import quadratics
+from sturmian.cli import main
 from sturmian.quadratics import (
     Moebius,
     QuadraticIrrational,
+    format_quad,
     parse_quad,
 )
 from sturmian.invariants import (
@@ -288,13 +290,29 @@ def test_value_positive_matches_field_arithmetic(alpha, n, m):
 
 
 def test_deciders_factor_nothing():
-    """On constructed inputs the deciders and the order test run on integers."""
-    pairs = [(FIB, GOLDEN_CONJ), (FIB, SQRT2M1), (parse_quad("quad:-316,1,99991,1"), FIB)]
-    pairs += [(a, b) for a in CORPUS[:6] for b in CORPUS[:6]]
-    g = OrderedGroupDescriptor(FIB)
+    """The deciders, the order test and the construction of their inputs run on integers."""
     with mock.patch.object(quadratics, "_squarefree_split") as split:
+        corpus = unit_interval_corpus()[:6]
+        pairs = [(FIB, GOLDEN_CONJ), (FIB, SQRT2M1), (parse_quad("quad:-316,1,99991,1"), FIB)]
+        pairs += [(a, b) for a in corpus for b in corpus]
+        g = OrderedGroupDescriptor(FIB)
         for a, b in pairs:
             compare_parameters(a, b)
         for x in [(3, -7), (-1, 3), (0, 0), (5, 0)]:
             g.compare(x, (1, 1))
     assert split.call_count == 0
+
+
+def _literal(x: QuadraticIrrational, s: int) -> str:
+    """x written over the radicand d*s*s: (p*s + q*sqrt(d*s*s))/(r*s)."""
+    return f"quad:{x.p * s},{x.q},{x.d * s * s},{x.r * s}"
+
+
+def test_compare_reads_any_radicand(capsys):
+    for a in CORPUS:
+        for b in CORPUS:
+            answers = []
+            for alpha, beta in ((format_quad(a), format_quad(b)), (_literal(a, 2), _literal(b, 3))):
+                assert main(["compare", "--alpha", alpha, "--beta", beta, "-o", "json"]) == 0
+                answers.append(capsys.readouterr().out)
+            assert answers[0] == answers[1]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from sturmian import quadratics
+from sturmian import cli, quadratics
 from sturmian.quadratics import (
     ContinuedFraction,
     Moebius,
@@ -21,6 +21,7 @@ from sturmian.quadratics import (
     parse_cf,
     parse_quad,
 )
+from sturmian.words import OrbitPoint
 
 import reference
 from reference import cf_tail_equivalent
@@ -79,6 +80,54 @@ class TestNormalize:
 
     def test_equal_values_share_canonical_form(self):
         assert QuadraticIrrational(30, -10, 5, 20) == QuadraticIrrational(-3, 1, 5, -2)
+
+    def test_radicand_kept_as_given(self):
+        x = parse_quad("quad:0,1,8,4")
+        assert format_quad(x) == "quad:0,1,8,4" and x == QuadraticIrrational(0, 1, 2, 2)
+
+
+def rewrites(p: int, q: int, d: int, r: int, s: int, k: int) -> list[tuple[int, int, int, int]]:
+    """Other field tuples of (p + q*sqrt(d))/r: the square s*s moved out of the
+    radicand, a common factor k, and every sign flipped."""
+    return [(p, q * s, d // (s * s), r), (k * p, k * q, d, k * r), (-p, -q, d, -r)]
+
+
+nonsquares = st.integers(2, 10**6).filter(lambda d: math.isqrt(d) ** 2 != d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.integers(-10**4, 10**4),
+    q=st.integers(-10**4, 10**4).filter(bool),
+    d=nonsquares,
+    r=st.integers(1, 10**4),
+    s=st.integers(2, 100),
+    k=st.integers(2, 10**4),
+)
+@example(p=0, q=1, d=2, r=1, s=2, k=2)  # sqrt 8 against 2*sqrt 2
+def test_rewrites_share_the_key(p, q, d, r, s, k):
+    x = QuadraticIrrational(p, q, d * s * s, r)
+    for fields in rewrites(p, q, d * s * s, r, s, k):
+        y = QuadraticIrrational(*fields)
+        assert y == x and hash(y) == hash(x)
+        assert y != QuadraticIrrational(p + 1, q, d * s * s, r)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.integers(-60, 60),
+    q=st.integers(-3, 3).filter(bool),
+    d=st.integers(2, 2000).filter(lambda d: math.isqrt(d) ** 2 != d),
+    r=st.integers(1, 12),
+    s=st.integers(2, 30),
+    k=st.integers(2, 50),
+)
+def test_rewrites_share_the_continued_fraction(p, q, d, r, s, k):
+    # the period walk takes about sqrt(D) steps, so the values stay small here
+    x = QuadraticIrrational(p, q, d * s * s, r)
+    cf = cf_expand(x)
+    assert cf == reference.cf_expand(x)
+    assert all(cf_expand(QuadraticIrrational(*fields)) == cf for fields in rewrites(p, q, d * s * s, r, s, k))
 
 
 class TestCompare:
@@ -396,6 +445,18 @@ class TestOperands:
         with pytest.raises(TypeError):
             op(FIB)
 
+    def test_radicands_of_one_field(self):
+        assert QuadraticIrrational(0, 1, 8, 1) + SQRT2 == 3 * SQRT2
+        assert SQRT2 + QuadraticIrrational(0, 1, 8, 1) == 3 * SQRT2
+        assert QuadraticIrrational(9, -1, 45, 6) - FIB == 0
+        with pytest.raises(ValueError, match="different quadratic fields"):
+            SQRT2 + self.OTHER_FIELD
+
+    def test_point_over_another_radicand(self):
+        t = QuadraticIrrational(-1, 1, 5, 4)
+        assert OrbitPoint(FIB, QuadraticIrrational(-3, 1, 45, 12)) == OrbitPoint(FIB, t)
+        assert OrbitPoint(parse_quad("quad:6,-1,20,4"), t) == OrbitPoint(FIB, t)
+
     def test_times_zero_is_the_fraction_zero(self):
         for z in (FIB * 0, 0 * FIB, FIB * Fraction(0)):
             assert type(z) is Fraction and z == 0
@@ -554,6 +615,13 @@ class TestKernelCallCounts:
 
     def test_cf_expand_builds_no_field_elements(self, splits):
         cf_expand(LONG_PERIOD)
+        assert splits == []
+
+    def test_construction_factors_nothing(self, splits):
+        big = "quad:-24879108095803,1,618970019642690137449562111,1"  # sqrt(2^89 - 1) - 24879108095803
+        assert QuadraticIrrational(0, 3, 72, 4).d == 72
+        assert format_quad(parse_quad(big)) == big
+        assert cli._parse_parameter("alpha", big) == parse_quad(big)
         assert splits == []
 
     def test_cf_value_splits_per_preperiod_digit(self, splits):

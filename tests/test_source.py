@@ -300,6 +300,21 @@ def test_one_period_walk():
     assert _calls(functions["invariants.py", "flow_equivalent"], "_period")
 
 
+def test_one_squarefree_split():
+    # values compare by their minimal polynomial's key, so construction factors
+    # nothing; cf_value alone still splits its tail's discriminant
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    callers = [
+        (name, node.name)
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        for _ in range(_calls(node, "_squarefree_split"))
+    ]
+    assert callers == [("quadratics.py", "cf_value")], callers
+    assert sum(_calls(tree, "_squarefree_split") for tree in trees.values()) == 1
+
+
 def _imports_cover(node) -> bool:
     """Whether node imports sturmian.cover: `from .cover import ...`, `from . import cover`
     or `import sturmian.cover`."""
