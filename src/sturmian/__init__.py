@@ -13,8 +13,7 @@ from importlib import import_module as _import_module
 
 _EXPORTS = {
     "quadratics": (
-        "BudgetExceededError", "ContinuedFraction", "Moebius", "QuadraticIrrational",
-        "RationalValueError", "cf_expand", "cf_value", "format_quad", "parse_cf", "parse_quad",
+        "BudgetExceededError", "QuadraticIrrational", "RationalValueError", "format_quad", "parse_quad",
     ),
     "words": (
         "Arc", "OrbitPoint", "branch_point", "code_letter", "code_word", "cylinder_arc",
@@ -27,8 +26,8 @@ _EXPORTS = {
     ),
     "groupoid": ("DadWitness", "check_witness", "dad_witness", "degenerate_cover_chain"),
     "invariants": (
-        "InvariantReport", "OrderedGroupDescriptor", "compare_parameters", "conjugate",
-        "flow_equivalent",
+        "ContinuedFraction", "InvariantReport", "Moebius", "OrderedGroupDescriptor", "cf_expand", "cf_value",
+        "compare_parameters", "conjugate", "flow_equivalent", "parse_cf",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
 # every command parses --alpha; each runner imports the layers it calls
-from .quadratics import QuadraticIrrational, cf_expand, check_unit_interval, format_quad, parse_quad
+from .quadratics import QuadraticIrrational, check_unit_interval, format_quad, parse_quad
 
 if TYPE_CHECKING:
     from .words import OrbitPoint
@@ -180,12 +180,14 @@ def _run_compare(args: argparse.Namespace) -> int:
 
 
 def _run_report(args: argparse.Namespace) -> int:
+    from .invariants import InvariantReport, cf_expand
+
     cf = cf_expand(args.alpha)
     payload = {
         "alpha": format_quad(args.alpha),
         "cf": str(cf),
-        "k0": "Z+alphaZ",
-        "k1": "0",
+        "k0": InvariantReport.k0_description,
+        "k1": InvariantReport.k1_description,
         "order_unit": "1",
         "flow_class_period": list(cf.period),
     }

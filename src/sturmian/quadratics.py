@@ -1,9 +1,13 @@
-"""Exact arithmetic for quadratic irrationals, continued fractions and GL(2,Z).
+"""Exact arithmetic in a real quadratic field, where the rotation number alpha and the circle points live.
 
 Values of the form (p + q*sqrt(d))/r with integer p, q, r and d a positive
 nonsquare compare by one value key, the state of their primitive minimal
-polynomial, so no radicand is factored to decide equality.  All arithmetic is
-integer arithmetic; there is no floating point anywhere in this module.
+polynomial, so no radicand is factored to decide equality.  Orders, signs and
+letters read the field's one floor.  The walks of the integer state (P, Q) of
+the complete quotients stay here, since their floors are floors of field
+values; the continued fractions that read them, and the GL(2,Z) action, live
+with the deciders in `invariants`.  All arithmetic is integer arithmetic;
+there is no floating point anywhere in this module.
 """
 
 from __future__ import annotations
@@ -283,7 +287,7 @@ def check_unit_interval(x: QuadraticIrrational) -> QuadraticIrrational:
     return x
 
 
-# -- continued fractions ---------------------------------------------------
+# -- the period of a continued fraction ------------------------------------
 
 
 def _minimal_period(period: tuple[int, ...]) -> tuple[int, ...]:
@@ -292,36 +296,6 @@ def _minimal_period(period: tuple[int, ...]) -> tuple[int, ...]:
     small = [k for k in range(1, math.isqrt(n) + 1) if n % k == 0]
     divisors = small + [n // k for k in reversed(small)]  # ascending, ends at n
     return next(period[:k] for k in divisors if period == period[:k] * (n // k))
-
-
-class ContinuedFraction(_Record):
-    """Eventually periodic continued fraction [a0; a1, ..., (b1, ..., bk)].
-
-    Canonical form: the period has minimal length and the preperiod is as
-    short as possible, which determines the presentation uniquely.
-    """
-
-    __slots__ = ("preperiod", "period")
-
-    def __init__(self, preperiod, period):
-        pre = tuple(preperiod)
-        per = tuple(period)
-        if not per:
-            raise ValueError("period must be nonempty")
-        if min(per) < 1 or min(pre[1:], default=1) < 1:
-            raise ValueError("partial quotients after the first must be >= 1")
-        per = _minimal_period(per)
-        while pre and pre[-1] == per[-1]:
-            pre = pre[:-1]
-            per = per[-1:] + per[:-1]
-        self._fill((pre, per))
-
-    def __str__(self):
-        per = "(" + ",".join(map(str, self.period)) + ")"
-        if not self.preperiod:
-            return f"cf:[{per}]"
-        rest = ",".join(list(map(str, self.preperiod[1:])) + [per])
-        return f"cf:[{self.preperiod[0]};{rest}]"
 
 
 def _reduced(x: QuadraticIrrational) -> tuple[int, list[int], int, int]:
@@ -358,8 +332,8 @@ def _period(D: int, P: int, Q: int, stop: tuple[int, int] = (0, 1)) -> tuple[Opt
     sliced from the axis back.  Every walked state is checked against `stop`;
     one walked backwards is a reverse, so it counts as stop or as stop's
     reverse, and a forward state equal to stop's reverse counts once an axis
-    shows the cycle symmetric.  `cf_expand` reads the digits, as (0, 1) is no
-    reduced state; `invariants.flow_equivalent` reads the flag.
+    shows the cycle symmetric.  `invariants.cf_expand` reads the digits, as
+    (0, 1) is no reduced state; `invariants.flow_equivalent` reads the flag.
     """
     s, (P1, Q1), halves = math.isqrt(D), stop, []
     Q2, R = (D - P1 * P1) // Q1, (D - P * P) // Q  # (P1, Q2) reverses stop, (P, R) the start
@@ -387,125 +361,9 @@ def _period(D: int, P: int, Q: int, stop: tuple[int, int] = (0, 1)) -> tuple[Opt
     return halves[0] + halves[1], False
 
 
-def cf_expand(x: QuadraticIrrational) -> ContinuedFraction:
-    """Continued fraction of x: the preperiod of `_reduced`, then the period of `_period`.
-
-    The result is canonical as built, so the trusted `_at` skips the
-    constructor's normalisation: the preperiod ends at the first reduced
-    state (by Galois a complete quotient is purely periodic exactly when it
-    is reduced), and the period ends where the cycle of states (P, Q), each
-    fixing its complete quotient, closes, or at the second axis of a
-    symmetric cycle, half a period away; so it is minimal.
-    """
-    D, pre, P, Q = _reduced(x)
-    return ContinuedFraction._at((tuple(pre), tuple(_period(D, P, Q)[0])))
-
-
-_BLOCK = 32
-_SPLITS = 32  # the places a long period tries as its split; the latest split seen was the 15th
-
-
-def _matrix(digits: tuple[int, ...]) -> tuple[int, int, int, int]:
-    """(a, b, c, e) with [digits..., y] = (a*y + b)/(c*y + e).
-
-    Each block of _BLOCK digits folds in small ints, a row at a time, before
-    one product with the large running matrix: exact by associativity.
-    """
-    a, b, c, e = 1, 0, 0, 1
-    for i in range(0, len(digits), _BLOCK):
-        block, f, g, h, k = digits[i:i + _BLOCK], 1, 0, 0, 1
-        for digit in block:
-            f, g = f * digit + g, f
-        for digit in block:
-            h, k = h * digit + k, h
-        a, b, c, e = a * f + b * h, a * g + b * k, c * f + e * h, c * g + e * k
-    return a, b, c, e
-
-
-def _palindrome(w: tuple[int, ...]) -> tuple[int, int, int, int]:
-    """`_matrix(w)` for a palindrome w = u + (x,) + reversed(u) or u + reversed(u), from u alone.
-
-    Every digit's matrix (x, 1; 1, 0) is symmetric, so M(reversed u) = M(u)^T.
-    """
-    n = len(w) // 2
-    a, b, c, e = _matrix(w[:n])
-    f, g, h, k = (a, b, c, e) if len(w) == 2 * n else (a * w[n] + b, a, c * w[n] + e, c)  # M(u x)
-    return f * a + g * b, f * c + g * e, h * a + k * b, h * c + k * e  # M(u x) M(u)^T
-
-
-def _fold(w: tuple[int, ...]) -> tuple[int, int, int, int]:
-    """`_matrix(w)`, from half the digits of a long w that is two palindromes w[:j] + w[j:].
-
-    Those are the periods of symmetric cycles (`_period`), and w is one exactly
-    when reversed(w) == w[j:] + w[:j].  Only w of at least 4*_BLOCK digits
-    looks for j, and only at the first _SPLITS places where the largest digit v
-    of the first block stands in reversed(w), each tried on its first _BLOCK // 2
-    digits before the whole comparison; otherwise w folds whole.
-    """
-    k, n = len(w), _BLOCK // 2
-    if k >= 4 * _BLOCK:
-        back, v, i = w[::-1], max(w[:_BLOCK]), -1
-        head, p = back[:n], w.index(v)
-        for _ in range(_SPLITS):
-            try:
-                i = back.index(v, i + 1)
-            except ValueError:
-                break
-            j = (p - i) % k
-            if (j > k - n or head == w[j : j + n]) and back[: k - j] == w[j:] and back[k - j :] == w[:j]:
-                (a, b, c, e), (f, g, h, m) = _palindrome(w[:j]), _palindrome(w[j:])
-                return a * f + b * h, a * g + b * m, c * f + e * h, c * g + e * m
-    return _matrix(w)
-
-
-def cf_value(cf: ContinuedFraction) -> QuadraticIrrational:
-    """Fold a continued fraction back into its exact value.
-
-    The period folds in blocks (`_fold`, from half its digits when it is long
-    and two palindromes) into (a, b; c, e): the tail y = (a*y + b)/(c*y + e)
-    is a root of c*y^2 + (e - a)*y - b over its content, whose discriminant is
-    small however long the period is; its squarefree part is the one radicand
-    factored here.  The preperiod folds into one matrix (A, B; C, E) by
-    `_matrix`, and x = (A*y + B)/(C*y + E) is rationalised once.
-    """
-    a, b, c, e = _fold(cf.period)
-    g = math.gcd(a - e, b, c)
-    u, b, c = (a - e) // g, b // g, c // g
-    s, f = _squarefree_split(u * u + 4 * b * c)
-    if f == 1:
-        raise RationalValueError("period does not define an irrational")
-    return _image(*_matrix(cf.preperiod), u, s, f, 2 * c)  # y = (u + s*sqrt(f))/(2c)
-
-
-# -- the GL(2,Z) action ----------------------------------------------------
-
-
-class Moebius(_Record):
-    """Integer linear fractional transformation with determinant +-1."""
-
-    __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a: int, b: int, c: int, d: int):
-        if a * d - c * b not in (1, -1):
-            raise ValueError("determinant must be +1 or -1")
-        self._fill((a, b, c, d))
-
-    def __matmul__(self, other: "Moebius") -> "Moebius":
-        return Moebius(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def __call__(self, x: QuadraticIrrational) -> QuadraticIrrational:
-        return _image(self.a, self.b, self.c, self.d, x.p, x.q, x.d, x.r)
-
-
 # -- parse / print ---------------------------------------------------------
 
 _QUAD_RE = re.compile(r"^quad:(-?\d+),(-?\d+),(\d+),(-?\d+)$")
-_CF_RE = re.compile(r"^cf:\[(?:(-?\d+)(?:;((?:-?\d+,)*))?)?\((\d+(?:,\d+)*)\)\]$")
 
 
 def format_quad(x: QuadraticIrrational) -> str:
@@ -518,16 +376,3 @@ def parse_quad(text: str) -> QuadraticIrrational:
         raise ValueError(f"malformed quadratic literal: {text!r}")
     p, q, d, r = map(int, m.groups())
     return QuadraticIrrational(p, q, d, r)
-
-
-def parse_cf(text: str) -> ContinuedFraction:
-    m = _CF_RE.match(text.strip())
-    if not m:
-        raise ValueError(f"malformed continued fraction literal: {text!r}")
-    head, mid, per = m.groups()
-    pre: list[int] = []
-    if head is not None:
-        pre.append(int(head))
-        if mid:
-            pre.extend(int(t) for t in mid.rstrip(",").split(","))
-    return ContinuedFraction(tuple(pre), tuple(int(t) for t in per.split(",")))

@@ -50,7 +50,7 @@ from itertools import count, islice
 
 from sturmian.cover import EqClass, IndexPair, eq_class, q_map
 from sturmian.groupoid import WitnessCheck
-from sturmian.quadratics import ContinuedFraction
+from sturmian.invariants import ContinuedFraction
 from sturmian.words import OrbitPoint, _letters, branch_point, cylinder_arc, language
 
 

@@ -10,11 +10,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from sturmian.cli import main as cli_main
-from sturmian.quadratics import (
-    ContinuedFraction,
-    QuadraticIrrational,
-    cf_expand,
-)
+from sturmian.quadratics import QuadraticIrrational
 from sturmian.words import (
     OrbitPoint,
     branch_point,
@@ -36,7 +32,7 @@ from sturmian.cover import (
     shift_thread,
 )
 from sturmian.groupoid import check_witness, dad_witness, degenerate_cover_chain
-from sturmian.invariants import conjugate, flow_equivalent
+from sturmian.invariants import ContinuedFraction, cf_expand, conjugate, flow_equivalent
 
 FIB = QuadraticIrrational(3, -1, 5, 2)  # (3 - sqrt5)/2
 GOLDEN_CONJ = QuadraticIrrational(-1, 1, 5, 2)  # (sqrt5 - 1)/2

@@ -7,7 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sturmian import cover, words
-from sturmian.quadratics import QuadraticIrrational, cf_value, parse_cf, parse_quad
+from sturmian.invariants import cf_value, parse_cf
+from sturmian.quadratics import QuadraticIrrational, parse_quad
 from sturmian.words import (
     OrbitPoint,
     branch_point,

@@ -17,8 +17,7 @@ FIB = "quad:3,-1,5,2"
 # package's own table so that a name dropped from it or moved fails here
 EXPORTS = {
     "quadratics": [
-        "BudgetExceededError", "ContinuedFraction", "Moebius", "QuadraticIrrational",
-        "RationalValueError", "cf_expand", "cf_value", "format_quad", "parse_cf", "parse_quad",
+        "BudgetExceededError", "QuadraticIrrational", "RationalValueError", "format_quad", "parse_quad",
     ],
     "words": [
         "Arc", "OrbitPoint", "branch_point", "code_letter", "code_word", "cylinder_arc",
@@ -31,8 +30,8 @@ EXPORTS = {
     ],
     "groupoid": ["DadWitness", "check_witness", "dad_witness", "degenerate_cover_chain"],
     "invariants": [
-        "InvariantReport", "OrderedGroupDescriptor", "compare_parameters", "conjugate",
-        "flow_equivalent",
+        "ContinuedFraction", "InvariantReport", "Moebius", "OrderedGroupDescriptor", "cf_expand",
+        "cf_value", "compare_parameters", "conjugate", "flow_equivalent", "parse_cf",
     ],
 }
 HOMES = [(module, name) for module, names in EXPORTS.items() for name in names]
@@ -75,6 +74,9 @@ class TestModulesLoaded:
             ("import sturmian", set()),
             ("import sturmian\nsturmian.words", {"quadratics", "words"}),
             ("from sturmian import compare_parameters", {"quadratics", "invariants"}),
+            # the field alone parses a parameter; continued fractions live with the deciders
+            ("from sturmian import parse_quad", {"quadratics"}),
+            ("from sturmian import cf_value", {"quadratics", "invariants"}),
             (cli("omega", "--alpha", FIB, "--n", "10"), CODING),
             (cli("word", "--alpha", FIB, "--t", "1/2", "--n", "20"), CODING),
             (cli("language", "--alpha", FIB, "--n", "3", "-o", "json"), CODING),
@@ -83,11 +85,11 @@ class TestModulesLoaded:
             (cli("fibre", "--alpha", FIB, "--point", "omega", "--K", "4", "--L", "10"), CODING | {"cover"}),
             (cli("dad", "--alpha", FIB, "--F", "1,2,3"), {"quadratics", "words", "groupoid", "cli"}),
             (cli("compare", "--alpha", FIB, "--beta", "quad:-1,1,5,2"), {"quadratics", "invariants", "cli"}),
-            (cli("report", "--alpha", FIB), {"quadratics", "cli"}),
+            (cli("report", "--alpha", FIB), {"quadratics", "invariants", "cli"}),
             (cli("omega", "--alpha", FIB, "--n", "-1"), {"quadratics", "cli"}),
         ],
-        ids=["import", "words-attr", "from-import", "omega", "word", "language", "past", "cover",
-             "fibre", "dad", "compare", "report", "usage-error"],
+        ids=["import", "words-attr", "from-import", "from-parse-quad", "from-cf-value", "omega", "word",
+             "language", "past", "cover", "fibre", "dad", "compare", "report", "usage-error"],
     )
     def test_only_the_layers_used(self, code, expected):
         loaded = loaded_after(code)

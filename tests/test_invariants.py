@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import math
 import random
 from fractions import Fraction
@@ -7,16 +10,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sturmian import quadratics
+from sturmian import invariants, quadratics
 from sturmian.cli import main
 from sturmian.quadratics import (
-    Moebius,
     QuadraticIrrational,
     format_quad,
     parse_quad,
 )
 from sturmian.invariants import (
+    ContinuedFraction,
+    Moebius,
     OrderedGroupDescriptor,
+    cf_value,
     compare_parameters,
     conjugate,
     flow_equivalent,
@@ -290,8 +295,15 @@ def test_value_positive_matches_field_arithmetic(alpha, n, m):
 
 
 def test_deciders_factor_nothing():
-    """The deciders, the order test and the construction of their inputs run on integers."""
-    with mock.patch.object(quadratics, "_squarefree_split") as split:
+    """The deciders, the order test and the construction of their inputs run on integers.
+
+    One spy stands in both namespaces that could call the split: the field's,
+    where the inputs are built, and the deciders', where cf_value calls it.
+    """
+    split = mock.Mock()
+    with mock.patch.object(quadratics, "_squarefree_split", split), mock.patch.object(
+        invariants, "_squarefree_split", split
+    ):
         corpus = unit_interval_corpus()[:6]
         pairs = [(FIB, GOLDEN_CONJ), (FIB, SQRT2M1), (parse_quad("quad:-316,1,99991,1"), FIB)]
         pairs += [(a, b) for a in corpus for b in corpus]
@@ -316,3 +328,57 @@ def test_compare_reads_any_radicand(capsys):
                 assert main(["compare", "--alpha", alpha, "--beta", beta, "-o", "json"]) == 0
                 answers.append(capsys.readouterr().out)
             assert answers[0] == answers[1]
+
+
+def _json(*argv: str) -> dict:
+    """The JSON line of an in-process request that exits 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main([*argv, "-o", "json"]) == 0
+    return json.loads(out.getvalue())
+
+
+def _same_or_mirror(a: QuadraticIrrational, b: QuadraticIrrational) -> bool:
+    """a = b or a = 1 - b, by subtracting field values: no key, no expansion."""
+    try:
+        return a - b == 0 or a + b == 1
+    except ValueError:  # values of two different quadratic fields
+        return False
+
+
+@st.composite
+def cf_pairs(draw):
+    """(alpha, beta, relation): alpha drawn as the cf round trip draws it, beta
+    alpha written over 4d, 1 - alpha, a rotated tail of alpha behind another
+    preperiod, or drawn on its own."""
+    alpha = draw(cf_parameters(period_digits=st.integers(1, 40)))
+    relation = draw(st.sampled_from(["same", "one_minus", "tail", "any"]))
+    if relation == "same":
+        return alpha, _literal(alpha, 2), relation
+    if relation == "one_minus":
+        return alpha, format_quad(1 - alpha), relation
+    if relation == "tail":
+        per = reference.cf_expand(alpha).period
+        k = draw(st.integers(0, len(per) - 1))
+        pre = (0, *draw(st.lists(st.integers(1, 40), max_size=3)))
+        return alpha, format_quad(cf_value(ContinuedFraction(pre, per[k:] + per[:k]))), relation
+    return alpha, format_quad(draw(cf_parameters(period_digits=st.integers(1, 40)))), relation
+
+
+@settings(max_examples=60, deadline=1000)
+@given(pair=cf_pairs())
+def test_report_and_compare_match_the_oracles(pair):
+    # the two commands whose code reads continued fractions, run in process
+    # against the expansion of complete quotients as field elements
+    alpha, beta_literal, relation = pair
+    beta = parse_quad(beta_literal)
+    want_a, want_b = reference.cf_expand(alpha), reference.cf_expand(beta)
+    report = _json("report", "--alpha", format_quad(alpha))
+    assert report["cf"] == str(want_a)
+    assert report["flow_class_period"] == list(want_a.period)
+    got = _json("compare", "--alpha", format_quad(alpha), "--beta", beta_literal)
+    assert got["conjugate"] == _same_or_mirror(alpha, beta)
+    assert got["flow_equivalent"] == cf_tail_equivalent(want_a, want_b)
+    if relation != "any":  # the other relations fix the answers, so no draw is vacuous
+        assert got["flow_equivalent"]
+        assert got["conjugate"] or relation == "tail"

@@ -30,7 +30,8 @@ from sturmian.cover import (
     thread_of,
 )
 from sturmian.groupoid import check_witness, dad_witness
-from sturmian.quadratics import ContinuedFraction, QuadraticIrrational, cf_value
+from sturmian.invariants import ContinuedFraction, cf_value
+from sturmian.quadratics import QuadraticIrrational
 from sturmian.words import (
     Arc,
     OrbitPoint,

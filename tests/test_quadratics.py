@@ -7,18 +7,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from sturmian import cli, quadratics
+from sturmian import cli, invariants, quadratics
+from sturmian.invariants import ContinuedFraction, Moebius, cf_expand, cf_value, parse_cf
 from sturmian.quadratics import (
-    ContinuedFraction,
-    Moebius,
     QuadraticIrrational,
     RationalValueError,
     _squarefree_split,
-    cf_expand,
-    cf_value,
     check_unit_interval,
     format_quad,
-    parse_cf,
     parse_quad,
 )
 from sturmian.words import OrbitPoint
@@ -183,7 +179,8 @@ def splits(monkeypatch):
 
     For LONG_PERIOD only its tail's minimal-polynomial discriminant, at most
     4 r^2 q^2 d, may be factored; a larger argument fails at once rather than
-    stalling in trial division.
+    stalling in trial division.  The spy stands in both namespaces that call
+    the split: the field's, for construction, and the deciders', for cf_value.
     """
     x = LONG_PERIOD
     bound = 4 * x.r * x.r * x.q * x.q * x.d
@@ -197,6 +194,7 @@ def splits(monkeypatch):
         return real(n)
 
     monkeypatch.setattr(quadratics, "_squarefree_split", counted)
+    monkeypatch.setattr(invariants, "_squarefree_split", counted)
     return seen
 
 
@@ -670,7 +668,7 @@ def test_cf_value_round_trip_with_one_split(tail, rotate, pre):
     per = cf_expand(tail).period
     k = rotate % len(per)
     cf = ContinuedFraction(pre, per[k:] + per[:k])
-    with mock.patch.object(quadratics, "_squarefree_split", wraps=_squarefree_split) as split:
+    with mock.patch.object(invariants, "_squarefree_split", wraps=_squarefree_split) as split:
         x = cf_value(cf)
     assert split.call_count == 1
     assert x == reference_cf_value(cf)
@@ -682,17 +680,17 @@ def test_blocked_fold_matches_one_digit_fold():
     # every length up to three blocks and one digit more, so empty, partial
     # and whole blocks all occur; a0 <= 0 and digits of any sign included
     rng = random.Random(19)
-    for n in range(3 * quadratics._BLOCK + 2):
+    for n in range(3 * invariants._BLOCK + 2):
         for a0 in (-7, 0, 3):
             digits = (a0, *(rng.randint(1, 3000) for _ in range(n - 1)))[:n]
-            assert quadratics._matrix(digits) == quadratics._fold(digits) == reference_matrix(digits)
+            assert invariants._matrix(digits) == invariants._fold(digits) == reference_matrix(digits)
         digits = tuple(rng.randint(-3000, 3000) for _ in range(n))
-        assert quadratics._matrix(digits) == quadratics._fold(digits) == reference_matrix(digits)
+        assert invariants._matrix(digits) == invariants._fold(digits) == reference_matrix(digits)
     # past the length floor of the palindrome fold: w = p1 + p2 for palindromes
     # with odd and even halves, p1 empty (j = 0), one digit or led by a0 <= 0,
     # folds from at most half its digits; a near miss, one digit changed, folds
     # to the product of its digits too
-    floor = 4 * quadratics._BLOCK
+    floor = 4 * invariants._BLOCK
 
     def palindrome(n, a0):
         half = [a0, *(rng.randint(1, 3000) for _ in range(n // 2 - 1))][: n // 2]
@@ -702,20 +700,20 @@ def test_blocked_fold_matches_one_digit_fold():
         for n2 in sorted({n for n in (1, 2, floor - n1, floor + 1 - n1, 2 * floor - n1) if n > 0}):
             for a0 in (-7, 0, 3):
                 w = palindrome(n1, a0) + palindrome(n2, rng.randint(1, 3000))
-                with mock.patch.object(quadratics, "_matrix", wraps=quadratics._matrix) as fold:
-                    assert quadratics._fold(w) == reference_matrix(w)
+                with mock.patch.object(invariants, "_matrix", wraps=invariants._matrix) as fold:
+                    assert invariants._fold(w) == reference_matrix(w)
                 folded = sum(len(call.args[0]) for call in fold.call_args_list)
                 assert folded <= len(w) // 2 if len(w) >= floor else folded == len(w)
                 i = rng.randrange(len(w))
                 near = (*w[:i], w[i] + rng.choice((-1, 1)), *w[i + 1 :])
-                assert quadratics._fold(near) == reference_matrix(near)
+                assert invariants._fold(near) == reference_matrix(near)
     # periods whose split stands late among the places of their largest digit,
     # and a rotation of each, whose split moves
     for lit in ("quad:-1957,2,959929,4", "quad:2941,-3,959558,3", "quad:-705,3,55657,4"):
         w = cf_expand(parse_quad(lit)).period
         for v in (w, w[7:] + w[:7]):
-            with mock.patch.object(quadratics, "_matrix", wraps=quadratics._matrix) as fold:
-                assert quadratics._fold(v) == reference_matrix(v)
+            with mock.patch.object(invariants, "_matrix", wraps=invariants._matrix) as fold:
+                assert invariants._fold(v) == reference_matrix(v)
             assert sum(len(call.args[0]) for call in fold.call_args_list) <= len(v) // 2
 
 
@@ -763,7 +761,7 @@ class TestFoldedDigitCounts:
              "296-late-split"],
     )
     def test_digits_folded(self, x, counts):
-        with mock.patch.object(quadratics, "_matrix", wraps=quadratics._matrix) as fold:
+        with mock.patch.object(invariants, "_matrix", wraps=invariants._matrix) as fold:
             assert cf_value(cf_expand(x)) == x
         assert [len(call.args[0]) for call in fold.call_args_list] == counts
 

@@ -6,11 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from sturmian.quadratics import Moebius, QuadraticIrrational, cf_expand
+from sturmian.quadratics import QuadraticIrrational
 from sturmian.words import OrbitPoint, branch_point, cylinder_arc
 from sturmian.cover import EqClass, eq_class, fibre_report, quotient, thread_of
 from sturmian.groupoid import DadWitness, check_witness, dad_witness
-from sturmian.invariants import OrderedGroupDescriptor, compare_parameters
+from sturmian.invariants import Moebius, OrderedGroupDescriptor, cf_expand, compare_parameters
 
 FIB = QuadraticIrrational(3, -1, 5, 2)
 SQRT2M1 = QuadraticIrrational(-1, 1, 2, 1)

@@ -3,7 +3,7 @@ import inspect
 from pathlib import Path
 
 import sturmian
-from sturmian import cli, cover, groupoid, quadratics, words
+from sturmian import cli, cover, groupoid, invariants, quadratics, words
 
 SOURCES = sorted(Path(sturmian.__file__).parent.glob("*.py"))
 
@@ -164,7 +164,7 @@ def _trusted_cf_calls(node) -> list[int]:
 
 
 def test_trusted_continued_fractions_built_in_one_place():
-    # ContinuedFraction._at skips canonicalisation, so only quadratics.cf_expand,
+    # ContinuedFraction._at skips canonicalisation, so only invariants.cf_expand,
     # whose expansion is canonical as built, may call it
     builders, found = [], []
     for path in SOURCES:
@@ -173,7 +173,7 @@ def test_trusted_continued_fractions_built_in_one_place():
         for node in tree.body:
             if (
                 isinstance(node, ast.FunctionDef)
-                and (path.name, node.name) == ("quadratics.py", "cf_expand")
+                and (path.name, node.name) == ("invariants.py", "cf_expand")
                 and _trusted_cf_calls(node)
             ):
                 builders.append(node.name)
@@ -248,14 +248,15 @@ def _stepped_slices(node) -> list[str]:
 
 def test_quadratics_reverses_digits_only_to_test_symmetry():
     # the fold's symmetry test, reversed(w) == w[j:] + w[:j], is the one
-    # reversal of a digit tuple; _period mirrors each walked half by one slice
-    # from its axis back, and no other slice in quadratics has a step
-    tree = ast.parse(inspect.getsource(quadratics))
-    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    assert [n for n in ast.walk(tree) if _is_reversal(n)] == [
+    # reversal of a digit tuple; quadratics._period mirrors each walked half by
+    # one slice from its axis back, and no other slice in the field or the
+    # continued fractions (invariants) has a step
+    trees = [ast.parse(inspect.getsource(module)) for module in (quadratics, invariants)]
+    functions = {node.name: node for tree in trees for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert [n for tree in trees for n in ast.walk(tree) if _is_reversal(n)] == [
         n for n in ast.walk(functions["_fold"]) if _is_reversal(n)
     ] != []
-    assert len(_stepped_slices(tree)) == 2
+    assert sum(len(_stepped_slices(tree)) for tree in trees) == 2
     assert len(_stepped_slices(functions["_fold"])) == len(_stepped_slices(functions["_period"])) == 1
 
 
@@ -285,9 +286,10 @@ def _recurrences(node) -> int:
 
 
 def test_one_period_walk():
-    # the recurrence steps through _reduced's preperiod and through _period's
-    # walk of the cycle, a plain function; cf_expand reads its digits and
-    # flow_equivalent its flag, and neither walks the cycle on its own
+    # the recurrence steps through quadratics._reduced's preperiod and through
+    # quadratics._period's walk of the cycle, a plain function; invariants'
+    # cf_expand reads its digits and flow_equivalent its flag, and neither
+    # walks the cycle on its own
     trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
     functions = {
         (name, node.name): node for name, tree in trees.items() for node in tree.body if isinstance(node, ast.FunctionDef)
@@ -295,8 +297,9 @@ def test_one_period_walk():
     walkers = {key: _recurrences(node) for key, node in functions.items() if _recurrences(node)}
     assert walkers == {("quadratics.py", "_reduced"): 1, ("quadratics.py", "_period"): 1}, walkers
     assert sum(map(_recurrences, trees.values())) == 2
-    assert not any(isinstance(n, (ast.Yield, ast.YieldFrom)) for n in ast.walk(trees["quadratics.py"]))
-    assert _calls(functions["quadratics.py", "cf_expand"], "_period")
+    for name in ("quadratics.py", "invariants.py"):
+        assert not any(isinstance(n, (ast.Yield, ast.YieldFrom)) for n in ast.walk(trees[name])), name
+    assert _calls(functions["invariants.py", "cf_expand"], "_period")
     assert _calls(functions["invariants.py", "flow_equivalent"], "_period")
 
 
@@ -311,7 +314,7 @@ def test_one_squarefree_split():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         for _ in range(_calls(node, "_squarefree_split"))
     ]
-    assert callers == [("quadratics.py", "cf_value")], callers
+    assert callers == [("invariants.py", "cf_value")], callers
     assert sum(_calls(tree, "_squarefree_split") for tree in trees.values()) == 1
 
 
