@@ -38,8 +38,8 @@ def _parse_parameter(field: str, text: str) -> QuadraticIrrational:
 def _parse_point(alpha: QuadraticIrrational, spec: str) -> OrbitPoint:
     """Point specs: 'omega', 'fwd:J', 'back:M:L|R', 'quad:p,q,d,r' or 'p/q'.
 
-    Only back:M:V names a coding side, L if V is left out: the two codings
-    differ only at the points -i*alpha, back:(i+1) (`hits_coding_boundary`)."""
+    Only back:M:V names a coding side, L if V is left out: an `OrbitPoint` keeps
+    its side only at the points -i*alpha, back:(i+1), where the two codings differ."""
     from .words import OrbitPoint, _orbit_point
 
     try:

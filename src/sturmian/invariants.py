@@ -71,7 +71,6 @@ def cf_expand(x: QuadraticIrrational) -> ContinuedFraction:
 
 
 _BLOCK = 32
-_SPLITS = 32  # the places a long period tries as its split; the latest split seen was the 15th
 
 
 def _matrix(digits: tuple[int, ...]) -> tuple[int, int, int, int]:
@@ -107,15 +106,15 @@ def _fold(w: tuple[int, ...]) -> tuple[int, int, int, int]:
 
     Those are the periods of symmetric cycles (`_period`), and w is one exactly
     when reversed(w) == w[j:] + w[:j].  Only w of at least 4*_BLOCK digits
-    looks for j, and only at the first _SPLITS places where the largest digit v
-    of the first block stands in reversed(w), each tried on its first _BLOCK // 2
-    digits before the whole comparison; otherwise w folds whole.
+    looks for j, at every place where the largest digit v of the first block
+    stands in reversed(w), as every split puts one there, each tried on its
+    first _BLOCK // 2 digits before the whole comparison; otherwise w folds whole.
     """
     k, n = len(w), _BLOCK // 2
     if k >= 4 * _BLOCK:
         back, v, i = w[::-1], max(w[:_BLOCK]), -1
         head, p = back[:n], w.index(v)
-        for _ in range(_SPLITS):
+        while True:
             try:
                 i = back.index(v, i + 1)
             except ValueError:

@@ -7,7 +7,8 @@ as integers (a, b, c) with t = (a + b*alpha)/c, so shifting adds to b and
 every letter is one integer floor.  Variant "L" uses the left-closed
 intervals [0,1-a), [1-a,1); variant "R" the right-closed ones.
 The two variants disagree exactly on the backward rotation orbit of 0,
-which is where the subshift closure adds points.
+which is where the subshift closure adds points; off it a point is stored
+as "L", so each subshift element has one record and records compare by ==.
 """
 
 from __future__ import annotations
@@ -35,9 +36,11 @@ class OrbitPoint(_Record):
     """An element of the one-sided subshift: a circle point in [0, 1) with its coding variant.
 
     The point is (a + b*alpha)/c, and the triple is canonical: c > 0,
-    gcd(a, b, c) = 1 and 0 <= a + b*alpha < c, so equal points have equal
-    fields.  The constructor reads the circle point t as the field reads an
-    operand (`QuadraticIrrational._operand`): an int, a Fraction or a
+    gcd(a, b, c) = 1 and 0 <= a + b*alpha < c.  The variant is kept only on
+    the coding boundary (`hits_coding_boundary`), where the two codings
+    differ, and is "L" elsewhere, so equal elements have equal fields.  The
+    constructor reads the circle point t as the field reads an operand
+    (`QuadraticIrrational._operand`): an int, a Fraction or a
     QuadraticIrrational of alpha's field.
     """
 
@@ -55,7 +58,7 @@ class OrbitPoint(_Record):
         self._set((alpha, p * alpha.q - q * alpha.p, q * alpha.r, r * alpha.q, variant))
 
     def _set(self, values: tuple[QuadraticIrrational, int, int, int, Variant]) -> None:
-        """Store the point (a + b*alpha)/c mod 1 for c != 0; alpha and variant are trusted."""
+        """Store (a + b*alpha)/c mod 1, c != 0, as "L" off the coding boundary; alpha and variant are trusted."""
         alpha, a, b, c, variant = values
         if c < 0:
             a, b, c = -a, -b, -c
@@ -65,7 +68,7 @@ class OrbitPoint(_Record):
         _store(self, "a", a - _floor(alpha, a, b, c) * c)
         _store(self, "b", b)
         _store(self, "c", c)
-        _store(self, "variant", variant)
+        _store(self, "variant", variant if self.hits_coding_boundary() else "L")
 
     @property
     def t(self) -> CirclePoint:
@@ -83,12 +86,6 @@ class OrbitPoint(_Record):
         codings of this point differ.
         """
         return self.c == 1 and self.b <= 0
-
-    def denotes_same(self, other: "OrbitPoint") -> bool:
-        """Whether the two codings are the same subshift element."""
-        if (self.alpha, self.a, self.b, self.c) != (other.alpha, other.a, other.b, other.c):
-            return False
-        return self.variant == other.variant or not self.hits_coding_boundary()
 
     def orbit_position(self) -> Optional[tuple[str, int]]:
         """Location of this point in the orbit of the branch point.
@@ -287,8 +284,7 @@ def _first_entry(p: OrbitPoint, q: OrbitPoint) -> int:
     k*(-m mod s) lands on the arc mod s, the same question on a circle of
     length s; each level costs a few floors.
     """
-    lone = p.variant == "R" and not p.hits_coding_boundary()  # {p} holds no cut point
-    if (p.a, p.b, p.c) == (q.a, q.b, q.c) and (p.variant == q.variant or lone):
+    if p == q:
         raise ValueError("no cut point lies on this arc")
     alpha, n = p.alpha, p.c * q.c // math.gcd(p.c, q.c)
 

@@ -17,6 +17,8 @@ from sturmian.words import OrbitPoint, _first_entry, branch_point, code_word, la
 FIB = QuadraticIrrational(3, -1, 5, 2)
 OM = branch_point(FIB)
 HALF = OrbitPoint(FIB, Fraction(1, 2))
+HALF_R = OrbitPoint(FIB, Fraction(1, 2), "R")
+ZERO_R = OrbitPoint(FIB, 0, "R")
 TOP = EqClass(IndexPair(2, 4), "01", frozenset({"0100"}))
 
 CHECKS = {
@@ -32,6 +34,9 @@ CHECKS = {
     "language length": (lambda: language(FIB, -1), ValueError, "nonnegative"),
     "past_set depth": (lambda: past_set(OM, -1), ValueError, "nonnegative"),
     "empty arc": (lambda: _first_entry(HALF, HALF), ValueError, "no cut point"),
+    "empty arc at a cut point": (lambda: _first_entry(ZERO_R, ZERO_R), ValueError, "no cut point"),
+    # off the coding boundary the R record is HALF itself, so this arc is empty too
+    "empty arc from two sides": (lambda: _first_entry(HALF, HALF_R), ValueError, "no cut point"),
     "radicand": (lambda: QuadraticIrrational(1, 1, -5, 2), ValueError, "radicand must be positive"),
 }
 

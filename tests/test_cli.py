@@ -4,7 +4,9 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +14,13 @@ from hypothesis import strategies as st
 
 import sturmian
 from sturmian.cli import main
-from sturmian.quadratics import parse_quad
+from sturmian.quadratics import format_quad, parse_quad
 from sturmian.words import OrbitPoint, code_word
+
+import reference
+from reference import _mod1
+from test_invariants import _json
+from test_kernel import cf_parameters
 
 FIB = "quad:3,-1,5,2"
 LONG_PERIOD = "quad:-316,1,99991,1"  # sqrt(99991) - 316
@@ -85,6 +92,14 @@ class TestWordAndPast:
         ]
         assert words[0] == words[1] != words[2]
 
+    def test_negative_rational_point_needs_the_equals_form(self, capsys):
+        # -7/3 is 2/3 mod 1; after a space argparse takes "-7/3" for an option
+        assert run_cli(capsys, "word", "--alpha", FIB, "--t=-7/3", "--n", "12") == (0, "100100101001\n", "")
+        assert run_cli(capsys, "word", "--alpha", FIB, "--t", "2/3", "--n", "12")[:2] == (0, "100100101001\n")
+        with pytest.raises(SystemExit) as e:
+            main(["word", "--alpha", FIB, "--t", "-7/3", "--n", "12"])
+        assert e.value.code == 2 and capsys.readouterr().out == ""
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -98,6 +113,47 @@ class TestWordAndPast:
         with pytest.raises(SystemExit) as e:
             main([*argv, "--alpha", FIB, "--variant", "R"])
         assert e.value.code == 2
+
+
+@st.composite
+def specs_and_points(draw, alpha):
+    """(argv for the point, its circle point, its side): a spec of every kind,
+    the point worked out from the spec's meaning rather than by the parser."""
+    kind = draw(st.sampled_from(["omega", "fwd", "back", "rational"]))
+    if kind == "omega":
+        spec, t, side = "omega", alpha, "L"
+    elif kind == "fwd":
+        j = draw(st.integers(0, 12))
+        spec, t, side = f"fwd:{j}", _mod1((1 + j) * alpha), "L"
+    elif kind == "back":
+        m, side = draw(st.integers(1, 12)), draw(st.sampled_from("LR"))
+        spec, t = f"back:{m}:{side}", _mod1((1 - m) * alpha)
+    else:
+        t = Fraction(draw(st.integers(-30, 30)), draw(st.integers(1, 12)))
+        spec, t, side = str(t), _mod1(t), "L"
+    argv = [f"--t={spec}"] if spec.startswith("-") else ["--t", spec]
+    return argv, SimpleNamespace(alpha=alpha, t=t, variant=side)
+
+
+@settings(max_examples=40, deadline=1000)
+@given(
+    data=st.data(),
+    alpha=st.one_of(
+        st.sampled_from([parse_quad(FIB), parse_quad("quad:-1,1,2,1")]),
+        cf_parameters(period_digits=st.integers(1, 10)),
+    ),
+    n=st.integers(0, 12),
+    l=st.integers(0, 12),
+)
+def test_point_commands_match_the_oracles(data, alpha, n, l):
+    # omega, word and past run in process against coding by adding alpha to a
+    # field element and pasts by walking back along shift preimages
+    lit = format_quad(alpha)
+    omega = SimpleNamespace(alpha=alpha, t=alpha, variant="L")
+    assert _json("omega", "--alpha", lit, "--n", str(n))["word"] == reference.code_word(omega, n)
+    point, x = data.draw(specs_and_points(alpha))
+    assert _json("word", "--alpha", lit, *point, "--n", str(n))["word"] == reference.code_word(x, n)
+    assert _json("past", "--alpha", lit, *point, "--l", str(l))["pasts"] == sorted(reference.past_set(x, l))
 
 
 class TestLanguage:

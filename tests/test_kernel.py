@@ -16,6 +16,7 @@ arithmetic.
 import itertools
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -96,8 +97,23 @@ def test_point_arithmetic(x, k, other):
     assert y.hits_coding_boundary() == reference.hits_coding_boundary(y.alpha, t)
     assert {(p.t, p.variant) for p in preimages(y)} == reference.preimages(y.alpha, t, y.variant)
     for w in pts:
-        expected = reference.denotes_same(y.alpha, t, y.variant, w.alpha, w.t, w.variant)
-        assert y.denotes_same(w) == expected
+        assert (y == w) == reference.denotes_same(y.alpha, t, y.variant, w.alpha, w.t, w.variant)
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=points(), n=st.integers(0, 60))
+def test_one_record_per_element(x, n):
+    # the two codings of a point differ only on the coding boundary, and only
+    # there do its two sides make two records; each record codes as its side asks
+    t = x.t
+    left, right = OrbitPoint(x.alpha, t, "L"), OrbitPoint(x.alpha, t, "R")
+    for y in (left, right):
+        asked = SimpleNamespace(alpha=x.alpha, t=t, variant="L" if y is left else "R")
+        assert code_word(y, n) == reference.code_word(asked, n)
+    if reference.hits_coding_boundary(x.alpha, t):
+        assert left != right and (left.variant, right.variant) == ("L", "R")
+    else:
+        assert left == right and hash(left) == hash(right) and right.variant == "L"
 
 
 @settings(max_examples=150, deadline=None)

@@ -707,6 +707,19 @@ def test_blocked_fold_matches_one_digit_fold():
                 i = rng.randrange(len(w))
                 near = (*w[:i], w[i] + rng.choice((-1, 1)), *w[i + 1 :])
                 assert invariants._fold(near) == reference_matrix(near)
+    # two palindromes of 64 to 200 small digits each: the largest digit of the
+    # first block stands at dozens of places before the split, and each word
+    # still folds from at most half its digits
+    draw = random.Random(3)
+    for top in (2, 3, 9):
+        for _ in range(40):
+            w = ()
+            for n in (draw.randint(64, 200), draw.randint(64, 200)):
+                half = tuple(draw.randint(1, top) for _ in range(n // 2))
+                w += half + tuple(draw.randint(1, top) for _ in range(n % 2)) + half[::-1]
+            with mock.patch.object(invariants, "_matrix", wraps=invariants._matrix) as fold:
+                assert invariants._fold(w) == reference_matrix(w)
+            assert sum(len(call.args[0]) for call in fold.call_args_list) <= len(w) // 2
     # periods whose split stands late among the places of their largest digit,
     # and a rotation of each, whose split moves
     for lit in ("quad:-1957,2,959929,4", "quad:2941,-3,959558,3", "quad:-705,3,55657,4"):

@@ -37,7 +37,7 @@ RECORDS = {
     ),
     "OrbitPoint": (
         lambda: OrbitPoint(FIB, HALF),
-        lambda: OrbitPoint(FIB, HALF, "R"),
+        lambda: OrbitPoint(FIB, HALF).shift(),
         ("alpha", "a", "b", "c", "variant"),
     ),
     "Arc": (lambda: cylinder_arc(FIB, "01"), lambda: cylinder_arc(FIB, "10"), ("alpha", "lo_tag", "hi_tag")),
@@ -148,6 +148,14 @@ def test_class_equality_ignores_the_representative():
     assert c.representative is not None and bare.representative is None
     assert bare == c and hash(bare) == hash(c)
     assert EqClass(c.index, c.prefix, c.past, OrbitPoint(FIB, HALF)) == c
+
+
+def test_a_point_keeps_its_side_only_on_the_coding_boundary():
+    # off the boundary the R record is the L one, so one element has one record
+    for x in (OrbitPoint(FIB, HALF, "R"), OrbitPoint(FIB, FIB, "R"), OrbitPoint._at((FIB, 1, 1, 3, "R"))):
+        assert x == OrbitPoint(FIB, x.t) and hash(x) == hash(OrbitPoint(FIB, x.t)) and x.variant == "L"
+    for t in (0, -FIB, 2 - 3 * FIB):
+        assert OrbitPoint(FIB, t, "R") != OrbitPoint(FIB, t) and OrbitPoint(FIB, t, "R").variant == "R"
 
 
 def test_a_wrong_field_count_is_a_type_error():

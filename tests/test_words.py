@@ -8,6 +8,7 @@ from sturmian.quadratics import QuadraticIrrational, parse_quad
 from sturmian.words import (
     Arc,
     OrbitPoint,
+    _first_entry,
     _orbit_point,
     branch_point,
     code_letter,
@@ -163,12 +164,12 @@ class TestBranchStructure:
         x = OrbitPoint(FIB, Fraction(1, 2), "L")
         (y,) = preimages(x)
         assert y == OrbitPoint(FIB, Fraction(1, 2) - FIB, "L")
-        assert y.shift().denotes_same(x)
+        assert y.shift() == x
 
     def test_shift_section(self):
         for t in (Fraction(1, 2), FIB * Fraction(1, 3) + Fraction(1, 5)):
             x = OrbitPoint(FIB, t, "L")
-            assert any(y.denotes_same(x) for y in preimages(x.shift()))
+            assert any(y == x for y in preimages(x.shift()))
 
     def test_branch_first_letter_below_half(self):
         for alpha in ALPHAS:  # all three lie in (0, 1/2) except the golden conjugate
@@ -178,7 +179,7 @@ class TestBranchStructure:
 
     def test_shift_of_zero_point_is_branch(self):
         zero = OrbitPoint(FIB, 0, "L")
-        assert zero.shift().denotes_same(branch_point(FIB))
+        assert zero.shift() == branch_point(FIB)
 
 
 class TestPastSets:
@@ -260,6 +261,12 @@ class TestRecurrence:
         alpha = QuadraticIrrational(-9999999, 1, 99999999999999, 2)
         assert recurrence_bound(alpha, "00") == 20_000_002
 
+    def test_first_entry_between_the_sides_of_zero(self):
+        # an L end stands just after its point and an R end just before it: the
+        # arc from 0 L round to 0 R first meets -alpha, the arc from 0 R to 0 L meets 0
+        zero_l, zero_r = OrbitPoint(FIB, 0, "L"), OrbitPoint(FIB, 0, "R")
+        assert (_first_entry(zero_l, zero_r), _first_entry(zero_r, zero_l)) == (1, 0)
+
     def test_minimality_proxy(self):
         for n in range(1, 9):
             for mu in sorted(language(FIB, n)):
@@ -302,10 +309,10 @@ class TestVariantAgreement:
     def test_orbit_of_zero_disagrees(self):
         zero_l, zero_r = OrbitPoint(FIB, 0, "L"), OrbitPoint(FIB, 0, "R")
         assert code_word(zero_l, 8) != code_word(zero_r, 8)
-        assert not zero_l.denotes_same(zero_r)
+        assert zero_l != zero_r
 
     def test_branch_point_variants_coincide(self):
-        assert OrbitPoint(FIB, FIB, "L").denotes_same(OrbitPoint(FIB, FIB, "R"))
+        assert OrbitPoint(FIB, FIB, "L") == OrbitPoint(FIB, FIB, "R")
         assert code_word(OrbitPoint(FIB, FIB, "L"), 30) == code_word(OrbitPoint(FIB, FIB, "R"), 30)
 
 
@@ -346,12 +353,13 @@ class TestOrbitPosition:
         "alpha", [FIB, SQRT2M1, parse_quad("quad:-1,1,13,6"), parse_quad("quad:-7,1,61,3")]
     )
     def test_orbit_point_inverts_orbit_position(self, alpha):
-        # b*alpha is sigma^(b-1)(omega) for b >= 1 and 1 - b shifts behind omega otherwise
+        # b*alpha is sigma^(b-1)(omega) for b >= 1 and 1 - b shifts behind omega otherwise;
+        # only the points behind it, on the coding boundary, keep side v
         for b in range(-20, 21):
             for v in "LR":
                 x = _orbit_point(alpha, b, v)
                 assert x.orbit_position() == (("forward", b - 1) if b >= 1 else ("backward", 1 - b))
-                assert (x.t, x.variant) == (b * alpha - math.floor(b * alpha), v)
+                assert (x.t, x.variant) == (b * alpha - math.floor(b * alpha), v if b <= 0 else "L")
                 assert x == OrbitPoint(alpha, b * alpha, v)
 
     def test_partition_arcs_cover_circle(self):
