@@ -64,40 +64,33 @@ def _parse_point(alpha: QuadraticIrrational, spec: str) -> OrbitPoint:
         raise UsageError("point", f"cannot parse {spec!r}: {e}")
 
 
-def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> None:
-    if args.output == "json":
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-    else:
-        for line in text_lines:
-            print(line)
+# a runner's answer: the JSON payload, the text lines and whether the report passes its own check
+Answer = tuple[dict, list[str], bool]
 
 
-def _run_word(args: argparse.Namespace) -> int:
+def _run_word(args: argparse.Namespace) -> Answer:
     from .words import code_word
 
     w = _blame("n", code_word, _parse_point(args.alpha, args.t), args.n)
-    _emit(args, {"alpha": format_quad(args.alpha), "n": args.n, "word": w}, [w])
-    return 0
+    return {"alpha": format_quad(args.alpha), "n": args.n, "word": w}, [w], True
 
 
-def _run_language(args: argparse.Namespace) -> int:
+def _run_language(args: argparse.Namespace) -> Answer:
     from .words import language
 
     words = sorted(_blame("n", language, args.alpha, args.n))
-    _emit(args, {"alpha": format_quad(args.alpha), "n": args.n, "words": words}, words)
-    return 0
+    return {"alpha": format_quad(args.alpha), "n": args.n, "words": words}, words, True
 
 
-def _run_past(args: argparse.Namespace) -> int:
+def _run_past(args: argparse.Namespace) -> Answer:
     from .words import past_set
 
     x = _parse_point(args.alpha, args.t)
     words = sorted(_blame("l", past_set, x, args.l))
-    _emit(args, {"alpha": format_quad(args.alpha), "l": args.l, "pasts": words}, words)
-    return 0
+    return {"alpha": format_quad(args.alpha), "l": args.l, "pasts": words}, words, True
 
 
-def _run_cover(args: argparse.Namespace) -> int:
+def _run_cover(args: argparse.Namespace) -> Answer:
     from .cover import quotient
 
     k, l = args.k, args.l
@@ -110,11 +103,10 @@ def _run_cover(args: argparse.Namespace) -> int:
     lines = [f"index=({k},{l}) classes={len(classes)}"]
     for c in classes:
         lines.append(f"  prefix={c['prefix'] or '-'} past={{{','.join(w or '-' for w in c['past'])}}}")
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines, True
 
 
-def _run_fibre(args: argparse.Namespace) -> int:
+def _run_fibre(args: argparse.Namespace) -> Answer:
     from .cover import fibre_report
 
     K, L = args.K, args.L
@@ -141,11 +133,10 @@ def _run_fibre(args: argparse.Namespace) -> int:
         for i, rows in enumerate(tables):
             lines.append(f"thread {i}:")
             lines.extend("  " + row for row in rows)
-    _emit(args, payload, lines)
-    return 0 if rep.resolved else 1
+    return payload, lines, rep.resolved
 
 
-def _run_dad(args: argparse.Namespace) -> int:
+def _run_dad(args: argparse.Namespace) -> Answer:
     from .groupoid import check_witness, dad_witness, degenerate_cover_chain
 
     w = _blame("F", dad_witness, args.alpha, args.F)
@@ -161,25 +152,18 @@ def _run_dad(args: argparse.Namespace) -> int:
         f"cocycle_bound={chk.cocycle_bound} pass={chk.passed}",
         f"one-set cover chain={degenerate} (> window/2: {degenerate > window // 2})",
     ]
-    _emit(args, payload, lines)
-    return 0 if chk.passed else 1
+    return payload, lines, chk.passed
 
 
-def _run_compare(args: argparse.Namespace) -> int:
+def _run_compare(args: argparse.Namespace) -> Answer:
     from .invariants import compare_parameters
 
-    rep = compare_parameters(args.alpha, args.beta)
-    lines = [
-        f"conjugate={str(rep.conjugate).lower()}",
-        f"flow_equivalent={str(rep.flow_equivalent).lower()}",
-        f"k0={rep.k0_description}",
-        f"k1={rep.k1_description}",
-    ]
-    _emit(args, rep.to_dict(), lines)
-    return 0
+    payload = compare_parameters(args.alpha, args.beta).to_dict()
+    lines = [f"{key}={str(v).lower() if isinstance(v, bool) else v}" for key, v in payload.items()]
+    return payload, lines, True
 
 
-def _run_report(args: argparse.Namespace) -> int:
+def _run_report(args: argparse.Namespace) -> Answer:
     from .invariants import InvariantReport, cf_expand
 
     cf = cf_expand(args.alpha)
@@ -197,8 +181,7 @@ def _run_report(args: argparse.Namespace) -> int:
         f"K0 = Z + alpha*Z (ordered, unit 1); K1 = 0",
         f"flow-equivalence class: period {list(cf.period)} up to rotation",
     ]
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines, True
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -251,8 +234,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_numeric(args: argparse.Namespace) -> None:
-    """Reject out-of-range numeric options before any computation runs."""
+def _parse_args(args: argparse.Namespace) -> None:
+    """Check the options, numeric ranges before any computation runs, and
+    replace alpha, F and beta by their parsed values."""
+    args.alpha = _parse_parameter("alpha", args.alpha)
+    if args.command == "dad":
+        try:
+            args.F = tuple(int(v) for v in args.F.split(","))
+        except ValueError:
+            raise UsageError("F", f"cannot parse {args.F!r}")
     for field in ("n", "l", "L"):
         if getattr(args, field, 0) < 0:
             raise UsageError(field, "must be nonnegative")
@@ -260,29 +250,26 @@ def _check_numeric(args: argparse.Namespace) -> None:
         raise UsageError("k", f"must lie in 0..l = {args.l}")
     if hasattr(args, "K") and not 0 <= args.K <= args.L:
         raise UsageError("K", f"must lie in 0..L = {args.L}")
-
-
-def _parse_args(args: argparse.Namespace) -> None:
-    """Check the options and replace alpha, F and beta by their parsed values."""
-    args.alpha = _parse_parameter("alpha", args.alpha)
-    if args.command == "dad":
-        try:
-            args.F = tuple(int(v) for v in args.F.split(","))
-        except ValueError:
-            raise UsageError("F", f"cannot parse {args.F!r}")
-    _check_numeric(args)
     if args.command == "compare":
         args.beta = _parse_parameter("beta", args.beta)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one command: its JSON payload or text lines on stdout and exit 0,
+    or 1 for a report that fails its own check; a usage error prints one
+    line on stderr and exits 2.  The one place the CLI prints."""
     args = _build_parser().parse_args(argv)
     try:
         _parse_args(args)
-        return args.run(args)
+        payload, lines, verified = args.run(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    if args.output == "json":
+        lines = [json.dumps(payload, sort_keys=True, separators=(",", ":"))]
+    for line in lines:
+        print(line)
+    return 0 if verified else 1
 
 
 if __name__ == "__main__":

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import math
 from itertools import combinations, count, groupby, product
+from operator import itemgetter
 
 from .quadratics import QuadraticIrrational, _Record
-from .words import Word, _zero_words, language, recurrence_bound
+from .words import Word, _zero_words, recurrence_bound
 
 
 class DadWitness(_Record):
@@ -56,13 +57,19 @@ def dad_witness(alpha: QuadraticIrrational, values) -> DadWitness:
 
     The words have the least length m >= 2*lbar at which two words of the
     language have disjoint shifted cylinders, and are the first such pair
-    in the order of their suffixes mu[lbar:], then of the words; each
-    length reads one language.  For any m >= lbar, a pair is disjoint
-    exactly when mu[lbar-1:] is not in nu and nu[lbar-1:] is not in mu.
-    Proof: for j >= i the cylinders of mu[j:] and nu[i:] meet exactly when
-    mu[j:] occurs in nu at i, and then so does its suffix t = mu[lbar-1:];
-    conversely t has m - lbar + 1 letters, so it occurs only at some
-    p <= lbar - 1, the pair (lbar - 1, p).  The case i >= j is symmetric.
+    in the order of their suffixes mu[lbar:], then of the words.  For any
+    m >= lbar, a pair is disjoint exactly when mu[lbar-1:] is not in nu and
+    nu[lbar-1:] is not in mu.  Proof: for j >= i the cylinders of mu[j:]
+    and nu[i:] meet exactly when mu[j:] occurs in nu at i, and then so does
+    its suffix t = mu[lbar-1:]; conversely t has m - lbar + 1 letters, so it
+    occurs only at some p <= lbar - 1, the pair (lbar - 1, p).  The case
+    i >= j is symmetric.
+
+    Each length reads one coded word w, whose m + 1 windows w[i:i+m] are the
+    language (`language`).  Its factors of n = m - lbar + 1 letters are
+    numbered once: window i's tail is the factor at i + lbar - 1, and the
+    tails inside window j are the factors at j..j + lbar - 1, so each pair
+    is tested by two set lookups.
 
     The search ends: a nu excluded for mu shares mu[lbar:], contains
     mu[lbar-1:] or has nu[lbar-1:] in mu, so it extends one of at most lbar
@@ -73,11 +80,16 @@ def dad_witness(alpha: QuadraticIrrational, values) -> DadWitness:
     values = _cocycle_values(values)
     lbar = values[-1]
     for m in count(2 * lbar):
-        words = sorted(language(alpha, m), key=lambda w: (w[lbar:], w))
-        extensions = [list(group) for _, group in groupby(words, lambda w: w[lbar:])]
+        w, n = _zero_words(alpha, m)[0], m - lbar + 1
+        ids: dict[Word, int] = {}
+        factor = [ids.setdefault(w[p : p + n], len(ids)) for p in range(m + lbar)]
+        inside = [set(factor[j : j + lbar]) for j in range(m + 1)]
+        keyed = sorted((w[i + lbar : i + m], w[i : i + m], i) for i in range(m + 1))
+        extensions = [[i for *_, i in group] for _, group in groupby(keyed, itemgetter(0))]
         for mus, nus in combinations(extensions, 2):
-            for mu, nu in product(mus, nus):
-                if mu[lbar - 1 :] not in nu and nu[lbar - 1 :] not in mu:
+            for i, j in product(mus, nus):
+                if factor[i + lbar - 1] not in inside[j] and factor[j + lbar - 1] not in inside[i]:
+                    mu, nu = w[i : i + m], w[j : j + m]
                     return DadWitness(values, mu, nu, recurrence_bound(alpha, mu), recurrence_bound(alpha, nu))
 
 

@@ -71,6 +71,7 @@ def cf_expand(x: QuadraticIrrational) -> ContinuedFraction:
 
 
 _BLOCK = 32
+_MISSES = 4
 
 
 def _matrix(digits: tuple[int, ...]) -> tuple[int, int, int, int]:
@@ -106,23 +107,31 @@ def _fold(w: tuple[int, ...]) -> tuple[int, int, int, int]:
 
     Those are the periods of symmetric cycles (`_period`), and w is one exactly
     when reversed(w) == w[j:] + w[:j].  Only w of at least 4*_BLOCK digits
-    looks for j, at every place where the largest digit v of the first block
+    looks for j, at the places where the largest digit v of the first block
     stands in reversed(w), as every split puts one there, each tried on its
-    first _BLOCK // 2 digits before the whole comparison; otherwise w folds whole.
+    first _BLOCK // 2 digits, read cyclically, before the whole comparison.
+    The search stops after _MISSES failed whole comparisons, and w then folds
+    whole, as it does when no split is found: exact either way.  A period is
+    primitive, so its rotations are distinct and it has at most one split,
+    and the long periods measured fail no whole comparison before it; but a
+    repetitive period such as 1^k with a few 2s matches the head at nearly
+    every place and, unbounded, would pay an O(k) comparison at each.
     """
     k, n = len(w), _BLOCK // 2
     if k >= 4 * _BLOCK:
-        back, v, i = w[::-1], max(w[:_BLOCK]), -1
-        head, p = back[:n], w.index(v)
-        while True:
+        back, v, i, misses = w[::-1], max(w[:_BLOCK]), -1, 0
+        head, p, ring = back[:n], w.index(v), w + w[:n]
+        while misses < _MISSES:
             try:
                 i = back.index(v, i + 1)
             except ValueError:
                 break
             j = (p - i) % k
-            if (j > k - n or head == w[j : j + n]) and back[: k - j] == w[j:] and back[k - j :] == w[:j]:
-                (a, b, c, e), (f, g, h, m) = _palindrome(w[:j]), _palindrome(w[j:])
-                return a * f + b * h, a * g + b * m, c * f + e * h, c * g + e * m
+            if head == ring[j : j + n]:
+                if back[: k - j] == w[j:] and back[k - j :] == w[:j]:
+                    (a, b, c, e), (f, g, h, m) = _palindrome(w[:j]), _palindrome(w[j:])
+                    return a * f + b * h, a * g + b * m, c * f + e * h, c * g + e * m
+                misses += 1
     return _matrix(w)
 
 

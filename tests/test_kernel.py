@@ -386,28 +386,28 @@ class TestKernelObjectCounts:
     def test_check_witness_reads_one_coded_word(self, floors, monkeypatch):
         witnesses = [dad_witness(self.FIB, values) for values in [(1,), (1, 2, 3)]]
         languages = []
-        for module in (words, groupoid):  # groupoid holds its own name for language
-            monkeypatch.setattr(module, "language", lambda *args: languages.append(args))
+        monkeypatch.setattr(words, "language", lambda *args: languages.append(args))
         for w in witnesses:
             for window in (w.min_window, 3 * w.min_window):
                 assert self._count(floors, check_witness, self.FIB, w, window) == window + 1
         assert languages == []
 
-    def test_dad_witness_reads_one_language(self, monkeypatch):
-        # the search reads one language per length it tries, from 2*lbar up to |mu|, and no other
-        languages = []
+    def test_dad_witness_reads_one_coded_word_per_length(self, monkeypatch):
+        # the search reads one coded word, whose windows are the language, per
+        # length it tries, from 2*lbar up to |mu|, and no other
+        lengths = []
 
         def counted(*args):
-            languages.append(args[1:])
-            return language(*args)
+            lengths.append(args[1:])
+            return words._zero_words(*args)
 
-        monkeypatch.setattr(groupoid, "language", counted)
+        monkeypatch.setattr(groupoid, "_zero_words", counted)
         tried = {}
         for values in [(1,), (1, 2, 3), (11,), (0, 40), (100,)]:
-            del languages[:]
+            del lengths[:]
             w = dad_witness(self.FIB, values)
-            assert languages == [(m,) for m in range(2 * w.lbar, len(w.mu) + 1)]
-            tried[values] = languages[:]
+            assert lengths == [(m,) for m in range(2 * w.lbar, len(w.mu) + 1)]
+            tried[values] = lengths[:]
         assert tried[(11,)] == [(22,), (23,)]
 
     def test_quotient_reads_one_coded_word(self, floors):

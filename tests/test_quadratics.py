@@ -728,6 +728,15 @@ def test_blocked_fold_matches_one_digit_fold():
             with mock.patch.object(invariants, "_matrix", wraps=invariants._matrix) as fold:
                 assert invariants._fold(v) == reference_matrix(v)
             assert sum(len(call.args[0]) for call in fold.call_args_list) <= len(v) // 2
+    # repetitive words, k ones with five 2s: the head matches at nearly every
+    # place of the largest digit, and the search gives up after _MISSES
+    # failed whole comparisons instead of paying one per place
+    for k in (3000, 12000):
+        draw = random.Random(5)
+        w = [1] * k
+        for _ in range(5):
+            w[draw.randrange(k)] = 2
+        assert invariants._fold(tuple(w)) == reference_matrix(tuple(w))
 
 
 @pytest.mark.parametrize("x", TAILS, ids=str)

@@ -364,3 +364,24 @@ def test_cli_catches_only_usage_errors():
     for line in planted:
         (handler,) = ast.parse(f"try:\n    pass\n{line}:\n    pass").body[0].handlers
         assert not _caught(handler) <= USAGE_ERRORS, line
+
+
+def _printers(trees: dict) -> list[str]:
+    """The calls of print, each named by its module and its top-level function."""
+    return [
+        f"{name}:{getattr(top, 'name', '<module>')}:{node.lineno}"
+        for name, tree in trees.items()
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print"
+    ]
+
+
+def test_only_cli_main_prints():
+    # the runners return their payload, text lines and verdict, and cli.main
+    # alone writes them and picks the exit code, so the exit contract has one owner
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    found = _printers(trees)
+    assert found and all(p.startswith("cli.py:main:") for p in found), found
+    planted = {"cli.py": ast.parse("def _run_word(args):\n    print(args)\nprint()")}
+    assert _printers(planted) == ["cli.py:_run_word:2", "cli.py:<module>:3"]
