@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
 # every command parses --alpha; each runner imports the layers it calls
@@ -58,6 +57,8 @@ def _parse_point(alpha: QuadraticIrrational, spec: str) -> OrbitPoint:
             return _orbit_point(alpha, 1 - m, var)
         if spec.startswith("quad:"):
             return OrbitPoint(alpha, parse_quad(spec))
+        from fractions import Fraction
+
         num, slash, den = spec.partition("/")
         return OrbitPoint(alpha, Fraction(int(num), int(den) if slash else 1))
     except (ValueError, ZeroDivisionError) as e:
@@ -184,53 +185,53 @@ def _run_report(args: argparse.Namespace) -> Answer:
     return payload, lines, True
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_COUNT = {"type": int, "required": True}
+
+# name: (runner, summary, defaults, the options besides --alpha and --output)
+_COMMANDS = {
+    "word": (_run_word, "coded word of a circle point", {}, {
+        "--t": {"required": True, "help": "point: p/q, quad:..., omega, fwd:J, back:M:V"},
+        "--n": _COUNT,
+    }),
+    "language": (_run_language, "all admissible words of a length", {}, {"--n": _COUNT}),
+    "omega": (_run_word, "prefix of the branch point", {"t": "omega"}, {"--n": _COUNT}),
+    "past": (_run_past, "past set of a point", {}, {"--t": {"required": True}, "--l": _COUNT}),
+    "cover": (_run_cover, "finite quotient at an index pair", {}, {"--k": _COUNT, "--l": _COUNT}),
+    "fibre": (_run_fibre, "fibre of the cover over a point", {}, {
+        "--point": {"required": True, "help": "omega, fwd:J, back:M:V, p/q or quad:..."},
+        "--K": _COUNT,
+        "--L": _COUNT,
+        "--show-threads": {"action": "store_true", "help": "print level tables per thread"},
+    }),
+    "dad": (_run_dad, "two-set chain-bound witness and its verification", {}, {
+        "--F": {"required": True, "help": "comma-separated cocycle values, e.g. 1,2"},
+        "--window": {"type": int, "default": None},
+    }),
+    "compare": (_run_compare, "conjugacy and flow-equivalence deciders", {}, {"--beta": {"required": True}}),
+    "report": (_run_report, "invariant summary for one parameter", {}, {}),
+}
+
+
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser of argv: the subparser of the command argv[0] names, or all
+    nine when it names none, for help and for argparse's own errors."""
     parser = argparse.ArgumentParser(
         prog="sturmian",
         description="Exact computations on Sturmian subshifts, their covers and invariants.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, run, summary):
+    names = argv[:1] if argv and argv[0] in _COMMANDS else list(_COMMANDS)
+    # one subparser's usage line names all nine commands, as the full parser's choices do;
+    # the full parser sets no metavar, so its errors still name the argument "command"
+    metavar = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        run, summary, defaults, options = _COMMANDS[name]
         p = sub.add_parser(name, help=summary)
-        p.set_defaults(run=run)
+        p.set_defaults(run=run, **defaults)
         p.add_argument("--alpha", required=True, help="parameter, e.g. quad:3,-1,5,2")
         p.add_argument("--output", "-o", choices=("text", "json"), default="text")
-        return p
-
-    p = command("word", _run_word, "coded word of a circle point")
-    p.add_argument("--t", required=True, help="point: p/q, quad:..., omega, fwd:J, back:M:V")
-    p.add_argument("--n", type=int, required=True)
-
-    p = command("language", _run_language, "all admissible words of a length")
-    p.add_argument("--n", type=int, required=True)
-
-    p = command("omega", _run_word, "prefix of the branch point")
-    p.set_defaults(t="omega")
-    p.add_argument("--n", type=int, required=True)
-
-    p = command("past", _run_past, "past set of a point")
-    p.add_argument("--t", required=True)
-    p.add_argument("--l", type=int, required=True)
-
-    p = command("cover", _run_cover, "finite quotient at an index pair")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-
-    p = command("fibre", _run_fibre, "fibre of the cover over a point")
-    p.add_argument("--point", required=True, help="omega, fwd:J, back:M:V, p/q or quad:...")
-    p.add_argument("--K", type=int, required=True)
-    p.add_argument("--L", type=int, required=True)
-    p.add_argument("--show-threads", action="store_true", help="print level tables per thread")
-
-    p = command("dad", _run_dad, "two-set chain-bound witness and its verification")
-    p.add_argument("--F", required=True, help="comma-separated cocycle values, e.g. 1,2")
-    p.add_argument("--window", type=int, default=None)
-
-    p = command("compare", _run_compare, "conjugacy and flow-equivalence deciders")
-    p.add_argument("--beta", required=True)
-
-    command("report", _run_report, "invariant summary for one parameter")
+        for option, settings in options.items():
+            p.add_argument(option, **settings)
     return parser
 
 
@@ -258,7 +259,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     """Run one command: its JSON payload or text lines on stdout and exit 0,
     or 1 for a report that fails its own check; a usage error prints one
     line on stderr and exits 2.  The one place the CLI prints."""
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv).parse_args(argv)
     try:
         _parse_args(args)
         payload, lines, verified = args.run(args)

@@ -181,11 +181,12 @@ class Moebius(_Record):
 
 # -- literals --------------------------------------------------------------
 
-_CF_RE = re.compile(r"^cf:\[(?:(-?\d+)(?:;((?:-?\d+,)*))?)?\((\d+(?:,\d+)*)\)\]$")
+# compiled by the first parse_cf, through re's own bounded cache
+_CF_RE = r"^cf:\[(?:(-?\d+)(?:;((?:-?\d+,)*))?)?\((\d+(?:,\d+)*)\)\]$"
 
 
 def parse_cf(text: str) -> ContinuedFraction:
-    m = _CF_RE.match(text.strip())
+    m = re.match(_CF_RE, text.strip())
     if not m:
         raise ValueError(f"malformed continued fraction literal: {text!r}")
     head, mid, per = m.groups()

@@ -15,9 +15,12 @@ from __future__ import annotations
 import functools
 import math
 import re
-from fractions import Fraction
+import sys
 from operator import attrgetter
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class RationalValueError(ValueError):
@@ -196,6 +199,8 @@ class QuadraticIrrational(_Record):
         A value (p + q*sqrt(d2))/r is in the field exactly when d*d2 = s*s, as
         (p*d + q*s*sqrt(d))/(r*d).  None for a type outside int, Fraction and QuadraticIrrational.
         """
+        if isinstance(other, int):
+            return other.numerator, 0, 1
         if isinstance(other, QuadraticIrrational):
             d, d2 = self.d, other.d
             if d2 == d:
@@ -204,7 +209,8 @@ class QuadraticIrrational(_Record):
             if s * s != d * d2:
                 raise ValueError("values live in different quadratic fields")
             return other.p * d, other.q * s, other.r * d
-        if isinstance(other, (int, Fraction)):
+        fractions = sys.modules.get("fractions")  # a Fraction exists only once it is loaded
+        if fractions is not None and isinstance(other, fractions.Fraction):
             return other.numerator, 0, other.denominator
         return None
 
@@ -267,10 +273,16 @@ class QuadraticIrrational(_Record):
         return f"({self.p}{self.q:+d}*sqrt({self.d}))/{self.r}"
 
 
+_fraction = None  # fractions.Fraction, imported by the first rational value
+
+
 def _build(p: int, q: int, d: int, r: int) -> Union[Fraction, QuadraticIrrational]:
     """(p + q*sqrt(d))/r for a nonsquare d, a Fraction when q = 0."""
+    global _fraction
     if q == 0:
-        return Fraction(p, r)
+        if _fraction is None:
+            from fractions import Fraction as _fraction
+        return _fraction(p, r)
     return QuadraticIrrational._at((p, q, d, r))
 
 

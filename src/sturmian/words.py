@@ -15,13 +15,16 @@ from __future__ import annotations
 
 import math
 import sys
-from fractions import Fraction
 from itertools import islice
-from typing import Iterator, Literal, Optional, Union
+from typing import TYPE_CHECKING, Iterator, Literal, Optional, Union
 
 from .quadratics import QuadraticIrrational, _build, _floor, _Record, _store, check_unit_interval
 
-CirclePoint = Union[Fraction, QuadraticIrrational]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    CirclePoint = Union[Fraction, QuadraticIrrational]
+
 Variant = Literal["L", "R"]
 Word = str
 

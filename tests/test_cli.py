@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -7,13 +8,14 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sturmian
-from sturmian.cli import main
+from sturmian.cli import _build_parser, main
 from sturmian.quadratics import format_quad, parse_quad
 from sturmian.words import OrbitPoint, code_word
 
@@ -496,3 +498,63 @@ class TestExitContract:
             assert out and err == "", (argv, out, err)
         if code == 2:
             assert out == "" and "error:" in err.splitlines()[-1], (argv, out, err)
+
+
+# -- the parser of one command ------------------------------------------------
+
+
+def parse(parser, argv):
+    """The parsed options of argv, or argparse's exit code, with what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as e:
+            result = e.code
+    return result, out.getvalue(), err.getvalue()
+
+
+# help and usage lines wrap at the terminal width, which argparse reads from COLUMNS
+fixed_width = mock.patch.dict(os.environ, {"COLUMNS": "80"})
+
+
+class TestOneSubparser:
+    """A request registers only the subparser of the command it names, and
+    parses, prints and fails exactly as the parser of all nine commands."""
+
+    def full(self):
+        return _build_parser([])
+
+    def test_registers_only_the_named_command(self):
+        def commands(parser):
+            (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+            return sorted(sub.choices)
+
+        assert commands(_build_parser(["dad", "--alpha", FIB])) == ["dad"]
+        assert commands(self.full()) == commands(_build_parser(["Dad"])) == sorted(COMMANDS)
+
+    @fixed_width
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_same_help_and_usage(self, command):
+        argv = [command, "--help"]
+        first = parse(_build_parser(argv), argv)
+        assert first == parse(self.full(), argv) and first[0] == 0 and first[1].startswith(f"usage: sturmian {command}")
+        assert _build_parser(argv).format_usage() == self.full().format_usage()
+
+    @fixed_width
+    def test_top_level_help_lists_every_command(self):
+        code, out, err = parse(_build_parser(["--help"]), ["--help"])
+        assert (code, err) == (0, "") and out == self.full().format_help()
+        assert all(f"    {command}" in out for command in COMMANDS)
+
+    @fixed_width
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        requests(),
+        requests().map(lambda argv: argv + ["extra"]),  # the top-level parser refuses it, with its usage line
+        requests().map(lambda argv: argv + ["--help"]),
+        requests().map(lambda argv: argv[1:]),  # an option first
+        requests().map(lambda argv: [argv[0].upper(), *argv[1:]]),  # no such command
+    ))
+    def test_same_answer_as_the_full_parser(self, argv):
+        assert parse(_build_parser(argv), argv) == parse(self.full(), argv)

@@ -37,11 +37,13 @@ EXPORTS = {
 HOMES = [(module, name) for module, names in EXPORTS.items() for name in names]
 NAMES = [name for _, name in HOMES]
 
-# runs `code` in a fresh interpreter and prints the sturmian modules it loaded, and
-# dataclasses and inspect when it loaded them (together 6-8 ms of import) and start-up had not
-PROBE = """
+# runs `code` in a fresh interpreter and prints the sturmian modules it loaded, and each
+# heavy module when it loaded it and start-up had not: dataclasses and inspect (together
+# 6-8 ms of import), and fractions with the decimal it imports (about 2 ms)
+HEAVY = {"dataclasses", "inspect", "fractions", "decimal"}
+PROBE = f"""
 import contextlib, io, json, sys
-heavy = {"dataclasses", "inspect"} - set(sys.modules)
+heavy = {HEAVY!r} - set(sys.modules)
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     exec(sys.argv[1])
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "sturmian" or m in heavy)))
@@ -65,6 +67,7 @@ def cli(*argv: str) -> str:
 
 
 CODING = {"quadratics", "words", "cli"}
+RATIONAL = {"fractions", "decimal"}  # only a p/q point builds a Fraction
 
 
 class TestModulesLoaded:
@@ -78,23 +81,22 @@ class TestModulesLoaded:
             ("from sturmian import parse_quad", {"quadratics"}),
             ("from sturmian import cf_value", {"quadratics", "invariants"}),
             (cli("omega", "--alpha", FIB, "--n", "10"), CODING),
-            (cli("word", "--alpha", FIB, "--t", "1/2", "--n", "20"), CODING),
+            (cli("word", "--alpha", FIB, "--t", "1/2", "--n", "20"), CODING | RATIONAL),
             (cli("language", "--alpha", FIB, "--n", "3", "-o", "json"), CODING),
             (cli("past", "--alpha", FIB, "--t", "fwd:2", "--l", "3"), CODING),
             (cli("cover", "--alpha", FIB, "--k", "2", "--l", "4"), CODING | {"cover"}),
             (cli("fibre", "--alpha", FIB, "--point", "omega", "--K", "4", "--L", "10"), CODING | {"cover"}),
+            (cli("fibre", "--alpha", FIB, "--point", "1/2", "--K", "3", "--L", "6"), CODING | {"cover"} | RATIONAL),
             (cli("dad", "--alpha", FIB, "--F", "1,2,3"), {"quadratics", "words", "groupoid", "cli"}),
             (cli("compare", "--alpha", FIB, "--beta", "quad:-1,1,5,2"), {"quadratics", "invariants", "cli"}),
             (cli("report", "--alpha", FIB), {"quadratics", "invariants", "cli"}),
             (cli("omega", "--alpha", FIB, "--n", "-1"), {"quadratics", "cli"}),
         ],
         ids=["import", "words-attr", "from-import", "from-parse-quad", "from-cf-value", "omega", "word",
-             "language", "past", "cover", "fibre", "dad", "compare", "report", "usage-error"],
+             "language", "past", "cover", "fibre", "fibre-rational", "dad", "compare", "report", "usage-error"],
     )
     def test_only_the_layers_used(self, code, expected):
-        loaded = loaded_after(code)
-        assert not loaded & {"dataclasses", "inspect"}, loaded
-        assert loaded == expected
+        assert loaded_after(code) == expected
 
 
 class TestNamespace:

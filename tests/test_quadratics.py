@@ -1,6 +1,11 @@
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -458,6 +463,90 @@ class TestOperands:
     def test_times_zero_is_the_fraction_zero(self):
         for z in (FIB * 0, 0 * FIB, FIB * Fraction(0)):
             assert type(z) is Fraction and z == 0
+
+
+# operations over x = (3 - sqrt 5)/2 and y = (1 + 3*sqrt 20)/4, with the repr each gave
+# while every module imported `fractions` at its top
+INT_OPERANDS = {
+    "x + 1": "QuadraticIrrational(p=5, q=-1, d=5, r=2)",
+    "1 - x": "QuadraticIrrational(p=-1, q=1, d=5, r=2)",
+    "x * -3": "QuadraticIrrational(p=-9, q=3, d=5, r=2)",
+    "x / 2": "QuadraticIrrational(p=3, q=-1, d=5, r=4)",
+    "2 / x": "QuadraticIrrational(p=3, q=1, d=5, r=1)",
+    "x < 2": "True",
+    "0 < x": "True",
+    "x >= 1": "False",
+    "x + True": "QuadraticIrrational(p=5, q=-1, d=5, r=2)",
+    "True - x": "QuadraticIrrational(p=-1, q=1, d=5, r=2)",
+    "x * True": "QuadraticIrrational(p=3, q=-1, d=5, r=2)",
+    "x < True": "True",
+    "x + y": "QuadraticIrrational(p=7, q=4, d=5, r=4)",
+    "y - x": "QuadraticIrrational(p=-5, q=4, d=20, r=4)",
+    "x * y": "QuadraticIrrational(p=-27, q=17, d=5, r=8)",
+    "x < y": "True",
+    "x + 0.5": "TypeError",
+}
+RATIONAL_RESULTS = {
+    "x - x": "Fraction(0, 1)",
+    "x * 0": "Fraction(0, 1)",
+    "(x + 1) - x": "Fraction(1, 1)",
+    "x * False": "Fraction(0, 1)",
+    "x / x": "Fraction(1, 1)",
+}
+FRACTION_OPERANDS = {
+    "x + Fraction(1, 2)": "QuadraticIrrational(p=4, q=-1, d=5, r=2)",
+    "Fraction(1, 2) - x": "QuadraticIrrational(p=-2, q=1, d=5, r=2)",
+    "x * Fraction(2, 3)": "QuadraticIrrational(p=3, q=-1, d=5, r=3)",
+    "Fraction(2, 3) / x": "QuadraticIrrational(p=3, q=1, d=5, r=3)",
+    "x < Fraction(1, 2)": "True",
+    "OrbitPoint(x, Fraction(1, 2)).t": "Fraction(1, 2)",
+}
+IMPORT = "from fractions import Fraction"
+
+# evaluates the operations argv[1] lists, in order, in a fresh interpreter and prints
+# each outcome with whether `fractions` was loaded after it; an "import" item runs as a statement
+COLD = """
+import json, sys
+from sturmian.quadratics import parse_quad
+from sturmian.words import OrbitPoint
+
+scope = {"x": parse_quad("quad:3,-1,5,2"), "y": parse_quad("quad:1,3,20,4"), "OrbitPoint": OrbitPoint}
+rows = [["start", "", "fractions" in sys.modules]]
+for item in json.loads(sys.argv[1]):
+    if item.startswith("from "):
+        exec(item, scope)
+        continue
+    try:
+        value = repr(eval(item, scope))
+    except TypeError:
+        value = "TypeError"
+    rows.append([item, value, "fractions" in sys.modules])
+print(json.dumps(rows))
+"""
+
+
+@pytest.mark.parametrize(
+    "items",
+    [
+        [*INT_OPERANDS, *RATIONAL_RESULTS, IMPORT, *FRACTION_OPERANDS],  # the field imports `fractions`
+        [*INT_OPERANDS, IMPORT, *FRACTION_OPERANDS, *RATIONAL_RESULTS],  # the caller imports it first
+    ],
+    ids=["rational-result-first", "fraction-operand-first"],
+)
+def test_operands_in_a_cold_interpreter(items):
+    # ints, bools and other radicands never load `fractions`; the first rational
+    # result loads it, and a Fraction operand is read once the caller has it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(quadratics.__file__).parent.parent), env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", COLD, json.dumps(items)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads(proc.stdout)
+    expected = {**INT_OPERANDS, **RATIONAL_RESULTS, **FRACTION_OPERANDS}
+    assert [(item, value) for item, value, _ in rows[1:]] == [(i, expected[i]) for i in items if i != IMPORT]
+    loaded = {item: flag for item, _, flag in rows}
+    assert not loaded["start"] and not any(loaded[i] for i in INT_OPERANDS)
+    assert all(loaded[i] for i in (*RATIONAL_RESULTS, *FRACTION_OPERANDS))
 
 
 def test_period_walk_stops_at_its_stop_state():

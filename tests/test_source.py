@@ -1,6 +1,7 @@
 import ast
 import inspect
 from pathlib import Path
+from typing import Iterator
 
 import sturmian
 from sturmian import cli, cover, groupoid, invariants, quadratics, words
@@ -19,10 +20,11 @@ def test_no_assert_statements():
     assert SOURCES and not found, found
 
 
-def _imports_dataclasses(node) -> bool:
+def _imports(node, module: str) -> bool:
+    """Whether node is an import statement of the top-level module `module` or of a submodule."""
     if isinstance(node, ast.Import):
-        return any(a.name.split(".")[0] == "dataclasses" for a in node.names)
-    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses"
+        return any(a.name.split(".")[0] == module for a in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == module
 
 
 def test_no_dataclasses():
@@ -32,9 +34,53 @@ def test_no_dataclasses():
         f"{path.name}:{node.lineno}"
         for path in SOURCES
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if _imports_dataclasses(node)
+        if _imports(node, "dataclasses")
     ]
     assert SOURCES and not found, found
+
+
+def _run_at_import(body: list) -> Iterator[ast.AST]:
+    """The statements of body that run when the module is imported: all but the
+    bodies of functions and of `if TYPE_CHECKING:` blocks, nested ones included."""
+    for stmt in body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(stmt, ast.If) and ast.unparse(stmt.test) in ("TYPE_CHECKING", "typing.TYPE_CHECKING"):
+            yield from _run_at_import(stmt.orelse)
+            continue
+        yield stmt
+        for block in ("body", "orelse", "finalbody", "handlers"):
+            yield from _run_at_import(getattr(stmt, block, []))
+
+
+def _imports_fractions_at_import(tree: ast.Module) -> list[int]:
+    return [node.lineno for node in _run_at_import(tree.body) if _imports(node, "fractions")]
+
+
+def test_fractions_only_on_demand():
+    # fractions loads decimal, about 2 ms of every CLI request, and only a rational
+    # point or result builds a Fraction: the module is imported in the function
+    # that needs it, or under TYPE_CHECKING for annotations
+    found = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        for line in _imports_fractions_at_import(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert SOURCES and not found, found
+    planted = {
+        "from fractions import Fraction": [1],
+        "import fractions": [1],
+        "import fractions as fr, math": [1],
+        "try:\n    from fractions import Fraction\nexcept ImportError:\n    pass": [2],
+        "class C:\n    from fractions import Fraction": [2],
+        "if TYPE_CHECKING:\n    pass\nelse:\n    import fractions": [4],
+        "if TYPE_CHECKING:\n    from fractions import Fraction": [],
+        "if typing.TYPE_CHECKING:\n    import fractions": [],
+        "def f():\n    from fractions import Fraction": [],
+        "import fractionsx": [],
+    }
+    for source, lines in planted.items():
+        assert _imports_fractions_at_import(ast.parse(source)) == lines, source
 
 
 RECORD_METHODS = {"__eq__", "__hash__", "__repr__", "__setattr__", "_at"}
