@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import TYPE_CHECKING, Optional
 
@@ -20,16 +19,10 @@ class UsageError(ValueError):
 
 
 def _blame(field: str, f, *args):
-    """f(*args), its ValueError reported as a usage error of the option field."""
+    """f(*args), its ValueError or ZeroDivisionError (a quad: literal with r = 0)
+    reported as a usage error of the option field."""
     try:
         return f(*args)
-    except ValueError as e:
-        raise UsageError(field, str(e))
-
-
-def _parse_parameter(field: str, text: str) -> QuadraticIrrational:
-    try:
-        return check_unit_interval(parse_quad(text))
     except (ValueError, ZeroDivisionError) as e:
         raise UsageError(field, str(e))
 
@@ -238,7 +231,10 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
 def _parse_args(args: argparse.Namespace) -> None:
     """Check the options, numeric ranges before any computation runs, and
     replace alpha, F and beta by their parsed values."""
-    args.alpha = _parse_parameter("alpha", args.alpha)
+    for field in ("alpha", "beta"):  # only compare has --beta
+        if hasattr(args, field):
+            quad = _blame(field, parse_quad, getattr(args, field))
+            setattr(args, field, _blame(field, check_unit_interval, quad))
     if args.command == "dad":
         try:
             args.F = tuple(int(v) for v in args.F.split(","))
@@ -251,8 +247,6 @@ def _parse_args(args: argparse.Namespace) -> None:
         raise UsageError("k", f"must lie in 0..l = {args.l}")
     if hasattr(args, "K") and not 0 <= args.K <= args.L:
         raise UsageError("K", f"must lie in 0..L = {args.L}")
-    if args.command == "compare":
-        args.beta = _parse_parameter("beta", args.beta)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -268,6 +262,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     if args.output == "json":
+        import json  # about 1.5 ms that text requests, the default, do not pay
+
         lines = [json.dumps(payload, sort_keys=True, separators=(",", ":"))]
     for line in lines:
         print(line)

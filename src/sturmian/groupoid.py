@@ -10,7 +10,6 @@ touch the cover.
 
 from __future__ import annotations
 
-import math
 from itertools import combinations, count, groupby, product
 from operator import itemgetter
 
@@ -139,7 +138,8 @@ def _longest_chain(allowed: list[bool], jumps: list[int], span: int) -> int:
     """Most steps in a chain of allowed positions, each step one of the jumps,
     that ends at most span positions past its start."""
     # end[s]: the least end of a k-step chain from s; it grows with k, so dead starts stay dead
-    end = [s if ok else math.inf for s, ok in enumerate(allowed)] + [math.inf] * max(jumps)
+    never = len(allowed) + span  # past every real end, and past s + span for every start s
+    end = [s if ok else never for s, ok in enumerate(allowed)] + [never] * max(jumps)
     alive, steps = [s for s, ok in enumerate(allowed) if ok], -1
     while alive:
         for s in alive:  # increasing, so end[s + f] still holds a k-step end

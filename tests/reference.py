@@ -466,11 +466,8 @@ def witness_words(alpha, lbar):
 
 
 def u_positions(w, word, limit):
-    return {
-        s
-        for s in range(limit + 1)
-        if any(word.startswith(shift, s) for shift in w.mu_shifts)
-    }
+    shifts = w.mu_shifts  # the property slices mu anew on every read
+    return {s for s in range(limit + 1) if any(word.startswith(shift, s) for shift in shifts)}
 
 
 def longest_chain(allowed, jumps):
@@ -478,6 +475,17 @@ def longest_chain(allowed, jumps):
     for s in sorted(allowed, reverse=True):
         best[s] = max((1 + best[s + f] for f in jumps if s + f in best), default=0)
     return max(best.values(), default=0)
+
+
+def longest_spanned_chain(allowed, jumps, span):
+    """The longest chain of flagged positions that ends at most span past its start:
+    longest_chain inside each stretch s..s + span, since such a chain lies in the
+    stretch of its start and a chain inside a stretch spans at most span."""
+    flagged = {s for s, ok in enumerate(allowed) if ok}
+    return max(
+        (longest_chain({p for p in flagged if s <= p <= s + span}, jumps) for s in range(len(allowed))),
+        default=0,
+    )
 
 
 def check_witness(alpha, w, window):

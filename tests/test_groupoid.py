@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from sturmian.quadratics import QuadraticIrrational, parse_quad
 from sturmian.words import language, recurrence_bound
-from sturmian.groupoid import DadWitness, check_witness, dad_witness, degenerate_cover_chain
+from sturmian.groupoid import DadWitness, _longest_chain, check_witness, dad_witness, degenerate_cover_chain
 
 import reference
 from test_kernel import cf_parameters
@@ -160,6 +160,28 @@ class TestWindowScanMatchesReference:
             assert degenerate_cover_chain(alpha, values, window) == reference.longest_chain(
                 set(range(window - 2 * w.lbar + 1)), jumps
             )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    allowed=st.lists(st.booleans(), max_size=60),
+    jumps=st.sets(st.integers(1, 6), min_size=1),
+    span=st.integers(0, 60),
+)
+def test_chain_pass_matches_chains_within_the_span(allowed, jumps, span):
+    # spans up to the list's length, so the span binds on some draws and not on others
+    jumps = sorted(jumps)
+    assert _longest_chain(allowed, jumps, span) == reference.longest_spanned_chain(allowed, jumps, span)
+
+
+def test_chain_pass_keeps_the_span():
+    # at window 5 a chain may span 1 position, which no jump of 2 fits; a pass that
+    # ignored the span would count the steps 0 -> 2 on the V side and 4 -> 6 on the
+    # U side (hypothesis seed 7 drew this lowered witness)
+    w = DadWitness((2,), "0101", "0110", 1, 1)
+    chk = check_witness(GOLDEN_CONJ, w, 5)
+    assert (chk.max_chain_v, chk.max_chain_u) == (0, 0)
+    assert chk == reference.check_witness(GOLDEN_CONJ, w, 5)
 
 
 @settings(max_examples=10, deadline=None)

@@ -1,7 +1,7 @@
 """The package namespace binds its names lazily, and a command loads only its layers."""
 
+import ast
 import importlib
-import json
 import os
 import subprocess
 import sys
@@ -39,14 +39,15 @@ NAMES = [name for _, name in HOMES]
 
 # runs `code` in a fresh interpreter and prints the sturmian modules it loaded, and each
 # heavy module when it loaded it and start-up had not: dataclasses and inspect (together
-# 6-8 ms of import), and fractions with the decimal it imports (about 2 ms)
-HEAVY = {"dataclasses", "inspect", "fractions", "decimal"}
+# 6-8 ms of import), fractions with the decimal it imports (about 2 ms) and json (about
+# 1.5 ms); the probe prints with repr, so it imports no json of its own
+HEAVY = {"dataclasses", "inspect", "fractions", "decimal", "json"}
 PROBE = f"""
-import contextlib, io, json, sys
+import contextlib, io, sys
 heavy = {HEAVY!r} - set(sys.modules)
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     exec(sys.argv[1])
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "sturmian" or m in heavy)))
+print(repr(sorted(m for m in sys.modules if m.split(".")[0] == "sturmian" or m in heavy)))
 """
 
 
@@ -59,7 +60,7 @@ def loaded_after(code: str) -> set[str]:
         [sys.executable, "-c", PROBE, code], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    return {m.removeprefix("sturmian.") for m in json.loads(proc.stdout)} - {"sturmian"}
+    return {m.removeprefix("sturmian.") for m in ast.literal_eval(proc.stdout)} - {"sturmian"}
 
 
 def cli(*argv: str) -> str:
@@ -68,6 +69,7 @@ def cli(*argv: str) -> str:
 
 CODING = {"quadratics", "words", "cli"}
 RATIONAL = {"fractions", "decimal"}  # only a p/q point builds a Fraction
+JSON = {"json"}  # only -o json prints with json
 
 
 class TestModulesLoaded:
@@ -82,7 +84,7 @@ class TestModulesLoaded:
             ("from sturmian import cf_value", {"quadratics", "invariants"}),
             (cli("omega", "--alpha", FIB, "--n", "10"), CODING),
             (cli("word", "--alpha", FIB, "--t", "1/2", "--n", "20"), CODING | RATIONAL),
-            (cli("language", "--alpha", FIB, "--n", "3", "-o", "json"), CODING),
+            (cli("language", "--alpha", FIB, "--n", "3", "-o", "json"), CODING | JSON),
             (cli("past", "--alpha", FIB, "--t", "fwd:2", "--l", "3"), CODING),
             (cli("cover", "--alpha", FIB, "--k", "2", "--l", "4"), CODING | {"cover"}),
             (cli("fibre", "--alpha", FIB, "--point", "omega", "--K", "4", "--L", "10"), CODING | {"cover"}),

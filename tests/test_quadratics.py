@@ -708,7 +708,10 @@ class TestKernelCallCounts:
         big = "quad:-24879108095803,1,618970019642690137449562111,1"  # sqrt(2^89 - 1) - 24879108095803
         assert QuadraticIrrational(0, 3, 72, 4).d == 72
         assert format_quad(parse_quad(big)) == big
-        assert cli._parse_parameter("alpha", big) == parse_quad(big)
+        argv = ["report", "--alpha", big]
+        args = cli._build_parser(argv).parse_args(argv)
+        cli._parse_args(args)  # the CLI's own parse of --alpha
+        assert args.alpha == parse_quad(big)
         assert splits == []
 
     def test_cf_value_splits_per_preperiod_digit(self, splits):

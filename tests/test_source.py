@@ -39,6 +39,58 @@ def test_no_dataclasses():
     assert SOURCES and not found, found
 
 
+MATH_NAMES = {"isqrt", "gcd", "floor"}  # exact on integers, and floor on the field's own __floor__
+
+
+def _is_float(node) -> bool:
+    """Whether node brings floating point in: a float or complex constant, a true
+    division, a call of float or complex, or a math name outside MATH_NAMES."""
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, (float, complex))
+    if isinstance(node, (ast.BinOp, ast.AugAssign)):
+        return isinstance(node.op, ast.Div)
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "id", None) in ("float", "complex")
+    if isinstance(node, ast.Attribute):
+        return getattr(node.value, "id", None) == "math" and node.attr not in MATH_NAMES
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "math" and any(a.name not in MATH_NAMES for a in node.names)
+    return False
+
+
+def test_no_floats():
+    # every answer is exact: integers, field elements and fractions, never a float
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if _is_float(node)
+    ]
+    assert SOURCES and not found, found
+    planted = {
+        # the chain pass's old sentinel for "no chain"
+        "end = [s if ok else math.inf for s, ok in enumerate(allowed)] + [math.inf] * max(jumps)": True,
+        "x = 0.5": True,
+        "x = 1e3": True,
+        "x = 2j": True,
+        "a / b": True,
+        "a /= b": True,
+        "float(n)": True,
+        "complex(1, 2)": True,
+        "math.sqrt(n)": True,
+        "from math import inf": True,
+        "a // b": False,
+        "a //= b": False,
+        "x = 1": False,
+        "x = '0.5'": False,
+        "math.isqrt(n) + math.gcd(a, b) + math.floor(x)": False,
+        "from math import gcd, isqrt": False,
+        "Fraction(1, 2)": False,
+    }
+    for source, flagged in planted.items():
+        assert any(map(_is_float, ast.walk(ast.parse(source)))) == flagged, source
+
+
 def _run_at_import(body: list) -> Iterator[ast.AST]:
     """The statements of body that run when the module is imported: all but the
     bodies of functions and of `if TYPE_CHECKING:` blocks, nested ones included."""
