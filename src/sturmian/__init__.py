@@ -15,10 +15,8 @@ _EXPORTS = {
     "quadratics": (
         "BudgetExceededError", "QuadraticIrrational", "RationalValueError", "format_quad", "parse_quad",
     ),
-    "words": (
-        "Arc", "OrbitPoint", "branch_point", "code_letter", "code_word", "cylinder_arc",
-        "language", "past_set", "preimages", "recurrence_bound",
-    ),
+    "words": ("OrbitPoint", "branch_point", "code_word", "language", "past_set", "preimages"),
+    "arcs": ("Arc", "cylinder_arc", "recurrence_bound"),
     "cover": (
         "EqClass", "FiniteQuotient", "IndexPair", "Thread", "construct_fibre_element", "eq_class",
         "expected_fibre_size", "fibre", "fibre_report", "index_leq", "property_star_witness",
@@ -41,9 +39,8 @@ def __getattr__(name):
         return _import_module(f".{name}", __name__)  # the import binds it here too
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(_import_module(f".{_HOME[name]}", __name__), name)
-    globals()[name] = value
-    return value
+    # bound here once resolved, so later lookups skip this hook
+    return globals().setdefault(name, getattr(_import_module(f".{_HOME[name]}", __name__), name))
 
 
 def __dir__():

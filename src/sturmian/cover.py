@@ -12,17 +12,9 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Iterator, NamedTuple, Optional
 
+from .arcs import _first_entry, cylinder_arc
 from .quadratics import QuadraticIrrational, _Record, _store
-from .words import (
-    OrbitPoint,
-    Word,
-    _first_entry,
-    _orbit_point,
-    _zero_words,
-    code_word,
-    cylinder_arc,
-    past_set,
-)
+from .words import OrbitPoint, Word, _interior_point, _orbit_point, _zero_words, code_word, past_set
 
 
 class IndexPair(NamedTuple):
@@ -76,12 +68,6 @@ def eq_class(alpha: QuadraticIrrational, x: OrbitPoint, idx) -> EqClass:
 
 class FiniteQuotient(_Record):
     __slots__ = ("alpha", "index", "classes")  # QuadraticIrrational, IndexPair, frozenset[EqClass]
-
-    def class_of(self, x: OrbitPoint) -> EqClass:
-        c = eq_class(self.alpha, x, self.index)
-        if c not in self.classes:
-            raise RuntimeError(f"class of {x} missing at {self.index}; enumeration bug")
-        return c
 
     def __len__(self):
         return len(self.classes)
@@ -238,7 +224,7 @@ def property_star_witness(alpha: QuadraticIrrational, mu: Word) -> OrbitPoint:
     arc = cylinder_arc(alpha, mu)
     if arc is None:
         raise ValueError(f"word is not admissible: {mu!r}")
-    return arc.interior_point_off_orbit().shift(len(mu))
+    return _interior_point(alpha, arc.lo_tag, arc.hi_tag).shift(len(mu))
 
 
 def construct_fibre_element(

@@ -13,8 +13,9 @@ from __future__ import annotations
 from itertools import combinations, count, groupby, product
 from operator import itemgetter
 
+from .arcs import recurrence_bound
 from .quadratics import QuadraticIrrational, _Record
-from .words import Word, _zero_words, recurrence_bound
+from .words import Word, _zero_words
 
 
 class DadWitness(_Record):

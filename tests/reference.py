@@ -48,10 +48,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import count, islice
 
+from sturmian.arcs import cylinder_arc
 from sturmian.cover import EqClass, IndexPair, eq_class, q_map
 from sturmian.groupoid import WitnessCheck
 from sturmian.invariants import ContinuedFraction
-from sturmian.words import OrbitPoint, _letters, branch_point, cylinder_arc, language
+from sturmian.words import OrbitPoint, _letters, branch_point, language
 
 
 # -- circle points as field elements ----------------------------------------------
@@ -175,7 +176,9 @@ class FieldArc:
 
 
 def ends(arc):
-    """(lo, hi, lo_tag, hi_tag) of a package arc or a field arc."""
+    """(lo, hi, lo_tag, hi_tag) of a field arc, or of a package arc, its ends built from its tags."""
+    if not isinstance(arc, FieldArc):
+        arc = field_arc(arc)
     return arc.lo, arc.hi, arc.lo_tag, arc.hi_tag
 
 
@@ -183,6 +186,11 @@ def ends(arc):
 def tag_arc(alpha, lo_tag, hi_tag):
     """The field arc between the cut points of two tags."""
     return FieldArc(_mod1(alpha * -lo_tag), _mod1(alpha * -hi_tag), lo_tag, hi_tag)
+
+
+def field_arc(arc):
+    """The field arc of a package arc, which keeps only its parameter and tags."""
+    return tag_arc(arc.alpha, arc.lo_tag, arc.hi_tag)
 
 
 def letter_arc(alpha, letter, j):

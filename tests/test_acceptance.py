@@ -9,17 +9,10 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
+from sturmian.arcs import recurrence_bound
 from sturmian.cli import main as cli_main
 from sturmian.quadratics import QuadraticIrrational
-from sturmian.words import (
-    OrbitPoint,
-    branch_point,
-    code_word,
-    language,
-    past_set,
-    preimages,
-    recurrence_bound,
-)
+from sturmian.words import OrbitPoint, branch_point, code_word, language, past_set, preimages
 from sturmian.cover import (
     IndexPair,
     eq_class,
@@ -143,7 +136,9 @@ def test_criterion_07_projective_coherence():
             x = OrbitPoint(FIB, t, "L")
             hi = rng.choice(grid)
             # another point of x's class at hi: its k-th shift has x's one past there
-            (u,) = quotient(FIB, hi).class_of(x).past
+            c = eq_class(FIB, x, hi)
+            assert c in quotient(FIB, hi).classes
+            (u,) = c.past
             y = property_star_witness(FIB, u).shift(-hi.k)
             assert y != x
             assert eq_class(FIB, x, hi) == eq_class(FIB, y, hi)

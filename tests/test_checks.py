@@ -12,7 +12,8 @@ import pytest
 
 from sturmian.cover import EqClass, IndexPair, Thread, construct_fibre_element, shift_thread, thread_of
 from sturmian.quadratics import QuadraticIrrational
-from sturmian.words import OrbitPoint, _first_entry, branch_point, code_word, language, past_set
+from sturmian.arcs import _first_entry
+from sturmian.words import OrbitPoint, branch_point, code_word, language, past_set
 
 FIB = QuadraticIrrational(3, -1, 5, 2)
 OM = branch_point(FIB)

@@ -7,17 +7,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sturmian import cover, words
+from sturmian.arcs import cylinder_arc, recurrence_bound
 from sturmian.invariants import cf_value, parse_cf
 from sturmian.quadratics import QuadraticIrrational, parse_quad
-from sturmian.words import (
-    OrbitPoint,
-    branch_point,
-    code_word,
-    cylinder_arc,
-    language,
-    past_set,
-    recurrence_bound,
-)
+from sturmian.words import OrbitPoint, branch_point, code_word, language, past_set
 from sturmian.cover import (
     EqClass,
     IndexPair,
@@ -61,7 +54,9 @@ def random_point(rng, alpha=FIB):
 def class_mate(alpha, x, idx):
     # a point of x's class at idx other than x, for x off the branch orbit:
     # its k-th shift is the property-star witness of x's one past there
-    (u,) = quotient(alpha, idx).class_of(x).past
+    c = eq_class(alpha, x, idx)
+    assert c in quotient(alpha, idx).classes
+    (u,) = c.past
     y = property_star_witness(alpha, u).shift(-idx[0])
     assert y != x
     return y
@@ -192,9 +187,7 @@ class TestQuotient:
                     assert sizes[a] <= sizes[b]
 
     def test_class_of_rejects_foreign(self):
-        q = quotient(FIB, (1, 2))
-        c = q.class_of(HALF)
-        assert c in q.classes
+        assert eq_class(FIB, HALF, (1, 2)) in quotient(FIB, (1, 2)).classes
 
     def test_class_invariants_on_samples(self):
         # past words cover positions [k-l, k) while the prefix covers
@@ -735,7 +728,7 @@ class TestForeignPoint:
         "thread_of": lambda x: thread_of(SQRT2M1, x, 3, 6),
         "fibre": lambda x: fibre(SQRT2M1, x, 3, 6),
         "fibre_report": lambda x: fibre_report(SQRT2M1, x, 3, 6),
-        "class_of": lambda x: quotient(SQRT2M1, (1, 2)).class_of(x),
+        "class_of": lambda x: eq_class(SQRT2M1, x, (1, 2)) in quotient(SQRT2M1, (1, 2)).classes,
     }
 
     @pytest.mark.parametrize("name", sorted(CALLS))

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sturmian.arcs import recurrence_bound
 from sturmian.quadratics import QuadraticIrrational, parse_quad
-from sturmian.words import language, recurrence_bound
+from sturmian.words import language
 from sturmian.groupoid import DadWitness, _longest_chain, check_witness, dad_witness, degenerate_cover_chain
 
 import reference

@@ -10,8 +10,7 @@ from pathlib import Path
 import pytest
 
 import sturmian
-
-FIB = "quad:3,-1,5,2"
+from costs import CLI_CASES
 
 # the public names of the package by home module, kept apart from the
 # package's own table so that a name dropped from it or moved fails here
@@ -19,10 +18,8 @@ EXPORTS = {
     "quadratics": [
         "BudgetExceededError", "QuadraticIrrational", "RationalValueError", "format_quad", "parse_quad",
     ],
-    "words": [
-        "Arc", "OrbitPoint", "branch_point", "code_letter", "code_word", "cylinder_arc",
-        "language", "past_set", "preimages", "recurrence_bound",
-    ],
+    "words": ["OrbitPoint", "branch_point", "code_word", "language", "past_set", "preimages"],
+    "arcs": ["Arc", "cylinder_arc", "recurrence_bound"],
     "cover": [
         "EqClass", "FiniteQuotient", "IndexPair", "Thread", "construct_fibre_element",
         "eq_class", "expected_fibre_size", "fibre", "fibre_report", "index_leq",
@@ -67,12 +64,9 @@ def cli(*argv: str) -> str:
     return f"from sturmian.cli import main\nmain({list(argv)!r})"
 
 
-CODING = {"quadratics", "words", "cli"}
-RATIONAL = {"fractions", "decimal"}  # only a p/q point builds a Fraction
-JSON = {"json"}  # only -o json prints with json
-
-
 class TestModulesLoaded:
+    # the CLI cases, with the modules each loads, are the cost ledger's (tests/costs.py):
+    # only cover, fibre and dad load arcs, the circle half of the coding
     @pytest.mark.parametrize(
         "code, expected",
         [
@@ -82,20 +76,11 @@ class TestModulesLoaded:
             # the field alone parses a parameter; continued fractions live with the deciders
             ("from sturmian import parse_quad", {"quadratics"}),
             ("from sturmian import cf_value", {"quadratics", "invariants"}),
-            (cli("omega", "--alpha", FIB, "--n", "10"), CODING),
-            (cli("word", "--alpha", FIB, "--t", "1/2", "--n", "20"), CODING | RATIONAL),
-            (cli("language", "--alpha", FIB, "--n", "3", "-o", "json"), CODING | JSON),
-            (cli("past", "--alpha", FIB, "--t", "fwd:2", "--l", "3"), CODING),
-            (cli("cover", "--alpha", FIB, "--k", "2", "--l", "4"), CODING | {"cover"}),
-            (cli("fibre", "--alpha", FIB, "--point", "omega", "--K", "4", "--L", "10"), CODING | {"cover"}),
-            (cli("fibre", "--alpha", FIB, "--point", "1/2", "--K", "3", "--L", "6"), CODING | {"cover"} | RATIONAL),
-            (cli("dad", "--alpha", FIB, "--F", "1,2,3"), {"quadratics", "words", "groupoid", "cli"}),
-            (cli("compare", "--alpha", FIB, "--beta", "quad:-1,1,5,2"), {"quadratics", "invariants", "cli"}),
-            (cli("report", "--alpha", FIB), {"quadratics", "invariants", "cli"}),
-            (cli("omega", "--alpha", FIB, "--n", "-1"), {"quadratics", "cli"}),
+            ("from sturmian import cylinder_arc", {"quadratics", "words", "arcs"}),
+            *((cli(*argv), loaded) for argv, loaded in CLI_CASES.values()),
         ],
-        ids=["import", "words-attr", "from-import", "from-parse-quad", "from-cf-value", "omega", "word",
-             "language", "past", "cover", "fibre", "fibre-rational", "dad", "compare", "report", "usage-error"],
+        ids=["import", "words-attr", "from-import", "from-parse-quad", "from-cf-value", "from-cylinder-arc",
+             *CLI_CASES],
     )
     def test_only_the_layers_used(self, code, expected):
         assert loaded_after(code) == expected
@@ -103,7 +88,7 @@ class TestModulesLoaded:
 
 class TestNamespace:
     def test_export_list(self):
-        assert len(NAMES) == len(set(NAMES)) == 45
+        assert len(NAMES) == len(set(NAMES)) == 44
         assert sorted(sturmian.__all__) == sorted(NAMES)
         assert sturmian.__version__ == "0.1.0"
 

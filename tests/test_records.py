@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from sturmian.quadratics import QuadraticIrrational
-from sturmian.words import OrbitPoint, branch_point, cylinder_arc
+from sturmian.arcs import cylinder_arc
+from sturmian.words import OrbitPoint, branch_point
 from sturmian.cover import EqClass, eq_class, fibre_report, quotient, thread_of
 from sturmian.groupoid import DadWitness, check_witness, dad_witness
 from sturmian.invariants import Moebius, OrderedGroupDescriptor, cf_expand, compare_parameters

@@ -209,14 +209,14 @@ def _names_a_point(node) -> bool:
 
 
 def test_no_field_arithmetic_on_points():
-    # circle points are integer triples and arcs their cut point tags, both
-    # built in sturmian.words; neither words itself nor the cover, the
-    # groupoid or the CLI may redo that arithmetic on field elements
+    # circle points are integer triples, built in sturmian.words, and arcs
+    # their cut point tags, built in sturmian.arcs; neither those two nor the
+    # cover, the groupoid or the CLI may redo that arithmetic on field elements
     found = sorted(
         {
             f"{path.name}:{node.lineno}"
             for path in SOURCES
-            if path.name in ("words.py", "cover.py", "groupoid.py", "cli.py")
+            if path.name in ("words.py", "arcs.py", "cover.py", "groupoid.py", "cli.py")
             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
             if isinstance(node, ast.BinOp) and (_names_a_point(node.left) or _names_a_point(node.right))
         }
@@ -416,29 +416,41 @@ def test_one_squarefree_split():
     assert sum(_calls(tree, "_squarefree_split") for tree in trees.values()) == 1
 
 
-def _imports_cover(node) -> bool:
-    """Whether node imports sturmian.cover: `from .cover import ...`, `from . import cover`
-    or `import sturmian.cover`."""
+def _imports_layer(node, layer: str) -> bool:
+    """Whether node imports sturmian.<layer>: `from .<layer> import ...`, `from . import <layer>`
+    or `import sturmian.<layer>`."""
     if isinstance(node, ast.Import):
-        return any(a.name == "sturmian.cover" for a in node.names)
+        return any(a.name == f"sturmian.{layer}" for a in node.names)
     if not isinstance(node, ast.ImportFrom):
         return False
     module = ("." * node.level) + (node.module or "")
-    if module in (".cover", "sturmian.cover"):
+    if module in (f".{layer}", f"sturmian.{layer}"):
         return True
-    return module in (".", "sturmian") and any(a.name == "cover" for a in node.names)
+    return module in (".", "sturmian") and any(a.name == layer for a in node.names)
 
 
 def test_groupoid_never_imports_the_cover():
-    # `dad` loads quadratics, words and groupoid alone: the witness and its
-    # check read words, so no import of the cover may stand anywhere in
+    # `dad` loads quadratics, words, arcs and groupoid alone: the witness and
+    # its check read words, so no import of the cover may stand anywhere in
     # groupoid.py, at module level, inside a function or under TYPE_CHECKING
     tree = ast.parse(inspect.getsource(groupoid))
-    found = [node.lineno for node in ast.walk(tree) if _imports_cover(node)]
+    found = [node.lineno for node in ast.walk(tree) if _imports_layer(node, "cover")]
     assert found == [], found
     planted = ["from .cover import thread_of", "from . import cover", "import sturmian.cover",
                "from sturmian.cover import Thread"]
-    assert all(_imports_cover(ast.parse(line).body[0]) for line in planted)
+    assert all(_imports_layer(ast.parse(line).body[0], "cover") for line in planted)
+
+
+def test_words_never_imports_the_arcs():
+    # `omega`, `word`, `language` and `past` load quadratics and words alone:
+    # the circle geometry lives in arcs, which imports words, so no import of
+    # arcs may stand anywhere in words.py, under TYPE_CHECKING included
+    tree = ast.parse(inspect.getsource(words))
+    found = [node.lineno for node in ast.walk(tree) if _imports_layer(node, "arcs")]
+    assert found == [], found
+    planted = ["from .arcs import cylinder_arc", "from . import arcs", "import sturmian.arcs",
+               "from sturmian.arcs import Arc"]
+    assert all(_imports_layer(ast.parse(line).body[0], "arcs") for line in planted)
 
 
 USAGE_ERRORS = {"ValueError", "ZeroDivisionError", "UsageError"}

@@ -4,20 +4,17 @@ from fractions import Fraction
 
 import pytest
 
+from sturmian.arcs import Arc, _first_entry, cylinder_arc, recurrence_bound
 from sturmian.quadratics import QuadraticIrrational, parse_quad
 from sturmian.words import (
-    Arc,
     OrbitPoint,
-    _first_entry,
+    _interior_point,
     _orbit_point,
     branch_point,
-    code_letter,
     code_word,
-    cylinder_arc,
     language,
     past_set,
     preimages,
-    recurrence_bound,
 )
 
 import reference
@@ -57,21 +54,17 @@ def past_by_scanning(alpha, x, l, prefix_len=None, sample_len=40_000):
 
 class TestCodeLetter:
     def test_branch_point_first_letter(self):
-        assert code_letter(branch_point(FIB), 0) == "0"
+        assert code_word(branch_point(FIB), 1) == "0"
 
     def test_zero_under_both_variants(self):
-        assert code_letter(OrbitPoint(FIB, 0, "L"), 0) == "0"
-        assert code_letter(OrbitPoint(FIB, 0, "R"), 0) == "1"
+        assert code_word(OrbitPoint(FIB, 0, "L"), 1) == "0"
+        assert code_word(OrbitPoint(FIB, 0, "R"), 1) == "1"
 
     def test_left_endpoint_of_upper_interval(self):
         for alpha in ALPHAS:
             t = 1 - alpha
-            assert code_letter(OrbitPoint(alpha, t, "L"), 0) == "1"
-            assert code_letter(OrbitPoint(alpha, t, "R"), 0) == "0"
-
-    def test_negative_index_rejected_for_one_sided(self):
-        with pytest.raises(ValueError):
-            code_letter(branch_point(FIB), -1)
+            assert code_word(OrbitPoint(alpha, t, "L"), 1) == "1"
+            assert code_word(OrbitPoint(alpha, t, "R"), 1) == "0"
 
 
 class TestCodeWord:
@@ -87,14 +80,13 @@ class TestCodeWord:
     def test_matches_letterwise(self):
         x = OrbitPoint(FIB, Fraction(2, 9), "L")
         w = code_word(x, 40)
-        assert all(w[i] == code_letter(x, i) for i in range(40))
+        assert all(w[i] == code_word(x.shift(i), 1) for i in range(40))
 
 
 class TestCylinders:
     def test_empty_word_full_circle(self):
         arc = cylinder_arc(FIB, "")
-        assert arc.is_full_circle()
-        assert arc.contains(Fraction(3, 4))
+        assert arc == Arc(FIB, 0, 0)  # equal tags: the full circle
 
     def test_11_not_admissible(self):
         assert cylinder_arc(FIB, "11") is None
@@ -102,18 +94,21 @@ class TestCylinders:
 
     def test_single_zero(self):
         arc = cylinder_arc(FIB, "0")
-        assert arc.lo == Fraction(0) and arc.lo_tag == 0
-        assert arc.hi == 1 - FIB and arc.hi_tag == 1
+        assert reference.ends(arc) == (Fraction(0), 1 - FIB, 0, 1)
         assert arc == Arc(FIB, 0, 1)
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_cells_are_half_open(self, alpha):
-        # every cylinder arc holds its start point and not its end point
+        # every cylinder arc holds its start point and not its end point: w is the
+        # L coding of the start, and the R coding of the end, which points of the
+        # arc approach from the left, while the end's own L coding differs
         assert language(alpha, 0) == {""} and cylinder_arc(alpha, "") == Arc(alpha, 0, 0)
         for n in range(1, 9):
             for w in language(alpha, n):
                 arc = cylinder_arc(alpha, w)
-                assert arc.contains(arc.lo) and not arc.contains(arc.hi)
+                assert code_word(_orbit_point(alpha, -arc.lo_tag, "L"), n) == w
+                assert code_word(_orbit_point(alpha, -arc.hi_tag, "R"), n) == w
+                assert code_word(_orbit_point(alpha, -arc.hi_tag, "L"), n) != w
 
     def test_alphabet_validation(self):
         with pytest.raises(ValueError):
@@ -175,7 +170,7 @@ class TestBranchStructure:
         for alpha in ALPHAS:  # all three lie in (0, 1/2) except the golden conjugate
             om = branch_point(alpha)
             expected = "0" if alpha < Fraction(1, 2) else "1"
-            assert code_letter(om, 0) == expected
+            assert code_word(om, 1) == expected
 
     def test_shift_of_zero_point_is_branch(self):
         zero = OrbitPoint(FIB, 0, "L")
@@ -293,7 +288,7 @@ class TestCodingArcConsistency:
             alpha = rng.choice(ALPHAS)
             mu = code_word(OrbitPoint(alpha, t, "L"), n)
             for w in language(alpha, n):
-                assert cylinder_arc(alpha, w).contains(t) == (w == mu)
+                assert reference.field_arc(cylinder_arc(alpha, w)).contains(t) == (w == mu)
 
 
 class TestVariantAgreement:
@@ -367,11 +362,11 @@ class TestOrbitPosition:
         rng = random.Random(4)
         for _ in range(50):
             t = Fraction(rng.randint(0, 10**6 - 1), 10**6)
-            assert sum(a.contains(t) for a in arcs) == 1
+            assert sum(reference.field_arc(a).contains(t) for a in arcs) == 1
 
     def test_interior_points_off_orbit(self):
         for w in language(FIB, 7):
             arc = cylinder_arc(FIB, w)
-            x = arc.interior_point_off_orbit()
-            assert arc.contains(x.t)
+            x = _interior_point(FIB, arc.lo_tag, arc.hi_tag)
+            assert reference.field_arc(arc).contains(x.t)
             assert x.orbit_position() is None
