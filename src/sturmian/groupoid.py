@@ -10,8 +10,9 @@ touch the cover.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations, count, groupby, product
-from operator import itemgetter
+from operator import itemgetter, or_
 
 from .arcs import recurrence_bound
 from .quadratics import QuadraticIrrational, _Record
@@ -123,30 +124,21 @@ class WitnessCheck(_Record):
         }
 
 
-def _u_positions(w: DadWitness, word: Word, limit: int) -> list[bool]:
-    """Flags of the starts s <= limit at which word reads some mu shift."""
-    flags = [False] * (limit + 1)
-    for shift in w.mu_shifts:
-        end = limit + len(shift)
-        s = word.find(shift, 0, end)
-        while s != -1:
-            flags[s] = True
-            s = word.find(shift, s + 1, end)
-    return flags
-
-
-def _longest_chain(allowed: list[bool], jumps: list[int], span: int) -> int:
-    """Most steps in a chain of allowed positions, each step one of the jumps,
-    that ends at most span positions past its start."""
-    # end[s]: the least end of a k-step chain from s; it grows with k, so dead starts stay dead
-    never = len(allowed) + span  # past every real end, and past s + span for every start s
-    end = [s if ok else never for s, ok in enumerate(allowed)] + [never] * max(jumps)
-    alive, steps = [s for s, ok in enumerate(allowed) if ok], -1
-    while alive:
-        for s in alive:  # increasing, so end[s + f] still holds a k-step end
-            end[s] = min([end[s + f] for f in jumps])
-        alive, steps = [s for s in alive if end[s] <= s + span], steps + 1
-    return max(steps, 0)
+def _longest_chain(allowed: int, jumps: list[int], span: int) -> int:
+    """Most steps in a chain of allowed positions, bit p for position p, each step
+    one of the jumps, that ends at most span positions past its start.  Round k
+    holds the starts of k-step chains.  In the witness check the longest nearly
+    always fits the span: mu's occurrences flag, and nu's clear, lbar consecutive
+    starts each (the shift cylinders are disjoint), and both recur within beta
+    <= span.  Else each chain lies in the stretch of span + 1 positions from its start.
+    """
+    steps, chains = 0, allowed
+    while chains := allowed & reduce(or_, [chains >> f for f in jumps]):
+        steps += 1
+    if steps * jumps[-1] <= span or allowed >> span + 1 == 0:
+        return steps
+    stretch = (1 << span + 1) - 1
+    return max(_longest_chain(allowed >> i & stretch, jumps, span) for i in range(allowed.bit_length()))
 
 
 def check_witness(alpha: QuadraticIrrational, w: DadWitness, window: int) -> WitnessCheck:
@@ -159,19 +151,26 @@ def check_witness(alpha: QuadraticIrrational, w: DadWitness, window: int) -> Wit
     -window..window-1, as in `language`; each reads its starts i..i + limit,
     limit = window - |mu|, so the word is flagged once.  A chain spanning
     at most limit positions lies in the window starting at its first
-    position, or in the last one.
+    position, or in the last one.  Sets of starts are ints, bit p for start
+    p: the R coding of 0, the L coding reversed, holds letter p at bit p
+    when read in base 2, and Shift-And finds each suffix of mu from the next.
     """
     if window < w.min_window:
         raise ValueError(f"window must be at least {w.min_window}")
-    word = _zero_words(alpha, window)[0]
+    ones = int(_zero_words(alpha, window)[1], 2)
+    letter = {"0": ones ^ (1 << 2 * window) - 1, "1": ones}
     limit = window - len(w.mu)
+    found, upos = -1, 0  # -1 has every bit set: the empty suffix starts everywhere
+    for j in range(len(w.mu) - 1, -1, -1):
+        found = letter[w.mu[j]] & found >> 1
+        upos |= found if j < w.lbar else 0
+    starts = (1 << window + limit + 1) - 1
+    upos, vpos = upos & starts, starts & ~upos
+    max_first, reach = 0, vpos  # reach: the starts s with s..s + max_first all unflagged
+    while reach & (1 << window + 1) - 1 and max_first <= limit:
+        max_first, reach = max_first + 1, reach & reach >> 1
     jumps = [v for v in w.cocycle_values if v >= 1]
-    upos = _u_positions(w, word, window + limit)
-    max_first, nxt = 0, len(upos)  # nxt: the first flag at or after s
-    for s in range(len(upos) - 1, -1, -1):
-        nxt = s if upos[s] else nxt
-        max_first = max(max_first, min(nxt - s, limit + 1) if s <= window else 0)
-    max_v, max_u = (_longest_chain(side, jumps, limit) for side in ([not u for u in upos], upos))
+    max_v, max_u = (_longest_chain(side, jumps, limit) for side in (vpos, upos))
     bound = w.lbar * max(max_v, max_u)
     return WitnessCheck(w, window, max_first <= w.beta_mu, max_first, max_v, max_u, bound)
 

@@ -21,7 +21,8 @@ SEARCHED = [FIB, SQRT2M1, QuadraticIrrational(-1, 1, 13, 6), QuadraticIrrational
 # dad_witness on those four for F = {1..lbar}, lbar <= 40, and F = {lbar} at 100 and 200, as
 # (mu, nu, beta_mu, beta_nu); the rows with a pair of length 2*lbar were recorded from the
 # search before it took two substring tests per pair, the others from reference.witness_words
-# and reference.recurrence_bound
+# and reference.recurrence_bound; "check" is [max_first_hit, max_chain_V, max_chain_U] at
+# min_window, recorded from the per-start scan and least-end DP that the int position sets replaced
 PINNED = json.loads((Path(__file__).parent / "dad_pinned.json").read_text())
 
 
@@ -119,6 +120,13 @@ class TestCheckWitness:
         assert chk.max_chain_u <= w.beta_nu
         assert chk.cocycle_bound <= 2 * w.lbar * max(w.beta_mu, w.beta_nu)
 
+    def test_every_pinned_row_at_min_window(self):
+        for row in PINNED:
+            w = DadWitness(tuple(row["F"]), *row["witness"])
+            chk = check_witness(parse_quad(row["alpha"]), w, w.min_window)
+            assert chk.passed, (row["alpha"], row["F"])
+            assert [chk.max_first_hit, chk.max_chain_v, chk.max_chain_u] == row["check"], (row["alpha"], row["F"])
+
     def test_every_window_is_covered(self):
         w = dad_witness(FIB, [1])
         chk = check_witness(FIB, w, 20)
@@ -145,8 +153,8 @@ class TestCheckWitness:
 
 
 class TestWindowScanMatchesReference:
-    """The find-based scan and list DP against the start-by-start scan and
-    dict DP they replaced."""
+    """The scan on int position sets against the start-by-start scan and
+    dict DP it replaced."""
 
     # [0; 3, (1)] reads 000, so the witness word 00 occurs at overlapping starts
     @pytest.mark.parametrize("alpha", [FIB, SQRT2M1, GOLDEN_CONJ, QuadraticIrrational(5, -1, 5, 10)])
@@ -165,14 +173,16 @@ class TestWindowScanMatchesReference:
 
 @settings(max_examples=200, deadline=None)
 @given(
-    allowed=st.lists(st.booleans(), max_size=60),
-    jumps=st.sets(st.integers(1, 6), min_size=1),
-    span=st.integers(0, 60),
+    allowed=st.lists(st.booleans(), max_size=120),
+    jumps=st.sets(st.integers(1, 8), min_size=1),
+    span=st.integers(0, 120),
 )
 def test_chain_pass_matches_chains_within_the_span(allowed, jumps, span):
-    # spans up to the list's length, so the span binds on some draws and not on others
+    # spans up to the list's length, so on some draws the longest chain fits the
+    # span and on others the pass takes one stretch per start
     jumps = sorted(jumps)
-    assert _longest_chain(allowed, jumps, span) == reference.longest_spanned_chain(allowed, jumps, span)
+    bits = sum(1 << p for p, ok in enumerate(allowed) if ok)
+    assert _longest_chain(bits, jumps, span) == reference.longest_spanned_chain(allowed, jumps, span)
 
 
 def test_chain_pass_keeps_the_span():
@@ -188,8 +198,8 @@ def test_chain_pass_keeps_the_span():
 @settings(max_examples=10, deadline=None)
 @given(
     data=st.data(),
-    # cf_value factors the period's discriminant by trial division, so the
-    # huge partial quotients sit in the preperiod
+    # period digits up to 40 keep most windows within the 400 letters that the
+    # oracle's window scan reads quickly; huge partial quotients come from the preperiod
     alpha=cf_parameters(period_digits=st.integers(1, 40)),
     values=st.builds(lambda v, rest: {v} | rest, st.integers(1, 4), st.sets(st.integers(0, 4))),
 )
@@ -213,9 +223,9 @@ def test_one_word_scan_matches_window_scan(data, alpha, values):
 
 @settings(max_examples=40, deadline=5000)
 @given(
-    # period digits up to 10 keep each check under a second; with digits up to 40
-    # one draw took 5.6 s on a 2-core VM
-    alpha=cf_parameters(period_digits=st.integers(1, 10)),
+    # period digits up to 40, as in the window scan above; at hypothesis seeds 1-4 each
+    # check of a window up to 40,000 letters took at most 54 ms on a 2-core VM
+    alpha=cf_parameters(period_digits=st.integers(1, 40)),
     values=st.builds(lambda v, rest: {v} | rest, st.integers(1, 12), st.sets(st.integers(0, 12))),
 )
 def test_dad_over_cf_parameters(alpha, values):
@@ -224,5 +234,5 @@ def test_dad_over_cf_parameters(alpha, values):
     assert len(w.mu) == len(w.nu) >= 2 * w.lbar
     assert reference.shift_cylinders_disjoint(w.mu, w.nu, w.lbar)
     # a huge preperiod digit gives betas near 10^6 and windows of 10^7 letters
-    assume(w.min_window <= 4000)
+    assume(w.min_window <= 40_000)
     assert check_witness(alpha, w, w.min_window).passed
