@@ -10,13 +10,14 @@ touch the cover.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import reduce
-from itertools import combinations, count, groupby, product
+from itertools import combinations, groupby, product
 from operator import itemgetter, or_
 
 from .arcs import recurrence_bound
 from .quadratics import QuadraticIrrational, _Record
-from .words import Word, _zero_words
+from .words import _zero_words
 
 
 class DadWitness(_Record):
@@ -36,10 +37,6 @@ class DadWitness(_Record):
         return self.cocycle_values[-1]
 
     @property
-    def mu_shifts(self) -> tuple[Word, ...]:
-        return tuple(self.mu[j:] for j in range(self.lbar))
-
-    @property
     def min_window(self) -> int:
         """The shortest window check_witness accepts."""
         return len(self.mu) * max(self.beta_mu, self.beta_nu)
@@ -56,7 +53,7 @@ def _cocycle_values(values) -> tuple[int, ...]:
 def dad_witness(alpha: QuadraticIrrational, values) -> DadWitness:
     """Build the deterministic two-set witness for the given cocycle values.
 
-    The words have the least length m >= 2*lbar at which two words of the
+    The words have the least length m* >= 2*lbar at which two words of the
     language have disjoint shifted cylinders, and are the first such pair
     in the order of their suffixes mu[lbar:], then of the words.  For any
     m >= lbar, a pair is disjoint exactly when mu[lbar-1:] is not in nu and
@@ -66,11 +63,11 @@ def dad_witness(alpha: QuadraticIrrational, values) -> DadWitness:
     occurs only at some p <= lbar - 1, the pair (lbar - 1, p).  The case
     i >= j is symmetric.
 
-    Each length reads one coded word w, whose m + 1 windows w[i:i+m] are the
-    language (`language`).  Its factors of n = m - lbar + 1 letters are
-    numbered once: window i's tail is the factor at i + lbar - 1, and the
-    tails inside window j are the factors at j..j + lbar - 1, so each pair
-    is tested by two set lookups.
+    A pair at m gives one at m + 1, so the search doubles a step from
+    2*lbar, then bisects the last gap.  Proof: extend mu and nu right by one
+    admissible letter each; the suffixes stay distinct, and the longer tail,
+    of m - lbar + 2 letters, could only sit at some p <= lbar - 1 of the
+    longer word, where the shorter tail would lie inside the shorter word.
 
     The search ends: a nu excluded for mu shares mu[lbar:], contains
     mu[lbar-1:] or has nu[lbar-1:] in mu, so it extends one of at most lbar
@@ -79,19 +76,29 @@ def dad_witness(alpha: QuadraticIrrational, values) -> DadWitness:
     while the language of length m has m + 1 words.
     """
     values = _cocycle_values(values)
-    lbar = values[-1]
-    for m in count(2 * lbar):
-        w, n = _zero_words(alpha, m)[0], m - lbar + 1
-        ids: dict[Word, int] = {}
-        factor = [ids.setdefault(w[p : p + n], len(ids)) for p in range(m + lbar)]
-        inside = [set(factor[j : j + lbar]) for j in range(m + 1)]
+    lbar, pairs = values[-1], {}
+
+    def paired(m: int) -> bool:
+        # bit j of inside[t]: t starts in the window w[j:j+m] (`language`), at j..j + lbar - 1
+        w, inside = _zero_words(alpha, m)[0], {}
+        for p in range(m + lbar):
+            t = w[p : p + m - lbar + 1]
+            inside[t] = inside.get(t, 0) | (1 << p + 1) - (1 << max(p - lbar + 1, 0))
+        tail = [inside[w[i + lbar - 1 : i + m]] for i in range(m + 1)]
         keyed = sorted((w[i + lbar : i + m], w[i : i + m], i) for i in range(m + 1))
         extensions = [[i for *_, i in group] for _, group in groupby(keyed, itemgetter(0))]
         for mus, nus in combinations(extensions, 2):
             for i, j in product(mus, nus):
-                if factor[i + lbar - 1] not in inside[j] and factor[j + lbar - 1] not in inside[i]:
-                    mu, nu = w[i : i + m], w[j : j + m]
-                    return DadWitness(values, mu, nu, recurrence_bound(alpha, mu), recurrence_bound(alpha, nu))
+                if not tail[i] >> j & 1 and not tail[j] >> i & 1:
+                    pairs[m] = w[i : i + m], w[j : j + m]
+                    return True
+        return False
+
+    lo, step = 2 * lbar, 1
+    while not paired(hi := lo + step - 1):
+        lo, step = hi + 1, 2 * step
+    mu, nu = pairs[lo + bisect_left(range(lo, hi), True, key=paired)]
+    return DadWitness(values, mu, nu, recurrence_bound(alpha, mu), recurrence_bound(alpha, nu))
 
 
 class WitnessCheck(_Record):

@@ -18,7 +18,7 @@ import math
 import re
 
 from .quadratics import (
-    QuadraticIrrational, RationalValueError, _floor, _image, _minimal_period, _period, _Record, _reduced,
+    QuadraticIrrational, RationalValueError, _floor, _image, _period, _Record, _reduced,
     _squarefree_split, check_unit_interval,
 )
 
@@ -42,7 +42,8 @@ class ContinuedFraction(_Record):
             raise ValueError("period must be nonempty")
         if min(per) < 1 or min(pre[1:], default=1) < 1:
             raise ValueError("partial quotients after the first must be >= 1")
-        per = _minimal_period(per)
+        n = len(per)
+        per = next(per[:k] for k in range(1, n + 1) if n % k == 0 and per == per[:k] * (n // k))
         while pre and pre[-1] == per[-1]:
             pre = pre[:-1]
             per = per[-1:] + per[:-1]

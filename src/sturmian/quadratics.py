@@ -302,14 +302,6 @@ def check_unit_interval(x: QuadraticIrrational) -> QuadraticIrrational:
 # -- the period of a continued fraction ------------------------------------
 
 
-def _minimal_period(period: tuple[int, ...]) -> tuple[int, ...]:
-    """The shortest k-prefix whose repeats make up the period; k divides n."""
-    n = len(period)
-    small = [k for k in range(1, math.isqrt(n) + 1) if n % k == 0]
-    divisors = small + [n // k for k in reversed(small)]  # ascending, ends at n
-    return next(period[:k] for k in divisors if period == period[:k] * (n // k))
-
-
 def _reduced(x: QuadraticIrrational) -> tuple[int, list[int], int, int]:
     """(D, digits, P, Q): x's preperiod digits and first reduced state.
 

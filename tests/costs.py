@@ -1,6 +1,6 @@
 """The cost ledger, BENCH_costs.json: exact counts that host noise cannot move.
 
-Its one section so far, `compile_nodes`, has one line per CLI case of
+Its section `compile_nodes` has one line per CLI case of
 `test_imports.TestModulesLoaded`: the AST nodes of the sturmian modules
 that the request loads, the package's `__init__` included.  With bytecode
 writing off, every request compiles those modules from source, at about
@@ -8,14 +8,21 @@ writing off, every request compiles those modules from source, at about
 The modules of each case are listed here once; TestModulesLoaded checks
 them in a fresh interpreter.
 
-    python tests/costs.py            # print the ledger
-    python tests/costs.py --write    # regenerate BENCH_costs.json
+Its section `witness_lengths` lists, for each cocycle value set F of
+WITNESS_CASES on FIB, the word lengths `dad_witness` codes a word for, in
+the order it tries them; the search's cost is about one coded length each.
+
+    PYTHONPATH=src python tests/costs.py            # print the ledger
+    PYTHONPATH=src python tests/costs.py --write    # regenerate BENCH_costs.json
 """
 
 import ast
 import json
 import sys
 from pathlib import Path
+
+from sturmian import groupoid
+from sturmian.quadratics import parse_quad
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "sturmian"
@@ -49,6 +56,25 @@ CLI_CASES = {
 }
 
 
+# the cocycle value sets whose witness search the ledger follows; (200,) searches 400..432
+WITNESS_CASES = [(1,), (1, 2, 3), (11,), (0, 40), (100,), (200,)]
+
+
+def tried_lengths(alpha, values):
+    """dad_witness(alpha, values) and the lengths it codes a word for, in order."""
+    lengths, zero_words = [], groupoid._zero_words
+
+    def counted(alpha, m):
+        lengths.append(m)
+        return zero_words(alpha, m)
+
+    groupoid._zero_words = counted
+    try:
+        return groupoid.dad_witness(alpha, values), lengths
+    finally:
+        groupoid._zero_words = zero_words
+
+
 def nodes(module: str) -> int:
     """The AST nodes of sturmian/<module>.py."""
     return sum(1 for _ in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())))
@@ -58,10 +84,14 @@ def ledger() -> dict:
     counts = {path.stem: nodes(path.stem) for path in PACKAGE.glob("*.py")}
     return {
         "about": "compile_nodes: AST nodes of the sturmian modules that each CLI case loads; "
-        "regenerate with python tests/costs.py --write",
+        "witness_lengths: the lengths dad_witness codes on FIB for each F, in order; "
+        "regenerate with PYTHONPATH=src python tests/costs.py --write",
         "compile_nodes": {
             case: sum(counts[m] for m in {"__init__", *loaded} & counts.keys())
             for case, (_, loaded) in CLI_CASES.items()
+        },
+        "witness_lengths": {
+            ",".join(map(str, values)): tried_lengths(parse_quad(FIB), values)[1] for values in WITNESS_CASES
         },
     }
 

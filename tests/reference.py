@@ -28,8 +28,9 @@ three enumerations of the same object:
 - first entries of the cut points -j*alpha into an arc by scanning j, and
   recurrence bounds by scanning window lengths over the whole language;
 - disjointness of the witness words' shift cylinders by comparing every
-  shift of one word with every shift of the other, and the witness search
-  rescanning the language for every suffix, one length after another;
+  shift of one word with every shift of the other, a pair at one length by
+  comparing every word with every word, and the witness search rescanning
+  the language for every suffix, one length after another;
 - the witness window scan testing every start position of every shift and
   taking the longest chain over a dict;
 - continued fractions by iterating complete quotients as field elements
@@ -455,6 +456,15 @@ def shift_cylinders_disjoint(mu, nu, lbar):
     )
 
 
+def has_pair(alpha, lbar, m):
+    """Some two words of length m have distinct suffixes of m - lbar letters and disjoint
+    shift cylinders, by comparing every word with every word."""
+    words = language(alpha, m)
+    return any(
+        mu[lbar:] != nu[lbar:] and shift_cylinders_disjoint(mu, nu, lbar) for mu in words for nu in words
+    )
+
+
 def witness_words(alpha, lbar):
     """dad_witness's first pair (mu, nu) at the least length m >= 2*lbar that has one, by
     scanning the language for each suffix of m - lbar letters."""
@@ -474,8 +484,8 @@ def witness_words(alpha, lbar):
 
 
 def u_positions(w, word, limit):
-    shifts = w.mu_shifts  # the property slices mu anew on every read
-    return {s for s in range(limit + 1) if any(word.startswith(shift, s) for shift in shifts)}
+    mu_shifts = shifts(w.mu, w.lbar)
+    return {s for s in range(limit + 1) if any(word.startswith(shift, s) for shift in mu_shifts)}
 
 
 def longest_chain(allowed, jumps):

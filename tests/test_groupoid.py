@@ -2,7 +2,7 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sturmian.arcs import recurrence_bound
@@ -11,7 +11,7 @@ from sturmian.words import language
 from sturmian.groupoid import DadWitness, _longest_chain, check_witness, dad_witness, degenerate_cover_chain
 
 import reference
-from test_kernel import cf_parameters
+from test_kernel import cf_parameters, unfactored_value
 
 FIB = QuadraticIrrational(3, -1, 5, 2)
 SQRT2M1 = QuadraticIrrational(-1, 1, 2, 1)
@@ -59,7 +59,7 @@ class TestDadWitness:
     def test_cylinder_arcs_disjoint(self, alpha, values):
         w = dad_witness(alpha, values)
         assert reference.shift_cylinders_disjoint(w.mu, w.nu, w.lbar)
-        for wm in w.mu_shifts:
+        for wm in reference.shifts(w.mu, w.lbar):
             for wn in reference.shifts(w.nu, w.lbar):
                 am = reference.word_arc(alpha, wm)
                 an = reference.word_arc(alpha, wn)
@@ -92,6 +92,19 @@ def test_two_substring_tests_match_every_shift_pair(alpha, lbar):
                     mu, nu, lbar
                 ), (mu, nu)
     w = dad_witness(alpha, [lbar])
+    assert (w.mu, w.nu) == reference.witness_words(alpha, lbar)
+
+
+@settings(max_examples=20, deadline=None)
+@given(alpha=cf_parameters(period_digits=st.integers(1, 40)), lbar=st.integers(1, 12))
+@example(alpha=FIB, lbar=11)  # least length 23
+@example(alpha=QuadraticIrrational(-7, 1, 61, 3), lbar=8)  # 18
+@example(alpha=unfactored_value((0,), (19, 2, 27, 36)), lbar=11)  # 29
+def test_lengths_with_a_pair_are_those_from_the_least(alpha, lbar):
+    # a pair at m gives one at m + 1 (dad_witness), so doubling and bisecting find the least
+    w = dad_witness(alpha, [lbar])
+    lengths = range(2 * lbar, len(w.mu) + 4)
+    assert [reference.has_pair(alpha, lbar, m) for m in lengths] == [m >= len(w.mu) for m in lengths]
     assert (w.mu, w.nu) == reference.witness_words(alpha, lbar)
 
 

@@ -44,9 +44,10 @@ from sturmian.words import (
     past_set,
     preimages,
 )
-from sturmian import arcs, cover, groupoid, words
+from sturmian import arcs, cover, words
 
 import reference
+from costs import tried_lengths
 
 # five parameters in four quadratic fields
 ALPHAS = [
@@ -404,23 +405,19 @@ class TestKernelObjectCounts:
                 assert self._count(floors, check_witness, self.FIB, w, window) == window + 1
         assert languages == []
 
-    def test_dad_witness_reads_one_coded_word_per_length(self, monkeypatch):
-        # the search reads one coded word, whose windows are the language, per
-        # length it tries, from 2*lbar up to |mu|, and no other
-        lengths = []
-
-        def counted(*args):
-            lengths.append(args[1:])
-            return words._zero_words(*args)
-
-        monkeypatch.setattr(groupoid, "_zero_words", counted)
+    def test_dad_witness_reads_one_coded_word_per_length(self):
+        # the search codes one word, whose windows are the language, per length it tries: a
+        # step doubling from 2*lbar, then a bisection of the last gap, so |mu| - 1 is tried
+        # unless it lies below 2*lbar, and no tried length below |mu| has a pair
         tried = {}
         for values in [(1,), (1, 2, 3), (11,), (0, 40), (100,)]:
-            del lengths[:]
-            w = dad_witness(self.FIB, values)
-            assert lengths == [(m,) for m in range(2 * w.lbar, len(w.mu) + 1)]
-            tried[values] = lengths[:]
-        assert tried[(11,)] == [(22,), (23,)]
+            w, lengths = tried_lengths(self.FIB, values)
+            m = len(w.mu)
+            assert len(set(lengths)) == len(lengths) and min(lengths) == 2 * w.lbar
+            assert m in lengths and (m - 1 in lengths or m == 2 * w.lbar)
+            assert not any(reference.has_pair(self.FIB, w.lbar, k) for k in lengths if k < m)
+            tried[values] = lengths
+        assert tried[(11,)] == [22, 24, 23]
 
     def test_quotient_reads_one_coded_word(self, floors):
         # l + 1 floors for the codings of 0, one per branch-orbit representative:
