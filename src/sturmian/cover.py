@@ -10,11 +10,11 @@ truncated index grid and approximate elements of the projective limit.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple
 
 from .arcs import _first_entry, cylinder_arc
 from .quadratics import QuadraticIrrational, _Record, _store
-from .words import OrbitPoint, Word, _interior_point, _orbit_point, _zero_words, code_word, past_set
+from .words import OrbitPoint, Word, _interior_point, _orbit_point, _zero_words, past_set
 
 
 class IndexPair(NamedTuple):
@@ -59,11 +59,19 @@ def _check_point(alpha: QuadraticIrrational, x: OrbitPoint) -> None:
         raise ValueError("point belongs to a different parameter")
 
 
+def _on_side(past: frozenset[Word], at: int, letter: str) -> Word:
+    """A past set's one word, or of two pasts the one with `letter` at `at`, where both
+    hold letter 0 of the codings of 0: '0' on side L, '1' on side R (Lothaire, ch. 2)."""
+    return next(w for w in past if len(past) == 1 or w[at] == letter)
+
+
 def eq_class(alpha: QuadraticIrrational, x: OrbitPoint, idx) -> EqClass:
+    """x's class at (k, l); its prefix ends the past word on x's side, and two pasts are
+    letters b-l..b-1 of the codings of 0, x.shift(k) = b*alpha, so letter 0 is at l - b."""
     _check_point(alpha, x)
-    idx = _check_index(idx)
-    past = past_set(x.shift(idx.k), idx.l)  # first, so a level past the length bound codes nothing
-    return EqClass(idx, code_word(x, idx.k), past, x)
+    k, l = idx = _check_index(idx)
+    past = past_set(x.shift(k), l)
+    return EqClass(idx, _on_side(past, l - k - x.b, "01"[x.variant == "R"])[l - k :], past, x)
 
 
 class FiniteQuotient(_Record):
@@ -178,38 +186,29 @@ class Thread(_Record):
         return rows
 
 
-def _chains(x: OrbitPoint) -> list[Optional[str]]:
-    """The backward chains that carry a fibre element over x.
-
-    None is the section iota(x).  A forward-orbit point sigma^j(omega) has
-    two more elements, one per coding side of the branch point behind it;
-    a backward-orbit point mu.omega has one more, its own chain.
-    """
+def _chains(x: OrbitPoint) -> str:
+    """The letters at the point 0 behind x of the chains that carry a fibre element over x
+    besides the section: both over sigma^j(omega), its own side's over a backward point."""
     pos = x.orbit_position()
-    if pos is None:
-        return [None]
-    return [None, "L", "R"] if pos[0] == "forward" else [None, x.variant]
+    return "" if pos is None else "01" if pos[0] == "forward" else "01"[x.variant == "R"]
 
 
-def _thread(alpha: QuadraticIrrational, x: OrbitPoint, K: int, L: int, chain: Optional[str]) -> Thread:
-    """The thread over x along one of its chains (`_chains`): None is iota(x).
+def _thread(alpha: QuadraticIrrational, x: OrbitPoint, K: int, L: int, chains: str = "") -> list[Thread]:
+    """The section iota(x), then the thread along each chain in `chains` (`_chains`).
 
-    Its top is a class at the chain level (n, 2n), n = max(L, 1): x's own
-    class for the section, and otherwise one coded window, letters -n..n-1
-    of x on the chain's side, whose last n letters are x's prefix: the two
-    sides agree from index 1 on, and a backward point's only chain is its own.
+    Every top is read off x's class at the chain level (n, 2n), n = max(L, 1): the
+    section's is that class, a chain's the singleton of the past on its side.  Both
+    pasts end with x's prefix, save over a backward point, whose one chain is its own.
     """
     n = max(L, 1)
-    if chain is None:
-        return Thread(x, K, L, eq_class(alpha, x, (n, 2 * n)))
-    _check_point(alpha, x)  # chains exist only on the orbit of 0, where x is x.b*alpha
-    past = code_word(_orbit_point(alpha, x.b - n, chain), 2 * n)
-    return Thread(x, K, L, EqClass(IndexPair(n, 2 * n), past[n:], frozenset({past})))
+    top = eq_class(alpha, x, (n, 2 * n))
+    tops = [top] + [EqClass(top.index, top.prefix, frozenset({_on_side(top.past, n - x.b, c)})) for c in chains]
+    return [Thread(x, K, L, t) for t in tops]
 
 
 def thread_of(alpha: QuadraticIrrational, x: OrbitPoint, K: int, L: int) -> Thread:
     """The canonical thread through x (the section of the factor map)."""
-    return _thread(alpha, x, K, L, None)
+    return _thread(alpha, x, K, L)[0]
 
 
 def shift_thread(th: Thread) -> Thread:
@@ -241,13 +240,11 @@ def construct_fibre_element(
         raise ValueError("past letter must be '0' or '1'")
     _check_point(alpha, x)
     chains = _chains(x)
-    if chains == [None]:
+    if not chains:
         raise ValueError("the point is not in the orbit of the branch point")
-    chain_variant = "L" if past_letter == "0" else "R"
-    if chain_variant not in chains:
-        forced = "0" if x.variant == "L" else "1"
-        raise ValueError(f"the past letter of this backward point is forced to {forced!r}")
-    return _thread(alpha, x, K, L, chain_variant)
+    if past_letter not in chains:
+        raise ValueError(f"the past letter of this backward point is forced to {chains!r}")
+    return _thread(alpha, x, K, L, past_letter)[1]
 
 
 def _death_depths(x: OrbitPoint, n0: int, classes, w: Word, v: Word) -> dict[EqClass, int]:
@@ -268,7 +265,8 @@ def _death_depths(x: OrbitPoint, n0: int, classes, w: Word, v: Word) -> dict[EqC
 
 
 def fibre(alpha: QuadraticIrrational, x: OrbitPoint, K: int, L: int) -> set[Thread]:
-    """All threads over x at truncation (K, L), by exhaustive chain search.
+    """All threads over x at truncation (K, L), built from the section's past and
+    certified against every candidate.
 
     Every compatible family over the truncated grid is the projection of a
     single class at the chain level (n0, 2n0) of `_thread`, and the families
@@ -281,7 +279,7 @@ def fibre(alpha: QuadraticIrrational, x: OrbitPoint, K: int, L: int) -> set[Thre
     two-past class belongs to one concrete branch-orbit point and survives
     only while that point's coding agrees with x.  Every depth is finite.
     """
-    threads = [_thread(alpha, x, K, L, v) for v in _chains(x)]
+    threads = _thread(alpha, x, K, L, _chains(x))
     tops = {th.top for th in threads}
     n0 = threads[0].top.index.k
     w, v = _zero_words(alpha, 2 * n0)
@@ -295,7 +293,7 @@ def fibre(alpha: QuadraticIrrational, x: OrbitPoint, K: int, L: int) -> set[Thre
 
 def expected_fibre_size(x: OrbitPoint) -> int:
     """Fibre cardinality dictated by the cover theorem: 3 / 2 / 1."""
-    return len(_chains(x))
+    return 1 + len(_chains(x))
 
 
 class FibreReport(_Record):

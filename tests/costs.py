@@ -12,16 +12,22 @@ Its section `witness_lengths` lists, for each cocycle value set F of
 WITNESS_CASES on FIB, the word lengths `dad_witness` codes a word for, in
 the order it tries them; the search's cost is about one coded length each.
 
+Its section `kernel_floors` counts, for each op of FLOOR_OPS, the calls of
+the kernel floor `quadratics._floor` made from `words` and `arcs`, where
+every letter, cut-point comparison and first entry is decided; the
+`floors` fixture of test_kernel counts the same calls.
+
     PYTHONPATH=src python tests/costs.py            # print the ledger
-    PYTHONPATH=src python tests/costs.py --write    # regenerate BENCH_costs.json
+    PYTHONPATH=src python tests/costs.py --write    # regenerate BENCH_costs.json, print what moved
 """
 
 import ast
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
-from sturmian import groupoid
+from sturmian import arcs, cover, groupoid, words
 from sturmian.quadratics import parse_quad
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -75,6 +81,43 @@ def tried_lengths(alpha, values):
         groupoid._zero_words = zero_words
 
 
+ALPHA, D1E6 = parse_quad(FIB), parse_quad("quad:-999,1,1000003,2")
+OMEGA = words.branch_point(ALPHA)
+FWD2 = OMEGA.shift(2)
+
+# each op: the function and its arguments, built here so their floors are not counted
+FLOOR_OPS = {
+    "fibre(D1E6, omega, 10, 100)": (cover.fibre, D1E6, words.branch_point(D1E6), 10, 100),
+    "fibre(FIB, fwd:2, 10, 1000)": (cover.fibre, ALPHA, FWD2, 10, 1000),
+    "fibre(FIB, 2/9, 5, 400)": (cover.fibre, ALPHA, words.OrbitPoint(ALPHA, Fraction(2, 9)), 5, 400),
+    "fibre(FIB, omega, 10, 10000)": (cover.fibre, ALPHA, OMEGA, 10, 10000),
+    "thread_of(FIB, fwd:2, 3, 100)": (cover.thread_of, ALPHA, FWD2, 3, 100),
+    "construct_fibre_element(FIB, fwd:2, 0, 3, 100)": (cover.construct_fibre_element, ALPHA, FWD2, "0", 3, 100),
+    "eq_class(FIB, fwd:2, (100, 200))": (cover.eq_class, ALPHA, FWD2, (100, 200)),
+    "language(FIB, 2000)": (words.language, ALPHA, 2000),
+    "quotient(FIB, (2000, 4000))": (cover.quotient, ALPHA, (2000, 4000)),
+}
+FLOORED = (words, arcs)  # the modules whose calls of the kernel floor are counted
+
+
+def kernel_floors(f, *args) -> int:
+    """The calls of the kernel floor from FLOORED while f(*args) runs."""
+    calls, real = [], words._floor
+
+    def counted(*floor_args):
+        calls.append(1)
+        return real(*floor_args)
+
+    for module in FLOORED:
+        module._floor = counted
+    try:
+        f(*args)
+    finally:
+        for module in FLOORED:
+            module._floor = real
+    return len(calls)
+
+
 def nodes(module: str) -> int:
     """The AST nodes of sturmian/<module>.py."""
     return sum(1 for _ in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())))
@@ -85,20 +128,44 @@ def ledger() -> dict:
     return {
         "about": "compile_nodes: AST nodes of the sturmian modules that each CLI case loads; "
         "witness_lengths: the lengths dad_witness codes on FIB for each F, in order; "
+        "kernel_floors: calls of quadratics._floor from words and arcs per op; "
         "regenerate with PYTHONPATH=src python tests/costs.py --write",
         "compile_nodes": {
             case: sum(counts[m] for m in {"__init__", *loaded} & counts.keys())
             for case, (_, loaded) in CLI_CASES.items()
         },
         "witness_lengths": {
-            ",".join(map(str, values)): tried_lengths(parse_quad(FIB), values)[1] for values in WITNESS_CASES
+            ",".join(map(str, values)): tried_lengths(ALPHA, values)[1] for values in WITNESS_CASES
         },
+        "kernel_floors": {op: kernel_floors(*call) for op, call in FLOOR_OPS.items()},
     }
 
 
+def _entries(book: dict) -> dict:
+    """The ledger's lines, a section's keyed `section.key`."""
+    out = {}
+    for section, lines in book.items():
+        if isinstance(lines, dict):
+            out.update((f"{section}.{key}", value) for key, value in lines.items())
+        else:
+            out[section] = lines
+    return out
+
+
+def changes(before: dict, after: dict) -> list[str]:
+    """`key: before -> after` for each line that differs between two ledgers."""
+    old, new = _entries(before), _entries(after)
+    keys = [*new, *(key for key in old if key not in new)]
+    return [
+        f"{key}: {old.get(key, 'absent')} -> {new.get(key, 'absent')}" for key in keys if old.get(key) != new.get(key)
+    ]
+
+
 if __name__ == "__main__":
-    text = json.dumps(ledger(), indent=2) + "\n"
+    book = ledger()
     if sys.argv[1:] == ["--write"]:
-        LEDGER.write_text(text)
+        before = json.loads(LEDGER.read_text()) if LEDGER.exists() else {}
+        LEDGER.write_text(json.dumps(book, indent=2) + "\n")
+        print("\n".join(changes(before, book)) or "no change")
     else:
-        print(text, end="")
+        print(json.dumps(book, indent=2))

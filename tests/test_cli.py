@@ -118,9 +118,9 @@ class TestWordAndPast:
 
 
 @st.composite
-def specs_and_points(draw, alpha):
-    """(argv for the point, its circle point, its side): a spec of every kind,
-    the point worked out from the spec's meaning rather than by the parser."""
+def specs_and_points(draw, alpha, option="--t"):
+    """(argv for the point under option, its circle point, its side): a spec of every
+    kind, the point worked out from the spec's meaning rather than by the parser."""
     kind = draw(st.sampled_from(["omega", "fwd", "back", "rational"]))
     if kind == "omega":
         spec, t, side = "omega", alpha, "L"
@@ -133,7 +133,7 @@ def specs_and_points(draw, alpha):
     else:
         t = Fraction(draw(st.integers(-30, 30)), draw(st.integers(1, 12)))
         spec, t, side = str(t), _mod1(t), "L"
-    argv = [f"--t={spec}"] if spec.startswith("-") else ["--t", spec]
+    argv = [f"{option}={spec}"] if spec.startswith("-") else [option, spec]
     return argv, SimpleNamespace(alpha=alpha, t=t, variant=side)
 
 
@@ -156,6 +156,77 @@ def test_point_commands_match_the_oracles(data, alpha, n, l):
     point, x = data.draw(specs_and_points(alpha))
     assert _json("word", "--alpha", lit, *point, "--n", str(n))["word"] == reference.code_word(x, n)
     assert _json("past", "--alpha", lit, *point, "--l", str(l))["pasts"] == sorted(reference.past_set(x, l))
+
+
+def _answer(*argv: str) -> tuple[int, dict]:
+    """The exit code and JSON line of an in-process request."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([*argv, "-o", "json"])
+    return code, json.loads(out.getvalue())
+
+
+def _reference_fibre(x):
+    """The fibre's elements over x, level by level, as a function of the truncation:
+    for each truncation, the set of their tables as Thread.table prints them.
+
+    The section's class at (k, l) is x's prefix and the past of its k-th shift,
+    walked back along shift preimages.  Over an orbit point b*alpha a chain runs
+    through both preimages of the branch point behind sigma^j(omega), through its
+    own side's behind a backward point, and its past at (k, l) is the coding of
+    (b + k - l)*alpha on the chain's side, l letters.
+    """
+    alpha, pos = x.alpha, reference.orbit_position(x.alpha, x.t)
+    b = None if pos is None else 1 + pos[1] if pos[0] == "forward" else 1 - pos[1]
+    chains = [] if pos is None else ["L", "R"] if pos[0] == "forward" else [x.variant]
+    rows = {}
+
+    def row(chain, k, l):
+        if (chain, k, l) not in rows:
+            if chain is None:
+                past = reference.past_set(SimpleNamespace(alpha=alpha, t=reference.shift(x, k), variant=x.variant), l)
+            else:
+                past = {reference.code_word(SimpleNamespace(alpha=alpha, t=_mod1(alpha * (b + k - l)), variant=chain), l)}
+            prefix = reference.code_word(x, k)
+            rows[chain, k, l] = f"({k},{l}): prefix={prefix or '-'} past={{{','.join(w or '-' for w in sorted(past))}}}"
+        return rows[chain, k, l]
+
+    def tables(K, L):
+        return {tuple(row(c, k, l) for k in range(K + 1) for l in range(k, L + 1)) for c in [None, *chains]}
+
+    return 1 + len(chains), tables
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    alpha=st.one_of(
+        st.sampled_from([parse_quad(FIB), parse_quad("quad:-1,1,2,1")]),
+        cf_parameters(period_digits=st.integers(1, 10)),
+    ),
+    K=st.integers(0, 4),
+    L=st.integers(0, 8),
+    k=st.integers(0, 4),
+    l=st.integers(0, 8),
+)
+def test_fibre_and_cover_match_the_oracles(data, alpha, K, L, k, l):
+    # fibre --show-threads and cover run in process against the fibre's elements
+    # coded level by level and the classes of the language and the branch orbit
+    K, k, lit = min(K, L), min(k, l), format_quad(alpha)
+    point, x = data.draw(specs_and_points(alpha, "--point"))
+    code, rep = _answer("fibre", "--alpha", lit, *point, "--K", str(K), "--L", str(L), "--show-threads")
+    expected, tables = _reference_fibre(x)
+    want = tables(K, L)
+    resolved = len(want) == expected
+    got = (code, rep["count"], rep["expected"], rep["resolved"])
+    assert got == (int(not resolved), len(want), expected, resolved)
+    assert rep["threads"] == sorted(map(list, want))
+    # (min_K, min_L) is the least resolving truncation: (K', L') resolves exactly above it
+    for K2, L2 in [(K2, L2) for L2 in range(9) for K2 in range(min(L2, 4) + 1)]:
+        assert (len(tables(K2, L2)) == expected) == (K2 >= rep["min_K"] and L2 >= rep["min_L"]), (K2, L2)
+    classes = [{"prefix": c.prefix, "past": sorted(c.past)} for c in reference.classes(alpha, k, l)]
+    got = _answer("cover", "--alpha", lit, "--k", str(k), "--l", str(l))
+    assert got == (0, {"index": [k, l], "classes": sorted(classes, key=lambda c: (c["prefix"], c["past"]))})
 
 
 class TestLanguage:

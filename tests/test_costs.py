@@ -8,4 +8,5 @@ import costs
 def test_ledger_is_current():
     # a change that moves a count regenerates the file in the same commit:
     # PYTHONPATH=src python tests/costs.py --write
-    assert costs.ledger() == json.loads(costs.LEDGER.read_text())
+    changed = costs.changes(json.loads(costs.LEDGER.read_text()), costs.ledger())
+    assert not changed, "stale ledger lines:\n" + "\n".join(changed)

@@ -3,7 +3,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sturmian import cover, words
@@ -687,6 +687,65 @@ class TestProjectedLevels:
             variant = "L" if letter == "0" else "R"
         th = construct_fibre_element(alpha, x, letter, K, L)
         assert dict(th.levels()) == reference_levels(alpha, x, K, L, variant)
+
+
+def _edges(alpha, L):
+    """The chain level's window edges for L: b = n, n + 1, 1 - n and -n, n = max(L, 1),
+    each side of a backward point, at K = L and K = 0, as keyword examples."""
+    n = max(L, 1)
+    cases = [(n, "L"), (n + 1, "L"), (1 - n, "L"), (1 - n, "R"), (-n, "L"), (-n, "R")]
+    return [dict(alpha=alpha, L=L, K=K, b=b, side=side, off=None) for b, side in cases for K in (L, 0)]
+
+
+def _with_examples(cases):
+    def decorate(test):
+        for case in reversed(cases):
+            test = example(**case)(test)
+        return test
+
+    return decorate
+
+
+class TestClassesReadOffOnePast:
+    """eq_class reads a class's prefix, and _thread each chain's top, off one past set.
+
+    The oracle codes by field arithmetic: x's prefix, its past by walking back
+    along shift preimages, and each chain's top as the coded window of 2n
+    letters of the chain point (b - n)*alpha on the chain's side, n = max(L, 1).
+    """
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        alpha=cf_parameters(period_digits=st.integers(1, 40)),
+        L=st.integers(0, 6),
+        K=st.integers(0, 6),
+        b=st.integers(-18, 18),
+        side=st.sampled_from("LR"),
+        off=st.none() | st.fractions(0, 1, max_denominator=30).filter(lambda t: t.denominator > 1),
+    )
+    @_with_examples(_edges(FIB, 3) + _edges(FIB, 0))
+    def test_match_the_codings(self, alpha, L, K, b, side, off):
+        # an orbit point b*alpha, |b| <= 3n, or a point off + b*alpha off the orbit of 0
+        n, K = max(L, 1), min(K, L)
+        b = max(-3 * n, min(3 * n, b))
+        x = OrbitPoint(alpha, alpha * b if off is None else off + alpha * b, side)
+        prefix = reference.code_word(x, 12)
+        for k, l in grid_pairs(12, 12):
+            want = EqClass(IndexPair(k, l), prefix[:k], reference.past_set(x.shift(k), l))
+            assert eq_class(alpha, x, (k, l)) == want, (k, l)
+        tops = {eq_class(alpha, x, (n, 2 * n))}
+        for letter, variant in zip("01", "LR"):
+            # chains run through both preimages of the branch point behind a forward
+            # point, through its own side behind a backward point, and off the orbit none
+            if off is None and (b >= 1 or variant == x.variant):
+                window = reference.code_word(OrbitPoint(alpha, alpha * (b - n), variant), 2 * n)
+                top = EqClass(IndexPair(n, 2 * n), window[n:], frozenset({window}))
+                assert construct_fibre_element(alpha, x, letter, K, L).top == top
+                tops.add(top)
+            else:
+                with pytest.raises(ValueError):
+                    construct_fibre_element(alpha, x, letter, K, L)
+        assert fibre(alpha, x, K, L) == {Thread(x, K, L, top) for top in tops}
 
 
 @st.composite

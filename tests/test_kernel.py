@@ -44,10 +44,10 @@ from sturmian.words import (
     past_set,
     preimages,
 )
-from sturmian import arcs, cover, words
+from sturmian import cover, words
 
 import reference
-from costs import tried_lengths
+from costs import FLOORED, tried_lengths
 
 # five parameters in four quadratic fields
 ALPHAS = [
@@ -320,7 +320,8 @@ def constructions(monkeypatch):
 
 @pytest.fixture
 def floors(monkeypatch):
-    """A list that grows by one per call of the kernel floor `quadratics._floor` from words or arcs."""
+    """A list that grows by one per call of the kernel floor `quadratics._floor` from words or arcs,
+    the modules `costs.kernel_floors` counts too."""
     seen = []
     real = words._floor
 
@@ -328,7 +329,7 @@ def floors(monkeypatch):
         seen.append(1)
         return real(*args)
 
-    for module in (words, arcs):
+    for module in FLOORED:
         monkeypatch.setattr(module, "_floor", counted)
     return seen
 
@@ -342,11 +343,12 @@ class TestKernelObjectCounts:
     builds one point, one floor, per branch-orbit class; a cylinder arc finds
     its word in the two codings of 0, the same n + 1 floors as the language.
     A past set of length l costs l + 1 floors, on the branch orbit too, where
-    its two pasts are windows of the codings of 0.  At truncation L a chain
-    thread codes one window of 2L letters, 2L + 2 floors with the chain
-    point, and a section codes its point's prefix and past, 3L + 3.  A fibre
-    at chain level n0 codes the codings of 0 at 2n0 once: its candidates and
-    the arcs of its singleton-past certificates are read off that one pair.
+    its two pasts are windows of the codings of 0.  A class at (k, l) reads its
+    prefix off its past, l + 2 floors with the shifted point.  At truncation L
+    every thread reads its top off the section's class at (L, 2L), 2L + 2
+    floors, and a fibre reads all its tops off that one past set and codes the
+    codings of 0 at 2n0 once: its candidates and the arcs of its singleton-past
+    certificates are read off that one pair.
     """
 
     FIB = ALPHAS[0]
@@ -378,14 +380,15 @@ class TestKernelObjectCounts:
                 assert self._count(floors, past_set, x, l) == l + 1
 
     def test_thread_floors(self, floors):
-        # a chain top is one coded window of 2L letters; a section top codes its
-        # point's past (2L letters) and prefix (L letters) and shifts it once
+        # every top is read off the past set of the section's class at (L, 2L):
+        # 2L letters, one floor more, and one to shift the point; the prefix costs none
         x, off = branch_point(self.FIB).shift(2), OrbitPoint(self.FIB, Fraction(1, 2))
         for L in (3, 10, 100):
             for letter in "01":
                 assert self._count(floors, construct_fibre_element, self.FIB, x, letter, 3, L) == 2 * L + 2
-            for y in (x, off):
-                assert self._count(floors, thread_of, self.FIB, y, 3, L) == 3 * L + 3
+            for y in (x, off, branch_point(self.FIB).shift(-L)):
+                assert self._count(floors, thread_of, self.FIB, y, 3, L) == 2 * L + 2
+                assert self._count(floors, eq_class, self.FIB, y, (L, 2 * L)) == 2 * L + 2
 
     def test_word_arc(self, constructions):
         for n in (0, 1, 20, 200):
@@ -428,9 +431,9 @@ class TestKernelObjectCounts:
 
     D1E6 = QuadraticIrrational(-999, 1, 1000003, 2)
     FIBRES = [  # (floors, fibre size, fibre arguments)
-        (2740, 3, (D1E6, branch_point(D1E6), 10, 100)),
-        (9274, 3, (FIB, branch_point(FIB).shift(2), 10, 1000)),
-        (2245, 1, (FIB, OrbitPoint(FIB, Fraction(2, 9)), 5, 400)),
+        (2235, 3, (D1E6, branch_point(D1E6), 10, 100)),
+        (4269, 3, (FIB, branch_point(FIB).shift(2), 10, 1000)),
+        (1844, 1, (FIB, OrbitPoint(FIB, Fraction(2, 9)), 5, 400)),
     ]
 
     def test_fibre_floors(self, floors):

@@ -237,8 +237,8 @@ def _thread_calls(node) -> list[int]:
 
 def test_threads_built_in_one_place():
     # a thread's top is built in cover._thread alone, for every chain of every
-    # entry point: the section's is its point's eq_class, a chain's one coded
-    # window; cover.shift_thread maps the top of a thread it is given
+    # entry point: the section's is its point's eq_class, a chain's one word of
+    # that class's past; cover.shift_thread maps the top of a thread it is given
     builders, found = [], []
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -376,6 +376,16 @@ def test_cover_codes_zero_once_per_entry_point():
         if isinstance(node, ast.FunctionDef) and _calls(node, "_zero_words")
     }
     assert callers == {"quotient": 1, "fibre": 1} and _calls(tree, "_zero_words") == 2, callers
+
+
+def test_cover_reads_prefixes_and_chains_off_pasts():
+    # a class's prefix ends its past word on its point's side, and a chain's top is
+    # that class's past word on the chain's side: the cover codes no prefix or window
+    # of its own, and _thread builds no chain point to code
+    tree = ast.parse(inspect.getsource(cover))
+    assert _calls(tree, "code_word") == 0
+    (thread,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_thread"]
+    assert [_calls(thread, name) for name in ("_orbit_point", "OrbitPoint", "shift")] == [0, 0, 0]
 
 
 def _recurrences(node) -> int:
