@@ -147,30 +147,30 @@ class Thread(_Record):
     """A compatible family of classes over the truncated grid k<=K, l<=L.
 
     The family is stored as one class `top` whose index dominates the grid,
-    and the `row` of its projections at (k, L), k <= K, built once with the
-    thread.  Every level (k, l) lies below (k, L) and the connecting maps
-    compose, so each level is projected from the row, and threads, immutable
-    records, are compared on their parameter, K, L and the row.  Tops that
-    differ only beyond the truncation therefore give equal threads, and of
-    the base point, the subshift element the thread sits over, only its
-    parameter enters equality.
+    and its projection `grid` at (K, K + L), built with the thread.  Each level
+    (k, l) lies below (K, K + L) and the connecting maps compose, so it is
+    projected from `grid`.  Threads are compared on their parameter and `grid`,
+    whose index carries K and L.  Equal classes give equal families, and for
+    the classes the cover builds the converse holds: a two-word past is a
+    pair of windows of the L and R codings of 0, which differ only at letters
+    -1 and 0 (Lothaire, ch. 2).  Two hand-built tops that no point has may
+    share a family and still differ.
     """
 
-    __slots__ = ("base", "K", "L", "top", "row")
-    _key = attrgetter("base.alpha", "K", "L", "row")
+    __slots__ = ("base", "K", "L", "top", "grid")
+    _key = attrgetter("base.alpha", "grid")
 
     def __init__(self, base: OrbitPoint, K: int, L: int, top: EqClass):
         if not 0 <= K <= L:
             raise ValueError("need 0 <= K <= L")
-        k, l = top.index
-        if k < K or l - k < L:
-            raise ValueError(f"class at {top.index} does not dominate the grid K={K}, L={L}")
-        self._fill((base, K, L, top, tuple(q_map(top, IndexPair(k, L)) for k in range(K + 1))))
+        grid = q_map(top, IndexPair(K, K + L))  # raises for a top below (K, K + L)
+        q_map(grid, IndexPair(0, L))  # and for one with no past word ending in its prefix
+        self._fill((base, K, L, top, grid))
 
     def class_at(self, k: int, l: int) -> EqClass:
         if not (0 <= k <= min(self.K, l) and l <= self.L):
             raise KeyError(f"level {(k, l)} lies outside the truncation")
-        return q_map(self.row[k], IndexPair(k, l))
+        return q_map(self.grid, IndexPair(k, l))
 
     def levels(self) -> Iterator[tuple[IndexPair, EqClass]]:
         for k in range(self.K + 1):

@@ -12,10 +12,12 @@ Its section `witness_lengths` lists, for each cocycle value set F of
 WITNESS_CASES on FIB, the word lengths `dad_witness` codes a word for, in
 the order it tries them; the search's cost is about one coded length each.
 
-Its section `kernel_floors` counts, for each op of FLOOR_OPS, the calls of
-the kernel floor `quadratics._floor` made from `words` and `arcs`, where
-every letter, cut-point comparison and first entry is decided; the
-`floors` fixture of test_kernel counts the same calls.
+Its section `kernel_floors` counts, for each op of OPS, the calls of the
+kernel floor `quadratics._floor` made from `words` and `arcs`, where every
+letter, cut-point comparison and first entry is decided; the `floors`
+fixture of test_kernel counts the same calls.  Its section `eq_classes`
+counts, for the same ops, the `EqClass` records that `cover` constructs:
+a thread costs a few, a quotient one per class.
 
     PYTHONPATH=src python tests/costs.py            # print the ledger
     PYTHONPATH=src python tests/costs.py --write    # regenerate BENCH_costs.json, print what moved
@@ -85,13 +87,15 @@ ALPHA, D1E6 = parse_quad(FIB), parse_quad("quad:-999,1,1000003,2")
 OMEGA = words.branch_point(ALPHA)
 FWD2 = OMEGA.shift(2)
 
-# each op: the function and its arguments, built here so their floors are not counted
-FLOOR_OPS = {
+# each op: the function and its arguments, built here so their counts leave them out
+OPS = {
     "fibre(D1E6, omega, 10, 100)": (cover.fibre, D1E6, words.branch_point(D1E6), 10, 100),
     "fibre(FIB, fwd:2, 10, 1000)": (cover.fibre, ALPHA, FWD2, 10, 1000),
     "fibre(FIB, 2/9, 5, 400)": (cover.fibre, ALPHA, words.OrbitPoint(ALPHA, Fraction(2, 9)), 5, 400),
     "fibre(FIB, omega, 10, 10000)": (cover.fibre, ALPHA, OMEGA, 10, 10000),
+    "fibre(FIB, omega, 1000, 1000)": (cover.fibre, ALPHA, OMEGA, 1000, 1000),
     "thread_of(FIB, fwd:2, 3, 100)": (cover.thread_of, ALPHA, FWD2, 3, 100),
+    "thread_of(FIB, fwd:2, 200, 200)": (cover.thread_of, ALPHA, FWD2, 200, 200),
     "construct_fibre_element(FIB, fwd:2, 0, 3, 100)": (cover.construct_fibre_element, ALPHA, FWD2, "0", 3, 100),
     "eq_class(FIB, fwd:2, (100, 200))": (cover.eq_class, ALPHA, FWD2, (100, 200)),
     "language(FIB, 2000)": (words.language, ALPHA, 2000),
@@ -100,22 +104,22 @@ FLOOR_OPS = {
 FLOORED = (words, arcs)  # the modules whose calls of the kernel floor are counted
 
 
-def kernel_floors(f, *args) -> int:
-    """The calls of the kernel floor from FLOORED while f(*args) runs."""
-    calls, real = [], words._floor
+def calls(modules, name: str, f, *args) -> int:
+    """The calls of `name`, as bound in each of `modules`, while f(*args) runs."""
+    seen, real = [], getattr(modules[0], name)
 
-    def counted(*floor_args):
-        calls.append(1)
-        return real(*floor_args)
+    def counted(*call_args):
+        seen.append(1)
+        return real(*call_args)
 
-    for module in FLOORED:
-        module._floor = counted
+    for module in modules:
+        setattr(module, name, counted)
     try:
         f(*args)
     finally:
-        for module in FLOORED:
-            module._floor = real
-    return len(calls)
+        for module in modules:
+            setattr(module, name, real)
+    return len(seen)
 
 
 def nodes(module: str) -> int:
@@ -129,6 +133,7 @@ def ledger() -> dict:
         "about": "compile_nodes: AST nodes of the sturmian modules that each CLI case loads; "
         "witness_lengths: the lengths dad_witness codes on FIB for each F, in order; "
         "kernel_floors: calls of quadratics._floor from words and arcs per op; "
+        "eq_classes: EqClass records cover constructs per op; "
         "regenerate with PYTHONPATH=src python tests/costs.py --write",
         "compile_nodes": {
             case: sum(counts[m] for m in {"__init__", *loaded} & counts.keys())
@@ -137,7 +142,8 @@ def ledger() -> dict:
         "witness_lengths": {
             ",".join(map(str, values)): tried_lengths(ALPHA, values)[1] for values in WITNESS_CASES
         },
-        "kernel_floors": {op: kernel_floors(*call) for op, call in FLOOR_OPS.items()},
+        "kernel_floors": {op: calls(FLOORED, "_floor", *call) for op, call in OPS.items()},
+        "eq_classes": {op: calls((cover,), "EqClass", *call) for op, call in OPS.items()},
     }
 
 

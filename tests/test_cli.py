@@ -16,13 +16,14 @@ from hypothesis import strategies as st
 
 import sturmian
 from sturmian.cli import _build_parser, main
+from sturmian.groupoid import dad_witness
 from sturmian.quadratics import format_quad, parse_quad
 from sturmian.words import OrbitPoint, code_word
 
 import reference
 from reference import _mod1
 from test_invariants import _json
-from test_kernel import cf_parameters
+from test_kernel import cf_parameters, unfactored_value
 
 FIB = "quad:3,-1,5,2"
 LONG_PERIOD = "quad:-316,1,99991,1"  # sqrt(99991) - 316
@@ -137,6 +138,14 @@ def specs_and_points(draw, alpha, option="--t"):
     return argv, SimpleNamespace(alpha=alpha, t=t, variant=side)
 
 
+# parameters of partial quotients at most 4, whose dad windows at F <= {1, 2, 3} stay near 200 letters
+SMALL_DIGITS = st.builds(
+    lambda pre, period: unfactored_value((0, *pre), tuple(period)),
+    st.lists(st.integers(1, 4), max_size=2),
+    st.lists(st.integers(1, 4), min_size=1, max_size=3),
+)
+
+
 @settings(max_examples=40, deadline=1000)
 @given(
     data=st.data(),
@@ -148,14 +157,24 @@ def specs_and_points(draw, alpha, option="--t"):
     l=st.integers(0, 12),
 )
 def test_point_commands_match_the_oracles(data, alpha, n, l):
-    # omega, word and past run in process against coding by adding alpha to a
-    # field element and pasts by walking back along shift preimages
+    # omega, word, past and language run in process against coding by adding
+    # alpha to a field element, pasts by walking back along shift preimages and
+    # the cells cut by the points -i*alpha; dad against the scan of every pair
+    # of words and the window scan with position sets
     lit = format_quad(alpha)
     omega = SimpleNamespace(alpha=alpha, t=alpha, variant="L")
     assert _json("omega", "--alpha", lit, "--n", str(n))["word"] == reference.code_word(omega, n)
     point, x = data.draw(specs_and_points(alpha))
     assert _json("word", "--alpha", lit, *point, "--n", str(n))["word"] == reference.code_word(x, n)
     assert _json("past", "--alpha", lit, *point, "--l", str(l))["pasts"] == sorted(reference.past_set(x, l))
+    assert _json("language", "--alpha", lit, "--n", str(n))["words"] == sorted(reference.cells(alpha, n))
+    beta, values = data.draw(SMALL_DIGITS), sorted(data.draw(st.sets(st.integers(1, 3), min_size=1)))
+    code, got = _answer("dad", "--alpha", format_quad(beta), "--F", ",".join(map(str, values)))
+    w = dad_witness(beta, values)
+    ref = reference.check_witness(beta, w, w.min_window)
+    assert (got["mu"], got["nu"]) == reference.witness_words(beta, values[-1])
+    assert (got["window"], got["max_chain_V"], got["max_chain_U"]) == (w.min_window, ref.max_chain_v, ref.max_chain_u)
+    assert (code, got["pass"]) == (int(not ref.passed), ref.passed)
 
 
 def _answer(*argv: str) -> tuple[int, dict]:

@@ -642,17 +642,20 @@ class TestThreadIdentity:
     @settings(max_examples=80, deadline=None)
     @given(composable_levels())
     def test_q_map_composes(self, case):
-        # the row identity of Thread rests on this: (k, l) <= (k, L) <= top
+        # the grid identity of Thread rests on this: (k, l) <= (K, K + L) <= top
         alpha, top, b, a = case
         for c in quotient(alpha, top).classes:
             assert q_map(q_map(c, b), a) == q_map(c, a)
 
     @settings(max_examples=40, deadline=None)
     @given(points_and_grids(), points_and_grids())
+    @example((FIB, OM, 40, 40), (FIB, OM.shift(2), 40, 40))
     def test_row_identity_matches_full_family(self, case, other):
         alpha, x, K, L = case
-        pool = [*fibre(alpha, x, K, L), thread_of(alpha, x, K, L)]
-        pool.append(Thread(x, K, L, thread_of(alpha, x, K, L + 2).top))  # a deeper top
+        elements = fibre(alpha, x, K, L)
+        pool = [*elements, thread_of(alpha, x, K, L)]
+        pool += [Thread(x, K, L, th.grid) for th in elements]  # the stored class as its own top
+        pool += [Thread(x, K, L, th.top) for th in fibre(alpha, x, K, L + 2)]  # tops 2 levels deeper
         pool += [thread_of(alpha, y, K, L) for y in (x.shift(), other[1]) if y.alpha == alpha]
         if K < L:  # a top at (n0 - 1, 2n0), off the chain levels, equal to the thread over x.shift()
             pool.append(shift_thread(thread_of(alpha, x, K + 1, L)))
@@ -660,9 +663,10 @@ class TestThreadIdentity:
         if pos is not None:
             letters = "01" if pos[0] == "forward" else "0" if x.variant == "L" else "1"
             pool += [construct_fibre_element(alpha, x, letter, K, L) for letter in letters]
-        for s in pool:
-            for t in pool:
-                assert (s == t) == (thread_family(s) == thread_family(t))
+        families = [thread_family(s) for s in pool]
+        for s, fs in zip(pool, families):
+            for t, ft in zip(pool, families):
+                assert (s == t) == (fs == ft)
                 if s == t:
                     assert hash(s) == hash(t)
 

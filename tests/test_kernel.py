@@ -321,7 +321,7 @@ def constructions(monkeypatch):
 @pytest.fixture
 def floors(monkeypatch):
     """A list that grows by one per call of the kernel floor `quadratics._floor` from words or arcs,
-    the modules `costs.kernel_floors` counts too."""
+    the modules the ledger's `kernel_floors` section counts too."""
     seen = []
     real = words._floor
 
