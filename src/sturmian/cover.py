@@ -146,18 +146,18 @@ def shift_map(c: EqClass) -> EqClass:
 class Thread(_Record):
     """A compatible family of classes over the truncated grid k<=K, l<=L.
 
-    The family is stored as one class `top` whose index dominates the grid,
-    and its projection `grid` at (K, K + L), built with the thread.  Each level
-    (k, l) lies below (K, K + L) and the connecting maps compose, so it is
-    projected from `grid`.  Threads are compared on their parameter and `grid`,
-    whose index carries K and L.  Equal classes give equal families, and for
-    the classes the cover builds the converse holds: a two-word past is a
-    pair of windows of the L and R codings of 0, which differ only at letters
-    -1 and 0 (Lothaire, ch. 2).  Two hand-built tops that no point has may
-    share a family and still differ.
+    The family is stored as its base and one class `grid` at (K, K + L), the
+    projection of the class `top` it is built from, which is not kept.  Each
+    level (k, l) lies below (K, K + L) and the connecting maps compose, so it
+    is projected from `grid`.  Threads are compared on their parameter and
+    `grid`, whose index carries K and L.  Equal classes give equal families,
+    and for the classes the cover builds the converse holds: a two-word past
+    is a pair of windows of the L and R codings of 0, which differ only at
+    letters -1 and 0 (Lothaire, ch. 2).  Two hand-built tops that no point has
+    may share a family and still differ.
     """
 
-    __slots__ = ("base", "K", "L", "top", "grid")
+    __slots__ = ("base", "K", "L", "grid")
     _key = attrgetter("base.alpha", "grid")
 
     def __init__(self, base: OrbitPoint, K: int, L: int, top: EqClass):
@@ -165,7 +165,7 @@ class Thread(_Record):
             raise ValueError("need 0 <= K <= L")
         grid = q_map(top, IndexPair(K, K + L))  # raises for a top below (K, K + L)
         q_map(grid, IndexPair(0, L))  # and for one with no past word ending in its prefix
-        self._fill((base, K, L, top, grid))
+        self._fill((base, K, L, grid))
 
     def class_at(self, k: int, l: int) -> EqClass:
         if not (0 <= k <= min(self.K, l) and l <= self.L):
@@ -193,29 +193,28 @@ def _chains(x: OrbitPoint) -> str:
     return "" if pos is None else "01" if pos[0] == "forward" else "01"[x.variant == "R"]
 
 
-def _thread(alpha: QuadraticIrrational, x: OrbitPoint, K: int, L: int, chains: str = "") -> list[Thread]:
-    """The section iota(x), then the thread along each chain in `chains` (`_chains`).
-
-    Every top is read off x's class at the chain level (n, 2n), n = max(L, 1): the
-    section's is that class, a chain's the singleton of the past on its side.  Both
-    pasts end with x's prefix, save over a backward point, whose one chain is its own.
+def _tops(alpha: QuadraticIrrational, x: OrbitPoint, L: int, chains: str = "") -> list[EqClass]:
+    """The top of the section iota(x) at truncation L, then of the thread along each chain
+    in `chains` (`_chains`): x's class at the chain level (n, 2n), n = max(L, 1), and the
+    singleton of that class's past on each chain's side.  Both pasts end with x's prefix,
+    save over a backward point, whose one chain is its own.
     """
     n = max(L, 1)
     top = eq_class(alpha, x, (n, 2 * n))
-    tops = [top] + [EqClass(top.index, top.prefix, frozenset({_on_side(top.past, n - x.b, c)})) for c in chains]
-    return [Thread(x, K, L, t) for t in tops]
+    return [top] + [EqClass(top.index, top.prefix, frozenset({_on_side(top.past, n - x.b, c)})) for c in chains]
 
 
 def thread_of(alpha: QuadraticIrrational, x: OrbitPoint, K: int, L: int) -> Thread:
     """The canonical thread through x (the section of the factor map)."""
-    return _thread(alpha, x, K, L)[0]
+    return Thread(x, K, L, _tops(alpha, x, L)[0])
 
 
 def shift_thread(th: Thread) -> Thread:
-    """Image of a thread under the induced shift; truncation drops to K-1."""
+    """Image of a thread under the induced shift; truncation drops to K-1, below
+    the image of `grid` at (K - 1, K + L)."""
     if th.K < 1:
         raise ValueError("shift needs K >= 1")
-    return Thread(th.base.shift(), th.K - 1, th.L, shift_map(th.top))
+    return Thread(th.base.shift(), th.K - 1, th.L, shift_map(th.grid))
 
 
 def property_star_witness(alpha: QuadraticIrrational, mu: Word) -> OrbitPoint:
@@ -244,7 +243,7 @@ def construct_fibre_element(
         raise ValueError("the point is not in the orbit of the branch point")
     if past_letter not in chains:
         raise ValueError(f"the past letter of this backward point is forced to {chains!r}")
-    return _thread(alpha, x, K, L, past_letter)[1]
+    return Thread(x, K, L, _tops(alpha, x, L, past_letter)[1])
 
 
 def _death_depths(x: OrbitPoint, n0: int, classes, w: Word, v: Word) -> dict[EqClass, int]:
@@ -269,7 +268,7 @@ def fibre(alpha: QuadraticIrrational, x: OrbitPoint, K: int, L: int) -> set[Thre
     certified against every candidate.
 
     Every compatible family over the truncated grid is the projection of a
-    single class at the chain level (n0, 2n0) of `_thread`, and the families
+    single class at the chain level (n0, 2n0) of `_tops`, and the families
     extending to arbitrarily deep levels are exactly the fibre of the
     projective limit.  The candidates are the classes at (n0, 2n0) with x's
     prefix, found in the two codings of 0 at 2n0 (`_classes`); the tops of x's
@@ -279,16 +278,16 @@ def fibre(alpha: QuadraticIrrational, x: OrbitPoint, K: int, L: int) -> set[Thre
     two-past class belongs to one concrete branch-orbit point and survives
     only while that point's coding agrees with x.  Every depth is finite.
     """
-    threads = _thread(alpha, x, K, L, _chains(x))
-    tops = {th.top for th in threads}
-    n0 = threads[0].top.index.k
+    tops = _tops(alpha, x, L, _chains(x))
+    threads = {Thread(x, K, L, top) for top in tops}
+    n0 = tops[0].index.k
     w, v = _zero_words(alpha, 2 * n0)
-    candidates = set(_classes(alpha, n0, w, v, threads[0].top.prefix))
-    if not tops <= candidates:
+    candidates = set(_classes(alpha, n0, w, v, tops[0].prefix))
+    if not candidates.issuperset(tops):
         raise RuntimeError("constructed elements missing from candidates; enumeration bug")
-    if any(depth <= n0 for depth in _death_depths(x, n0, candidates - tops, w, v).values()):
+    if any(depth <= n0 for depth in _death_depths(x, n0, candidates.difference(tops), w, v).values()):
         raise RuntimeError("a candidate died inside the chain level; arithmetic bug")
-    return set(threads)
+    return threads
 
 
 def expected_fibre_size(x: OrbitPoint) -> int:

@@ -19,6 +19,10 @@ fixture of test_kernel counts the same calls.  Its section `eq_classes`
 counts, for the same ops, the `EqClass` records that `cover` constructs:
 a thread costs a few, a quotient one per class.
 
+Its section `source_lines` holds the line count of each `sturmian/*.py`, as
+`wc -l` counts them, and their `total`: the size of `src/` that a change
+removing code reports.
+
     PYTHONPATH=src python tests/costs.py            # print the ledger
     PYTHONPATH=src python tests/costs.py --write    # regenerate BENCH_costs.json, print what moved
 """
@@ -129,11 +133,13 @@ def nodes(module: str) -> int:
 
 def ledger() -> dict:
     counts = {path.stem: nodes(path.stem) for path in PACKAGE.glob("*.py")}
+    lines = {path.stem: path.read_text().count("\n") for path in sorted(PACKAGE.glob("*.py"))}
     return {
         "about": "compile_nodes: AST nodes of the sturmian modules that each CLI case loads; "
         "witness_lengths: the lengths dad_witness codes on FIB for each F, in order; "
         "kernel_floors: calls of quadratics._floor from words and arcs per op; "
         "eq_classes: EqClass records cover constructs per op; "
+        "source_lines: lines of each sturmian module and their total; "
         "regenerate with PYTHONPATH=src python tests/costs.py --write",
         "compile_nodes": {
             case: sum(counts[m] for m in {"__init__", *loaded} & counts.keys())
@@ -144,6 +150,7 @@ def ledger() -> dict:
         },
         "kernel_floors": {op: calls(FLOORED, "_floor", *call) for op, call in OPS.items()},
         "eq_classes": {op: calls((cover,), "EqClass", *call) for op, call in OPS.items()},
+        "source_lines": {**lines, "total": sum(lines.values())},
     }
 
 

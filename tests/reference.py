@@ -18,7 +18,8 @@ three enumerations of the same object:
   bisection;
 - the partition table, which sorts the cut points -i*alpha and codes the
   midpoint of every cell;
-- thread identity as the whole projected family over the truncated grid;
+- thread identity as the whole family over the truncated grid, every level
+  coded from the thread's point and chain;
 - the quotient built from representatives of that partition plus the
   branch orbit, cross-checked by seeded random samples, and built from
   the language plus one class per coded branch-orbit point;
@@ -50,7 +51,7 @@ from functools import lru_cache
 from itertools import count, islice
 
 from sturmian.arcs import cylinder_arc
-from sturmian.cover import EqClass, IndexPair, eq_class, q_map
+from sturmian.cover import EqClass, IndexPair, eq_class
 from sturmian.groupoid import WitnessCheck
 from sturmian.invariants import ContinuedFraction
 from sturmian.words import OrbitPoint, _letters, branch_point, language
@@ -303,10 +304,25 @@ def partition_table(alpha, n):
     return table
 
 
-def thread_family(th):
-    """A thread's identity as every level of its grid, each projected from the top."""
-    levels = [IndexPair(k, l) for k in range(th.K + 1) for l in range(k, th.L + 1)]
-    return th.K, th.L, tuple((idx, q_map(th.top, idx)) for idx in levels)
+def thread_family(x, K, L, chain=None):
+    """The family over the grid k <= K, l <= L of the section through x, or of the
+    fibre element along the chain with letter `chain` at the point 0 behind x ('0'
+    on side L, '1' on side R), coded from the point and chain alone.
+
+    The section's class at (k, l) is x's prefix and the past of its k-th shift,
+    a chain's the singleton of the l letters of x.t + (k - l)*alpha on the
+    chain's side; both are the length-l suffixes of the pasts coded at (k, L).
+    """
+    prefix, levels = code_word(x, K), []
+    for k in range(K + 1):
+        if chain is None:
+            pasts = past_set(x.shift(k), L)
+        else:
+            pasts = {code_word(OrbitPoint(x.alpha, shift(x, k - L), "LR"[chain == "1"]), L)}
+        for l in range(k, L + 1):
+            idx = IndexPair(k, l)
+            levels.append((idx, EqClass(idx, prefix[:k], frozenset(w[L - l :] for w in pasts))))
+    return K, L, tuple(levels)
 
 
 def sampled_quotient(alpha, idx):

@@ -28,7 +28,7 @@ from sturmian.cover import (
     shift_thread,
     thread_of,
 )
-from sturmian.cover import _classes, _death_depths
+from sturmian.cover import _classes, _death_depths, _tops
 from sturmian.words import _zero_words
 
 import reference
@@ -301,11 +301,11 @@ class TestThreads:
     def test_missing_level_rejected(self):
         # a top class below the grid would leave levels undetermined: its
         # prefix is too short (k < K) or its past window too narrow (l-k < L)
-        th = thread_of(FIB, HALF, 2, 3)
-        Thread(HALF, 2, 3, q_map(th.top, (2, 5)))
+        (top,) = _tops(FIB, HALF, 3)
+        Thread(HALF, 2, 3, q_map(top, (2, 5)))
         for low in [(1, 4), (2, 4)]:
             with pytest.raises(ValueError):
-                Thread(HALF, 2, 3, q_map(th.top, low))
+                Thread(HALF, 2, 3, q_map(top, low))
 
 
 class TestPropertyStarWitness:
@@ -651,21 +651,24 @@ class TestThreadIdentity:
     @given(points_and_grids(), points_and_grids())
     @example((FIB, OM, 40, 40), (FIB, OM.shift(2), 40, 40))
     def test_row_identity_matches_full_family(self, case, other):
+        # each thread of the pool carries its point and chain, from which the
+        # reference codes its whole family, level by level
         alpha, x, K, L = case
-        elements = fibre(alpha, x, K, L)
-        pool = [*elements, thread_of(alpha, x, K, L)]
-        pool += [Thread(x, K, L, th.grid) for th in elements]  # the stored class as its own top
-        pool += [Thread(x, K, L, th.top) for th in fibre(alpha, x, K, L + 2)]  # tops 2 levels deeper
-        pool += [thread_of(alpha, y, K, L) for y in (x.shift(), other[1]) if y.alpha == alpha]
-        if K < L:  # a top at (n0 - 1, 2n0), off the chain levels, equal to the thread over x.shift()
-            pool.append(shift_thread(thread_of(alpha, x, K + 1, L)))
         pos = x.orbit_position()
-        if pos is not None:
-            letters = "01" if pos[0] == "forward" else "0" if x.variant == "L" else "1"
-            pool += [construct_fibre_element(alpha, x, letter, K, L) for letter in letters]
-        families = [thread_family(s) for s in pool]
-        for s, fs in zip(pool, families):
-            for t, ft in zip(pool, families):
+        letters = "" if pos is None else "01" if pos[0] == "forward" else "0" if x.variant == "L" else "1"
+        chains = [None, *letters]
+        elements = [thread_of(alpha, x, K, L)] + [construct_fibre_element(alpha, x, c, K, L) for c in letters]
+        assert fibre(alpha, x, K, L) == set(elements)
+        pool = [(th, x, c) for th, c in zip(elements, chains)]
+        pool += [(Thread(x, K, L, th.grid), x, c) for th, c in zip(elements, chains)]  # the stored class as its own top
+        pool += [(Thread(x, K, L, t), x, c) for t, c in zip(_tops(alpha, x, L + 2, letters), chains)]  # 2 levels deeper
+        pool += [(thread_of(alpha, y, K, L), y, None) for y in (x.shift(), other[1]) if y.alpha == alpha]
+        if K < L:  # a top at (n0 - 1, 2n0), off the chain levels, equal to the thread over x.shift()
+            pool.append((shift_thread(thread_of(alpha, x, K + 1, L)), x.shift(), None))
+        coded = {(y, c): thread_family(y, K, L, c) for _, y, c in pool}
+        families = [coded[y, c] for _, y, c in pool]
+        for (s, *_), fs in zip(pool, families):
+            for (t, *_), ft in zip(pool, families):
                 assert (s == t) == (fs == ft)
                 if s == t:
                     assert hash(s) == hash(t)
@@ -711,7 +714,7 @@ def _with_examples(cases):
 
 
 class TestClassesReadOffOnePast:
-    """eq_class reads a class's prefix, and _thread each chain's top, off one past set.
+    """eq_class reads a class's prefix, and _tops each chain's top, off one past set.
 
     The oracle codes by field arithmetic: x's prefix, its past by walking back
     along shift preimages, and each chain's top as the coded window of 2n
@@ -744,7 +747,8 @@ class TestClassesReadOffOnePast:
             if off is None and (b >= 1 or variant == x.variant):
                 window = reference.code_word(OrbitPoint(alpha, alpha * (b - n), variant), 2 * n)
                 top = EqClass(IndexPair(n, 2 * n), window[n:], frozenset({window}))
-                assert construct_fibre_element(alpha, x, letter, K, L).top == top
+                assert _tops(alpha, x, L, letter)[1] == top
+                assert construct_fibre_element(alpha, x, letter, K, L) == Thread(x, K, L, top)
                 tops.add(top)
             else:
                 with pytest.raises(ValueError):

@@ -60,7 +60,7 @@ RECORDS = {
     "Thread": (
         lambda: thread_of(FIB, branch_point(FIB), 2, 4),
         lambda: thread_of(FIB, OrbitPoint(FIB, HALF), 2, 4),
-        ("base", "K", "L", "top", "grid"),
+        ("base", "K", "L", "grid"),
     ),
     "DadWitness": (
         lambda: dad_witness(FIB, {1, 2}),

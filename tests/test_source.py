@@ -224,31 +224,31 @@ def test_no_field_arithmetic_on_points():
     assert found == [], found
 
 
-BUILDERS = {("cover.py", "_thread"), ("cover.py", "shift_thread")}
-
-
-def _thread_calls(node) -> list[int]:
-    return [
-        n.lineno
-        for n in ast.walk(node)
-        if isinstance(n, ast.Call) and "Thread" in (getattr(n.func, "id", None), getattr(n.func, "attr", None))
-    ]
+def _callers(name: str) -> set[str]:
+    """module:function for each top-level function of src/ that calls `name`, and
+    module:<elsewhere> for a module with a call outside them, in a method or at top level."""
+    found = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+        found.update(f"{path.name}:{node.name}" for node in functions if _calls(node, name))
+        if _calls(tree, name) != sum(_calls(node, name) for node in functions):
+            found.add(f"{path.name}:<elsewhere>")
+    return found
 
 
 def test_threads_built_in_one_place():
-    # a thread's top is built in cover._thread alone, for every chain of every
-    # entry point: the section's is its point's eq_class, a chain's one word of
-    # that class's past; cover.shift_thread maps the top of a thread it is given
-    builders, found = [], []
-    for path in SOURCES:
-        tree = ast.parse(path.read_text(), filename=str(path))
-        inside = set()
-        for node in tree.body:
-            if isinstance(node, ast.FunctionDef) and (path.name, node.name) in BUILDERS and _thread_calls(node):
-                builders.append(node.name)
-                inside.update(_thread_calls(node))
-        found += [f"{path.name}:{line}" for line in _thread_calls(tree) if line not in inside]
-    assert sorted(builders) == ["_thread", "shift_thread"] and found == [], found
+    # every top is built in cover._tops alone, for every chain of every entry
+    # point: the section's is its point's eq_class, a chain's one word of that
+    # class's past; the entry points wrap the tops they need in a Thread, and
+    # cover.shift_thread maps the grid class of a thread it is given
+    entries = ("thread_of", "construct_fibre_element", "fibre")
+    assert _callers("eq_class") == {"cover.py:_tops"}
+    assert _callers("Thread") == {f"cover.py:{name}" for name in (*entries, "shift_thread")}
+    tree = ast.parse(inspect.getsource(cover))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert all(_calls(functions[name], "_tops") for name in entries)
+    assert _calls(functions["shift_thread"], "shift_map")
 
 
 def _trusted_cf_calls(node) -> list[int]:
@@ -381,11 +381,11 @@ def test_cover_codes_zero_once_per_entry_point():
 def test_cover_reads_prefixes_and_chains_off_pasts():
     # a class's prefix ends its past word on its point's side, and a chain's top is
     # that class's past word on the chain's side: the cover codes no prefix or window
-    # of its own, and _thread builds no chain point to code
+    # of its own, and _tops builds no chain point to code
     tree = ast.parse(inspect.getsource(cover))
     assert _calls(tree, "code_word") == 0
-    (thread,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_thread"]
-    assert [_calls(thread, name) for name in ("_orbit_point", "OrbitPoint", "shift")] == [0, 0, 0]
+    (tops,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_tops"]
+    assert [_calls(tops, name) for name in ("_orbit_point", "OrbitPoint", "shift")] == [0, 0, 0]
 
 
 def _recurrences(node) -> int:
